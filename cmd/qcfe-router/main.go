@@ -155,6 +155,12 @@ func run(rt *router.Router, urls []string, addr string, rollout bool) error {
 		Addr:        addr,
 		Handler:     rt.Handler(),
 		BaseContext: func(net.Listener) context.Context { return ctx },
+		// Bound what an idle or header-dribbling connection can hold.
+		// ReadTimeout/WriteTimeout stay unset: keep-alive clients and large
+		// /estimate_batch and /rollout bodies are legitimate.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       120 * time.Second,
+		MaxHeaderBytes:    64 << 10,
 	}
 	errc := make(chan error, 1)
 	go func() {

@@ -90,8 +90,7 @@ import (
 func main() {
 	artifactPath := flag.String("artifact", "", "path to a model artifact written by CostEstimator.Save / qcfe-bench -save (required unless -tenants)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	maxBatch := flag.Int("max-batch", 64, "largest coalesced micro-batch")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "longest a request waits for batch companions")
+	maxBatch := flag.Int("max-batch", 64, "largest coalesced micro-batch (the batcher flushes what is already queued, never waiting for more)")
 	workers := flag.Int("workers", 0, "worker-pool size for the per-batch planning fan-out (0 = GOMAXPROCS)")
 	cache := flag.Bool("cache", true, "enable the sharded query-fingerprint cache (template/feature/prediction tiers); hits are bit-identical to cold estimates")
 	cacheShards := flag.Int("cache-shards", 0, "cache shard count per tier, rounded to a power of two (0 = scaled to GOMAXPROCS)")
@@ -140,7 +139,6 @@ func main() {
 	}
 	sopts := serve.Options{
 		MaxBatch:           *maxBatch,
-		BatchWindow:        *batchWindow,
 		AdminToken:         *adminToken,
 		Advertise:          *advertise,
 		SlowQueryThreshold: *slowQuery,
@@ -320,6 +318,12 @@ func serveHTTP(ctx context.Context, addr string, h http.Handler) error {
 		// Request contexts descend from the signal context, so shutdown
 		// cancels in-flight planning fan-outs too.
 		BaseContext: func(net.Listener) context.Context { return ctx },
+		// Bound what an idle or header-dribbling connection can hold.
+		// ReadTimeout/WriteTimeout stay unset: keep-alive clients and large
+		// /estimate_batch bodies are legitimate.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       120 * time.Second,
+		MaxHeaderBytes:    64 << 10,
 	}
 	errc := make(chan error, 1)
 	go func() {

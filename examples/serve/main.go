@@ -18,7 +18,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	qcfe "repro"
 	"repro/internal/serve"
@@ -63,7 +62,7 @@ func main() {
 
 	// 4. Serve it: concurrent single-query requests coalesce into
 	// micro-batches over the batched inference path.
-	srv := serve.New(loaded, serve.Options{MaxBatch: 32, BatchWindow: 2 * time.Millisecond})
+	srv := serve.New(loaded, serve.Options{MaxBatch: 32})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go srv.Run(ctx)

@@ -184,10 +184,10 @@ const (
 	// ServeCoalesceAlloc isolates the coalescer's own per-request
 	// overhead: concurrent requests through the full gather/flush
 	// machinery against a stub estimator whose batch call is free and
-	// allocation-less. What remains is queue handoff, timer reuse,
-	// batch-slice and group-map recycling, and reply delivery — the
-	// AllocGated entry holds its allocs_per_op to no-increase so a
-	// regression that re-introduces per-batch allocations fails CI.
+	// allocation-less. What remains is queue handoff, batch-slice and
+	// group-map recycling, and reply delivery — the AllocGated entry
+	// holds its allocs_per_op to no-increase so a regression that
+	// re-introduces per-batch allocations fails CI.
 	ServeCoalesceAlloc = "serve/coalesce-allocs"
 
 	// ServeShedOverload measures the degradation ladder under
@@ -221,8 +221,8 @@ var AllocGated = []string{QCacheHit, ServeWarm, ServeWarmPostSwap, ServeWarmMult
 // path legitimately costs a few amortized allocations per request (the
 // library batch call), and the gate's job is only to keep that count
 // from creeping back up — e.g. a regression that re-introduces the
-// per-batch timer, batch slice, or grouping map the coalescer now
-// recycles, each worth several allocs per op.
+// per-batch slice or grouping map the coalescer now recycles, each
+// worth several allocs per op.
 var AllocNoIncrease = []string{ServeCoalesceAlloc}
 
 var sink float64
@@ -391,7 +391,7 @@ func benchServe(envs []*dbenv.Environment, samples []workload.Sample) ([]Row, []
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := serve.New(est, serve.Options{MaxBatch: 64, BatchWindow: time.Millisecond})
+	srv := serve.New(est, serve.Options{MaxBatch: 64})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go srv.Run(ctx)
@@ -524,14 +524,14 @@ func (s *allocStub) EstimateSQLBatchCtx(_ context.Context, _ *qcfe.Environment, 
 
 // benchCoalesceAlloc measures the serial coalescer's own allocations
 // per served request over the zero-alloc stub estimator. The pooled
-// batch slices, reused coalescer scratch (groups map, order, sqls),
-// and reused gather timer should amortize the whole gather→flush→reply
-// cycle to a few small allocations per request; Compare holds this row
-// to no-increase against the baseline (AllocNoIncrease) so pooling
-// regressions surface even though the path can't reach literal zero.
+// batch slices and reused coalescer scratch (groups map, order, sqls)
+// should amortize the whole gather→flush→reply cycle to a few small
+// allocations per request; Compare holds this row to no-increase
+// against the baseline (AllocNoIncrease) so pooling regressions surface
+// even though the path can't reach literal zero.
 func benchCoalesceAlloc() Row {
 	stub := &allocStub{envs: []*qcfe.Environment{{ID: 0}}, ms: make([]float64, 64)}
-	srv := serve.New(stub, serve.Options{MaxBatch: 16, BatchWindow: 50 * time.Microsecond})
+	srv := serve.New(stub, serve.Options{MaxBatch: 16})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go srv.Run(ctx)
@@ -584,7 +584,7 @@ func benchPipeline(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
 		go srv.Run(ctx)
 		return srv, cancel, nil
 	}
-	serialOpts := serve.Options{MaxBatch: 16, BatchWindow: 200 * time.Microsecond}
+	serialOpts := serve.Options{MaxBatch: 16}
 	pipeOpts := serialOpts
 	pipeOpts.PipelineDepth = 4
 	pipeOpts.FeaturizeWorkers = 2
@@ -722,10 +722,9 @@ func benchRouter(artifact []byte, envID int) ([]Row, error) {
 		}
 		est.AttachCache(qcfe.NewQueryCache(qcfe.CacheOptions{}))
 		srv := serve.New(est, serve.Options{
-			MaxBatch:    64,
-			BatchWindow: time.Millisecond,
-			AdminToken:  token,
-			Advertise:   fmt.Sprintf("bench-replica-%d", i),
+			MaxBatch:   64,
+			AdminToken: token,
+			Advertise:  fmt.Sprintf("bench-replica-%d", i),
 		})
 		go srv.Run(ctx)
 		ts := httptest.NewServer(srv.Handler())
@@ -822,7 +821,7 @@ func benchTenant(artifact []byte, envs []*dbenv.Environment, samples []workload.
 		return nil, err
 	}
 	reg, err := tenant.New(tenant.Options{
-		Serve: serve.Options{MaxBatch: 64, BatchWindow: time.Millisecond},
+		Serve: serve.Options{MaxBatch: 64},
 		Cache: &qcfe.CacheOptions{},
 	}, []tenant.Config{
 		{Name: "alpha", Est: alphaEst, Weight: 1},
@@ -874,7 +873,7 @@ func benchTenant(artifact []byte, envs []*dbenv.Environment, samples []workload.
 		return nil, err
 	}
 	flood, err := tenant.New(tenant.Options{
-		Serve:            serve.Options{MaxBatch: 64, BatchWindow: time.Millisecond},
+		Serve:            serve.Options{MaxBatch: 64},
 		MaxInflight:      1,
 		AnalyticInflight: 1,
 		QueueDepth:       1,

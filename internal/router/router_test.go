@@ -108,9 +108,8 @@ func startFleet(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handl
 		}
 		est.AttachCache(qcfe.NewQueryCache(qcfe.CacheOptions{Shards: 4, Capacity: 512}))
 		srv := serve.New(est, serve.Options{
-			BatchWindow: time.Millisecond,
-			AdminToken:  testToken,
-			Advertise:   fmt.Sprintf("replica-%d", i),
+			AdminToken: testToken,
+			Advertise:  fmt.Sprintf("replica-%d", i),
 		})
 		ch := make(chan struct{})
 		done = append(done, ch)

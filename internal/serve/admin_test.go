@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	qcfe "repro"
 )
@@ -28,9 +27,8 @@ const testToken = "test-admin-token"
 func startAdminServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	srv := New(reloaded(t, testEstimator(t)), Options{
-		BatchWindow: time.Millisecond,
-		AdminToken:  testToken,
-		Advertise:   "replica-under-test",
+		AdminToken: testToken,
+		Advertise:  "replica-under-test",
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -57,7 +55,7 @@ func artifactBytes(t *testing.T, est *qcfe.CostEstimator) []byte {
 // TestAdminDisabledWithoutToken: a server with no AdminToken refuses
 // the whole admin surface with 403 — even with a token header.
 func TestAdminDisabledWithoutToken(t *testing.T) {
-	_, ts := startServer(t, Options{BatchWindow: time.Millisecond})
+	_, ts := startServer(t, Options{})
 	for _, path := range []string{"/swap", "/generation"} {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader("{}"))
 		req.Header.Set("X-QCFE-Admin-Token", "anything")

@@ -45,7 +45,7 @@ func TestWarmHitSkipsGather(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := New(est, Options{BatchWindow: time.Hour}) // poison: any flush would stall
+	srv := New(est, Options{})
 	// No srv.Run: the queue has no consumer.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -71,7 +71,7 @@ func TestWarmHitSkipsGather(t *testing.T) {
 // round must be served from the cache.
 func TestHTTPParityWithCache(t *testing.T) {
 	est := cachedCopy(t)
-	srv := New(est, Options{MaxBatch: 16, BatchWindow: 2 * time.Millisecond})
+	srv := New(est, Options{MaxBatch: 16})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { srv.Run(ctx); close(done) }()

@@ -101,8 +101,7 @@ type HealthResponse struct {
 // drift blocks into its fleet-wide /stats.
 type StatsResponse struct {
 	Stats
-	MaxBatch      int     `json:"max_batch"`
-	BatchWindowMs float64 `json:"batch_window_ms"`
+	MaxBatch int `json:"max_batch"`
 	// PipelineDepth is 0 when the serial coalescer is in use; >0 reports
 	// the exchange-channel capacity of the staged miss path, with the
 	// per-stage worker counts alongside.
@@ -307,7 +306,6 @@ func (s *Server) StatsSnapshot() StatsResponse {
 	resp := StatsResponse{
 		Stats:            s.Stats(),
 		MaxBatch:         s.opts.MaxBatch,
-		BatchWindowMs:    float64(s.opts.BatchWindow.Milliseconds()),
 		PipelineDepth:    s.opts.PipelineDepth,
 		FeaturizeWorkers: s.opts.FeaturizeWorkers,
 		PredictWorkers:   s.opts.PredictWorkers,

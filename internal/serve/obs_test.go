@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -52,7 +51,7 @@ func getBody(t *testing.T, url string) (int, []byte) {
 // histograms, per-request trace IDs echoed on the data plane and
 // retrievable with their stage spans from /trace/recent, and /version.
 func TestObsEndpoints(t *testing.T) {
-	_, ts := startObsServer(t, Options{MaxBatch: 8, BatchWindow: time.Millisecond, TraceRing: 32})
+	_, ts := startObsServer(t, Options{MaxBatch: 8, TraceRing: 32})
 	// cachedCopy is a Save→Load of the shared fixture, so the fixture's
 	// environment IDs are valid against it.
 	envID := testEstimator(t).Environments()[0].ID
@@ -145,12 +144,12 @@ func TestObsEndpoints(t *testing.T) {
 // the X-QCFE-Admin-Token header (401 otherwise) — the same contract as
 // the /swap admin surface.
 func TestPprofGatedByAdminToken(t *testing.T) {
-	_, open := startObsServer(t, Options{BatchWindow: time.Millisecond})
+	_, open := startObsServer(t, Options{})
 	if code, _ := getBody(t, open.URL+"/debug/pprof/"); code != http.StatusForbidden {
 		t.Fatalf("tokenless pprof status %d, want 403", code)
 	}
 
-	_, gated := startObsServer(t, Options{BatchWindow: time.Millisecond, AdminToken: "obs-token"})
+	_, gated := startObsServer(t, Options{AdminToken: "obs-token"})
 	if code, _ := getBody(t, gated.URL+"/debug/pprof/"); code != http.StatusUnauthorized {
 		t.Fatalf("unauthenticated pprof status %d, want 401", code)
 	}

@@ -1,7 +1,7 @@
 // Pipelined miss path: the serial gather-then-flush loop in serve.go
-// alternates the batch window with pricing — while one micro-batch
-// parses/plans/featurizes/predicts, no new batch is gathering, so one
-// slow batch stalls everything queued behind it. With
+// prices one micro-batch at a time — while it parses/plans/featurizes/
+// predicts, nothing queued behind it starts, so the planner cores idle
+// during inference and the NN kernel idles during planning. With
 // Options.PipelineDepth > 0 the batcher instead hands each gathered
 // batch to a pipeline of bounded concurrent stages connected by small
 // buffered channels (Volcano-style exchange operators):
@@ -12,8 +12,8 @@
 // Each channel's capacity is PipelineDepth, so at most
 // depth + workers batches are in flight per stage — bounded memory,
 // backpressure when the NN kernel falls behind. The batcher returns to
-// gathering the instant a batch is on featCh, so the batch window
-// overlaps with pricing instead of adding to it.
+// the queue the instant a batch is on featCh, so batch k+1 featurizes
+// while batch k predicts.
 //
 // Correctness mirrors the serial path exactly:
 //
@@ -124,7 +124,6 @@ func (s *Server) runPipelined(ctx context.Context) error {
 // gatherLoop is the pipelined batcher: gather a micro-batch, hand it to
 // the featurize stage, immediately gather the next.
 func (s *Server) gatherLoop(ctx context.Context, featCh chan<- []*request) error {
-	co := newCoalescer()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -133,7 +132,7 @@ func (s *Server) gatherLoop(ctx context.Context, featCh chan<- []*request) error
 		case <-ctx.Done():
 			return ctx.Err()
 		case first := <-s.queue:
-			batch := s.gather(ctx, co, first)
+			batch := s.gather(first)
 			select {
 			case featCh <- batch:
 			case <-ctx.Done():

@@ -18,6 +18,13 @@ import (
 func startPipelined(t *testing.T, est Estimator, opts Options) *Server {
 	t.Helper()
 	srv := New(est, opts)
+	runServer(t, srv)
+	return srv
+}
+
+// runServer starts srv's batcher and stops it when the test ends.
+func runServer(t *testing.T, srv *Server) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { srv.Run(ctx); close(done) }()
@@ -25,7 +32,6 @@ func startPipelined(t *testing.T, est Estimator, opts Options) *Server {
 		cancel()
 		<-done
 	})
-	return srv
 }
 
 // TestPipelinedParityAcrossDepths is the tentpole invariant: with the
@@ -75,7 +81,7 @@ func TestPipelinedParityAcrossDepths(t *testing.T) {
 	}
 
 	for _, depth := range []int{1, 2, 4} {
-		opts := Options{MaxBatch: 16, BatchWindow: time.Millisecond, PipelineDepth: depth, FeaturizeWorkers: 2, PredictWorkers: 2}
+		opts := Options{MaxBatch: 16, PipelineDepth: depth, FeaturizeWorkers: 2, PredictWorkers: 2}
 		t.Run(fmt.Sprintf("depth=%d/cache=off", depth), func(t *testing.T) {
 			run(t, startPipelined(t, testEstimator(t), opts))
 		})
@@ -90,7 +96,7 @@ func TestPipelinedParityAcrossDepths(t *testing.T) {
 // consistent, and /stats reports the pipeline configuration.
 func TestPipelinedStats(t *testing.T) {
 	est := testEstimator(t)
-	srv := New(est, Options{MaxBatch: 64, BatchWindow: time.Millisecond, PipelineDepth: 2})
+	srv := New(est, Options{MaxBatch: 64, PipelineDepth: 2})
 	env := est.Environments()[0]
 
 	const n = 24
@@ -134,7 +140,7 @@ func TestPipelinedStats(t *testing.T) {
 // solo fallback bit-identically to the library.
 func TestPipelinedErrorIsolation(t *testing.T) {
 	est := testEstimator(t)
-	srv := New(est, Options{MaxBatch: 8, BatchWindow: time.Millisecond, PipelineDepth: 2})
+	srv := New(est, Options{MaxBatch: 8, PipelineDepth: 2})
 	env := est.Environments()[0]
 
 	const n = 6
@@ -214,55 +220,52 @@ func TestPipelinedShutdownFailsPending(t *testing.T) {
 
 // stormEstimator counts solo-fallback calls so the shutdown tests can
 // prove cancellation never triggers the O(n) sequential re-pricing
-// storm. Its batch path fails with the context's own error once
-// cancelled, exactly like the library's.
+// storm. Its batch path announces the batch size on entered, then parks
+// until the serving context is cancelled and fails with the context's
+// own error, exactly like the library's — so cancellation always lands
+// mid-flush.
 type stormEstimator struct {
-	env  *qcfe.Environment
-	solo atomic.Int64
+	fakeBase
+	solo    atomic.Int64
+	entered chan int
 }
 
-func (f *stormEstimator) ModelName() string                                        { return "storm" }
-func (f *stormEstimator) BenchmarkName() string                                    { return "fake" }
-func (f *stormEstimator) Environments() []*qcfe.Environment                        { return []*qcfe.Environment{f.env} }
-func (f *stormEstimator) Generation() uint64                                       { return 1 }
-func (f *stormEstimator) CachedEstimate(*qcfe.Environment, string) (float64, bool) { return 0, false }
-func (f *stormEstimator) CacheStats() (qcfe.CacheStats, bool) {
-	return qcfe.CacheStats{}, false
-}
+// fakeBase is the identity half of a cacheless, single-environment fake
+// Estimator; the fakes embedding it supply the two pricing methods.
+type fakeBase struct{ env *qcfe.Environment }
+
+func (f fakeBase) ModelName() string                                        { return "fake" }
+func (f fakeBase) BenchmarkName() string                                    { return "fake" }
+func (f fakeBase) Environments() []*qcfe.Environment                        { return []*qcfe.Environment{f.env} }
+func (f fakeBase) Generation() uint64                                       { return 1 }
+func (f fakeBase) CachedEstimate(*qcfe.Environment, string) (float64, bool) { return 0, false }
+func (f fakeBase) CacheStats() (qcfe.CacheStats, bool)                      { return qcfe.CacheStats{}, false }
 func (f *stormEstimator) EstimateSQL(*qcfe.Environment, string) (float64, error) {
 	f.solo.Add(1)
 	return 1, nil
 }
 func (f *stormEstimator) EstimateSQLBatchCtx(ctx context.Context, _ *qcfe.Environment, sqls []string) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ms := make([]float64, len(sqls))
-	for i := range ms {
-		ms[i] = 1
-	}
-	return ms, nil
+	f.entered <- len(sqls)
+	<-ctx.Done()
+	return nil, ctx.Err()
 }
 
 // TestShutdownNoFallbackStorm is the satellite regression test: when the
-// batcher is cancelled mid-gather, the partial batch must fail fast with
-// the context's error — the per-request solo fallback (meant for query
-// faults) must never re-price a batch that only failed because the
-// server is shutting down.
+// server is cancelled while a coalesced batch is pricing, the batch must
+// fail fast with the context's error — the per-request solo fallback
+// (meant for query faults) must never re-price a batch that only failed
+// because the server is shutting down.
 func TestShutdownNoFallbackStorm(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opts Options
 	}{
-		{"serial", Options{MaxBatch: 64, BatchWindow: time.Hour}},
-		{"pipelined", Options{MaxBatch: 64, BatchWindow: time.Hour, PipelineDepth: 2}},
+		{"serial", Options{MaxBatch: 64}},
+		{"pipelined", Options{MaxBatch: 64, PipelineDepth: 2}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			fake := &stormEstimator{env: &qcfe.Environment{ID: 0}}
+			fake := &stormEstimator{fakeBase: fakeBase{env: &qcfe.Environment{ID: 0}}, entered: make(chan int, 1)}
 			srv := New(fake, mode.opts)
-			ctx, cancel := context.WithCancel(context.Background())
-			runDone := make(chan error, 1)
-			go func() { runDone <- srv.Run(ctx) }()
 
 			const n = 8
 			errc := make(chan error, n)
@@ -272,17 +275,22 @@ func TestShutdownNoFallbackStorm(t *testing.T) {
 					errc <- err
 				}(i)
 			}
-			// Wait until the batcher holds every request inside gather
-			// (BatchWindow is an hour, so the partial batch only returns
-			// on cancellation), then shut down.
-			deadline := time.After(5 * time.Second)
-			for srv.Stats().Requests < n || len(srv.queue) > 0 {
-				select {
-				case <-deadline:
-					t.Fatalf("batcher never picked up all requests")
-				default:
-					time.Sleep(time.Millisecond)
+			// Park every request in the queue before the batcher starts, so
+			// its first drain is one n-request batch; shut down once that
+			// batch is inside the estimator's batch call.
+			for len(srv.queue) < n {
+				time.Sleep(time.Millisecond)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			runDone := make(chan error, 1)
+			go func() { runDone <- srv.Run(ctx) }()
+			select {
+			case got := <-fake.entered:
+				if got != n {
+					t.Fatalf("first flush priced %d requests, want all %d pre-queued", got, n)
 				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("batcher never flushed the queued requests")
 			}
 			cancel()
 			for i := 0; i < n; i++ {

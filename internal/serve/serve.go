@@ -5,14 +5,18 @@
 // execution path.
 //
 // Its core mechanism is micro-batch coalescing: concurrent single-query
-// Estimate calls enqueue into one channel, a batcher goroutine drains
-// them — waiting at most Options.BatchWindow to fill a batch of up to
-// Options.MaxBatch — groups them by environment, and prices each group
-// through the estimator's batched inference path. Batched inference is
-// bit-identical to per-query inference, so coalescing changes latency
-// shape, never results. This is what turns the estimator stack's batched
-// kernels into serving throughput: N concurrent clients cost ~1 batched
-// inference pass instead of N scalar ones.
+// Estimate calls enqueue into one channel, a batcher goroutine takes the
+// first and drains whatever else is already queued — up to
+// Options.MaxBatch, never waiting for more — groups them by environment,
+// and prices each group through the estimator's batched inference path.
+// The policy is work-conserving (group-commit style): an idle server
+// prices a lone request at once, and batches form from the requests that
+// arrived while the previous flush was pricing, which is exactly when
+// batching pays. Batched inference is bit-identical to per-query
+// inference, so coalescing changes latency shape, never results. This is
+// what turns the estimator stack's batched kernels into serving
+// throughput: N backlogged clients cost ~1 batched inference pass instead
+// of N scalar ones.
 //
 // The estimator behind the server is hot-swappable: SwapEstimator is a
 // single atomic pointer store, every request path snapshots the
@@ -47,7 +51,7 @@ type Estimator interface {
 	// (environment, SQL text) pair when an attached query cache can
 	// answer without planning or inference; ok=false otherwise (no
 	// cache, cold key, or stale generation). Estimate probes it before
-	// enqueueing, so warm hits never pay the BatchWindow.
+	// enqueueing, so warm hits never pay the hop to the batcher.
 	CachedEstimate(env *qcfe.Environment, sql string) (float64, bool)
 	// CacheStats snapshots the attached query cache's counters; ok is
 	// false when no cache is attached.
@@ -80,14 +84,10 @@ type Monitor interface {
 
 // Options configures the serving behavior.
 type Options struct {
-	// MaxBatch is the largest coalesced micro-batch (default 64). A flush
-	// happens as soon as this many requests are pending.
+	// MaxBatch is the largest coalesced micro-batch (default 64). The
+	// batcher flushes what is already queued, up to this many requests;
+	// it never waits for a batch to fill.
 	MaxBatch int
-	// BatchWindow is the longest a request waits for companions before
-	// its batch is flushed anyway (default 2ms). Zero keeps the default;
-	// negative flushes immediately (batching only under instantaneous
-	// concurrency).
-	BatchWindow time.Duration
 	// QueueDepth bounds the pending-request queue (default 1024).
 	// Enqueueing beyond it blocks the client — backpressure, not
 	// unbounded memory.
@@ -113,8 +113,8 @@ type Options struct {
 	// bounded concurrent stages (gather → featurize → predict → reply)
 	// instead of the serial gather-then-flush loop, and sets the
 	// capacity of each exchange channel between stages. The batcher then
-	// returns to gathering the instant a batch is handed off, so the
-	// batch window overlaps with pricing instead of alternating with it.
+	// returns to the queue the instant a batch is handed off, so batch
+	// k+1 featurizes while batch k predicts instead of queueing behind it.
 	// Zero (the default) keeps the serial coalescer. Results are
 	// bit-identical either way; only latency shape changes.
 	PipelineDepth int
@@ -133,9 +133,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
-	}
-	if o.BatchWindow == 0 {
-		o.BatchWindow = 2 * time.Millisecond
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
@@ -169,7 +166,7 @@ type Stats struct {
 	Coalesced int64 `json:"coalesced"`
 	// CacheHits counts single-query requests served straight from the
 	// query cache's prediction tier — they skip the coalescing queue
-	// (and its BatchWindow) entirely.
+	// (and the hop to the batcher) entirely.
 	CacheHits int64 `json:"cache_hits"`
 	// Swaps counts estimator hot swaps installed via SwapEstimator.
 	Swaps int64 `json:"swaps"`
@@ -364,21 +361,19 @@ func (s *Server) Run(ctx context.Context) error {
 			s.drainFailed(ctx.Err())
 			return ctx.Err()
 		case first := <-s.queue:
-			batch := s.gather(ctx, co, first)
+			batch := s.gather(first)
 			s.flush(ctx, co, batch)
 			putBatch(batch)
 		}
 	}
 }
 
-// coalescer owns one batcher loop's reusable gather/flush scratch so a
-// steady stream of micro-batches allocates nothing per batch: the batch
-// window timer is Reset instead of re-made, and the env-grouping map,
-// group-order slice, and SQL scratch are cleared and reused. It is
+// coalescer owns one batcher loop's reusable flush scratch so a steady
+// stream of micro-batches allocates nothing per batch: the env-grouping
+// map, group-order slice, and SQL scratch are cleared and reused. It is
 // confined to the goroutine that created it (the serial batcher, or one
 // featurize-stage worker in pipelined mode).
 type coalescer struct {
-	timer  *time.Timer
 	groups map[int][]*request
 	order  []int
 	sqls   []string
@@ -437,46 +432,19 @@ func putBatch(b []*request) {
 	batchPool.Put(&b)
 }
 
-// gather collects one micro-batch: the first request plus whatever else
-// arrives within BatchWindow, capped at MaxBatch. The returned slice
-// comes from batchPool; the caller releases it with putBatch once the
-// requests have been handed on.
-func (s *Server) gather(ctx context.Context, co *coalescer, first *request) []*request {
+// gather collects one micro-batch: the first request plus whatever is
+// already queued behind it, capped at MaxBatch. It never blocks, so an
+// idle server flushes a lone request at once and batches form only from
+// the backlog that built up while the previous flush was pricing. The
+// returned slice comes from batchPool; the caller releases it with
+// putBatch once the requests have been handed on.
+func (s *Server) gather(first *request) []*request {
 	batch := append(getBatch(), first)
-	if s.opts.BatchWindow < 0 {
-		// Immediate mode: take only what is already pending.
-		for len(batch) < s.opts.MaxBatch {
-			select {
-			case r := <-s.queue:
-				batch = append(batch, r)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	if co.timer == nil {
-		co.timer = time.NewTimer(s.opts.BatchWindow)
-	} else {
-		// The timer is stopped-and-drained before every return below, so
-		// its channel is provably empty here and Reset cannot race a
-		// stale tick (pre-Go 1.23 timer semantics).
-		co.timer.Reset(s.opts.BatchWindow)
-	}
-	fired := false
-	defer func() {
-		if !fired && !co.timer.Stop() {
-			<-co.timer.C
-		}
-	}()
 	for len(batch) < s.opts.MaxBatch {
 		select {
 		case r := <-s.queue:
 			batch = append(batch, r)
-		case <-co.timer.C:
-			fired = true
-			return batch
-		case <-ctx.Done():
+		default:
 			return batch
 		}
 	}
@@ -590,8 +558,8 @@ func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, 
 	}
 	s.requests.Add(1)
 	// A warm prediction-tier hit is deterministic and already known:
-	// answer straight away instead of paying the BatchWindow wait in
-	// gather. Misses (and cacheless estimators) coalesce as before.
+	// answer straight away instead of paying the queue hop to the
+	// batcher. Misses (and cacheless estimators) coalesce.
 	// (Coalesced requests are observed inside flush, which holds the
 	// estimator snapshot that actually priced them.)
 	// tr is nil on untraced paths (benchmarks, in-process callers) and

@@ -94,7 +94,7 @@ func testSQL(i int) string {
 // exactly the library's EstimateSQL predictions.
 func TestHTTPParityUnderConcurrentLoad(t *testing.T) {
 	est := testEstimator(t)
-	_, ts := startServer(t, Options{MaxBatch: 16, BatchWindow: 5 * time.Millisecond})
+	_, ts := startServer(t, Options{MaxBatch: 16})
 
 	const n = 48
 	envs := est.Environments()
@@ -177,7 +177,7 @@ func TestBatchEndpointParity(t *testing.T) {
 // flushes than requests.
 func TestCoalescing(t *testing.T) {
 	est := testEstimator(t)
-	srv := New(est, Options{MaxBatch: 64, BatchWindow: time.Millisecond})
+	srv := New(est, Options{MaxBatch: 64})
 	env := est.Environments()[0]
 
 	const n = 24
@@ -226,7 +226,7 @@ func TestCoalescing(t *testing.T) {
 // fails only its own request; companions still get exact predictions.
 func TestErrorIsolation(t *testing.T) {
 	est := testEstimator(t)
-	srv := New(est, Options{MaxBatch: 8, BatchWindow: time.Millisecond})
+	srv := New(est, Options{MaxBatch: 8})
 	env := est.Environments()[0]
 
 	sqls := []string{testSQL(0), "THIS IS NOT SQL", testSQL(2)}

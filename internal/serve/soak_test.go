@@ -56,7 +56,7 @@ func soakDuration(t *testing.T) time.Duration {
 // single-snapshot-per-reply half of the pipelined contract.
 func TestSoakSwapUnderLoad(t *testing.T) {
 	dur := soakDuration(t) / 2
-	base := Options{MaxBatch: 32, BatchWindow: 500 * time.Microsecond}
+	base := Options{MaxBatch: 32}
 	t.Run("serial", func(t *testing.T) { soakSwapUnderLoad(t, dur, base) })
 	t.Run("pipelined", func(t *testing.T) {
 		opts := base

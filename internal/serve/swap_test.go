@@ -39,7 +39,7 @@ func adaptedCopy(t *testing.T, iters int) *qcfe.CostEstimator {
 func TestSwapEstimatorServesNewModel(t *testing.T) {
 	est1 := testEstimator(t)
 	est2 := adaptedCopy(t, 30)
-	srv, ts := startServer(t, Options{BatchWindow: time.Millisecond})
+	srv, ts := startServer(t, Options{})
 	env := est1.Environments()[0]
 
 	sql := testSQL(1)
@@ -121,7 +121,7 @@ var _ Monitor = (*recordingMonitor)(nil)
 // ObserveLabeled; /stats carries the drift block.
 func TestMonitorPlumbing(t *testing.T) {
 	est := cachedCopy(t)
-	srv := New(est, Options{BatchWindow: time.Millisecond})
+	srv := New(est, Options{})
 	mon := &recordingMonitor{}
 	srv.SetMonitor(mon)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -216,7 +216,7 @@ func TestMonitorPlumbing(t *testing.T) {
 // the query cache warm — the generation rule's positive case.
 func TestSwapKeepsWarmCacheOnIdenticalArtifact(t *testing.T) {
 	est := cachedCopy(t)
-	srv := New(est, Options{BatchWindow: time.Hour}) // batcher never started: only warm hits can answer
+	srv := New(est, Options{}) // batcher never started: only warm hits can answer
 	env := est.Environments()[0]
 	sql := testSQL(2)
 	want, err := est.EstimateSQL(env, sql) // warms the prediction tier

@@ -34,7 +34,7 @@ func TestTenantSoakHostile(t *testing.T) {
 	}
 
 	opts := Options{
-		Serve:       serve.Options{MaxBatch: 16, BatchWindow: time.Millisecond},
+		Serve:       serve.Options{MaxBatch: 16},
 		Cache:       &qcfe.CacheOptions{Shards: 4, Capacity: 256},
 		MaxInflight: 4, // shares: 2 good + 2 evil
 		QueueDepth:  8,

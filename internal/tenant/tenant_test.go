@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	qcfe "repro"
 	"repro/internal/serve"
@@ -105,7 +104,7 @@ func newRegistry(t *testing.T, opts Options, names ...string) *Registry {
 
 func testOptions() Options {
 	return Options{
-		Serve: serve.Options{MaxBatch: 16, BatchWindow: time.Millisecond},
+		Serve: serve.Options{MaxBatch: 16},
 		Cache: &qcfe.CacheOptions{Shards: 4, Capacity: 512},
 	}
 }
