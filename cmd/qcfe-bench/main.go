@@ -57,7 +57,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	qcfe "repro"
@@ -79,7 +78,6 @@ func main() {
 	minWarmSpeedup := flag.Float64("min-warm-speedup", 5.0, "with -micro: minimum warm cache-hit serving speedup over uncached coalesced serving, same-run rows so machine speed cancels (0 disables; orders of magnitude measured)")
 	maxWarmAllocs := flag.Int64("max-warm-allocs", 0, "with -micro: maximum allocs/op allowed on the warm cache-hit rows (qcache/hit, serve/estimate-warm, serve/estimate-warm-postswap); negative disables (0 enforced by default — the warm path is allocation-free)")
 	maxHistRecordNs := flag.Float64("max-hist-record-ns", 50, "with -micro: ceiling on the obs/histogram-record row's ns/op — the per-sample cost observability adds to every hot path (0 disables; two uncontended atomic adds measure ~5-10ns)")
-	minMissSpeedup := flag.Float64("min-miss-speedup", 1.5, "with -micro: minimum staged-pipeline speedup over the serial coalescer on the streaming-miss rows, same-run so machine speed cancels (0 disables; skipped with a notice when GOMAXPROCS < 2 — single-core machines have no second core for stages to overlap on)")
 	savePath := flag.String("save", "", "train one pipeline and write the estimator artifact to this path")
 	loadPath := flag.String("load", "", "load an estimator artifact and evaluate it (or price -estimate queries)")
 	model := flag.String("model", "mscn", "with -save: estimator to train (mscn|qppnet|analytic)")
@@ -112,7 +110,7 @@ func main() {
 	}
 
 	if *micro {
-		if err := runMicro(*out, *baseline, *tolerance, *minSpeedup, *minWarmSpeedup, *minMissSpeedup, *maxWarmAllocs, *maxHistRecordNs); err != nil {
+		if err := runMicro(*out, *baseline, *tolerance, *minSpeedup, *minWarmSpeedup, *maxWarmAllocs, *maxHistRecordNs); err != nil {
 			fmt.Fprintf(os.Stderr, "qcfe-bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -256,11 +254,8 @@ func runLoad(path string, envID int, estimate string, perEnv int, seed int64) er
 // ceiling (a count, no normalization needed), and, when a baseline is
 // given, the predictions/sec regression tolerance plus the no-new-allocs
 // comparison on the same warm rows. The histogram-record ceiling bounds
-// what one observability sample may cost the hot paths, and the
-// streaming-miss floor requires the staged pipeline to beat the serial
-// coalescer on multi-core machines (GOMAXPROCS=1 skips it: stages need
-// a second core to overlap on).
-func runMicro(out, baseline string, tolerance, minSpeedup, minWarmSpeedup, minMissSpeedup float64, maxWarmAllocs int64, maxHistRecordNs float64) error {
+// what one observability sample may cost the hot paths.
+func runMicro(out, baseline string, tolerance, minSpeedup, minWarmSpeedup float64, maxWarmAllocs int64, maxHistRecordNs float64) error {
 	rows, err := bench.Run()
 	if err != nil {
 		return err
@@ -323,18 +318,6 @@ func runMicro(out, baseline string, tolerance, minSpeedup, minWarmSpeedup, minMi
 	fmt.Printf("post-rollout routed warm-hit speedup: %.1fx\n", postRollout)
 	if minWarmSpeedup > 0 && postRollout < minWarmSpeedup {
 		return fmt.Errorf("post-rollout routed warm-hit speedup %.1fx below required %.1fx — the rollout chilled the fleet's caches", postRollout, minWarmSpeedup)
-	}
-	miss, err := bench.MissPipelineSpeedup(rows)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("streaming-miss pipeline speedup (staged vs serial coalescer): %.2fx\n", miss)
-	if minMissSpeedup > 0 {
-		if runtime.GOMAXPROCS(0) < 2 {
-			fmt.Printf("miss-pipeline gate skipped: GOMAXPROCS=%d — stages need a second core to overlap on\n", runtime.GOMAXPROCS(0))
-		} else if miss < minMissSpeedup {
-			return fmt.Errorf("streaming-miss pipeline speedup %.2fx below required %.2fx — the staged pipeline is not overlapping its stages", miss, minMissSpeedup)
-		}
 	}
 	if maxWarmAllocs >= 0 {
 		idx := bench.Index(rows)

@@ -105,9 +105,6 @@ func main() {
 	tenantsSpec := flag.String("tenants", "", "multi-tenant mode: comma-separated name=artifact pairs (e.g. alpha=a.qcfe,beta=b.qcfe); mutually exclusive with -artifact")
 	tenantWeights := flag.String("tenant-weights", "", "with -tenants: comma-separated name=weight fair-share weights (unlisted tenants weigh 1)")
 	maxInflight := flag.Int("max-inflight", 0, "with -tenants: NN-path inflight-slot budget divided into weighted per-tenant floors (0 = 4×GOMAXPROCS)")
-	pipelineDepth := flag.Int("pipeline-depth", 0, "run the miss path as bounded concurrent stages (gather/featurize/predict/reply) with this exchange-channel capacity; 0 = serial coalescer; results are bit-identical either way")
-	featurizeWorkers := flag.Int("featurize-workers", 0, "with -pipeline-depth: concurrent parse/plan/featurize stage workers (0 = 2)")
-	predictWorkers := flag.Int("predict-workers", 0, "with -pipeline-depth: concurrent batched-inference stage workers (0 = 1)")
 	slowQuery := flag.Duration("slow-query-threshold", 0, "log every request slower than this as one structured JSON line on stderr, with its trace ID and stage spans (0 = off)")
 	traceRing := flag.Int("trace-ring", 0, "finished-request traces retained for GET /trace/recent (0 = 256)")
 	showVersion := flag.Bool("version", false, "print build information and exit")
@@ -143,9 +140,6 @@ func main() {
 		Advertise:          *advertise,
 		SlowQueryThreshold: *slowQuery,
 		TraceRing:          *traceRing,
-		PipelineDepth:      *pipelineDepth,
-		FeaturizeWorkers:   *featurizeWorkers,
-		PredictWorkers:     *predictWorkers,
 	}
 	var err error
 	if *tenantsSpec != "" {

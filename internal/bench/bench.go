@@ -155,32 +155,14 @@ const (
 	// same -min-warm-speedup floor as ServeWarm: the multi-tenant layer
 	// must not meaningfully tax the warm short-circuit.
 	ServeWarmMultiTenant = "serve/estimate-warm-multitenant"
-	// ServeMissSerial is the streaming-miss anchor: heavily concurrent
-	// single-query requests, every one a fresh literal (misses the
-	// prediction and feature tiers, hits the template tier), through the
-	// serial gather-then-flush coalescer. With more workers than
-	// MaxBatch the queue never empties, so this measures the serial
-	// design's throughput ceiling: one micro-batch prices while nothing
-	// else gathers or predicts.
+	// ServeMissSerial is the repo's one backlog-forming measurement:
+	// heavily concurrent single-query requests, every one a fresh literal
+	// (misses the prediction and feature tiers, hits the template tier),
+	// through the coalescer. With more workers than MaxBatch the queue
+	// never empties, so every flush after the first is a full batch drawn
+	// from the backlog. The name predates the coalescer being the only
+	// miss path; it is kept so the row stays comparable to BENCH_PR10.json.
 	ServeMissSerial = "serve/estimate-miss-serial"
-	// ServeMissPipelined is the same workload through the staged
-	// pipeline (gather → featurize → predict → reply over bounded
-	// exchange channels): stages overlap, so planning fan-out, the NN
-	// kernel, and reply delivery run concurrently. The CI gate requires
-	// this to beat ServeMissSerial by the -min-miss-speedup factor on
-	// multi-core machines (same-run rows, machine speed cancels); the
-	// gate self-skips at GOMAXPROCS=1, where stage overlap has no cores
-	// to run on.
-	ServeMissPipelined = "serve/estimate-miss-pipelined"
-	// ServeMixedTailSerial / ServeMixedTailPipelined report the p99
-	// request latency (ns_per_op is the 99th percentile, not a mean) of
-	// a mixed workload — half warm prediction-tier hits, half fresh-
-	// literal misses — under the serial coalescer and the pipeline.
-	// Informational, not gated: tail latency folds in scheduler timing,
-	// but the pair documents how much head-of-line blocking the serial
-	// design adds to warm requests stuck behind cold batches.
-	ServeMixedTailSerial    = "serve/estimate-mixed-tail-serial"
-	ServeMixedTailPipelined = "serve/estimate-mixed-tail-pipelined"
 	// ServeCoalesceAlloc isolates the coalescer's own per-request
 	// overhead: concurrent requests through the full gather/flush
 	// machinery against a stub estimator whose batch call is free and
@@ -349,12 +331,11 @@ func Run() ([]Row, error) {
 	}
 	rows = append(rows, serveRows...)
 
-	pipeRows, err := benchPipeline(artifact, envs)
+	missRow, err := benchStreamingMiss(artifact, envs)
 	if err != nil {
-		return nil, fmt.Errorf("bench: pipeline: %w", err)
+		return nil, fmt.Errorf("bench: streaming miss: %w", err)
 	}
-	rows = append(rows, pipeRows...)
-	rows = append(rows, benchCoalesceAlloc())
+	rows = append(rows, missRow, benchCoalesceAlloc())
 
 	routerRows, err := benchRouter(artifact, envs[0].ID)
 	if err != nil {
@@ -555,40 +536,20 @@ func benchCoalesceAlloc() Row {
 	})
 }
 
-// benchPipeline compares the serial coalescer against the staged
-// pipeline on the workload the pipeline exists for: streaming misses
-// under heavy concurrency. Each mode gets its own server over an
-// estimator loaded from the same artifact bytes with a fresh query
-// cache. Load is open-ended relative to the batch size (conc=64
-// workers against MaxBatch=16), so the queue never drains between
-// flushes: the serial design serializes featurize and predict inside
-// one goroutine while gathered requests wait, and the pipeline's gain
-// is exactly that overlap. On a single-core machine there is nothing
-// to overlap onto and the two rows converge — which is why the
-// -min-miss-speedup gate self-skips below GOMAXPROCS=2.
-//
-// The mixed-tail rows then interleave warm hits (primed per worker)
-// with cold misses 1:1 and report the p99 request latency in ns_per_op
-// (Iters = total requests measured): the warm-behind-cold
-// head-of-line-blocking number the paper's feature-engineering
-// argument cares about.
-func benchPipeline(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
-	newSrv := func(opts serve.Options) (*serve.Server, context.CancelFunc, error) {
-		est, err := qcfe.LoadEstimator(bytes.NewReader(artifact))
-		if err != nil {
-			return nil, nil, err
-		}
-		est.AttachCache(qcfe.NewQueryCache(qcfe.CacheOptions{}))
-		srv := serve.New(est, opts)
-		ctx, cancel := context.WithCancel(context.Background())
-		go srv.Run(ctx)
-		return srv, cancel, nil
+// benchStreamingMiss measures the coalescer under a standing backlog:
+// a server over an estimator loaded from the artifact bytes with a fresh
+// query cache, and conc=64 workers against MaxBatch=16 each issuing
+// never-seen literals, so the queue never drains between flushes.
+func benchStreamingMiss(artifact []byte, envs []*dbenv.Environment) (Row, error) {
+	est, err := qcfe.LoadEstimator(bytes.NewReader(artifact))
+	if err != nil {
+		return Row{}, err
 	}
-	serialOpts := serve.Options{MaxBatch: 16}
-	pipeOpts := serialOpts
-	pipeOpts.PipelineDepth = 4
-	pipeOpts.FeaturizeWorkers = 2
-	pipeOpts.PredictWorkers = 2
+	est.AttachCache(qcfe.NewQueryCache(qcfe.CacheOptions{}))
+	srv := serve.New(est, serve.Options{MaxBatch: 16})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go srv.Run(ctx)
 
 	const conc = 64
 	var ctr atomic.Int64
@@ -597,107 +558,28 @@ func benchPipeline(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
 		// every time, hits the template tier after the first op.
 		return fmt.Sprintf("SELECT COUNT(*) FROM lineitem WHERE l_quantity < %d", ctr.Add(1))
 	}
-
-	missRow := func(name string, opts serve.Options) (Row, error) {
-		srv, stop, err := newSrv(opts)
-		if err != nil {
-			return Row{}, err
-		}
-		defer stop()
-		// Prime the template tier so steady state measures the
-		// featurize+predict miss, not first-touch parsing.
-		if _, err := srv.Estimate(context.Background(), envs[0].ID, fresh()); err != nil {
-			return Row{}, err
-		}
-		return run(name, conc, func(tb *testing.B) {
-			tb.ReportAllocs()
-			var wg sync.WaitGroup
-			for c := 0; c < conc; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					env := envs[c%len(envs)]
-					for i := 0; i < tb.N; i++ {
-						if _, err := srv.Estimate(context.Background(), env.ID, fresh()); err != nil {
-							panic(fmt.Sprintf("bench: %s: %v", name, err))
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-		}), nil
+	// Prime the template tier so steady state measures the
+	// featurize+predict miss, not first-touch parsing.
+	if _, err := srv.Estimate(context.Background(), envs[0].ID, fresh()); err != nil {
+		return Row{}, err
 	}
-
-	mixedRow := func(name string, opts serve.Options) (Row, error) {
-		srv, stop, err := newSrv(opts)
-		if err != nil {
-			return Row{}, err
-		}
-		defer stop()
-		// One warm query per worker, primed through the server so it
-		// lands in the prediction tier under the serving generation.
-		warm := make([]string, conc)
-		for c := range warm {
-			warm[c] = fmt.Sprintf("SELECT COUNT(*) FROM lineitem WHERE l_quantity < %d", 1_000_000+c)
-			if _, err := srv.Estimate(context.Background(), envs[c%len(envs)].ID, warm[c]); err != nil {
-				return Row{}, err
-			}
-		}
-		const perWorker = 200
-		lats := make([][]int64, conc)
+	return run(ServeMissSerial, conc, func(tb *testing.B) {
+		tb.ReportAllocs()
 		var wg sync.WaitGroup
 		for c := 0; c < conc; c++ {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
 				env := envs[c%len(envs)]
-				buf := make([]int64, 0, perWorker)
-				for i := 0; i < perWorker; i++ {
-					sql := warm[c]
-					if i%2 == 1 {
-						sql = fresh()
+				for i := 0; i < tb.N; i++ {
+					if _, err := srv.Estimate(context.Background(), env.ID, fresh()); err != nil {
+						panic(fmt.Sprintf("bench: %s: %v", ServeMissSerial, err))
 					}
-					t0 := time.Now()
-					if _, err := srv.Estimate(context.Background(), env.ID, sql); err != nil {
-						panic(fmt.Sprintf("bench: %s: %v", name, err))
-					}
-					buf = append(buf, time.Since(t0).Nanoseconds())
 				}
-				lats[c] = buf
 			}(c)
 		}
 		wg.Wait()
-		var all []int64
-		for _, b := range lats {
-			all = append(all, b...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		idx := len(all) * 99 / 100
-		if idx >= len(all) {
-			idx = len(all) - 1
-		}
-		return Row{Name: name, Iters: len(all), NsPerOp: float64(all[idx])}, nil
-	}
-
-	var rows []Row
-	for _, m := range []struct {
-		miss, mixed string
-		opts        serve.Options
-	}{
-		{ServeMissSerial, ServeMixedTailSerial, serialOpts},
-		{ServeMissPipelined, ServeMixedTailPipelined, pipeOpts},
-	} {
-		r, err := missRow(m.miss, m.opts)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-		if r, err = mixedRow(m.mixed, m.opts); err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	}), nil
 }
 
 // benchRouter measures the distributed serving path: three replicas
@@ -949,16 +831,6 @@ func RouterWarmSpeedup(rows []Row) (float64, error) {
 // kept every replica's cache warm.
 func PostRolloutWarmSpeedup(rows []Row) (float64, error) {
 	return Speedup(rows, RouterFanout, RouterWarmPostRollout)
-}
-
-// MissPipelineSpeedup returns how many times faster the streaming-miss
-// workload moves through the staged pipeline than through the serial
-// coalescer — same run, same artifact, so machine speed cancels.
-// qcfe-bench gates it with -min-miss-speedup on multi-core machines;
-// at GOMAXPROCS=1 the stages have no second core to overlap on and the
-// gate self-skips.
-func MissPipelineSpeedup(rows []Row) (float64, error) {
-	return Speedup(rows, ServeMissSerial, ServeMissPipelined)
 }
 
 // benchCalib is the machine-speed proxy the regression gate normalizes

@@ -2,15 +2,41 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	qcfe "repro"
 )
+
+// runServer starts srv's batcher and stops it when the test ends.
+func runServer(t *testing.T, srv *Server) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { srv.Run(ctx); close(done) }()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+}
+
+// fakeBase is the identity half of a cacheless, single-environment fake
+// Estimator; the fakes embedding it supply the two pricing methods.
+type fakeBase struct{ env *qcfe.Environment }
+
+func (f fakeBase) ModelName() string                                        { return "fake" }
+func (f fakeBase) BenchmarkName() string                                    { return "fake" }
+func (f fakeBase) Environments() []*qcfe.Environment                        { return []*qcfe.Environment{f.env} }
+func (f fakeBase) Generation() uint64                                       { return 1 }
+func (f fakeBase) CachedEstimate(*qcfe.Environment, string) (float64, bool) { return 0, false }
+func (f fakeBase) CacheStats() (qcfe.CacheStats, bool)                      { return qcfe.CacheStats{}, false }
 
 // gateEstimator is a cacheless fake that prices a query as a pure
 // function of its text and records every batch call. Its first batch
@@ -62,18 +88,13 @@ func (f *gateEstimator) EstimateSQLBatchCtx(_ context.Context, _ *qcfe.Environme
 	return ms, nil
 }
 
-// coalesceModes runs a policy test against both batcher loops. held is
-// how many gathered batches the mode keeps outside the queue while the
-// estimator's batch call is parked: the serial loop holds the one it is
-// flushing; the pipeline holds one per stage worker, PipelineDepth per
-// exchange channel, and one in the gather loop blocked on its handoff.
+// coalesceModes names the batcher configurations the policy tests run
+// against.
 var coalesceModes = []struct {
 	name string
 	opts Options
-	held int
 }{
-	{"serial", Options{MaxBatch: 4}, 1},
-	{"pipelined", Options{MaxBatch: 4, PipelineDepth: 2, FeaturizeWorkers: 1, PredictWorkers: 1}, 1 + 2 + 1 + 2 + 1},
+	{"serial", Options{MaxBatch: 4}},
 }
 
 // TestIdleMissFlushesAtOnce is the idle half of the work-conserving
@@ -83,9 +104,10 @@ func TestIdleMissFlushesAtOnce(t *testing.T) {
 	t.Run("gather", func(t *testing.T) {
 		srv := New(newGateEstimator(), Options{})
 		first := &request{}
-		batch := srv.gather(first)
-		if len(batch) != 1 || batch[0] != first {
-			t.Fatalf("gather on an empty queue = %d requests, want just the first", len(batch))
+		co := newCoalescer()
+		srv.gather(co, first)
+		if len(co.batch) != 1 || co.batch[0] != first {
+			t.Fatalf("gather on an empty queue = %d requests, want just the first", len(co.batch))
 		}
 	})
 	for _, mode := range coalesceModes {
@@ -133,18 +155,14 @@ func TestBacklogFormsBatches(t *testing.T) {
 					srv.queue <- r
 				}
 			}
-			// Queue one full batch per slot before the batcher starts. A
-			// full gather returns without looking at the queue again, so
-			// once the first flush is parked and the queue is empty, every
-			// slot is taken and the batcher cannot touch the queue until
-			// the release.
-			enqueue(mode.held * maxBatch)
+			// Queue one full batch before the batcher starts. A full gather
+			// returns without looking at the queue again, so once its flush
+			// is parked the batcher cannot touch the queue until the
+			// release.
+			enqueue(maxBatch)
 			runServer(t, srv)
 			t.Cleanup(fake.open) // a failed assertion must not strand the batcher
 			<-fake.parked
-			for len(srv.queue) > 0 {
-				time.Sleep(time.Millisecond)
-			}
 
 			const k = 2*4 + 3 // two full batches and a partial one at MaxBatch 4
 			enqueue(k)
@@ -168,7 +186,7 @@ func TestBacklogFormsBatches(t *testing.T) {
 			}
 
 			// Every flush, parked or backlogged, is the next MaxBatch
-			// arrivals: mode.held full ones, then ceil(k/MaxBatch) more.
+			// arrivals: the parked full one, then ceil(k/MaxBatch) more.
 			var want [][]string
 			for lo := 0; lo < len(reqs); lo += maxBatch {
 				hi := lo + maxBatch
@@ -188,12 +206,122 @@ func TestBacklogFormsBatches(t *testing.T) {
 				t.Fatalf("batches = %v\nwant      %v", got, want)
 			}
 			st := srv.Stats()
-			if wantFlushes := int64(mode.held + (k+maxBatch-1)/maxBatch); st.Flushes != wantFlushes {
+			if wantFlushes := int64(1 + (k+maxBatch-1)/maxBatch); st.Flushes != wantFlushes {
 				t.Fatalf("flushes = %d, want %d", st.Flushes, wantFlushes)
 			}
 			if st.Coalesced != int64(len(reqs)) {
 				t.Fatalf("coalesced = %d, want all %d requests", st.Coalesced, len(reqs))
 			}
 		})
+	}
+}
+
+// stormEstimator counts solo-fallback calls so the shutdown tests can
+// prove cancellation never triggers the O(n) sequential re-pricing
+// storm. Its batch path announces the batch size on entered, then parks
+// until the serving context is cancelled and fails with the context's
+// own error, exactly like the library's — so cancellation always lands
+// mid-flush.
+type stormEstimator struct {
+	fakeBase
+	solo    atomic.Int64
+	entered chan int
+}
+
+func (f *stormEstimator) EstimateSQL(*qcfe.Environment, string) (float64, error) {
+	f.solo.Add(1)
+	return 1, nil
+}
+func (f *stormEstimator) EstimateSQLBatchCtx(ctx context.Context, _ *qcfe.Environment, sqls []string) ([]float64, error) {
+	f.entered <- len(sqls)
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestShutdownNoFallbackStorm: when the server is cancelled while a
+// coalesced batch is pricing, the batch must fail fast with the
+// context's error — the per-request solo fallback (meant for query
+// faults) must never re-price a batch that only failed because the
+// server is shutting down.
+func TestShutdownNoFallbackStorm(t *testing.T) {
+	t.Run("serial", func(t *testing.T) {
+		fake := &stormEstimator{fakeBase: fakeBase{env: &qcfe.Environment{ID: 0}}, entered: make(chan int, 1)}
+		srv := New(fake, Options{MaxBatch: 64})
+
+		const n = 8
+		errc := make(chan error, n)
+		for i := 0; i < n; i++ {
+			go func(i int) {
+				_, err := srv.Estimate(context.Background(), 0, fmt.Sprintf("SELECT %d", i))
+				errc <- err
+			}(i)
+		}
+		// Park every request in the queue before the batcher starts, so
+		// its first drain is one n-request batch; shut down once that
+		// batch is inside the estimator's batch call.
+		for len(srv.queue) < n {
+			time.Sleep(time.Millisecond)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		runDone := make(chan error, 1)
+		go func() { runDone <- srv.Run(ctx) }()
+		select {
+		case got := <-fake.entered:
+			if got != n {
+				t.Fatalf("first flush priced %d requests, want all %d pre-queued", got, n)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("batcher never flushed the queued requests")
+		}
+		cancel()
+		for i := 0; i < n; i++ {
+			select {
+			case err := <-errc:
+				if err == nil || !strings.Contains(err.Error(), "shutting down") {
+					t.Fatalf("request err = %v, want shutdown error", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("request %d hung across shutdown (fallback storm?)", i)
+			}
+		}
+		if err := <-runDone; !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v", err)
+		}
+		if got := fake.solo.Load(); got != 0 {
+			t.Fatalf("solo fallback ran %d times during shutdown, want 0", got)
+		}
+		if st := srv.Stats(); st.Errors != n {
+			t.Fatalf("errors = %d, want %d", st.Errors, n)
+		}
+	})
+}
+
+// TestEstimateAfterRunReturns: once Run has returned nobody drains the
+// queue, so a miss must fail with the shutdown error instead of
+// enqueueing and waiting forever for a reply.
+func TestEstimateAfterRunReturns(t *testing.T) {
+	fake := newGateEstimator()
+	fake.open()
+	srv := New(fake, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v", err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := srv.Estimate(context.Background(), 0, "SELECT 1")
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "shutting down") || !errors.Is(err, context.Canceled) {
+			t.Fatalf("Estimate after Run returned: err = %v, want the shutdown error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Estimate after Run returned hung")
+	}
+	if st := srv.Stats(); st.Errors != 1 {
+		t.Fatalf("errors = %d, want 1", st.Errors)
 	}
 }

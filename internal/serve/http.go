@@ -101,15 +101,9 @@ type HealthResponse struct {
 // drift blocks into its fleet-wide /stats.
 type StatsResponse struct {
 	Stats
-	MaxBatch int `json:"max_batch"`
-	// PipelineDepth is 0 when the serial coalescer is in use; >0 reports
-	// the exchange-channel capacity of the staged miss path, with the
-	// per-stage worker counts alongside.
-	PipelineDepth    int              `json:"pipeline_depth"`
-	FeaturizeWorkers int              `json:"featurize_workers,omitempty"`
-	PredictWorkers   int              `json:"predict_workers,omitempty"`
-	Cache            *qcfe.CacheStats `json:"cache,omitempty"`
-	Drift            any              `json:"drift,omitempty"`
+	MaxBatch int              `json:"max_batch"`
+	Cache    *qcfe.CacheStats `json:"cache,omitempty"`
+	Drift    any              `json:"drift,omitempty"`
 }
 
 // errorResponse is every error reply.
@@ -304,11 +298,8 @@ func handleVersion(w http.ResponseWriter, r *http.Request) {
 // same server would report standalone.
 func (s *Server) StatsSnapshot() StatsResponse {
 	resp := StatsResponse{
-		Stats:            s.Stats(),
-		MaxBatch:         s.opts.MaxBatch,
-		PipelineDepth:    s.opts.PipelineDepth,
-		FeaturizeWorkers: s.opts.FeaturizeWorkers,
-		PredictWorkers:   s.opts.PredictWorkers,
+		Stats:    s.Stats(),
+		MaxBatch: s.opts.MaxBatch,
 	}
 	if cs, ok := s.Estimator().CacheStats(); ok {
 		resp.Cache = &cs

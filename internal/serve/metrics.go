@@ -23,7 +23,6 @@ func (s *Server) WriteMetrics(g *obs.Gatherer, extra ...obs.Label) {
 	g.Counter("qcfe_serve_swaps_total", "Estimator hot swaps installed.", st.Swaps, extra...)
 	g.Counter("qcfe_serve_errors_total", "Requests that returned an error.", st.Errors, extra...)
 	g.Gauge("qcfe_serve_mean_batch", "Mean coalesced micro-batch size over queued requests.", st.MeanBatch, extra...)
-	g.Gauge("qcfe_serve_pipeline_depth", "Exchange-channel capacity of the staged miss path (0 = serial coalescer).", float64(s.opts.PipelineDepth), extra...)
 	g.Gauge("qcfe_serve_uptime_seconds", "Seconds since this server object was constructed.", s.Uptime().Seconds(), extra...)
 
 	if cs, ok := s.Estimator().CacheStats(); ok {
@@ -48,17 +47,7 @@ func (s *Server) WriteMetrics(g *obs.Gatherer, extra ...obs.Label) {
 
 	g.Histogram("qcfe_serve_warm_hit_seconds", "Latency of warm prediction-tier hits (Estimate/EstimateCached).", s.histWarm.Snapshot(), extra...)
 	g.Histogram("qcfe_serve_queue_wait_seconds", "Time a coalesced request waited between enqueue and batcher pickup.", s.histQueueWait.Snapshot(), extra...)
-	g.Histogram("qcfe_serve_flush_seconds", "Wall time of whole coalesced micro-batch flushes (serial: the flush call; pipelined: featurize pickup through last reply).", s.histFlush.Snapshot(), extra...)
-	for _, t := range []struct {
-		name string
-		h    *obs.Histogram
-	}{
-		{"featurize", s.histStageFeat},
-		{"predict", s.histStagePred},
-	} {
-		lbl := append(append([]obs.Label{}, extra...), obs.L("stage", t.name))
-		g.Histogram("qcfe_serve_stage_seconds", "Per-stage wall time of the pipelined miss path, per environment group.", t.h.Snapshot(), lbl...)
-	}
+	g.Histogram("qcfe_serve_flush_seconds", "Wall time of whole coalesced micro-batch flushes.", s.histFlush.Snapshot(), extra...)
 	for _, t := range []struct {
 		name string
 		h    *obs.Histogram

@@ -88,10 +88,6 @@ type Options struct {
 	// batcher flushes what is already queued, up to this many requests;
 	// it never waits for a batch to fill.
 	MaxBatch int
-	// QueueDepth bounds the pending-request queue (default 1024).
-	// Enqueueing beyond it blocks the client — backpressure, not
-	// unbounded memory.
-	QueueDepth int
 	// AdminToken, when non-empty, enables the remote-administration
 	// endpoints (/swap, /generation) and is the shared secret every
 	// admin request must present in the X-QCFE-Admin-Token header.
@@ -109,44 +105,15 @@ type Options struct {
 	SlowQueryThreshold time.Duration
 	// TraceRing bounds the /trace/recent ring buffer (default 256).
 	TraceRing int
-	// PipelineDepth, when positive, runs the miss path as a pipeline of
-	// bounded concurrent stages (gather → featurize → predict → reply)
-	// instead of the serial gather-then-flush loop, and sets the
-	// capacity of each exchange channel between stages. The batcher then
-	// returns to the queue the instant a batch is handed off, so batch
-	// k+1 featurizes while batch k predicts instead of queueing behind it.
-	// Zero (the default) keeps the serial coalescer. Results are
-	// bit-identical either way; only latency shape changes.
-	PipelineDepth int
-	// FeaturizeWorkers bounds the concurrent parse/plan/featurize stage
-	// workers when the pipeline is enabled (default 2). Each worker
-	// prices one micro-batch's front half at a time; the library
-	// additionally fans planning out across cores inside one call.
-	FeaturizeWorkers int
-	// PredictWorkers bounds the concurrent batched-inference stage
-	// workers when the pipeline is enabled (default 1: the NN kernel
-	// runs batches back to back, which is already its throughput-optimal
-	// shape). Values >1 are safe — inference is stateless per call.
-	PredictWorkers int
 }
+
+// queueDepth bounds the pending-request queue. Enqueueing beyond it
+// blocks the client: backpressure, not unbounded memory.
+const queueDepth = 1024
 
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
-	}
-	if o.PipelineDepth < 0 {
-		o.PipelineDepth = 0
-	}
-	if o.PipelineDepth > 0 {
-		if o.FeaturizeWorkers <= 0 {
-			o.FeaturizeWorkers = 2
-		}
-		if o.PredictWorkers <= 0 {
-			o.PredictWorkers = 1
-		}
 	}
 	return o
 }
@@ -236,6 +203,12 @@ type Server struct {
 	start   time.Time
 	monitor Monitor // set during setup, read-only while serving
 
+	// done is closed when Run returns, after stopErr is set: from then
+	// on nobody drains the queue, so Estimate fails fast on it instead
+	// of waiting for a reply that cannot come.
+	done    chan struct{}
+	stopErr error
+
 	// Admin-plane state for the two-phase remote swap (see admin.go).
 	// adminMu serializes stage/commit/rollback/abort; staged is an
 	// artifact loaded but not yet serving; prev is the estimator the
@@ -262,8 +235,6 @@ type Server struct {
 	histWarm      *obs.Histogram // Estimate/EstimateCached warm prediction-tier hits
 	histQueueWait *obs.Histogram // enqueue → batcher pickup (coalescing wait)
 	histFlush     *obs.Histogram // whole coalesced micro-batch flushes
-	histStageFeat *obs.Histogram // pipelined featurize-stage wall time per env group
-	histStagePred *obs.Histogram // pipelined predict-stage wall time per env group
 	histCacheTpl  *obs.Histogram // qcache template-tier lookups
 	histCacheFeat *obs.Histogram // qcache feature-tier lookups
 	histCachePred *obs.Histogram // qcache prediction-tier lookups
@@ -277,13 +248,12 @@ func New(est Estimator, opts Options) *Server {
 	o := opts.withDefaults()
 	s := &Server{
 		opts:          o,
-		queue:         make(chan *request, o.QueueDepth),
+		queue:         make(chan *request, queueDepth),
+		done:          make(chan struct{}),
 		start:         time.Now(),
 		histWarm:      obs.NewHistogram(),
 		histQueueWait: obs.NewHistogram(),
 		histFlush:     obs.NewHistogram(),
-		histStageFeat: obs.NewHistogram(),
-		histStagePred: obs.NewHistogram(),
 		histCacheTpl:  obs.NewHistogram(),
 		histCacheFeat: obs.NewHistogram(),
 		histCachePred: obs.NewHistogram(),
@@ -341,39 +311,32 @@ func (s *Server) SetMonitor(m Monitor) { s.monitor = m }
 // Run drains the coalescing queue until ctx is cancelled, then fails any
 // still-pending requests with ctx's error and returns it. It is the
 // server's batcher goroutine; call it exactly once, typically via
-// `go srv.Run(ctx)`. With Options.PipelineDepth > 0 it instead runs the
-// staged pipeline (see pipeline.go): same results, overlapped stages.
+// `go srv.Run(ctx)`.
 func (s *Server) Run(ctx context.Context) error {
-	if s.opts.PipelineDepth > 0 {
-		return s.runPipelined(ctx)
-	}
 	co := newCoalescer()
-	for {
-		// Shutdown takes priority over pending work: once ctx is
-		// cancelled, queued requests fail fast instead of racing the
-		// Done case in the select below.
-		if err := ctx.Err(); err != nil {
-			s.drainFailed(err)
-			return err
-		}
+	// Shutdown takes priority over pending work: ctx is re-checked before
+	// every receive, so once it is cancelled queued requests fail fast
+	// instead of racing the Done case in the select.
+	for ctx.Err() == nil {
 		select {
 		case <-ctx.Done():
-			s.drainFailed(ctx.Err())
-			return ctx.Err()
 		case first := <-s.queue:
-			batch := s.gather(first)
-			s.flush(ctx, co, batch)
-			putBatch(batch)
+			s.gather(co, first)
+			s.flush(ctx, co)
 		}
 	}
+	s.stopErr = fmt.Errorf("serve: shutting down: %w", ctx.Err())
+	s.drainFailed()
+	close(s.done)
+	return ctx.Err()
 }
 
-// coalescer owns one batcher loop's reusable flush scratch so a steady
-// stream of micro-batches allocates nothing per batch: the env-grouping
-// map, group-order slice, and SQL scratch are cleared and reused. It is
-// confined to the goroutine that created it (the serial batcher, or one
-// featurize-stage worker in pipelined mode).
+// coalescer owns the batcher loop's reusable scratch so a steady stream
+// of micro-batches allocates nothing per batch: the gathered batch, the
+// env-grouping map, group-order slice, and SQL scratch are cleared and
+// reused. It is confined to the goroutine running Run.
 type coalescer struct {
+	batch  []*request
 	groups map[int][]*request
 	order  []int
 	sqls   []string
@@ -386,10 +349,10 @@ func newCoalescer() *coalescer {
 // groupBatch splits a gathered batch by environment ID, preserving
 // arrival order within each group; co.order lists the group keys in
 // first-arrival order. The groups alias coalescer-owned scratch — they
-// are valid until the next groupBatch/resetGroups call.
-func (co *coalescer) groupBatch(batch []*request) {
+// are valid until the next reset call.
+func (co *coalescer) groupBatch() {
 	co.order = co.order[:0]
-	for _, r := range batch {
+	for _, r := range co.batch {
 		id := r.env.ID
 		g, ok := co.groups[id]
 		if !ok || len(g) == 0 {
@@ -399,65 +362,45 @@ func (co *coalescer) groupBatch(batch []*request) {
 	}
 }
 
-// resetGroups empties the grouping scratch, dropping request references
-// so pooled requests aren't retained past their reply.
-func (co *coalescer) resetGroups() {
+// reset empties the batch and grouping scratch, dropping request
+// references so pooled requests aren't retained past their reply.
+func (co *coalescer) reset() {
+	clear(co.batch)
+	co.batch = co.batch[:0]
 	for _, id := range co.order {
 		g := co.groups[id]
-		for i := range g {
-			g[i] = nil
-		}
+		clear(g)
 		co.groups[id] = g[:0]
 	}
 	co.order = co.order[:0]
 }
 
-// batchPool recycles the gathered-batch slices; putBatch drops the
-// request references before pooling so requests don't outlive their
-// reply.
-var batchPool = sync.Pool{
-	New: func() any {
-		b := make([]*request, 0, 64)
-		return &b
-	},
-}
-
-func getBatch() []*request { return (*batchPool.Get().(*[]*request))[:0] }
-
-func putBatch(b []*request) {
-	for i := range b {
-		b[i] = nil
-	}
-	b = b[:0]
-	batchPool.Put(&b)
-}
-
-// gather collects one micro-batch: the first request plus whatever is
-// already queued behind it, capped at MaxBatch. It never blocks, so an
-// idle server flushes a lone request at once and batches form only from
-// the backlog that built up while the previous flush was pricing. The
-// returned slice comes from batchPool; the caller releases it with
-// putBatch once the requests have been handed on.
-func (s *Server) gather(first *request) []*request {
-	batch := append(getBatch(), first)
-	for len(batch) < s.opts.MaxBatch {
+// gather collects one micro-batch into co.batch: the first request plus
+// whatever is already queued behind it, capped at MaxBatch. It never
+// blocks, so an idle server flushes a lone request at once and batches
+// form only from the backlog that built up while the previous flush was
+// pricing.
+func (s *Server) gather(co *coalescer, first *request) {
+	co.batch = append(co.batch, first)
+	for len(co.batch) < s.opts.MaxBatch {
 		select {
 		case r := <-s.queue:
-			batch = append(batch, r)
+			co.batch = append(co.batch, r)
 		default:
-			return batch
+			return
 		}
 	}
-	return batch
 }
 
-// flush prices one micro-batch: requests are grouped by environment
-// (preserving arrival order within each group) and each group runs
-// through the estimator's batched path. A group whose batch call fails —
-// one malformed query fails a whole library batch — falls back to
-// per-request estimation so errors stay isolated to the requests that
-// caused them.
-func (s *Server) flush(ctx context.Context, co *coalescer, batch []*request) {
+// flush prices the gathered micro-batch: requests are grouped by
+// environment (preserving arrival order within each group) and each
+// group runs through the estimator's batched path. A group whose batch
+// call fails — one malformed query fails a whole library batch — falls
+// back to per-request estimation so errors stay isolated to the requests
+// that caused them.
+func (s *Server) flush(ctx context.Context, co *coalescer) {
+	batch := co.batch
+	defer co.reset()
 	// One estimator snapshot per flush: every reply in this micro-batch
 	// is computed wholly by one model, even if a hot swap lands mid-way.
 	est := s.Estimator()
@@ -474,8 +417,7 @@ func (s *Server) flush(ctx context.Context, co *coalescer, batch []*request) {
 		s.histQueueWait.RecordSince(r.enq)
 		r.tr.AddSpan("queue_wait", "", r.enq)
 	}
-	co.groupBatch(batch)
-	defer co.resetGroups()
+	co.groupBatch()
 	for _, id := range co.order {
 		group := co.groups[id]
 		sqls := co.sqls[:0]
@@ -522,12 +464,12 @@ func (s *Server) flush(ctx context.Context, co *coalescer, batch []*request) {
 }
 
 // drainFailed fails every request still queued at shutdown.
-func (s *Server) drainFailed(err error) {
+func (s *Server) drainFailed() {
 	for {
 		select {
 		case r := <-s.queue:
 			s.errors.Add(1)
-			r.reply <- result{err: fmt.Errorf("serve: shutting down: %w", err)}
+			r.reply <- result{err: s.stopErr}
 		default:
 			return
 		}
@@ -547,8 +489,8 @@ func (s *Server) EnvByID(id int) (*qcfe.Environment, error) {
 
 // Estimate prices one query under the environment with the given ID,
 // coalescing with concurrent callers into a micro-batch. It blocks until
-// the batcher replies or ctx is cancelled; predictions are bit-identical
-// to the library's EstimateSQL.
+// the batcher replies, ctx is cancelled, or Run has returned; predictions
+// are bit-identical to the library's EstimateSQL.
 func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, error) {
 	t0 := time.Now()
 	env, err := s.EnvByID(envID)
@@ -585,6 +527,10 @@ func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, 
 		putRequest(r)
 		s.errors.Add(1)
 		return 0, ctx.Err()
+	case <-s.done:
+		putRequest(r)
+		s.errors.Add(1)
+		return 0, s.stopErr
 	}
 	select {
 	case res := <-r.reply:
@@ -596,6 +542,20 @@ func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, 
 		// r stays out of the pool (see the request type comment).
 		s.errors.Add(1)
 		return 0, ctx.Err()
+	case <-s.done:
+		// Run replies before it closes done, so a reply that exists is
+		// already in the buffer; take it rather than count the request
+		// twice. With none, r was enqueued after the final drain and
+		// stays in the dead queue — out of the pool, like an abandoned
+		// request.
+		select {
+		case res := <-r.reply:
+			putRequest(r)
+			return res.ms, res.err
+		default:
+		}
+		s.errors.Add(1)
+		return 0, s.stopErr
 	}
 }
 

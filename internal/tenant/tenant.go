@@ -47,8 +47,8 @@ import (
 
 // Options configures a Registry.
 type Options struct {
-	// Serve configures every per-tenant server (MaxBatch, QueueDepth,
-	// AdminToken, Advertise). Defaults as in serve.Options.
+	// Serve configures every per-tenant server (MaxBatch, AdminToken,
+	// Advertise, tracing). Defaults as in serve.Options.
 	Serve serve.Options
 	// MaxInflight is the NN-path slot budget shared by all tenants
 	// (divided into weighted floors). 0 means 4×GOMAXPROCS; values

@@ -217,6 +217,13 @@ func TestUndegradedBitwiseParity(t *testing.T) {
 
 	ctx := context.Background()
 	for _, name := range []string{"alpha", "beta"} {
+		tn, err := r.Tenant(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tn.Server().StatsSnapshot().MaxBatch, testOptions().Serve.MaxBatch; got != want {
+			t.Fatalf("tenant %s max batch = %d, want %d (Options.Serve not inherited)", name, got, want)
+		}
 		got, degraded, err := r.EstimateBatch(ctx, name, env.ID, sqls)
 		if err != nil {
 			t.Fatal(err)
@@ -237,67 +244,6 @@ func TestUndegradedBitwiseParity(t *testing.T) {
 			}
 			if degraded || ms != want[i] {
 				t.Fatalf("tenant %s single %d: (%v, %v), want (%v, false)", name, i, ms, degraded, want[i])
-			}
-		}
-	}
-}
-
-// TestPipelinedTenantParity: per-tenant servers inherit the pipeline
-// knobs through Options.Serve, and pipelined multi-tenant answers stay
-// bitwise identical to the library with admission sitting unchanged in
-// front.
-func TestPipelinedTenantParity(t *testing.T) {
-	opts := testOptions()
-	opts.Serve.PipelineDepth = 2
-	opts.Serve.FeaturizeWorkers = 2
-	opts.Serve.PredictWorkers = 2
-	r := newRegistry(t, opts, "alpha", "beta")
-	ref := loadEst(t)
-	env := ref.Environments()[0]
-
-	sqls := make([]string, 24)
-	want := make([]float64, 24)
-	for i := range sqls {
-		sqls[i] = testSQL(i)
-		var err error
-		if want[i], err = ref.EstimateSQL(env, sqls[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx := context.Background()
-	for _, name := range []string{"alpha", "beta"} {
-		tn, err := r.Tenant(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tn.Server().StatsSnapshot().PipelineDepth; got != 2 {
-			t.Fatalf("tenant %s pipeline depth = %d, want 2 (Options.Serve not inherited)", name, got)
-		}
-		// Concurrent singles coalesce through the tenant's pipelined
-		// batcher; two passes cover cold and cache-warm serving.
-		for pass := 0; pass < 2; pass++ {
-			got := make([]float64, len(sqls))
-			degr := make([]bool, len(sqls))
-			errs := make([]error, len(sqls))
-			var wg sync.WaitGroup
-			for i := range sqls {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					got[i], degr[i], errs[i] = r.Estimate(ctx, name, env.ID, sqls[i])
-				}(i)
-			}
-			wg.Wait()
-			for i := range sqls {
-				if errs[i] != nil {
-					t.Fatal(errs[i])
-				}
-				if degr[i] {
-					t.Fatalf("tenant %s pass %d query %d: degraded under no load", name, pass, i)
-				}
-				if got[i] != want[i] {
-					t.Fatalf("tenant %s pass %d query %d: %v != library %v", name, pass, i, got[i], want[i])
-				}
 			}
 		}
 	}

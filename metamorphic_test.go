@@ -88,12 +88,11 @@ func TestMetamorphicBatchPermutation(t *testing.T) {
 	check("cached-warm")
 }
 
-// TestMetamorphicStagedSplit: the two-phase batch API the pipelined
-// server drives — FeaturizeSQLBatchCtx then PredictFeaturized — is
-// bitwise the fused EstimateSQLBatch under permutation and duplication,
-// uncached, cache-cold, and cache-warm. This is the library half of the
-// serve-layer pipeline contract: splitting the call across stage
-// workers may change when work happens, never what it computes.
+// TestMetamorphicStagedSplit: the two-phase batch API —
+// FeaturizeSQLBatchCtx then PredictFeaturized — is bitwise the fused
+// EstimateSQLBatch under permutation and duplication, uncached,
+// cache-cold, and cache-warm: calling the halves separately may change
+// when work happens, never what it computes.
 func TestMetamorphicStagedSplit(t *testing.T) {
 	est, _ := trainedFixture(t, "mscn")
 	env := est.Environments()[0]

@@ -501,10 +501,10 @@ func (e *CostEstimator) EstimateSQLBatch(env *Environment, sqls []string) ([]flo
 // so are errors: a query that fails to parse or plan is never cached, so
 // the lowest-index failure wins exactly as in the plain fan-out.
 //
-// The call is exactly FeaturizeSQLBatchCtx followed by PredictFeaturized;
-// the pipelined serving path invokes the two halves from different stage
-// workers and is therefore bit-identical to this composition by
-// construction.
+// The call is exactly FeaturizeSQLBatchCtx followed by PredictFeaturized:
+// the two halves are this function's real structure, exported so a
+// caller that times or traces them separately gets, by construction,
+// bit-identical results.
 func (e *CostEstimator) EstimateSQLBatchCtx(ctx context.Context, env *Environment, sqls []string) ([]float64, error) {
 	fb, err := e.FeaturizeSQLBatchCtx(ctx, env, sqls)
 	if err != nil {
@@ -548,14 +548,13 @@ func (fb *FeaturizedBatch) Misses() int {
 // FeaturizeSQLBatchCtx runs the front half of EstimateSQLBatchCtx —
 // prediction-tier probe, then the cache-aware parse/plan/featurize
 // fan-out for the misses — and returns the batch ready for
-// PredictFeaturized. Splitting the halves lets a pipelined server keep
-// featurizing the next batch while this one is in the NN kernel.
+// PredictFeaturized. The benchmark's depth-4 probe calls the halves
+// separately to attribute miss time to planning versus inference.
 //
-// A traced request (internal/obs) gets per-stage spans — featurize vs
-// predict is exactly the split the pipelined miss path needs to see.
-// Untraced calls pay one context lookup and nothing else; span recording
-// never changes results. The trace is captured into the batch so the
-// back half records its spans even when invoked with a different
+// A traced request (internal/obs) gets per-stage spans, featurize and
+// predict. Untraced calls pay one context lookup and nothing else; span
+// recording never changes results. The trace is captured into the batch
+// so the back half records its spans even when invoked with a different
 // context.
 func (e *CostEstimator) FeaturizeSQLBatchCtx(ctx context.Context, env *Environment, sqls []string) (*FeaturizedBatch, error) {
 	tr := obs.TraceFrom(ctx)
@@ -610,8 +609,7 @@ func (e *CostEstimator) FeaturizeSQLBatchCtx(ctx context.Context, env *Environme
 // PredictFeaturized runs the back half: batched inference over the
 // featurized misses, merged with the warm probe results, and the
 // write-back into the prediction tier under the batch's pinned
-// generation. It is pure compute — no context, cannot fail — which is
-// what lets a pipelined server drain in-flight batches on shutdown.
+// generation. It is pure compute: no context, cannot fail.
 //
 // The batch must come from this estimator's FeaturizeSQLBatchCtx;
 // results are then bit-identical to the fused EstimateSQLBatchCtx.
