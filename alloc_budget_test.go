@@ -1,0 +1,126 @@
+package qcfe
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+)
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
+}
+
+// missVariants returns n literal variants of TPC-H Q3 (a three-way join
+// with a grouped aggregate) that no earlier call with a lower `from`
+// returned: the (segment, order date) pair is unique per index.
+func missVariants(from, n int) []string {
+	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"}
+	out := make([]string, n)
+	for k := range out {
+		i := from + k
+		out[k] = fmt.Sprintf("SELECT COUNT(*) FROM customer, orders, lineitem"+
+			" WHERE customer.c_custkey = orders.o_custkey AND orders.o_orderkey = lineitem.l_orderkey"+
+			" AND c_mktsegment = '%s' AND o_orderdate < %d GROUP BY o_orderpriority",
+			segments[i%len(segments)], 8036+i/len(segments))
+	}
+	return out
+}
+
+// TestMissAllocationBudget is the regression guard on what one priced
+// miss costs the allocator. A template-tier hit with fresh literals runs
+// the whole miss path — fingerprint, bind, plan, featurize, batched
+// inference, three cache stores — and should allocate only what outlives
+// it (the plan tree, the cached feature rows, the cache keys and the
+// result slice). The ceilings leave headroom for toolchain differences;
+// the figures this repo measures are recorded in CHANGES.md.
+func TestMissAllocationBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const (
+		maxBytesPerMiss   = 16 << 10
+		maxObjectsPerMiss = 95
+		batch             = 64
+		batches           = 32 // 2048 misses batched, 2048 more singly
+	)
+	b, err := OpenBenchmark("tpch", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := RandomEnvironments(2, 1)
+	pool, err := b.CollectWorkload(envs, 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _ := pool.Split(0.8)
+	est, err := NewPipeline("mscn", WithTrainIters(20), WithReferences(20), WithSeed(3)).Fit(b, envs, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for every entry the test stores: eviction is not on the budget.
+	est.AttachCache(NewQueryCache(CacheOptions{Capacity: 8192}))
+	env := est.Environments()[0]
+
+	// Prime the template tier, the pools and the cache shards' lazily
+	// built state with variants the measured windows never repeat.
+	if _, err := est.EstimateSQLBatch(env, missVariants(0, batch)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := est.EstimateSQL(env, missVariants(batch, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	next := 2 * batch
+
+	measure := func(name string, misses int, run func()) {
+		t.Helper()
+		before, _ := est.CacheStats()
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		after, _ := est.CacheStats()
+		if got := after.Template.Hits - before.Template.Hits; got != int64(misses) {
+			t.Fatalf("%s: %d template-tier hits for %d queries — not the miss path this test budgets", name, got, misses)
+		}
+		if got := after.Prediction.Hits - before.Prediction.Hits; got != 0 {
+			t.Fatalf("%s: %d prediction-tier hits, want every query a miss", name, got)
+		}
+		bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(misses)
+		objsPer := float64(m1.Mallocs-m0.Mallocs) / float64(misses)
+		t.Logf("%s: %.0f B and %.1f objects per priced miss, %d GC cycles over %d misses",
+			name, bytesPer, objsPer, m1.NumGC-m0.NumGC, misses)
+		if bytesPer > maxBytesPerMiss || objsPer > maxObjectsPerMiss {
+			t.Errorf("%s: a priced miss allocates %.0f B in %.1f objects, budget %d B / %d objects",
+				name, bytesPer, objsPer, maxBytesPerMiss, maxObjectsPerMiss)
+		}
+	}
+
+	queries := missVariants(next, 2*batch*batches)
+	batched, single := queries[:batch*batches], queries[batch*batches:]
+	measure("batch64", len(batched), func() {
+		for i := 0; i < len(batched); i += batch {
+			if _, err := est.EstimateSQLBatch(env, batched[i:i+batch]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	measure("single", len(single), func() {
+		for _, sql := range single {
+			if _, err := est.EstimateSQL(env, sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}

@@ -119,22 +119,43 @@ type Column struct {
 	Width int
 }
 
+// ColInfo is one column qualified by its table's name — the shape plan
+// nodes describe their output schema in.
+type ColInfo struct {
+	Table  string
+	Column string
+	Type   ColType
+	Width  int
+}
+
 // Table describes one relation: columns plus optional secondary indexes.
 type Table struct {
 	Name    string
 	Columns []Column
 
-	colIdx map[string]int
+	colIdx   map[string]int
+	colInfos []ColInfo
 }
 
-// NewTable builds a table descriptor and its column lookup map.
+// NewTable builds a table descriptor, its column lookup map and its
+// qualified column list.
 func NewTable(name string, cols ...Column) *Table {
-	t := &Table{Name: name, Columns: cols, colIdx: make(map[string]int, len(cols))}
+	t := &Table{
+		Name: name, Columns: cols,
+		colIdx:   make(map[string]int, len(cols)),
+		colInfos: make([]ColInfo, len(cols)),
+	}
 	for i, c := range cols {
 		t.colIdx[c.Name] = i
+		t.colInfos[i] = ColInfo{Table: name, Column: c.Name, Type: c.Type, Width: c.Width}
 	}
 	return t
 }
+
+// ColInfos returns the table's columns qualified by its name, in column
+// order. The slice is built once and shared by every plan that scans the
+// table: callers must not modify it.
+func (t *Table) ColInfos() []ColInfo { return t.colInfos }
 
 // ColIndex returns the ordinal of the named column, or -1.
 func (t *Table) ColIndex(name string) int {

@@ -80,20 +80,29 @@ func (e *Encoder) FeatureNames() []string {
 // EncodeNode produces the feature vector for one plan node.
 func (e *Encoder) EncodeNode(n *planner.Node) []float64 {
 	v := make([]float64, e.Dim())
-	v[int(n.Op)] = 1
-	off := int(planner.NumOpTypes)
+	e.EncodeNodeInto(n, v)
+	return v
+}
+
+// EncodeNodeInto writes the node's feature vector into dst (length Dim),
+// overwriting every element — EncodeNode without the allocation, for
+// featurizing into caller-owned storage.
+func (e *Encoder) EncodeNodeInto(n *planner.Node, dst []float64) {
+	dst = dst[:e.Dim()]
+	off := len(dst) - numericFeatures
+	hot := dst[:off]
+	clear(hot)
+	hot[int(n.Op)] = 1
 	if n.Table != "" {
 		if i, ok := e.tableIdx[n.Table]; ok {
-			v[off+i] = 1
+			hot[int(planner.NumOpTypes)+i] = 1
 		}
 	}
-	off += len(e.tables)
 	if n.Index != "" {
 		if i, ok := e.indexIdx[n.Index]; ok {
-			v[off+i] = 1
+			hot[int(planner.NumOpTypes)+len(e.tables)+i] = 1
 		}
 	}
-	off += len(e.indexes)
 
 	child1, child2 := 0.0, 0.0
 	if len(n.Children) > 0 {
@@ -106,22 +115,19 @@ func (e *Encoder) EncodeNode(n *planner.Node) []float64 {
 	if n.Limit >= 0 {
 		limit = 1
 	}
-	num := []float64{
-		log1p(n.EstRows),
-		log1p(float64(n.EstWidth)),
-		n.Selectivity,
-		float64(len(n.Preds)),
-		float64(len(n.Children)),
-		log1p(child1),
-		log1p(child2),
-		float64(len(n.SortCols)),
-		float64(len(n.GroupCols)),
-		float64(len(n.Aggs)),
-		limit,
-		log1p(n.EstRows * float64(n.EstWidth) / 8192),
-	}
-	copy(v[off:], num)
-	return v
+	num := dst[off : off+numericFeatures]
+	num[0] = log1p(n.EstRows)
+	num[1] = log1p(float64(n.EstWidth))
+	num[2] = n.Selectivity
+	num[3] = float64(len(n.Preds))
+	num[4] = float64(len(n.Children))
+	num[5] = log1p(child1)
+	num[6] = log1p(child2)
+	num[7] = float64(len(n.SortCols))
+	num[8] = float64(len(n.GroupCols))
+	num[9] = float64(len(n.Aggs))
+	num[10] = limit
+	num[11] = log1p(n.EstRows * float64(n.EstWidth) / 8192)
 }
 
 // EncodePlan returns the per-node vectors of the whole plan in pre-order —

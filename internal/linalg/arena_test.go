@@ -40,3 +40,36 @@ func TestArenaReuseAndGrow(t *testing.T) {
 		t.Fatalf("append on an arena slice leaked into the next allocation")
 	}
 }
+
+// TestArenaHeadersRecycle: Matrix headers come from the arena too. One
+// handed out before the header block grows must stay valid, and a warmed-
+// up arena serves a Reset/Alloc cycle without touching the heap.
+func TestArenaHeadersRecycle(t *testing.T) {
+	a := &Arena{}
+	first := a.Alloc(1, 1)
+	first.Data[0] = 7
+	for i := 0; i < 100; i++ { // well past the first header block
+		a.Alloc(1, 1).Data[0] = float64(i)
+	}
+	if first.Rows != 1 || first.Cols != 1 || first.Data[0] != 7 {
+		t.Fatalf("a header from before the block grew was clobbered: %+v", first)
+	}
+	if !a.Poolable() {
+		t.Fatalf("a 101-float arena must be poolable")
+	}
+	a.Alloc(1, maxPooledFloats+1)
+	if a.Poolable() {
+		t.Fatalf("an arena grown past %d floats must not be pooled", maxPooledFloats)
+	}
+	a = &Arena{}
+	a.Alloc(8, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		a.Reset()
+		for i := 0; i < 50; i++ {
+			a.Alloc(1, 2)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm arena allocates %.1f objects per cycle, want 0", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package mscn
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/encoding"
@@ -114,4 +115,49 @@ func TestTrainMatchesReference(t *testing.T) {
 		reference.TrainReference(plans, ms, 5)
 		weightsEqual(t, batched, reference, "after resumed training")
 	}
+}
+
+// TestPredictConcurrentBitIdentical hammers one model's batched inference
+// from several goroutines at once — the serving daemons' situation — with
+// batch sizes on both sides of predictChunkNodes, so calls take pooled
+// scratch of every size back and forth. Every output must equal the
+// serial PredictMs bit for bit: a call that read another call's arena
+// would show here (and under -race).
+func TestPredictConcurrentBitIdentical(t *testing.T) {
+	f := testFeaturizer()
+	m := New(f, 3)
+	plans, ms := synthPlans(900, 5) // ~1350 nodes: more than one chunk
+	m.Train(plans[:80], ms[:80], 30)
+	want := make([]float64, len(plans))
+	fps := make([]*encoding.FeaturizedPlan, len(plans))
+	for i, p := range plans {
+		want[i] = m.PredictMs(p)
+		fps[i] = f.Featurize(p)
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				// 1, 64 and all 900 plans in turn, from a moving offset.
+				size := []int{1, 64, len(plans)}[(w+round)%3]
+				lo := (w*131 + round*17) % (len(plans) - size + 1)
+				var got []float64
+				if (w+round)%2 == 0 {
+					got = m.PredictFeaturizedBatch(fps[lo : lo+size])
+				} else {
+					got = m.PredictBatch(plans[lo : lo+size])
+				}
+				for i, v := range got {
+					if v != want[lo+i] {
+						t.Errorf("worker %d round %d: plan %d = %v, serial PredictMs %v", w, round, lo+i, v, want[lo+i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

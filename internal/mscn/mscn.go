@@ -18,6 +18,7 @@ package mscn
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/encoding"
@@ -124,32 +125,34 @@ func (m *Model) PredictMs(root *planner.Node) float64 {
 // results.
 const predictChunkNodes = 1024
 
+// inferScratch is the transient state of one batched inference call: the
+// arena its chunk matrices (gathered node rows included) come from and
+// the per-plan node counts. Nothing in it outlives the call — predictions
+// are copied into the caller's result slice — so calls recycle it through
+// scratchPool instead of building and discarding one each.
+type inferScratch struct {
+	ar     linalg.Arena
+	counts []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(inferScratch) }}
+
+// release returns the scratch to the pool, unless its arena grew too
+// large to keep.
+func (sc *inferScratch) release() {
+	if sc.ar.Poolable() {
+		scratchPool.Put(sc)
+	}
+}
+
 // PredictBatch estimates every plan's execution time batched: all nodes
 // of a chunk of plans go through the set network as a single matrix,
 // pooled per plan, and the pooled batch goes through the merge network.
 // Output i is bit-identical to PredictMs(roots[i]).
 func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
-	if len(roots) == 0 {
-		return nil
-	}
-	res := make([]float64, len(roots))
-	ar := &linalg.Arena{}
-	var nodes []*planner.Node
-	var counts []int
-	for start := 0; start < len(roots); {
-		ar.Reset()
-		nodes, counts = nodes[:0], counts[:0]
-		end := start
-		for end < len(roots) && (end == start || len(nodes)+roots[end].CountNodes() <= predictChunkNodes) {
-			before := len(nodes)
-			roots[end].Walk(func(n *planner.Node) { nodes = append(nodes, n) })
-			counts = append(counts, len(nodes)-before)
-			end++
-		}
-		m.predictChunk(ar, m.F.NodesMatrix(nodes), counts, res[start:end])
-		start = end
-	}
-	return res
+	return m.predictChunks(len(roots),
+		func(i int) int { return roots[i].CountNodes() },
+		func(i int, dst []float64) { m.F.PlanInto(roots[i], dst) })
 }
 
 // PredictFeaturizedBatch is PredictBatch over pre-featurized plans (the
@@ -158,30 +161,47 @@ func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 // chunk boundaries, set-network batching, pooling order — is identical,
 // so output i is bit-identical to PredictMs(fps[i].Root).
 func (m *Model) PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64 {
-	if len(fps) == 0 {
+	return m.predictChunks(len(fps),
+		func(i int) int { return fps[i].NumNodes() },
+		func(i int, dst []float64) {
+			for _, v := range fps[i].Pre {
+				dst = dst[copy(dst, v):]
+			}
+		})
+}
+
+// predictChunks is the chunked inference loop over n plans: size gives
+// plan i's node count for chunk packing, gather writes plan i's node rows
+// (pre-order, Dim wide) into its slice of the chunk matrix.
+func (m *Model) predictChunks(n int, size func(int) int, gather func(i int, dst []float64)) []float64 {
+	if n == 0 {
 		return nil
 	}
-	res := make([]float64, len(fps))
-	ar := &linalg.Arena{}
-	var counts []int
-	for start := 0; start < len(fps); {
-		ar.Reset()
-		counts = counts[:0]
+	res := make([]float64, n)
+	sc := scratchPool.Get().(*inferScratch)
+	defer sc.release()
+	dim := m.F.Dim()
+	for start := 0; start < n; {
+		sc.ar.Reset()
+		counts := sc.counts[:0]
 		end, total := start, 0
-		for end < len(fps) && (end == start || total+fps[end].NumNodes() <= predictChunkNodes) {
-			counts = append(counts, fps[end].NumNodes())
-			total += fps[end].NumNodes()
+		for end < n {
+			c := size(end)
+			if end > start && total+c > predictChunkNodes {
+				break
+			}
+			counts = append(counts, c)
+			total += c
 			end++
 		}
-		x := linalg.NewMatrix(total, m.F.Dim())
+		sc.counts = counts // keep the grown capacity for the next chunk/call
+		x := sc.ar.Alloc(total, dim)
 		row := 0
-		for s := start; s < end; s++ {
-			for _, v := range fps[s].Pre {
-				copy(x.RowView(row), v)
-				row++
-			}
+		for i := start; i < end; i++ {
+			gather(i, x.Data[row*dim:(row+counts[i-start])*dim])
+			row += counts[i-start]
 		}
-		m.predictChunk(ar, x, counts, res[start:end])
+		m.predictChunk(&sc.ar, x, counts, res[start:end])
 		start = end
 	}
 	return res

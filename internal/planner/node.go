@@ -62,13 +62,9 @@ func AllOpTypes() []OpType {
 	return ops
 }
 
-// ColInfo describes one output column of a plan node.
-type ColInfo struct {
-	Table  string
-	Column string
-	Type   catalog.ColType
-	Width  int
-}
+// ColInfo describes one output column of a plan node. A scan's Cols is
+// its table's shared catalog list, so Cols elements are read-only.
+type ColInfo = catalog.ColInfo
 
 // AggSpec is one aggregate computed by an Aggregate node.
 type AggSpec struct {

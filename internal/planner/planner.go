@@ -138,11 +138,6 @@ func (pl *Planner) buildScan(table string, preds []sqlparse.Predicate) *Node {
 	if ts != nil {
 		rows = float64(ts.RowCount)
 	}
-	cols := make([]ColInfo, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = ColInfo{Table: table, Column: c.Name, Type: c.Type, Width: c.Width}
-	}
-
 	sel := 1.0
 	for _, p := range preds {
 		sel *= PredSelectivity(pl.Stats, p)
@@ -171,7 +166,7 @@ func (pl *Planner) buildScan(table string, preds []sqlparse.Predicate) *Node {
 	}
 
 	n := &Node{
-		Table: table, Cols: cols, EstRows: est, EstWidth: t.RowWidth(),
+		Table: table, Cols: t.ColInfos(), EstRows: est, EstWidth: t.RowWidth(),
 		Selectivity: sel, Limit: -1, EstIn1: rows,
 	}
 	if idxPred != nil {
@@ -288,7 +283,7 @@ func (pl *Planner) chooseJoin(l, r *Node, lc, rc int, est float64) *Node {
 		op    OpType
 		proxy float64
 	}
-	var cands []cand
+	cands := make([]cand, 0, 3) // at most one per join knob; stays on the stack
 	if pl.Knobs.EnableHashJoin {
 		cands = append(cands, cand{HashJoin, nl + 1.5*nr + est})
 	}
@@ -312,17 +307,18 @@ func (pl *Planner) chooseJoin(l, r *Node, lc, rc int, est float64) *Node {
 	if best.op == NestedLoop && nl*nr > nlSoftDisableProduct {
 		best.op = HashJoin
 	}
+	// Build side is the smaller input; keep left=probe convention by
+	// swapping so the right child is always the build side.
+	if best.op == HashJoin && nl < nr {
+		l, r, lc, rc = r, l, rc, lc
+	}
 
-	cols := append(append([]ColInfo{}, l.Cols...), r.Cols...)
+	// The output schema is built once, after the sides are final.
+	cols := make([]ColInfo, 0, len(l.Cols)+len(r.Cols))
+	cols = append(append(cols, l.Cols...), r.Cols...)
 	width := l.EstWidth + r.EstWidth
 	switch best.op {
 	case HashJoin:
-		// Build side is the smaller input; keep left=probe convention by
-		// swapping so the right child is always the build side.
-		if nl < nr {
-			l, r, lc, rc, nl, nr = r, l, rc, lc, nr, nl
-			cols = append(append([]ColInfo{}, l.Cols...), r.Cols...)
-		}
 		return &Node{
 			Op: HashJoin, Children: []*Node{l, r},
 			JoinLeftCol: lc, JoinRightCol: rc,

@@ -237,3 +237,62 @@ func TestOpTypeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinSchemaFollowsChildren holds every join, under every join knob
+// and both hash-join orientations, to one rule: its output schema is its
+// left input's columns followed by its right input's, and the join
+// ordinals index those inputs — the swap that puts the smaller side on
+// the build side must carry the schema with it. Scans describe their
+// output with the catalog's shared per-table list, the same backing array
+// in every plan.
+func TestJoinSchemaFollowsChildren(t *testing.T) {
+	knobSets := []dbenv.Knobs{dbenv.DefaultKnobs()}
+	mergeOnly := dbenv.DefaultKnobs()
+	mergeOnly.EnableHashJoin, mergeOnly.EnableNestLoop = false, false
+	nlOnly := dbenv.DefaultKnobs()
+	nlOnly.EnableHashJoin, nlOnly.EnableMergeJoin = false, false
+	knobSets = append(knobSets, mergeOnly, nlOnly)
+	queries := []string{
+		// The filtered side is the smaller one: written first, then second.
+		"SELECT * FROM orders JOIN lineitem ON orders.o_orderkey = lineitem.l_orderkey WHERE o_totalprice > 400000",
+		"SELECT * FROM lineitem JOIN orders ON lineitem.l_orderkey = orders.o_orderkey WHERE o_totalprice > 400000",
+		"SELECT COUNT(*) FROM customer, orders, lineitem WHERE customer.c_custkey = orders.o_custkey AND orders.o_orderkey = lineitem.l_orderkey AND customer.c_acctbal > 0",
+		"SELECT * FROM region JOIN nation ON region.r_regionkey = nation.n_regionkey",
+	}
+	joins, scans := 0, 0
+	for _, k := range knobSets {
+		for _, sql := range queries {
+			mustPlan(t, plannerWith(k), sql).Walk(func(n *Node) {
+				switch n.Op {
+				case SeqScan, IndexScan:
+					scans++
+					shared := tpch.Schema.Table(n.Table).ColInfos()
+					if len(n.Cols) != len(shared) || &n.Cols[0] != &shared[0] {
+						t.Fatalf("scan of %s does not carry the catalog's shared column list", n.Table)
+					}
+				case HashJoin, MergeJoin, NestedLoop:
+					joins++
+					l, r := n.Children[0], n.Children[1]
+					want := append(append([]ColInfo{}, l.Cols...), r.Cols...)
+					if len(n.Cols) != len(want) {
+						t.Fatalf("%v: %d output columns, children have %d\n%s", n.Op, len(n.Cols), len(want), n.Explain())
+					}
+					for i := range want {
+						if n.Cols[i] != want[i] {
+							t.Fatalf("%v: output column %d = %+v, want %+v\n%s", n.Op, i, n.Cols[i], want[i], n.Explain())
+						}
+					}
+					if n.JoinLeftCol >= len(l.Cols) || n.JoinRightCol >= len(r.Cols) {
+						t.Fatalf("%v: join ordinals %d/%d out of its inputs' range", n.Op, n.JoinLeftCol, n.JoinRightCol)
+					}
+					if n.Op == HashJoin && l.EstRows < r.EstRows {
+						t.Fatalf("hash join builds on the larger side (%v < %v)", l.EstRows, r.EstRows)
+					}
+				}
+			})
+		}
+	}
+	if joins < 12 || scans < 24 {
+		t.Fatalf("corpus too thin: %d joins, %d scans", joins, scans)
+	}
+}

@@ -21,6 +21,7 @@ package qppnet
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/encoding"
@@ -138,21 +139,6 @@ func (m *Model) backward(ar *linalg.Arena, tc *treeCache, dOut []float64) {
 	for _, c := range tc.children {
 		m.backward(ar, c, dChild)
 	}
-}
-
-// planFeatures featurizes a plan's nodes in post-order (children first, in
-// child order, then the node) — the order buildSkeleton consumes.
-func planFeatures(f *encoding.Featurizer, root *planner.Node) [][]float64 {
-	out := make([][]float64, 0, root.CountNodes())
-	var rec func(n *planner.Node)
-	rec = func(n *planner.Node) {
-		for _, c := range n.Children {
-			rec(c)
-		}
-		out = append(out, f.Node(n))
-	}
-	rec(root)
-	return out
 }
 
 // bNode is one plan node scheduled for batched execution: its skeleton
@@ -295,7 +281,7 @@ const predictChunkNodes = 1024
 func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 	return m.predictSkeletons(len(roots),
 		func(i int) int { return roots[i].CountNodes() },
-		func(i int) *planSkeleton { return newSkeleton(roots[i], planFeatures(m.F, roots[i])) })
+		func(i int) *planSkeleton { return newSkeleton(roots[i], m.F.Featurize(roots[i]).Post) })
 }
 
 // PredictFeaturizedBatch is PredictBatch over pre-featurized plans (the
@@ -309,6 +295,35 @@ func (m *Model) PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64
 		func(i int) *planSkeleton { return newSkeleton(fps[i].Root, fps[i].Post) })
 }
 
+// inferScratch is the transient state of one batched inference call —
+// the arena behind every level matrix, forwardBatch's grouping buffers
+// and the chunk's skeleton list. Predictions are copied out of it before
+// the call returns, so calls recycle it through scratchPool.
+type inferScratch struct {
+	ar    linalg.Arena
+	sc    batchScratch
+	skels []*planSkeleton
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(inferScratch) }}
+
+// release empties the scratch of everything that points into the call's
+// plans and returns it to the pool, unless its arena grew too large to keep.
+func (is *inferScratch) release() {
+	if !is.ar.Poolable() {
+		return
+	}
+	clear(is.skels[:cap(is.skels)])
+	for _, lvl := range is.sc.levels {
+		clear(lvl[:cap(lvl)])
+	}
+	for op := range is.sc.groups {
+		g := is.sc.groups[op]
+		clear(g[:cap(g)])
+	}
+	scratchPool.Put(is)
+}
+
 // predictSkeletons runs the chunked level-batched inference loop over n
 // plans whose skeletons are produced on demand by skel (size gives plan i's
 // node count for chunk packing).
@@ -317,19 +332,19 @@ func (m *Model) predictSkeletons(n int, size func(int) int, skel func(int) *plan
 		return nil
 	}
 	out := make([]float64, n)
-	ar := &linalg.Arena{}
-	sc := &batchScratch{}
-	var skels []*planSkeleton
+	is := scratchPool.Get().(*inferScratch)
+	defer is.release()
 	for start := 0; start < n; {
-		ar.Reset()
-		skels = skels[:0]
+		is.ar.Reset()
+		skels := is.skels[:0]
 		end, nodes := start, 0
 		for end < n && (end == start || nodes+size(end) <= predictChunkNodes) {
 			skels = append(skels, skel(end))
 			nodes += len(skels[len(skels)-1].flat)
 			end++
 		}
-		m.forwardBatch(ar, sc, skels)
+		is.skels = skels // keep the grown capacity for the next chunk/call
+		m.forwardBatch(&is.ar, &is.sc, skels)
 		for s := start; s < end; s++ {
 			out[s] = metrics.UnlogMs(skels[s-start].root.out[0])
 		}
@@ -399,7 +414,7 @@ func (m *Model) TrainCtx(ctx context.Context, plans []*planner.Node, ms []float6
 			idx[b] = j
 			switch {
 			case skels[j] == nil:
-				skels[j] = newSkeleton(plans[j], planFeatures(m.F, plans[j]))
+				skels[j] = newSkeleton(plans[j], m.F.Featurize(plans[j]).Post)
 				batchSkels[b] = skels[j]
 			case usedIter[j] == it:
 				// Duplicate draw within one minibatch: the cached

@@ -428,13 +428,20 @@ func (s *Server) flush(ctx context.Context, co *coalescer) {
 		groupStart := time.Now()
 		ms, err := est.EstimateSQLBatchCtx(ctx, group[0].env, sqls)
 		if err == nil {
+			// The whole group shares one batched inference call; each
+			// trace gets it as its predict span (the finer featurize/
+			// predict split shows up on traced /estimate_batch calls,
+			// which carry their context into the library). The note is
+			// formatted once per group, and only when someone will read it.
+			note := ""
 			for i, r := range group {
 				s.observe(est, r.env, r.sql, ms[i])
-				// The whole group shares one batched inference call; each
-				// trace gets it as its predict span (the finer featurize/
-				// predict split shows up on traced /estimate_batch calls,
-				// which carry their context into the library).
-				r.tr.AddSpan("predict", fmt.Sprintf("batch=%d", len(group)), groupStart)
+				if r.tr != nil {
+					if note == "" {
+						note = fmt.Sprintf("batch=%d", len(group))
+					}
+					r.tr.AddSpan("predict", note, groupStart)
+				}
 				r.reply <- result{ms: ms[i]}
 			}
 			continue

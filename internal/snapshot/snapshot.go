@@ -68,9 +68,11 @@ func CollectSamples(root *planner.Node) []OpSample {
 //	Sort                       F = c0·n·log n + c1
 //	Nested Loop                F = c0·n1·n2 + c1·n1 + c2·n2 + c3
 //
-// Rows are CoeffDim wide; unused coefficients see a zero regressor.
-func designRow(op planner.OpType, n1, n2 float64) []float64 {
-	row := make([]float64, CoeffDim)
+// Rows are CoeffDim wide; unused coefficients see a zero regressor. The
+// row is returned by value so per-node inference evaluates it on the
+// stack.
+func designRow(op planner.OpType, n1, n2 float64) [CoeffDim]float64 {
+	var row [CoeffDim]float64
 	switch op {
 	case planner.Sort:
 		row[0] = n1 * safeLog2(n1)
@@ -119,7 +121,8 @@ func Fit(samples []OpSample) (*Snapshot, error) {
 		a := linalg.NewMatrix(len(ss), CoeffDim)
 		y := make([]float64, len(ss))
 		for i, s := range ss {
-			copy(a.Data[i*CoeffDim:(i+1)*CoeffDim], designRow(s.Op, s.N1, s.N2))
+			row := designRow(s.Op, s.N1, s.N2)
+			copy(a.Data[i*CoeffDim:(i+1)*CoeffDim], row[:])
 			y[i] = s.Ms
 		}
 		coef, err := linalg.LeastSquaresNonNegative(a, y)
@@ -150,14 +153,25 @@ func (s *Snapshot) FormulaMs(op planner.OpType, n1, n2 float64) float64 {
 // from the planner's input-cardinality estimates (no execution needed at
 // inference time).
 func (s *Snapshot) Features(n *planner.Node) []float64 {
-	n1, n2 := n.EstIn1, n.EstIn2
 	out := make([]float64, FeatureDim)
-	out[0] = metrics.LogMs(s.FormulaMs(n.Op, n1, n2))
-	coef := s.Coeffs[n.Op]
-	for i := 0; i < CoeffDim && coef != nil; i++ {
-		out[1+i] = coeffFeature(coef[i])
-	}
+	s.FeaturesInto(n, out)
 	return out
+}
+
+// FeaturesInto writes the node's snapshot feature block into dst
+// (length FeatureDim), overwriting every element — Features without the
+// allocation, for featurizing straight into a plan's row storage.
+func (s *Snapshot) FeaturesInto(n *planner.Node, dst []float64) {
+	dst = dst[:FeatureDim]
+	dst[0] = metrics.LogMs(s.FormulaMs(n.Op, n.EstIn1, n.EstIn2))
+	coef := s.Coeffs[n.Op]
+	for i := range dst[1:] {
+		if coef != nil {
+			dst[1+i] = coeffFeature(coef[i])
+		} else {
+			dst[1+i] = 0
+		}
+	}
 }
 
 // FeatureNames labels the snapshot block, aligned with Features.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dbenv"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/planner"
 	"repro/internal/sqlparse"
 )
@@ -281,5 +282,77 @@ func TestBuilderErrors(t *testing.T) {
 	}
 	if _, err := b.FromTemplates(nil, 2, 1); err == nil {
 		t.Fatalf("expected error on empty originals")
+	}
+}
+
+// refFeatures is Snapshot.Features as it stood before FeaturesInto, with
+// the slice-returning designRow it evaluated the formula through.
+func refFeatures(s *Snapshot, n *planner.Node) []float64 {
+	refDesignRow := func(op planner.OpType, n1, n2 float64) []float64 {
+		row := make([]float64, CoeffDim)
+		switch op {
+		case planner.Sort:
+			row[0] = n1 * safeLog2(n1)
+			row[1] = 1
+		case planner.NestedLoop:
+			row[0] = n1 * n2
+			row[1] = n1
+			row[2] = n2
+			row[3] = 1
+		case planner.HashJoin, planner.MergeJoin:
+			row[0] = n1 + n2
+			row[1] = 1
+		default: // SeqScan, IndexScan, Aggregate, Materialize
+			row[0] = n1
+			row[1] = 1
+		}
+		return row
+	}
+	n1, n2 := n.EstIn1, n.EstIn2
+	out := make([]float64, FeatureDim)
+	var ms float64
+	if coef := s.Coeffs[n.Op]; coef != nil {
+		for i, r := range refDesignRow(n.Op, n1, n2) {
+			ms += r * coef[i]
+		}
+	}
+	out[0] = metrics.LogMs(ms)
+	coef := s.Coeffs[n.Op]
+	for i := 0; i < CoeffDim && coef != nil; i++ {
+		out[1+i] = coeffFeature(coef[i])
+	}
+	return out
+}
+
+// TestFeaturesIntoMatchesReference: the allocation-free block equals the
+// old one bit for bit for every operator — including one the snapshot has
+// no coefficients for — and overwrites whatever dst held.
+func TestFeaturesIntoMatchesReference(t *testing.T) {
+	var samples []OpSample
+	for _, op := range planner.AllOpTypes() {
+		if op == planner.Materialize {
+			continue
+		}
+		for k := 1; k <= 6; k++ {
+			n1, n2 := float64(90*k*k), float64(31*k)
+			samples = append(samples, OpSample{Op: op, N1: n1, N2: n2, Ms: 0.003*n1 + 0.0007*n2 + 0.2})
+		}
+	}
+	s, err := Fit(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(s.Coeffs, planner.Materialize) // a hand-built snapshot may lack an operator
+	for _, op := range planner.AllOpTypes() {
+		n := &planner.Node{Op: op, EstIn1: 12345, EstIn2: 678}
+		want := refFeatures(s, n)
+		dst := []float64{9, 9, 9, 9, 9}
+		s.FeaturesInto(n, dst)
+		got := s.Features(n)
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) || math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v: FeaturesInto %v, Features %v, reference %v", op, dst, got, want)
+			}
+		}
 	}
 }

@@ -62,12 +62,11 @@ func TestFingerprintNormalization(t *testing.T) {
 	}
 }
 
-// TestFingerprintCollisions pins the aliasing rules: literal values must
-// collapse onto one fingerprint, while every structural difference —
-// different column, different operator, different IN arity, extra
-// conjunct, LIMIT presence — must separate.
-func TestFingerprintCollisions(t *testing.T) {
-	same := [][2]string{
+// The collision corpus: pairs that must share a fingerprint and pairs
+// that must not. The differential test replays every spelling here
+// against the reference implementation too.
+var (
+	collisionSame = [][2]string{
 		{"SELECT * FROM t WHERE a = 1", "SELECT * FROM t WHERE a = 2"},
 		{"SELECT * FROM t WHERE a = 1", "select  *  from t WHERE a=99"},
 		{"SELECT * FROM t WHERE s = 'x'", "SELECT * FROM t WHERE s = 'yy'"},
@@ -77,14 +76,7 @@ func TestFingerprintCollisions(t *testing.T) {
 		// the template; the literal signature still separates the entries.
 		{"SELECT * FROM t WHERE a = 1", "SELECT * FROM t WHERE a = 'one'"},
 	}
-	for _, p := range same {
-		f1, _ := mustFingerprint(t, p[0])
-		f2, _ := mustFingerprint(t, p[1])
-		if f1 != f2 {
-			t.Errorf("want collision:\n  %q -> %q\n  %q -> %q", p[0], f1, p[1], f2)
-		}
-	}
-	diff := [][2]string{
+	collisionDiff = [][2]string{
 		{"SELECT * FROM t WHERE a = 1", "SELECT * FROM t WHERE b = 1"},
 		{"SELECT * FROM t WHERE a = 1", "SELECT * FROM t WHERE a > 1"},
 		{"SELECT * FROM t WHERE a IN (1, 2)", "SELECT * FROM t WHERE a IN (1, 2, 3)"},
@@ -93,7 +85,21 @@ func TestFingerprintCollisions(t *testing.T) {
 		{"SELECT * FROM t WHERE a = 1", "SELECT * FROM T WHERE a = 1"}, // identifier case preserved
 		{"SELECT COUNT(*) FROM t", "SELECT * FROM t"},
 	}
-	for _, p := range diff {
+)
+
+// TestFingerprintCollisions pins the aliasing rules: literal values must
+// collapse onto one fingerprint, while every structural difference —
+// different column, different operator, different IN arity, extra
+// conjunct, LIMIT presence — must separate.
+func TestFingerprintCollisions(t *testing.T) {
+	for _, p := range collisionSame {
+		f1, _ := mustFingerprint(t, p[0])
+		f2, _ := mustFingerprint(t, p[1])
+		if f1 != f2 {
+			t.Errorf("want collision:\n  %q -> %q\n  %q -> %q", p[0], f1, p[1], f2)
+		}
+	}
+	for _, p := range collisionDiff {
 		f1, _ := mustFingerprint(t, p[0])
 		f2, _ := mustFingerprint(t, p[1])
 		if f1 == f2 {

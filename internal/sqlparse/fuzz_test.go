@@ -71,6 +71,8 @@ func respliceLiterals(t *testing.T, fp string, lits []Literal) string {
 // FuzzFingerprint asserts, for every input the fuzzer invents:
 //
 //   - no panic, on any byte sequence;
+//   - agreement with the pre-rewrite reference implementation: same
+//     tokens, fingerprint, literal vector, signature and error-ness;
 //   - placeholder count == extracted literal count;
 //   - idempotence: splicing the literals back into the template and
 //     re-fingerprinting reproduces the same template and the same
@@ -85,6 +87,7 @@ func FuzzFingerprint(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
+		checkAgainstReference(t, sql)
 		fp, lits, err := Fingerprint(sql)
 		if err != nil {
 			// Unlexable input: the cache falls back to the parse path,

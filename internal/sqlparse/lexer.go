@@ -37,56 +37,69 @@ type token struct {
 	pos  int
 }
 
-// lexer converts SQL text into tokens. Keywords are returned as tokIdent;
-// the parser matches them case-insensitively.
+// lexer converts SQL text into tokens, one per call to next. Keywords are
+// returned as tokIdent; the parser matches them case-insensitively. Token
+// text is a substring of the source wherever the two spell alike — only a
+// string literal with an escaped quote is rebuilt — so scanning allocates
+// nothing on the common path.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
 }
 
+// lex tokenizes the whole input for the parser, tokEOF last.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	l := lexer{src: src}
+	var toks []token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
+// next scans one token; at the end of input it returns tokEOF.
+func (l *lexer) next() (token, error) {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			l.pos++
 		case isIdentStart(rune(c)):
-			l.lexIdent()
+			return l.lexIdent(), nil
 		case c >= '0' && c <= '9' || (c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9'):
-			if err := l.lexNumber(); err != nil {
-				return nil, err
-			}
+			return l.lexNumber()
 		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
+			return l.lexString()
 		case c == '<' || c == '>' || c == '=' || c == '!':
-			l.lexOp()
-		case strings.ContainsRune("(),.*;", rune(c)):
-			l.toks = append(l.toks, token{tokPunct, string(c), l.pos})
+			return l.lexOp(), nil
+		case strings.IndexByte("(),.*;", c) >= 0:
 			l.pos++
+			return token{tokPunct, l.src[l.pos-1 : l.pos], l.pos - 1}, nil
 		default:
-			return nil, fmt.Errorf("sqlparse: unexpected character %q at %d", c, l.pos)
+			return token{}, fmt.Errorf("sqlparse: unexpected character %q at %d", c, l.pos)
 		}
 	}
-	l.toks = append(l.toks, token{tokEOF, "", l.pos})
-	return l.toks, nil
+	return token{tokEOF, "", l.pos}, nil
 }
 
 func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
 func isIdentPart(r rune) bool  { return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' }
 
-func (l *lexer) lexIdent() {
+func (l *lexer) lexIdent() token {
 	start := l.pos
 	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
 		l.pos++
 	}
-	l.toks = append(l.toks, token{tokIdent, l.src[start:l.pos], start})
+	return token{tokIdent, l.src[start:l.pos], start}
 }
 
-func (l *lexer) lexNumber() error {
+func (l *lexer) lexNumber() (token, error) {
 	start := l.pos
 	if l.src[l.pos] == '-' {
 		l.pos++
@@ -97,7 +110,7 @@ func (l *lexer) lexNumber() error {
 		if c == '.' {
 			dots++
 			if dots > 1 {
-				return fmt.Errorf("sqlparse: malformed number at %d", start)
+				return token{}, fmt.Errorf("sqlparse: malformed number at %d", start)
 			}
 			l.pos++
 			continue
@@ -107,13 +120,25 @@ func (l *lexer) lexNumber() error {
 		}
 		l.pos++
 	}
-	l.toks = append(l.toks, token{tokNumber, l.src[start:l.pos], start})
-	return nil
+	return token{tokNumber, l.src[start:l.pos], start}, nil
 }
 
-func (l *lexer) lexString() error {
+// lexString scans a quoted string; the token's text is the unescaped
+// content.
+func (l *lexer) lexString() (token, error) {
 	start := l.pos
 	l.pos++ // opening quote
+	end := strings.IndexByte(l.src[l.pos:], '\'')
+	if end < 0 {
+		return token{}, fmt.Errorf("sqlparse: unterminated string at %d", start)
+	}
+	end += l.pos
+	if end+1 >= len(l.src) || l.src[end+1] != '\'' {
+		// No escaped quote: the content is the source text as written.
+		text := l.src[l.pos:end]
+		l.pos = end + 1
+		return token{tokString, text, start}, nil
+	}
 	var sb strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -125,30 +150,26 @@ func (l *lexer) lexString() error {
 				continue
 			}
 			l.pos++
-			l.toks = append(l.toks, token{tokString, sb.String(), start})
-			return nil
+			return token{tokString, sb.String(), start}, nil
 		}
 		sb.WriteByte(c)
 		l.pos++
 	}
-	return fmt.Errorf("sqlparse: unterminated string at %d", start)
+	return token{}, fmt.Errorf("sqlparse: unterminated string at %d", start)
 }
 
-func (l *lexer) lexOp() {
+func (l *lexer) lexOp() token {
 	start := l.pos
-	c := l.src[l.pos]
 	l.pos++
 	if l.pos < len(l.src) {
-		two := string(c) + string(l.src[l.pos])
-		switch two {
-		case "<=", ">=", "<>", "!=":
+		switch two := l.src[start : l.pos+1]; two {
+		case "<=", ">=", "<>":
 			l.pos++
-			if two == "!=" {
-				two = "<>"
-			}
-			l.toks = append(l.toks, token{tokOp, two, start})
-			return
+			return token{tokOp, two, start}
+		case "!=":
+			l.pos++
+			return token{tokOp, "<>", start}
 		}
 	}
-	l.toks = append(l.toks, token{tokOp, string(c), start})
+	return token{tokOp, l.src[start:l.pos], start}
 }
