@@ -32,13 +32,7 @@ func benchParams() experiments.Params {
 	case "full":
 		return experiments.DefaultParams()
 	case "med":
-		return experiments.Params{
-			NumEnvs: 10,
-			PerEnv:  map[string]int{"tpch": 400, "sysbench": 500, "imdb": 300},
-			Scales:  []int{1000, 2000, 4000},
-			Iters:   map[string]int{"tpch": 600, "sysbench": 150, "imdb": 600},
-			Seed:    1,
-		}
+		return experiments.MedParams()
 	default:
 		return experiments.Params{
 			NumEnvs: 5,

@@ -291,3 +291,41 @@ func TestCacheConcurrentEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEstimateSQLWarmZeroAlloc: a resident prediction is answered by
+// EstimateSQL itself without touching the heap — the generation load, the
+// struct cache key and the lock-free snapshot probe — one layer above
+// qcache's own TestPredictionHitZeroAlloc, on the path every warm library
+// caller and the serve/tenant warm probes actually take.
+func TestEstimateSQLWarmZeroAlloc(t *testing.T) {
+	est, _ := trainedFixture(t, "mscn")
+	est.AttachCache(NewQueryCache(CacheOptions{}))
+	env := est.Environments()[0]
+	sql := cacheQueries(1)[0]
+	want, err := est.EstimateSQL(env, sql) // the miss that stores it
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := func() {
+		if got, err := est.EstimateSQL(env, sql); err != nil || got != want {
+			t.Fatalf("warm EstimateSQL = (%v, %v), want (%v, nil)", got, err, want)
+		}
+	}
+	// Drain the shard's publication window so the measured reads take the
+	// lock-free snapshot (see qcache's TestPredictionHitZeroAlloc).
+	for i := 0; i < 64; i++ {
+		hit()
+	}
+	before, _ := est.CacheStats()
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, hit)
+	after, _ := est.CacheStats()
+	if allocs != 0 {
+		t.Fatalf("warm EstimateSQL allocates %.2f allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun calls the function once more than runs, as warm-up.
+	if got := after.Prediction.Hits - before.Prediction.Hits; got != runs+1 || after.Prediction.Misses != before.Prediction.Misses {
+		t.Fatalf("prediction tier moved by %d hits, %d misses over %d warm calls — not the hit path",
+			got, after.Prediction.Misses-before.Prediction.Misses, runs+1)
+	}
+}

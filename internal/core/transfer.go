@@ -9,7 +9,6 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/mscn"
 	"repro/internal/qppnet"
-	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
 
@@ -76,14 +75,4 @@ func TrainCurve(m Estimator, train, test []workload.Sample, totalIters, chunk in
 		curve = append(curve, Evaluate(m, test).Mean)
 	}
 	return curve
-}
-
-// SnapshotForEnv fits a single environment's snapshot with the given
-// config — a convenience for examples and the transfer experiments.
-func SnapshotForEnv(ds *datagen.Dataset, env *dbenv.Environment, cfg Config) (*snapshot.Snapshot, float64, error) {
-	snaps, ms, err := BuildSnapshots(ds, []*dbenv.Environment{env}, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return snaps[env.ID], ms, nil
 }

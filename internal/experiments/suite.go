@@ -52,6 +52,19 @@ func DefaultParams() Params {
 	}
 }
 
+// MedParams is the middle grid (minutes): every experiment, reduced
+// pools, 500-query Figure 1 cells.
+func MedParams() Params {
+	return Params{
+		NumEnvs:     10,
+		PerEnv:      map[string]int{"tpch": 400, "sysbench": 500, "imdb": 300},
+		Scales:      []int{1000, 2000, 4000},
+		Iters:       map[string]int{"tpch": 600, "sysbench": 150, "imdb": 600},
+		Fig1Queries: 500,
+		Seed:        1,
+	}
+}
+
 // QuickParams shrinks the grid for tests (4 envs, small pools, 2 scales,
 // 250-query Figure 1 cells).
 func QuickParams() Params {

@@ -11,8 +11,9 @@
 // Training and batch inference run vector-at-a-time: every minibatch
 // gathers its plans' node features into one matrix and drives the batched
 // nn kernels, which preserve the scalar path's accumulation order — so
-// Train is bit-identical to the retained per-sample reference
-// (TrainReference) at any batch size, and PredictBatch to PredictMs.
+// Train is bit-identical to the per-sample reference trainer at any batch
+// size (TrainReference, which lives in reference_test.go as the tests'
+// oracle), and PredictBatch to PredictMs.
 package mscn
 
 import (
@@ -99,18 +100,6 @@ func (m *Model) forward(root *planner.Node) *forwardCache {
 	fc.outCache = oc
 	fc.out = y[0]
 	return fc
-}
-
-func (m *Model) backward(fc *forwardCache, dOut float64) {
-	dPooled := m.OutNet.Backward(fc.outCache, []float64{dOut})
-	inv := 1 / float64(fc.n)
-	dEmb := make([]float64, len(dPooled))
-	for i, v := range dPooled {
-		dEmb[i] = v * inv
-	}
-	for _, c := range fc.nodeCaches {
-		m.SetNet.Backward(c, dEmb)
-	}
 }
 
 // PredictMs estimates the plan's execution time in milliseconds.
@@ -245,8 +234,9 @@ func poolByPlan(ar *linalg.Arena, emb *linalg.Matrix, counts []int) *linalg.Matr
 // returns wall-clock training time. Each iteration draws a minibatch,
 // gathers its node features (featurized lazily, once per plan, and cached
 // for the duration of the call), and runs one batched forward/backward
-// through both networks. The weight trajectory is bit-identical to
-// TrainReference with the same model state and iteration count.
+// through both networks. The weight trajectory is bit-identical to the
+// per-sample reference (reference_test.go) with the same model state and
+// iteration count.
 func (m *Model) Train(plans []*planner.Node, ms []float64, iters int) time.Duration {
 	d, _ := m.TrainCtx(context.Background(), plans, ms, iters)
 	return d
@@ -323,35 +313,6 @@ func (m *Model) TrainCtx(ctx context.Context, plans []*planner.Node, ms []float6
 		m.opt.Step(layers, bs)
 	}
 	return time.Since(start), nil
-}
-
-// TrainReference is the original per-sample training loop, retained as the
-// bit-equality oracle for Train (the equivalence tests assert identical
-// weight trajectories) and as the scalar arm of the train-iteration
-// microbenchmarks. It consumes the model's rng exactly like Train.
-func (m *Model) TrainReference(plans []*planner.Node, ms []float64, iters int) time.Duration {
-	start := time.Now()
-	if len(plans) == 0 {
-		return time.Since(start)
-	}
-	layers := nn.LayersOf(m.SetNet, m.OutNet)
-	targets := make([]float64, len(ms))
-	for i, v := range ms {
-		targets[i] = metrics.LogMs(v)
-	}
-	bs := m.batch()
-	for it := 0; it < iters; it++ {
-		sz := 0
-		for b := 0; b < bs; b++ {
-			j := m.rng.Intn(len(plans))
-			fc := m.forward(plans[j])
-			diff := fc.out - targets[j]
-			m.backward(fc, 2*diff)
-			sz++
-		}
-		m.opt.Step(layers, sz)
-	}
-	return time.Since(start)
 }
 
 // Clone deep-copies the model weights.

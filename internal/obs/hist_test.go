@@ -138,6 +138,25 @@ func TestNilHistogram(t *testing.T) {
 	}
 }
 
+// TestRecordZeroAlloc: a latency sample is two atomic adds into registers
+// allocated once, on an attached histogram and on a nil one alike — the
+// property that lets every warm path record without leaving its 0-alloc
+// budget. (What a sample costs in time is the benchmark's
+// obs.histogram_record_ns.)
+func TestRecordZeroAlloc(t *testing.T) {
+	durations := [...]time.Duration{1_000, 17_000, 250_000, 3_100_000, 42_000_000}
+	for name, h := range map[string]*Histogram{"attached": NewHistogram(), "nil": nil} {
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			h.Record(durations[i%len(durations)])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s histogram: Record allocates %.2f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
 // TestConcurrentRecordMerge: G goroutines hammer one shared histogram
 // and one private histogram each with identical values; the merge of
 // the private snapshots must equal the shared snapshot bit for bit.

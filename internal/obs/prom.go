@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -190,15 +189,4 @@ func MetricsHandler(collectors ...Collector) http.Handler {
 		w.WriteHeader(http.StatusOK)
 		w.Write(g.RenderText())
 	})
-}
-
-// SortedKeys returns a map's keys sorted — collectors iterating
-// per-tenant or per-replica maps use it so scrapes are deterministic.
-func SortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -10,11 +10,12 @@ import (
 	"time"
 )
 
-// TestPredictionHitZeroAlloc pins the warm-path contract the CI bench
-// gate enforces end to end: once a working set is published to the
-// shard snapshots, a prediction-tier hit performs zero heap
-// allocations. (The bench job gates the same property on the full
-// serve.Server.Estimate path; this is the library-level anchor.)
+// TestPredictionHitZeroAlloc pins the warm-path contract at its lowest
+// layer: once a working set is published to the shard snapshots, a
+// prediction-tier hit performs zero heap allocations. (The layers above
+// hold the same property on their own paths: root
+// TestEstimateSQLWarmZeroAlloc, serve TestEstimateWarmZeroAlloc, tenant
+// TestWarmEstimateZeroAlloc.)
 func TestPredictionHitZeroAlloc(t *testing.T) {
 	c := New(Options{Shards: 8, Capacity: 256})
 	g := c.Generation()

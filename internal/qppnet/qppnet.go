@@ -14,8 +14,9 @@
 // through their shared subnetwork as a single matrix. The backward pass
 // stays per-sample tree recursion over row views of the batched caches —
 // that is what keeps gradient accumulation in the scalar path's order, so
-// Train is bit-identical to the retained per-sample reference
-// (TrainReference) at any batch size, and PredictBatch to PredictMs.
+// Train is bit-identical to the per-sample reference trainer at any batch
+// size (TrainReference, which lives in reference_test.go as the tests'
+// oracle), and PredictBatch to PredictMs.
 package qppnet
 
 import (
@@ -111,25 +112,12 @@ func (m *Model) forward(n *planner.Node) *treeCache {
 	return tc
 }
 
-// backwardReference is the seed per-sample backward: full input-gradient
-// products at every node. TrainReference uses it.
-func (m *Model) backwardReference(tc *treeCache, dOut []float64) {
-	dIn := m.Nets[tc.op].Backward(tc.cache, dOut)
-	if len(tc.children) == 0 {
-		return
-	}
-	dChild := dIn[len(dIn)-m.OutVec:]
-	for _, c := range tc.children {
-		m.backwardReference(c, dChild)
-	}
-}
-
 // backward is the training backward over a batched forward's caches: the
 // recursion and the gradient accumulation order are exactly the reference
 // path's (samples one at a time, root-down pre-order), but each node only
 // produces the child-sum suffix of its input gradient (nothing reads the
 // feature block's gradient, and leaves read nothing at all). Parameter
-// gradients are bit-identical to backwardReference.
+// gradients are bit-identical to backwardReference (reference_test.go).
 func (m *Model) backward(ar *linalg.Arena, tc *treeCache, dOut []float64) {
 	tail := 0
 	if len(tc.children) > 0 {
@@ -369,7 +357,8 @@ func (m *Model) layers() []*nn.Linear {
 // Each minibatch runs the level-batched forward (features cached per plan
 // across iterations) and then backpropagates sample by sample over row
 // views of the batched caches, keeping gradient accumulation in the
-// scalar order; the trajectory is bit-identical to TrainReference.
+// scalar order; the trajectory is bit-identical to the per-sample
+// reference (reference_test.go).
 func (m *Model) Train(plans []*planner.Node, ms []float64, iters int) time.Duration {
 	d, _ := m.TrainCtx(context.Background(), plans, ms, iters)
 	return d
@@ -443,37 +432,6 @@ func (m *Model) TrainCtx(ctx context.Context, plans []*planner.Node, ms []float6
 		m.opt.Step(layers, bs)
 	}
 	return time.Since(start), nil
-}
-
-// TrainReference is the original per-sample training loop, retained as the
-// bit-equality oracle for Train (the equivalence tests assert identical
-// weight trajectories) and as the scalar arm of the train-iteration
-// microbenchmarks. It consumes the model's rng exactly like Train.
-func (m *Model) TrainReference(plans []*planner.Node, ms []float64, iters int) time.Duration {
-	start := time.Now()
-	if len(plans) == 0 {
-		return time.Since(start)
-	}
-	layers := m.layers()
-	targets := make([]float64, len(ms))
-	for i, v := range ms {
-		targets[i] = metrics.LogMs(v)
-	}
-	bs := m.batch()
-	for it := 0; it < iters; it++ {
-		sz := 0
-		for b := 0; b < bs; b++ {
-			j := m.rng.Intn(len(plans))
-			tc := m.forward(plans[j])
-			diff := tc.out[0] - targets[j]
-			dOut := make([]float64, m.OutVec)
-			dOut[0] = 2 * diff
-			m.backwardReference(tc, dOut)
-			sz++
-		}
-		m.opt.Step(layers, sz)
-	}
-	return time.Since(start)
 }
 
 // Clone deep-copies the model (weights only) — the basis of the §V-E

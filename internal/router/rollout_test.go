@@ -75,6 +75,77 @@ func TestRolloutSuccess(t *testing.T) {
 	assertBitsEqual(t, got, want, "post-rollout")
 }
 
+// fleetPredictionTier sums the prediction-tier hit and miss counters over
+// every replica's query cache.
+func fleetPredictionTier(t *testing.T, f *fleet) (hits, misses int64) {
+	t.Helper()
+	for i, srv := range f.servers {
+		st, ok := srv.Estimator().CacheStats()
+		if !ok {
+			t.Fatalf("replica %d serves without a query cache", i)
+		}
+		hits += st.Prediction.Hits
+		misses += st.Prediction.Misses
+	}
+	return hits, misses
+}
+
+// TestRolloutSameArtifactKeepsFleetWarm: a rollout must not chill the
+// fleet. A batch is priced (every replica stores its share), the full
+// canary protocol then commits the same artifact bytes on every replica
+// — same bytes, same generation, so the cache each replica hands to its
+// new estimator object is still addressed by the stamps it was filled
+// under — and the same batch priced again is served wholly from the
+// prediction tiers: hits across the fleet rise by exactly len(batch),
+// misses by none.
+func TestRolloutSameArtifactKeepsFleetWarm(t *testing.T) {
+	f := startFleet(t, 3, nil)
+	rt := newTestRouter(t, f, Options{})
+	ctx := context.Background()
+	_, artifact := testEstimator(t)
+
+	batch := make([]string, 12)
+	for i := range batch {
+		batch[i] = testSQL(10 + i) // disjoint from canaryProbes
+	}
+	want := wantBatch(t, 0, batch)
+	got, err := rt.EstimateBatch(ctx, 0, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitsEqual(t, got, want, "cold")
+
+	res, err := rt.Rollout(ctx, RolloutRequest{
+		ArtifactB64: base64.StdEncoding.EncodeToString(artifact),
+		CanaryEnv:   0,
+		CanarySQLs:  canaryProbes(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK {
+		t.Fatalf("rollout result %+v, want ok", res)
+	}
+	for i, srv := range f.servers {
+		// One swap each: committed, and not rolled back (that would be 2).
+		if swaps := srv.Stats().Swaps; swaps != 1 {
+			t.Fatalf("replica %d Swaps = %d after one rollout, want 1", i, swaps)
+		}
+	}
+
+	hits0, misses0 := fleetPredictionTier(t, f)
+	got, err = rt.EstimateBatch(ctx, 0, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitsEqual(t, got, want, "after a same-artifact rollout")
+	hits1, misses1 := fleetPredictionTier(t, f)
+	if hits1-hits0 != int64(len(batch)) || misses1 != misses0 {
+		t.Fatalf("re-pricing %d warm queries after the rollout: prediction-tier hits +%d, misses +%d; want +%d, +0",
+			len(batch), hits1-hits0, misses1-misses0, len(batch))
+	}
+}
+
 // corruptCanary is the fault middleware for the canary-failure test: on
 // replica targetIdx it intercepts the /swap staging reply and flips the
 // low bit of the first canary prediction — a stand-in for a replica

@@ -286,6 +286,45 @@ func TestCacheIsolation(t *testing.T) {
 	}
 }
 
+// TestWarmEstimateZeroAlloc: rung 2 through a two-tenant registry — name
+// lookup, the probe of that tenant's stamped cache namespace, the ladder
+// counter and two histogram samples — answers a resident prediction with
+// zero heap allocations when the context carries no trace, and never
+// reaches admission: warm_served moves, admitted does not.
+func TestWarmEstimateZeroAlloc(t *testing.T) {
+	r := newRegistry(t, testOptions(), "alpha", "beta")
+	alpha, _ := r.Tenant("alpha")
+	env := alpha.srv.Estimator().Environments()[0]
+	ctx := context.Background()
+	sql := testSQL(1)
+	want, _, err := r.Estimate(ctx, "alpha", env.ID, sql) // rung 1 prices and stores it
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := func() {
+		if got, degraded, err := r.Estimate(ctx, "alpha", env.ID, sql); err != nil || degraded || got != want {
+			t.Fatalf("warm Estimate = (%v, degraded=%v, %v), want (%v, false, nil)", got, degraded, err, want)
+		}
+	}
+	// Drain the shard's publication window so the measured reads take the
+	// lock-free snapshot (see qcache's TestPredictionHitZeroAlloc).
+	for i := 0; i < 64; i++ {
+		hit()
+	}
+	warm, admitted := alpha.warm.Load(), alpha.admitted.Load()
+	const runs = 1000
+	if allocs := testing.AllocsPerRun(runs, hit); allocs != 0 {
+		t.Fatalf("warm tenant Estimate allocates %.2f allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun calls the function once more than runs, as warm-up.
+	if got := alpha.warm.Load() - warm; got != runs+1 {
+		t.Fatalf("warm_served moved by %d over %d warm calls", got, runs+1)
+	}
+	if got := alpha.admitted.Load(); got != admitted {
+		t.Fatalf("admitted moved %d → %d: a warm hit took an admission slot", admitted, got)
+	}
+}
+
 // TestLadderOverHTTP walks all three rungs and the shed through the
 // registry's HTTP surface.
 func TestLadderOverHTTP(t *testing.T) {
