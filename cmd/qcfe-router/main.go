@@ -41,18 +41,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/httpx"
 	"repro/internal/router"
 )
 
@@ -69,12 +66,11 @@ func main() {
 	adminToken := flag.String("admin-token", "", "enable POST /rollout, authenticated by this X-QCFE-Admin-Token value and presented to the replicas' /swap endpoints (empty = rollout disabled)")
 	bakeTime := flag.Duration("rollout-bake", 0, "pause after each replica's rollout commit before proceeding to the next")
 	slowQuery := flag.Duration("slow-query-threshold", 0, "log every routed request slower than this as one structured JSON line on stderr, with its trace ID and per-replica sub-batch spans (0 = off)")
-	traceRing := flag.Int("trace-ring", 0, "finished-request traces retained for GET /trace/recent (0 = 256)")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
 	if *showVersion {
-		printVersion("qcfe-router")
+		httpx.PrintVersion("qcfe-router")
 		return
 	}
 	urls := splitReplicas(*replicas)
@@ -94,7 +90,6 @@ func main() {
 		AdminToken:         *adminToken,
 		RolloutBakeTime:    *bakeTime,
 		SlowQueryThreshold: *slowQuery,
-		TraceRing:          *traceRing,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "qcfe-router: %v\n", err)
@@ -104,31 +99,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "qcfe-router: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// printVersion reports the binary's build identity — the same fields
-// GET /version serves.
-func printVersion(name string) {
-	b := obs.Build()
-	fmt.Printf("%s %s (%s", name, orDev(b.Version), b.GoVersion)
-	if b.VCSRevision != "" {
-		rev := b.VCSRevision
-		if len(rev) > 12 {
-			rev = rev[:12]
-		}
-		fmt.Printf(", rev %s", rev)
-		if b.VCSModified {
-			fmt.Print("+dirty")
-		}
-	}
-	fmt.Println(")")
-}
-
-func orDev(v string) string {
-	if v == "" || v == "(devel)" {
-		return "devel"
-	}
-	return v
 }
 
 func splitReplicas(s string) []string {
@@ -151,33 +121,5 @@ func run(rt *router.Router, urls []string, addr string, rollout bool) error {
 	defer stop()
 	go rt.Run(ctx)
 
-	httpSrv := &http.Server{
-		Addr:        addr,
-		Handler:     rt.Handler(),
-		BaseContext: func(net.Listener) context.Context { return ctx },
-		// Bound what an idle or header-dribbling connection can hold.
-		// ReadTimeout/WriteTimeout stay unset: keep-alive clients and large
-		// /estimate_batch and /rollout bodies are legitimate.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       120 * time.Second,
-		MaxHeaderBytes:    64 << 10,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Printf("qcfe-router: listening on %s\n", addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		fmt.Println("qcfe-router: shutting down")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		return nil
-	}
+	return httpx.Serve(ctx, "qcfe-router", addr, rt.Handler())
 }

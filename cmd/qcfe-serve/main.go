@@ -26,7 +26,7 @@
 // flag is empty); -advertise names this replica in /healthz.
 //
 // A sharded query-fingerprint cache (on by default; -cache=false
-// disables, -cache-shards/-cache-capacity size it) short-circuits warm
+// disables, -cache-capacity sizes it) short-circuits warm
 // repeats before the coalescing queue and reuses plan skeletons and
 // featurizations across literal variants; /stats reports per-tier
 // hit/miss/size counters.
@@ -67,22 +67,17 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	qcfe "repro"
-	"repro/internal/obs"
+	"repro/internal/httpx"
 	"repro/internal/online"
-	"repro/internal/parallel"
 	"repro/internal/serve"
 	"repro/internal/tenant"
 )
@@ -91,9 +86,7 @@ func main() {
 	artifactPath := flag.String("artifact", "", "path to a model artifact written by CostEstimator.Save / qcfe-bench -save (required unless -tenants)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	maxBatch := flag.Int("max-batch", 64, "largest coalesced micro-batch (the batcher flushes what is already queued, never waiting for more)")
-	workers := flag.Int("workers", 0, "worker-pool size for the per-batch planning fan-out (0 = GOMAXPROCS)")
 	cache := flag.Bool("cache", true, "enable the sharded query-fingerprint cache (template/feature/prediction tiers); hits are bit-identical to cold estimates")
-	cacheShards := flag.Int("cache-shards", 0, "cache shard count per tier, rounded to a power of two (0 = scaled to GOMAXPROCS)")
 	cacheCapacity := flag.Int("cache-capacity", 0, "cache entry budget per tier (0 = 4096)")
 	adapt := flag.Bool("adapt", false, "enable drift-monitored online adaptation: label served traffic, retrain incrementally on drift, hot-swap atomically")
 	driftThreshold := flag.Float64("drift-threshold", 2.0, "with -adapt: rolling median q-error above which the model is retrained")
@@ -106,12 +99,11 @@ func main() {
 	tenantWeights := flag.String("tenant-weights", "", "with -tenants: comma-separated name=weight fair-share weights (unlisted tenants weigh 1)")
 	maxInflight := flag.Int("max-inflight", 0, "with -tenants: NN-path inflight-slot budget divided into weighted per-tenant floors (0 = 4×GOMAXPROCS)")
 	slowQuery := flag.Duration("slow-query-threshold", 0, "log every request slower than this as one structured JSON line on stderr, with its trace ID and stage spans (0 = off)")
-	traceRing := flag.Int("trace-ring", 0, "finished-request traces retained for GET /trace/recent (0 = 256)")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
 	if *showVersion {
-		printVersion("qcfe-serve")
+		httpx.PrintVersion("qcfe-serve")
 		return
 	}
 	if (*artifactPath == "") == (*tenantsSpec == "") {
@@ -119,11 +111,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	parallel.SetDefaultWorkers(*workers)
 
 	var copts *qcfe.CacheOptions
 	if *cache {
-		copts = &qcfe.CacheOptions{Shards: *cacheShards, Capacity: *cacheCapacity}
+		copts = &qcfe.CacheOptions{Capacity: *cacheCapacity}
 	}
 	var aopts *online.Options
 	if *adapt {
@@ -139,7 +130,6 @@ func main() {
 		AdminToken:         *adminToken,
 		Advertise:          *advertise,
 		SlowQueryThreshold: *slowQuery,
-		TraceRing:          *traceRing,
 	}
 	var err error
 	if *tenantsSpec != "" {
@@ -194,7 +184,7 @@ func runMulti(specs, weightsSpec string, maxInflight int, addr string, opts serv
 		return err
 	}
 	fmt.Printf("qcfe-serve: multi-tenant mode: %d tenants %v; name requests with the %s header or \"tenant\" field\n",
-		len(reg.Names()), reg.Names(), serve.TenantHeader)
+		len(reg.Names()), reg.Names(), httpx.TenantHeader)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -215,32 +205,7 @@ func runMulti(specs, weightsSpec string, maxInflight int, addr string, opts serv
 	}
 	go reg.Run(ctx)
 
-	return serveHTTP(ctx, addr, reg.Handler())
-}
-
-// printVersion reports the binary's build identity — the same fields
-// GET /version serves.
-func printVersion(name string) {
-	b := obs.Build()
-	fmt.Printf("%s %s (%s", name, orDev(b.Version), b.GoVersion)
-	if b.VCSRevision != "" {
-		rev := b.VCSRevision
-		if len(rev) > 12 {
-			rev = rev[:12]
-		}
-		fmt.Printf(", rev %s", rev)
-		if b.VCSModified {
-			fmt.Print("+dirty")
-		}
-	}
-	fmt.Println(")")
-}
-
-func orDev(v string) string {
-	if v == "" || v == "(devel)" {
-		return "devel"
-	}
-	return v
+	return httpx.Serve(ctx, "qcfe-serve", addr, reg.Handler())
 }
 
 // parseWeights parses "name=N,name=N" into a map.
@@ -300,41 +265,5 @@ func run(artifactPath, addr string, opts serve.Options, copts *qcfe.CacheOptions
 	}
 	go srv.Run(ctx)
 
-	return serveHTTP(ctx, addr, srv.Handler())
-}
-
-// serveHTTP runs the HTTP front end until ctx (the signal context) is
-// cancelled, then shuts down gracefully.
-func serveHTTP(ctx context.Context, addr string, h http.Handler) error {
-	httpSrv := &http.Server{
-		Addr:    addr,
-		Handler: h,
-		// Request contexts descend from the signal context, so shutdown
-		// cancels in-flight planning fan-outs too.
-		BaseContext: func(net.Listener) context.Context { return ctx },
-		// Bound what an idle or header-dribbling connection can hold.
-		// ReadTimeout/WriteTimeout stay unset: keep-alive clients and large
-		// /estimate_batch bodies are legitimate.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       120 * time.Second,
-		MaxHeaderBytes:    64 << 10,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Printf("qcfe-serve: listening on %s\n", addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		fmt.Println("qcfe-serve: shutting down")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		return nil
-	}
+	return httpx.Serve(ctx, "qcfe-serve", addr, srv.Handler())
 }

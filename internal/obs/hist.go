@@ -1,8 +1,9 @@
 // Package obs is the zero-dependency observability layer under every
 // serving surface in this repository: lock-free latency histograms,
 // a hand-rolled Prometheus text-exposition renderer, request tracing
-// with per-stage spans, structured slow-query logging, build
-// identification, and token-gated pprof. It imports nothing outside
+// with per-stage spans, structured slow-query logging, and build
+// identification (internal/httpx mounts these, and pprof, on every
+// daemon's HTTP surface). It imports nothing outside
 // the standard library and nothing else in this module, so any layer —
 // qcache's tier probes, serve's coalescer, the router's scatter path —
 // can record into it without an import cycle.

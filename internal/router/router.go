@@ -75,8 +75,6 @@ type Options struct {
 	// slower than this as one structured JSON line on stderr (trace ID,
 	// per-replica sub-batch spans, total duration). Zero disables it.
 	SlowQueryThreshold time.Duration
-	// TraceRing bounds the /trace/recent ring buffer (default 256).
-	TraceRing int
 }
 
 func (o Options) withDefaults() Options {
@@ -152,7 +150,7 @@ func New(replicaURLs []string, opts Options) (*Router, error) {
 		ring:        rg,
 		start:       time.Now(),
 		histRequest: obs.NewHistogram(),
-		tracer:      obs.NewTracer(o.TraceRing, o.SlowQueryThreshold, os.Stderr),
+		tracer:      obs.NewTracer(0, o.SlowQueryThreshold, os.Stderr),
 	}
 	for _, u := range replicaURLs {
 		rep := &replica{

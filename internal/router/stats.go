@@ -44,7 +44,8 @@ type StatsResponse struct {
 	// RouteHash is the routing-key memo's hit/miss/reset counters
 	// (internal/router routeHashCache).
 	RouteHash RouteHashStats `json:"routehash"`
-	// Fleet sums the serve counters of every replica that answered.
+	// Fleet sums the serve counters of every replica that answered;
+	// its mean_batch is the ratio of those sums.
 	Fleet serve.Stats `json:"fleet"`
 	// Cache sums the per-tier hit/miss/size counters of every replica
 	// cache; present when at least one replica has a cache attached.
@@ -112,13 +113,7 @@ func (rt *Router) Stats(ctx context.Context) StatsResponse {
 		cancel()
 		if err == nil {
 			rs.Serve = &sr
-			resp.Fleet.Requests += sr.Requests
-			resp.Fleet.BatchRequests += sr.BatchRequests
-			resp.Fleet.Flushes += sr.Flushes
-			resp.Fleet.Coalesced += sr.Coalesced
-			resp.Fleet.CacheHits += sr.CacheHits
-			resp.Fleet.Swaps += sr.Swaps
-			resp.Fleet.Errors += sr.Errors
+			resp.Fleet.Add(sr.Stats)
 			if sr.Cache != nil {
 				if resp.Cache == nil {
 					resp.Cache = &fleetCache{}

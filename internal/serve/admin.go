@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 
 	qcfe "repro"
+	"repro/internal/httpx"
 )
 
 // The admin plane: a token-authenticated two-phase swap protocol that
@@ -80,45 +80,19 @@ type GenerationResponse struct {
 // endpoint reports it: 16 lowercase hex digits.
 func GenerationString(g uint64) string { return fmt.Sprintf("%016x", g) }
 
-// authorized gates an admin request: 403 when the admin surface is
-// disabled (no token configured), 401 on a missing or wrong token.
-func (s *Server) authorized(w http.ResponseWriter, r *http.Request) bool {
-	if s.opts.AdminToken == "" {
-		writeError(w, http.StatusForbidden, fmt.Errorf("admin endpoints disabled (no admin token configured)"))
-		return false
-	}
-	if r.Header.Get("X-QCFE-Admin-Token") != s.opts.AdminToken {
-		writeError(w, http.StatusUnauthorized, fmt.Errorf("missing or invalid admin token"))
-		return false
-	}
-	return true
-}
-
 // handleSwap is the POST /swap handler.
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
-	if !s.authorized(w, r) {
-		return
-	}
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	// Artifacts ship in-band (base64), so /swap takes bodies far larger
-	// than the 1 MB data-plane cap: 256 MB covers any artifact this
-	// codebase can produce while still bounding a hostile upload.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 256<<20))
-	dec.DisallowUnknownFields()
 	var req SwapRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !httpx.Authorized(w, r, s.opts.AdminToken, "admin endpoints") ||
+		!httpx.DecodeJSON(w, r, httpx.MaxArtifactBody, &req) {
 		return
 	}
 	resp, err := s.Swap(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		httpx.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // Swap executes one admin swap operation. It is exported so in-process
@@ -234,10 +208,7 @@ func (s *Server) canary(est Estimator, envID int, sqls []string) ([]float64, err
 
 // handleGeneration is the GET /generation handler.
 func (s *Server) handleGeneration(w http.ResponseWriter, r *http.Request) {
-	if !s.authorized(w, r) {
-		return
-	}
-	if !requireGet(w, r) {
+	if !httpx.Authorized(w, r, s.opts.AdminToken, "admin endpoints") || !httpx.RequireGet(w, r) {
 		return
 	}
 	s.adminMu.Lock()
@@ -246,7 +217,7 @@ func (s *Server) handleGeneration(w http.ResponseWriter, r *http.Request) {
 		staged = GenerationString(s.staged.Generation())
 	}
 	s.adminMu.Unlock()
-	writeJSON(w, http.StatusOK, GenerationResponse{
+	httpx.WriteJSON(w, http.StatusOK, GenerationResponse{
 		Generation: GenerationString(s.Estimator().Generation()),
 		Staged:     staged,
 	})

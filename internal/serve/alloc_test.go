@@ -1,7 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,4 +64,74 @@ func TestEstimateWarmZeroAlloc(t *testing.T) {
 	if st := srv.Stats(); st.Swaps != 1 || st.CacheHits != st.Requests {
 		t.Fatalf("stats = %+v, want 1 swap and every request a cache hit", st)
 	}
+}
+
+// TestHandlerWarmEstimateAllocs holds the whole HTTP handler's cost for
+// a warm POST /estimate — routing, trace middleware, body decode, the
+// warm probe, reply encode — to a no-increase allocation ceiling, so a
+// change to the shared HTTP layer cannot quietly add a closure or a
+// writer per request. 23 is what the handler allocated before that
+// layer was shared (go1.24, amd64), and what it allocates now. The
+// request, its body and the response writer are reused, so only the
+// handler's own allocations count. Skipped under -race, which changes
+// allocation counts.
+func TestHandlerWarmEstimateAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("-race changes allocation counts")
+	}
+	const ceiling = 23
+	est := cachedCopy(t)
+	env := est.Environments()[0]
+	sql := testSQL(0)
+	want, err := est.EstimateSQL(env, sql) // warm the prediction tier
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(est, Options{}).Handler()
+	payload := fmt.Sprintf(`{"env":%d,"sql":%q}`, env.ID, sql)
+	wantBody, _ := json.Marshal(EstimateResponse{Ms: want})
+	wantBody = append(wantBody, '\n')
+	body := &rewindBody{}
+	req := httptest.NewRequest(http.MethodPost, "/estimate", nil)
+	req.Body = body
+	w := &replyRecorder{h: http.Header{}}
+	serveOnce := func() {
+		body.Reset(payload)
+		clear(w.h)
+		w.code, w.body = 0, w.body[:0]
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK || !bytes.Equal(w.body, wantBody) {
+			t.Fatalf("warm /estimate = %d %q, want 200 %q", w.code, w.body, wantBody)
+		}
+	}
+	for i := 0; i < 64; i++ { // settle pools and the cache's publication window
+		serveOnce()
+	}
+	if allocs := testing.AllocsPerRun(1000, serveOnce); allocs > ceiling {
+		t.Fatalf("warm /estimate through Handler allocates %.1f objects, ceiling %d", allocs, ceiling)
+	}
+}
+
+// rewindBody is a request body the test can refill between requests.
+type rewindBody struct{ strings.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// replyRecorder is a reusable ResponseWriter: unlike
+// httptest.ResponseRecorder it allocates nothing once its buffer has
+// grown, so it adds nothing to the count.
+type replyRecorder struct {
+	h    http.Header
+	code int
+	body []byte
+}
+
+func (w *replyRecorder) Header() http.Header  { return w.h }
+func (w *replyRecorder) WriteHeader(code int) { w.code = code }
+func (w *replyRecorder) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	w.body = append(w.body, p...)
+	return len(p), nil
 }

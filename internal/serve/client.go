@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/obs"
 )
 
@@ -95,10 +96,10 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, admin
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if admin {
-		req.Header.Set("X-QCFE-Admin-Token", c.AdminToken)
+		req.Header.Set(httpx.AdminTokenHeader, c.AdminToken)
 	}
 	if c.Tenant != "" {
-		req.Header.Set(TenantHeader, c.Tenant)
+		req.Header.Set(httpx.TenantHeader, c.Tenant)
 	}
 	if c.TraceID != "" {
 		req.Header.Set(obs.TraceHeader, c.TraceID)
@@ -117,7 +118,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, admin
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		var eresp errorResponse
+		var eresp httpx.ErrorResponse
 		msg := strings.TrimSpace(string(raw))
 		if json.Unmarshal(raw, &eresp) == nil && eresp.Error != "" {
 			msg = eresp.Error

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/httpx"
 )
 
 // TestClientTenantHeader: a Client with Tenant set sends X-QCFE-Tenant
@@ -18,7 +20,7 @@ func TestClientTenantHeader(t *testing.T) {
 	headers := make(map[string]string) // path → last tenant header
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		headers[r.URL.Path] = r.Header.Get(TenantHeader)
+		headers[r.URL.Path] = r.Header.Get(httpx.TenantHeader)
 		mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		switch r.URL.Path {

@@ -51,7 +51,7 @@ func getBody(t *testing.T, url string) (int, []byte) {
 // histograms, per-request trace IDs echoed on the data plane and
 // retrievable with their stage spans from /trace/recent, and /version.
 func TestObsEndpoints(t *testing.T) {
-	_, ts := startObsServer(t, Options{MaxBatch: 8, TraceRing: 32})
+	_, ts := startObsServer(t, Options{MaxBatch: 8})
 	// cachedCopy is a Save→Load of the shared fixture, so the fixture's
 	// environment IDs are valid against it.
 	envID := testEstimator(t).Environments()[0].ID

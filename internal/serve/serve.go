@@ -103,8 +103,6 @@ type Options struct {
 	// (trace ID, per-stage spans, total duration). Zero disables the
 	// slow-query log; /trace/recent retains recent traces either way.
 	SlowQueryThreshold time.Duration
-	// TraceRing bounds the /trace/recent ring buffer (default 256).
-	TraceRing int
 }
 
 // queueDepth bounds the pending-request queue. Enqueueing beyond it
@@ -257,7 +255,7 @@ func New(est Estimator, opts Options) *Server {
 		histCacheTpl:  obs.NewHistogram(),
 		histCacheFeat: obs.NewHistogram(),
 		histCachePred: obs.NewHistogram(),
-		tracer:        obs.NewTracer(o.TraceRing, o.SlowQueryThreshold, os.Stderr),
+		tracer:        obs.NewTracer(0, o.SlowQueryThreshold, os.Stderr),
 	}
 	s.cur.Store(&estBox{est: est})
 	s.attachCacheHists(est)
@@ -640,10 +638,30 @@ func (s *Server) Stats() Stats {
 		Errors:        s.errors.Load(),
 		Requests:      s.requests.Load(),
 	}
+	st.setMeanBatch()
+	return st
+}
+
+// Add folds o's counters into st and recomputes MeanBatch from the
+// sums — the router's fleet block is its replicas' counters added up.
+func (st *Stats) Add(o Stats) {
+	st.Requests += o.Requests
+	st.BatchRequests += o.BatchRequests
+	st.Flushes += o.Flushes
+	st.Coalesced += o.Coalesced
+	st.CacheHits += o.CacheHits
+	st.Swaps += o.Swaps
+	st.Errors += o.Errors
+	st.setMeanBatch()
+}
+
+// setMeanBatch derives MeanBatch from the counters; zero before the
+// first flush.
+func (st *Stats) setMeanBatch() {
+	st.MeanBatch = 0
 	if st.Flushes > 0 {
 		st.MeanBatch = float64(st.Requests-st.CacheHits) / float64(st.Flushes)
 	}
-	return st
 }
 
 // Uptime reports how long the server object has existed.

@@ -2,15 +2,13 @@ package tenant
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 
-	"repro/internal/obs"
+	"repro/internal/httpx"
 	"repro/internal/serve"
 )
 
@@ -26,7 +24,7 @@ import (
 //	POST /swap            admin, tenant from X-QCFE-Tenant (delegated)
 //	GET  /generation      admin, tenant from X-QCFE-Tenant (delegated)
 //
-// The tenant is resolved from the X-QCFE-Tenant header first, then the
+// plus the shared endpoints of httpx.NewMux. The tenant is resolved from the X-QCFE-Tenant header first, then the
 // body's "tenant" field; with exactly one hosted tenant both may be
 // omitted. Un-degraded replies are byte-identical to a single-tenant
 // server's (the "degraded" flag is omitempty), and a shed request gets
@@ -41,37 +39,37 @@ func (r *Registry) Handler() http.Handler {
 		handlers[name] = t.srv.Handler()
 	}
 	delegate := func(w http.ResponseWriter, req *http.Request, sniffBody bool) {
-		name := req.Header.Get(serve.TenantHeader)
+		name := req.Header.Get(httpx.TenantHeader)
 		if name == "" && sniffBody {
 			name = tenantFromBody(req)
 		}
 		t, err := r.Tenant(name)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpx.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		handlers[t.name].ServeHTTP(w, req)
 	}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/estimate", r.traced("estimate", func(w http.ResponseWriter, req *http.Request) {
+	mux := httpx.NewMux(r.tracer, r.opts.Serve.AdminToken, r.WriteMetrics)
+	mux.HandleFunc("/estimate", httpx.Traced(r.tracer, "estimate", func(w http.ResponseWriter, req *http.Request) {
 		var body serve.EstimateRequest
-		if !decodeJSON(w, req, &body) {
+		if !httpx.DecodeJSON(w, req, httpx.MaxBody, &body) {
 			return
 		}
-		ms, degraded, err := r.Estimate(req.Context(), tenantName(req, body.Tenant), body.Env, body.SQL)
+		ms, degraded, err := r.Estimate(req.Context(), httpx.Tenant(req, body.Tenant), body.Env, body.SQL)
 		if err != nil {
 			r.writeEstimateError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, serve.EstimateResponse{Ms: ms, Degraded: degraded})
+		httpx.WriteJSON(w, http.StatusOK, serve.EstimateResponse{Ms: ms, Degraded: degraded})
 	}))
-	mux.HandleFunc("/estimate_batch", r.traced("estimate_batch", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("/estimate_batch", httpx.Traced(r.tracer, "estimate_batch", func(w http.ResponseWriter, req *http.Request) {
 		var body serve.BatchRequest
-		if !decodeJSON(w, req, &body) {
+		if !httpx.DecodeJSON(w, req, httpx.MaxBody, &body) {
 			return
 		}
-		ms, degraded, err := r.EstimateBatch(req.Context(), tenantName(req, body.Tenant), body.Env, body.SQLs)
+		ms, degraded, err := r.EstimateBatch(req.Context(), httpx.Tenant(req, body.Tenant), body.Env, body.SQLs)
 		if err != nil {
 			r.writeEstimateError(w, err)
 			return
@@ -79,7 +77,7 @@ func (r *Registry) Handler() http.Handler {
 		if ms == nil {
 			ms = []float64{}
 		}
-		writeJSON(w, http.StatusOK, serve.BatchResponse{Ms: ms, Degraded: degraded})
+		httpx.WriteJSON(w, http.StatusOK, serve.BatchResponse{Ms: ms, Degraded: degraded})
 	}))
 	mux.HandleFunc("/shadow", func(w http.ResponseWriter, req *http.Request) {
 		delegate(w, req, true)
@@ -91,11 +89,11 @@ func (r *Registry) Handler() http.Handler {
 		delegate(w, req, false)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		if name := req.Header.Get(serve.TenantHeader); name != "" {
+		if name := req.Header.Get(httpx.TenantHeader); name != "" {
 			delegate(w, req, false)
 			return
 		}
-		if !requireGet(w, req) {
+		if !httpx.RequireGet(w, req) {
 			return
 		}
 		resp := HealthResponse{
@@ -114,94 +112,21 @@ func (r *Registry) Handler() http.Handler {
 				UptimeS:    t.srv.Uptime().Seconds(),
 			}
 		}
-		writeJSON(w, http.StatusOK, resp)
+		httpx.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, req *http.Request) {
-		if !requireGet(w, req) {
-			return
+		if httpx.RequireGet(w, req) {
+			httpx.WriteJSON(w, http.StatusOK, r.Stats())
 		}
-		writeJSON(w, http.StatusOK, r.Stats())
 	})
-	mux.Handle("/metrics", obs.MetricsHandler(func(g *obs.Gatherer) {
-		r.WriteMetrics(g)
-		obs.WriteBuildMetrics(g)
-	}))
-	mux.HandleFunc("/trace/recent", func(w http.ResponseWriter, req *http.Request) {
-		if !requireGet(w, req) {
-			return
-		}
-		max := 50
-		if v := req.URL.Query().Get("n"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad n: %q", v))
-				return
-			}
-			max = n
-		}
-		recs := r.tracer.Recent(max)
-		if recs == nil {
-			recs = []obs.TraceRecord{}
-		}
-		writeJSON(w, http.StatusOK, recs)
-	})
-	mux.HandleFunc("/version", func(w http.ResponseWriter, req *http.Request) {
-		if !requireGet(w, req) {
-			return
-		}
-		writeJSON(w, http.StatusOK, obs.Build())
-	})
-	mux.Handle("/debug/pprof/", obs.PprofHandler(r.opts.Serve.AdminToken))
 	return mux
-}
-
-// traced wraps a registry data-plane handler with request tracing:
-// inbound X-QCFE-Trace-ID honored or a fresh ID minted, the trace rides
-// the context through admission and the tenant's server (admit,
-// queue_wait, predict spans), the ID is echoed back, and the finished
-// trace lands in the registry's /trace/recent ring.
-func (r *Registry) traced(op string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		id := req.Header.Get(obs.TraceHeader)
-		if id == "" {
-			id = obs.NewTraceID()
-		}
-		tr := obs.NewTrace(id)
-		w.Header().Set(obs.TraceHeader, id)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, req.WithContext(obs.ContextWithTrace(req.Context(), tr)))
-		var err error
-		if sw.code >= 400 {
-			err = fmt.Errorf("http %d", sw.code)
-		}
-		r.tracer.Finish(tr, op, req.Header.Get(serve.TenantHeader), err)
-	}
-}
-
-// statusWriter captures the reply status for the finished trace.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.code = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-// tenantName applies the resolution order: header, then body field.
-func tenantName(req *http.Request, bodyTenant string) string {
-	if name := req.Header.Get(serve.TenantHeader); name != "" {
-		return name
-	}
-	return bodyTenant
 }
 
 // tenantFromBody peeks a delegated POST body for its "tenant" field,
 // restoring the body for the downstream handler. Resolution failures
 // just return "" — the single-tenant default / error path handles it.
 func tenantFromBody(req *http.Request) string {
-	raw, err := io.ReadAll(io.LimitReader(req.Body, 1<<20))
+	raw, err := io.ReadAll(io.LimitReader(req.Body, httpx.MaxBody))
 	req.Body = io.NopCloser(bytes.NewReader(raw))
 	if err != nil {
 		return ""
@@ -216,19 +141,14 @@ func tenantFromBody(req *http.Request) string {
 }
 
 // writeEstimateError maps ladder outcomes onto HTTP: shed is 429 with
-// Retry-After, cancellation 503, everything else (unknown tenant or
-// environment, bad SQL) the client's fault.
+// Retry-After; the rest follow httpx.StatusFor.
 func (r *Registry) writeEstimateError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrShed) {
 		w.Header().Set("Retry-After", strconv.Itoa(r.opts.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, err)
+		httpx.WriteError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeError(w, http.StatusBadRequest, err)
+	httpx.WriteError(w, httpx.StatusFor(err), err)
 }
 
 // HealthResponse is the registry's aggregate /healthz reply.
@@ -289,49 +209,4 @@ func (r *Registry) Stats() StatsResponse {
 		}
 	}
 	return resp
-}
-
-// errorResponse mirrors the replica error framing.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-func requireGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return false
-	}
-	return true
-}
-
-// writeJSON encodes like the replica handler (json.Encoder, trailing
-// newline) so un-degraded registry replies are byte-identical to a
-// single-tenant server's.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		http.Error(w, `{"error":"encode failure"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(buf.Bytes())
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
 }

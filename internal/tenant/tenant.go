@@ -41,6 +41,7 @@ import (
 	"time"
 
 	qcfe "repro"
+	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -149,7 +150,7 @@ func New(opts Options, tenants []Config) (*Registry, error) {
 		opts:    o,
 		tenants: make(map[string]*Tenant, len(tenants)),
 		start:   time.Now(),
-		tracer:  obs.NewTracer(o.Serve.TraceRing, o.Serve.SlowQueryThreshold, os.Stderr),
+		tracer:  obs.NewTracer(0, o.Serve.SlowQueryThreshold, os.Stderr),
 	}
 	weights := make([]int, len(tenants))
 	for i, tc := range tenants {
@@ -200,7 +201,7 @@ func (r *Registry) Tenant(name string) (*Tenant, error) {
 		if len(r.names) == 1 {
 			return r.tenants[r.names[0]], nil
 		}
-		return nil, fmt.Errorf("tenant: request names no tenant and registry hosts %d (set %s)", len(r.names), serve.TenantHeader)
+		return nil, fmt.Errorf("tenant: request names no tenant and registry hosts %d (set %s)", len(r.names), httpx.TenantHeader)
 	}
 	t, ok := r.tenants[name]
 	if !ok {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	qcfe "repro"
+	"repro/internal/httpx"
 	"repro/internal/serve"
 )
 
@@ -184,8 +185,8 @@ func TestRegistryValidation(t *testing.T) {
 	if got := r.Names(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
 		t.Fatalf("Names() = %v, want sorted [alpha beta]", got)
 	}
-	if _, err := r.Tenant(""); err == nil || !strings.Contains(err.Error(), serve.TenantHeader) {
-		t.Fatalf("ambiguous empty tenant: err = %v, want mention of %s", err, serve.TenantHeader)
+	if _, err := r.Tenant(""); err == nil || !strings.Contains(err.Error(), httpx.TenantHeader) {
+		t.Fatalf("ambiguous empty tenant: err = %v, want mention of %s", err, httpx.TenantHeader)
 	}
 	if _, err := r.Tenant("nope"); err == nil {
 		t.Fatal("unknown tenant must be an error")
