@@ -311,11 +311,6 @@ func TestEstimateSQLWarmZeroAlloc(t *testing.T) {
 			t.Fatalf("warm EstimateSQL = (%v, %v), want (%v, nil)", got, err, want)
 		}
 	}
-	// Drain the shard's publication window so the measured reads take the
-	// lock-free snapshot (see qcache's TestPredictionHitZeroAlloc).
-	for i := 0; i < 64; i++ {
-		hit()
-	}
 	before, _ := est.CacheStats()
 	const runs = 1000
 	allocs := testing.AllocsPerRun(runs, hit)

@@ -29,42 +29,36 @@
 //
 // # Sharding and the RCU read side
 //
-// Each tier is split over a power-of-two number of shards (key-hash
-// selected). Within a shard the authoritative state — a key index plus a
-// fixed-capacity CLOCK ring (second-chance LRU approximation) — lives
-// behind one mutex that only WRITERS take. Readers go through a
-// published immutable snapshot of the shard's key index, loaded with one
-// atomic pointer read: a warm hit is a lock-free map probe plus three
-// atomic operations (value load, CLOCK reference bit, hit counter) and
-// performs zero heap allocations. Keys are comparable structs (not
+// Each tier is split over a power-of-two number of shards, selected by
+// the low bits of the key's FNV-64a hash. The hash is computed once, when
+// the key is constructed (TemplateKey, FeatureKey, PredictionKey); the
+// cache only folds in its tenant namespace. Within a shard a
+// fixed-capacity CLOCK ring (second-chance LRU approximation) and a fixed
+// power-of-two array of bucket chains index the resident entries; one
+// mutex that only WRITERS take guards both. A reader picks its bucket
+// from the hash's high 32 bits and walks the chain lock-free, comparing
+// each slot's stored hash before its key: a warm hit is that walk plus
+// three atomic operations (value load, CLOCK reference bit, hit counter)
+// and performs zero heap allocations. Keys are comparable structs (not
 // concatenated strings), so building a lookup key allocates nothing
 // either.
 //
-// The snapshot protocol is copy-on-write with amortized publication:
+// The chains are the textbook RCU hash list, with the garbage collector
+// as the grace period — a slot nobody can reach any more is freed, and a
+// reader standing on one can always reach it:
 //
-//   - Entry slots are shared by pointer between the ring, the index, and
-//     every published snapshot. A store to an existing key swaps the
-//     slot's value box in place (one atomic pointer store), so updates —
-//     including re-stamping a key after a generation swap — are visible
-//     to readers immediately, without republishing.
-//   - An eviction nils the victim slot's box; a reader holding a stale
-//     snapshot sees the dead slot and reports a miss. Lookups can
-//     therefore trust any live slot they find: live slots in a snapshot
-//     are always the authoritative ones.
-//   - Insertions land in the authoritative index first and become
-//     lock-free-visible at the next publication, which clones the index
-//     (O(shard capacity)) and swaps the snapshot pointer. Publications
-//     are amortized: a writer publishes after promoteEvery insertions,
-//     and a reader that misses the snapshot while insertions are pending
-//     takes the writer lock once to probe the authoritative index
-//     (put-then-get stays a hit). Locked probes that hit push the next
-//     publication forward (those are exactly the reads a fresher
-//     snapshot would have made lock-free); locked probes that miss only
-//     count toward a ring's-worth backstop, so cold-miss streams drain
-//     the pending window at amortized O(1) instead of paying a clone
-//     per lookup. Once a working set is published, its readers never
-//     touch the mutex again — the steady-state warm path is wait-free
-//     with respect to writers.
+//   - A store to an existing key swaps the slot's value box in place (one
+//     atomic pointer store), so updates — including re-stamping a key
+//     after a generation swap — are visible to readers at once.
+//   - A new key gets a fresh slot, pushed at the head of its bucket. Slots
+//     are never reused, so put-then-get is a hit at once: the reader's
+//     head load sees the pushed slot.
+//   - An eviction nils the victim's box ("dead") and unlinks it with one
+//     pointer store into its predecessor. The victim keeps its next, so a
+//     reader standing on it walks on to the live tail.
+//   - A reader that matches a dead slot walks on (a re-inserted key sits
+//     nearer the head, so the walk can only end in a miss); a live slot
+//     stamped with another generation is a miss.
 //
 // Counters are plain atomics incremented exactly once per lookup/store/
 // eviction, so per-tier stats stay exact and monotonic under the
@@ -89,7 +83,8 @@ type Options struct {
 	// 0 picks a default scaled to GOMAXPROCS.
 	Shards int
 	// Capacity is the per-tier entry budget, split evenly across shards
-	// (minimum one entry per shard). 0 means 4096.
+	// (minimum one entry per shard) and rounded to what that split holds:
+	// shards × per-shard entries. 0 means 4096.
 	Capacity int
 	// Tenant namespaces every key this cache stores or looks up: the
 	// tenant ID becomes part of the key identity (and its shard hash), so
@@ -110,6 +105,7 @@ func (o Options) withDefaults() Options {
 	if o.Capacity <= 0 {
 		o.Capacity = 4096
 	}
+	o.Capacity = o.Shards * max(o.Capacity/o.Shards, 1)
 	return o
 }
 
@@ -157,12 +153,15 @@ func (s Stats) HitRate() float64 {
 // lookups build it on the stack — a warm probe allocates nothing.
 // Construct with PredictionKey, TemplateKey, or FeatureKey; the tenant
 // component is stamped by the cache itself (from Options.Tenant) on
-// every get/put, so callers cannot forge or forget it.
+// every get/put, so callers cannot forge or forget it. Constructing a key
+// hashes it, so a caller that probes and later stores under one key
+// keeps the Key value rather than building it twice.
 type Key struct {
 	env int
 	txt string // exact SQL (prediction) or fingerprint (template/feature)
 	sig string // literal signature (feature tier only)
 	tnt string // tenant namespace (Options.Tenant; "" single-tenant)
+	h   uint64 // FNV-64a state up to the tenant separator; hash folds in tnt
 }
 
 // TemplateKey keys the template tier: (env, fingerprint). Tier keys
@@ -170,17 +169,45 @@ type Key struct {
 // planning is environment-specific (knobs steer operator choice; the
 // snapshot block is per-environment).
 func TemplateKey(envID int, fingerprint string) Key {
-	return Key{env: envID, txt: fingerprint}
+	return newKey(envID, fingerprint, "")
 }
 
 // FeatureKey keys the feature tier: (env, fingerprint, literal signature).
 func FeatureKey(envID int, fingerprint, sig string) Key {
-	return Key{env: envID, txt: fingerprint, sig: sig}
+	return newKey(envID, fingerprint, sig)
 }
 
 // PredictionKey keys the prediction tier: (env, exact SQL text).
 func PredictionKey(envID int, sql string) Key {
-	return Key{env: envID, txt: sql}
+	return newKey(envID, sql, "")
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// newKey builds a key and runs FNV-64a over its components: the env ID's
+// eight bytes, txt, a separator, sig, and the separator before the
+// tenant namespace — so ("ab","c") and ("a","bc") diverge.
+func newKey(env int, txt, sig string) Key {
+	h := uint64(fnvOffset)
+	e := uint64(env)
+	for i := 0; i < 8; i++ {
+		h ^= (e >> (8 * i)) & 0xff
+		h *= fnvPrime
+	}
+	h = fnvString(h, txt) * fnvPrime
+	h = fnvString(h, sig) * fnvPrime
+	return Key{env: env, txt: txt, sig: sig, h: h}
+}
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 // String renders the key for diagnostics (qcfe-explain). The hot path
@@ -196,32 +223,10 @@ func (k Key) String() string {
 	return s
 }
 
-// hash is FNV-64a over the key's components (with separators), used for
-// shard selection. Inlined byte walk — no allocation.
-func (k Key) hash() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	e := uint64(k.env)
-	for i := 0; i < 8; i++ {
-		h ^= (e >> (8 * i)) & 0xff
-		h *= prime
-	}
-	for i := 0; i < len(k.txt); i++ {
-		h ^= uint64(k.txt[i])
-		h *= prime
-	}
-	h *= prime // separator: ("ab","c") and ("a","bc") diverge
-	for i := 0; i < len(k.sig); i++ {
-		h ^= uint64(k.sig[i])
-		h *= prime
-	}
-	h *= prime // separator before the tenant namespace
-	for i := 0; i < len(k.tnt); i++ {
-		h ^= uint64(k.tnt[i])
-		h *= prime
-	}
-	return h
-}
+// hash is the key's full FNV-64a: the constructor's state with the
+// tenant namespace folded in. Its low bits pick the shard, its high 32
+// the bucket.
+func (k Key) hash() uint64 { return fnvString(k.h, k.tnt) }
 
 // box is one immutable (generation, value) pair. Stores swap a whole
 // box atomically so a reader can never observe a value from one
@@ -231,46 +236,34 @@ type box struct {
 	val any
 }
 
-// slot is one resident entry, shared by pointer between the CLOCK ring,
-// the authoritative index, and every published snapshot. A nil box
-// means the slot was evicted: stale snapshots that still reference it
-// report a miss.
+// slot is one resident entry, shared by pointer between the CLOCK ring
+// and its bucket chain. A nil box means the slot was evicted ("dead"):
+// a reader that reaches it sees a miss and walks on through next, which
+// an unlink never clears. Slots are never reused — a re-inserted key gets
+// a fresh one.
 type slot struct {
-	key Key
-	box atomic.Pointer[box]
-	ref atomic.Bool // CLOCK reference bit; set lock-free by readers
+	hash uint64 // key.hash(), compared before the key's strings
+	next atomic.Pointer[slot]
+	key  Key
+	box  atomic.Pointer[box]
+	ref  atomic.Bool // CLOCK reference bit; set lock-free by readers
 }
 
-// shard is one lock domain. mu guards the authoritative state (index,
-// ring, hand, used, missed); read is the immutable published snapshot
-// the lock-free read side probes; pending counts insertions not yet
-// published (readers consult it to decide whether the authoritative
-// index could know more than the snapshot).
+// shard is one lock domain. mu serialises writers over the ring, hand,
+// used, and the bucket chains; readers walk the chains without it.
 type shard struct {
 	mu      sync.Mutex
-	read    atomic.Pointer[map[Key]*slot]
-	pending atomic.Int64
-
-	index map[Key]*slot
-	ring  []*slot // fixed length = per-shard capacity; nil until first fill
-	hand  int
-	used  int
-	// Publication pressure from the read side, both reset on publish:
-	// slowHits counts locked probes that HIT (reads that would have been
-	// lock-free had the snapshot caught up — once they reach pending,
-	// publishing pays for itself); slowProbes counts every locked probe
-	// (hit or miss) and forces a publish after a ring's worth, so a
-	// cold-miss stream drains pending instead of locking forever, at an
-	// amortized O(1) clone cost per probe.
-	slowHits   int
-	slowProbes int
+	buckets []atomic.Pointer[slot] // chain heads; fixed power-of-two length
+	ring    []*slot                // fixed length = per-shard capacity; nil until first fill
+	hand    int
+	used    int
 }
 
 // tier is one cache level.
 type tier struct {
-	shards       []*shard
-	mask         uint64
-	promoteEvery int
+	shards []*shard
+	mask   uint64 // shard index: the hash's low bits
+	bmask  uint64 // bucket index: the hash's high 32 bits
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -286,37 +279,36 @@ type tier struct {
 	hist atomic.Pointer[obs.Histogram]
 }
 
+// newTier splits capacity over shards (at least one entry each). Each
+// shard gets one bucket per entry, rounded up to a power of two, so
+// chains average at most one slot.
 func newTier(shards, capacity int) *tier {
 	per := max(capacity/shards, 1)
 	t := &tier{
 		shards: make([]*shard, shards),
 		mask:   uint64(shards - 1),
-		// Publish after at most per/8 pending insertions: cloning the
-		// index costs O(per), so publication stays an amortized ~8 map
-		// writes per insertion while bounding how long the snapshot can
-		// trail the authoritative state.
-		promoteEvery: max(per/8, 8),
+		bmask:  uint64(nextPow2(per) - 1),
 	}
 	for i := range t.shards {
-		t.shards[i] = &shard{index: make(map[Key]*slot, per), ring: make([]*slot, per)}
+		t.shards[i] = &shard{buckets: make([]atomic.Pointer[slot], t.bmask+1), ring: make([]*slot, per)}
 	}
 	return t
 }
 
-func (t *tier) shardFor(key Key) *shard { return t.shards[key.hash()&t.mask] }
+// locate returns the shard and the bucket chain head for a key hash. The
+// two indexes use disjoint bits of the hash.
+func (t *tier) locate(h uint64) (*shard, *atomic.Pointer[slot]) {
+	s := t.shards[h&t.mask]
+	return s, &s.buckets[(h>>32)&t.bmask]
+}
 
 // get returns the value stored under key at generation g. An entry from
 // any other generation is invisible (and counted as a miss), which is
 // the whole invalidation mechanism.
 //
-// The fast path reads only the published snapshot: one atomic pointer
-// load, one map probe, and — on a hit — the value-box load, the CLOCK
-// reference bit, and the hit counter, all atomic and allocation-free.
-// Only when the probe is inconclusive AND insertions are pending does
-// the reader fall back to the authoritative index under the lock; each
-// such fallback counts toward triggering the next publication, so a
-// working set migrates into the snapshot after at most `pending` locked
-// probes and then never contends again.
+// The read side never locks: it walks the key's bucket chain, and on a
+// hit loads the value box, sets the CLOCK reference bit, and bumps the
+// hit counter, all atomic and allocation-free.
 func (t *tier) get(key Key, g uint64) (any, bool) {
 	if h := t.hist.Load(); h != nil {
 		t0 := time.Now()
@@ -329,92 +321,46 @@ func (t *tier) get(key Key, g uint64) (any, bool) {
 
 // lookup is get's uninstrumented body.
 func (t *tier) lookup(key Key, g uint64) (any, bool) {
-	s := t.shardFor(key)
-	if m := s.read.Load(); m != nil {
-		if sl, ok := (*m)[key]; ok {
-			if b := sl.box.Load(); b != nil {
-				// Live slots in a snapshot are authoritative: value
-				// updates and generation re-stamps swap the box in
-				// place, and eviction (the only way a slot leaves the
-				// index) nils it.
-				if b.gen == g {
-					sl.ref.Store(true)
-					t.hits.Add(1)
-					return b.val, true
-				}
-				t.misses.Add(1)
-				return nil, false
-			}
-			// Dead slot: the key may have been re-inserted behind a
-			// fresher slot the snapshot does not know yet — fall through
-			// to the pending check.
-		}
-	}
-	if s.pending.Load() > 0 {
-		if v, ok := s.slowGet(t, key, g); ok {
-			return v, true
-		}
+	h := key.hash()
+	_, head := t.locate(h)
+	// The key's one live slot: value updates and generation re-stamps
+	// swap its box in place.
+	if sl, b := find(head.Load(), h, key); b != nil && b.gen == g {
+		sl.ref.Store(true)
+		t.hits.Add(1)
+		return b.val, true
 	}
 	t.misses.Add(1)
 	return nil, false
 }
 
-// slowGet resolves a snapshot miss against the authoritative index while
-// insertions are pending. It runs under the shard mutex — the only place
-// the read side ever locks — and helps publish once enough locked
-// probes have accumulated. Only locked HITS force an early publish
-// (they are the reads publication would make lock-free); a miss learns
-// nothing from a fresh snapshot, so misses only trigger the slow
-// ring's-worth backstop — publishing the clone on every cold miss would
-// turn a fresh-key workload into an O(capacity) copy per lookup.
-func (s *shard) slowGet(t *tier, key Key, g uint64) (any, bool) {
-	s.mu.Lock()
-	sl, ok := s.index[key]
-	var b *box
-	if ok {
-		b = sl.box.Load()
+// find walks a chain from sl to the first live slot holding key (hash
+// h), comparing hashes before strings. A dead slot is walked past even
+// when it matches: it may have been evicted under the walk, and since a
+// chain only links to older slots and a key's older slots all died
+// before its newer one was inserted, what lies past it is never fresher.
+func find(sl *slot, h uint64, key Key) (*slot, *box) {
+	for ; sl != nil; sl = sl.next.Load() {
+		if sl.hash == h && sl.key == key {
+			if b := sl.box.Load(); b != nil {
+				return sl, b
+			}
+		}
 	}
-	hit := b != nil && b.gen == g
-	s.slowProbes++
-	if hit {
-		s.slowHits++
-	}
-	if (hit && int64(s.slowHits) >= s.pending.Load()) || s.slowProbes >= len(s.ring) {
-		s.publishLocked()
-	}
-	s.mu.Unlock()
-	if hit {
-		sl.ref.Store(true)
-		t.hits.Add(1)
-		return b.val, true
-	}
-	return nil, false
-}
-
-// publishLocked clones the authoritative index into a fresh immutable
-// snapshot and swaps it in. Caller holds s.mu.
-func (s *shard) publishLocked() {
-	m := make(map[Key]*slot, len(s.index))
-	for k, sl := range s.index {
-		m[k] = sl
-	}
-	s.read.Store(&m)
-	s.pending.Store(0)
-	s.slowHits, s.slowProbes = 0, 0
+	return nil, nil
 }
 
 // put stores val under key stamped with generation g, evicting via CLOCK
 // second chance when the shard is full. Stale-generation residents are
 // preferred victims regardless of their reference bit. Writers are the
-// only lockers of the shard mutex in steady state; readers on published
-// keys proceed untouched throughout.
+// only lockers of the shard mutex; readers proceed untouched throughout.
 func (t *tier) put(key Key, g uint64, val any) {
-	s := t.shardFor(key)
+	h := key.hash()
+	s, head := t.locate(h)
 	b := &box{gen: g, val: val}
 	s.mu.Lock()
-	if sl, ok := s.index[key]; ok {
-		// In-place update: visible to every snapshot holding this slot
-		// without republishing.
+	if sl, _ := find(head.Load(), h, key); sl != nil {
+		// In-place update: visible to every reader at once.
 		sl.box.Store(b)
 		sl.ref.Store(true)
 		s.mu.Unlock()
@@ -446,26 +392,37 @@ func (t *tier) put(key Key, g uint64, val any) {
 		}
 		pos = s.hand
 		victim := s.ring[pos]
-		delete(s.index, victim.key)
-		// Kill the slot, not just the index entry: readers holding a
-		// snapshot that still references it must see a miss.
+		// Kill the slot, then unlink it: a reader already standing on it
+		// must see a miss.
 		victim.box.Store(nil)
+		t.unlink(victim)
 		t.evictions.Add(1)
 	}
 	// New entries enter unreferenced — the first hit arms the bit — so a
 	// stream of one-shot queries cycles through unreferenced slots
 	// instead of stripping re-referenced residents of their second
-	// chance (scan resistance).
-	sl := &slot{key: key}
+	// chance (scan resistance). The slot is complete before the head
+	// store makes it reachable.
+	sl := &slot{hash: h, key: key}
 	sl.box.Store(b)
+	sl.next.Store(head.Load())
+	head.Store(sl)
 	s.ring[pos] = sl
-	s.index[key] = sl
 	s.hand = (pos + 1) % len(s.ring)
-	if s.pending.Add(1) >= int64(t.promoteEvery) {
-		s.publishLocked()
-	}
 	s.mu.Unlock()
 	t.stores.Add(1)
+}
+
+// unlink removes a slot from its bucket chain with one pointer store into
+// its predecessor. The slot keeps its own next, so a reader standing on
+// it walks on to the live tail; the collector frees it once no reader
+// holds it. Caller holds the shard mutex.
+func (t *tier) unlink(victim *slot) {
+	_, p := t.locate(victim.hash)
+	for cur := p.Load(); cur != victim; cur = cur.next.Load() {
+		p = &cur.next
+	}
+	p.Store(victim.next.Load())
 }
 
 func (t *tier) stats() TierStats {
@@ -477,7 +434,7 @@ func (t *tier) stats() TierStats {
 	}
 	for _, s := range t.shards {
 		s.mu.Lock()
-		st.Size += len(s.index)
+		st.Size += s.used
 		s.mu.Unlock()
 	}
 	return st
@@ -498,8 +455,9 @@ type QueryCache struct {
 // for a single-tenant cache).
 func (c *QueryCache) Tenant() string { return c.opts.Tenant }
 
-// stamp folds the cache's tenant namespace into a caller-built key.
-// Key is a value type, so this cannot race.
+// stamp folds the cache's tenant namespace into a caller-built key; the
+// tier's hash then walks only the tenant bytes on top of the state the
+// constructor computed. Key is a value type, so this cannot race.
 func (c *QueryCache) stamp(key Key) Key {
 	key.tnt = c.opts.Tenant
 	return key
@@ -575,11 +533,10 @@ func (c *QueryCache) PutPrediction(key Key, g uint64, ms float64) {
 }
 
 // SetLookupHistograms attaches per-tier lookup-latency histograms
-// (internal/obs): every get on a tier — hit or miss, lock-free or via
-// the slow path — records its duration into that tier's histogram. A
-// nil histogram detaches its tier. The serving layer attaches these so
-// /metrics can render qcfe_qcache_lookup_seconds{tier=...}; the
-// library never requires them.
+// (internal/obs): every get on a tier — hit or miss — records its
+// duration into that tier's histogram. A nil histogram detaches its
+// tier. The serving layer attaches these so /metrics can render
+// qcfe_qcache_lookup_seconds{tier=...}; the library never requires them.
 func (c *QueryCache) SetLookupHistograms(template, feature, prediction *obs.Histogram) {
 	c.template.hist.Store(template)
 	c.feature.hist.Store(feature)

@@ -87,13 +87,13 @@ func TestSecondChance(t *testing.T) {
 	g := c.Generation()
 	hot := PredictionKey(0, "hot")
 	c.PutPrediction(hot, g, 1)
-	sh := c.prediction.shardFor(hot)
+	sh, _ := c.prediction.locate(hot.hash())
 	// Cold keys that land in the hot key's shard, so they contend for its
 	// four slots — three rings' worth of them.
 	var fill []Key
 	for i := 0; len(fill) < 12; i++ {
 		k := PredictionKey(0, fmt.Sprintf("fill%d", i))
-		if c.prediction.shardFor(k) == sh {
+		if s, _ := c.prediction.locate(k.hash()); s == sh {
 			fill = append(fill, k)
 		}
 	}
@@ -158,5 +158,28 @@ func TestHitRate(t *testing.T) {
 	c.GetPrediction(k, g) // hit
 	if hr := c.Stats().HitRate(); hr != 0.5 {
 		t.Fatalf("hit rate = %v, want 0.5", hr)
+	}
+}
+
+// TestCapacityReportsAllocated: Stats.Capacity is what the tiers hold —
+// shards × per-shard entries, at least one per shard — not the budget
+// asked for. Filling a tier far past it shows the figure is exact.
+func TestCapacityReportsAllocated(t *testing.T) {
+	for _, tc := range []struct{ shards, asked, want int }{
+		{8, 4, 8},       // one entry per shard: more than asked
+		{16, 1000, 992}, // 62 per shard: the remainder is never allocated
+		{8, 4096, 4096}, // the default divides evenly on every shard count
+	} {
+		c := New(Options{Shards: tc.shards, Capacity: tc.asked})
+		if got := c.Stats().Capacity; got != tc.want {
+			t.Errorf("%d shards, capacity %d: Stats().Capacity = %d, want %d", tc.shards, tc.asked, got, tc.want)
+		}
+		g := c.Generation()
+		for i := 0; i < 20*tc.want; i++ {
+			c.PutPrediction(PredictionKey(0, fmt.Sprintf("q%d", i)), g, 0)
+		}
+		if got := c.Stats().Prediction.Size; got != tc.want {
+			t.Errorf("%d shards, capacity %d: a saturated tier holds %d entries, want %d", tc.shards, tc.asked, got, tc.want)
+		}
 	}
 }

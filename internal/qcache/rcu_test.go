@@ -11,25 +11,16 @@ import (
 )
 
 // TestPredictionHitZeroAlloc pins the warm-path contract at its lowest
-// layer: once a working set is published to the shard snapshots, a
-// prediction-tier hit performs zero heap allocations. (The layers above
-// hold the same property on their own paths: root
-// TestEstimateSQLWarmZeroAlloc, serve TestEstimateWarmZeroAlloc, tenant
-// TestWarmEstimateZeroAlloc.)
+// layer: from the moment a put returns, a prediction-tier hit — key
+// construction, the lock-free bucket-chain walk, the three atomics —
+// performs zero heap allocations. (The layers above hold the same
+// property on their own paths: root TestEstimateSQLWarmZeroAlloc, serve
+// TestEstimateWarmZeroAlloc, tenant TestWarmEstimateZeroAlloc.)
 func TestPredictionHitZeroAlloc(t *testing.T) {
 	c := New(Options{Shards: 8, Capacity: 256})
 	g := c.Generation()
 	k := PredictionKey(3, "SELECT COUNT(*) FROM lineitem WHERE l_quantity < 42")
 	c.PutPrediction(k, g, 1.5)
-	// Drain the publication window: reads during the pending window may
-	// take the shard mutex once to help publish (and the publication
-	// itself clones the index). After that the hit path is lock- and
-	// allocation-free.
-	for i := 0; i < 64; i++ {
-		if _, ok := c.GetPrediction(k, g); !ok {
-			t.Fatal("warm key missed")
-		}
-	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, ok := c.GetPrediction(k, g); !ok {
 			t.Fatal("warm key missed")
@@ -42,7 +33,7 @@ func TestPredictionHitZeroAlloc(t *testing.T) {
 
 // TestTemplateFeatureHitZeroAlloc extends the zero-alloc pin to the
 // other two tiers' lookups: key construction is a stack struct and the
-// snapshot probe allocates nothing, whatever the tier.
+// chain walk allocates nothing, whatever the tier.
 func TestTemplateFeatureHitZeroAlloc(t *testing.T) {
 	c := New(Options{Shards: 8, Capacity: 256})
 	g := c.Generation()
@@ -50,10 +41,6 @@ func TestTemplateFeatureHitZeroAlloc(t *testing.T) {
 	c.PutFeatures(fk, g, nil)
 	tk := TemplateKey(1, "select * from t where a = ?")
 	c.PutTemplate(tk, g, nil)
-	for i := 0; i < 64; i++ {
-		c.GetFeatures(fk, g)
-		c.GetTemplate(tk, g)
-	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, ok := c.GetFeatures(fk, g); !ok {
 			t.Fatal("feature key missed")
@@ -70,8 +57,9 @@ func TestTemplateFeatureHitZeroAlloc(t *testing.T) {
 // TestPutThenGetVisibleImmediately pins the visibility contract the
 // serving layer depends on (serve's warm-probe test runs with the
 // batcher stopped, so a post-store miss would hang a request): a get
-// issued any time after put returns must hit, even before the insertion
-// has been published to the lock-free snapshot.
+// issued any time after put returns must hit. The put pushes its slot at
+// the bucket head before it unlocks, so the reader's head load sees it;
+// no lock-free index trails the writers.
 func TestPutThenGetVisibleImmediately(t *testing.T) {
 	c := New(Options{Shards: 8, Capacity: 1024})
 	g := c.Generation()
@@ -114,7 +102,7 @@ func TestCountersExact(t *testing.T) {
 	}
 }
 
-// TestRCUHammer races lock-free readers against concurrent stores,
+// TestRCUHammer races lock-free chain walkers against concurrent stores,
 // CLOCK evictions (tiny capacity forces constant churn), and generation
 // swaps. Correctness oracle: values encode their (key, generation)
 // pair, so any hit whose value disagrees with its key+generation is a
@@ -217,5 +205,136 @@ func TestRCUHammer(t *testing.T) {
 	}
 	if math.IsNaN(c.Stats().HitRate()) {
 		t.Fatal("hit rate NaN")
+	}
+}
+
+// collidingKeys returns n prediction keys that land in one bucket of one
+// shard of tr, so they share a chain.
+func collidingKeys(tr *tier, n int) []Key {
+	var out []Key
+	var want *atomic.Pointer[slot]
+	for i := 0; len(out) < n; i++ {
+		k := PredictionKey(0, fmt.Sprintf("chain%d", i))
+		if _, head := tr.locate(k.hash()); want == nil || head == want {
+			want = head
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestChainEvictionKeepsWalkersOnTrack pins the slot-lifetime rules on
+// one chain, white-box: a reader parked on a middle slot (a held *slot)
+// still reaches the live tail after that slot is evicted and unlinked;
+// the dead slot reads as a miss; a re-inserted key gets a fresh slot,
+// found from the head ahead of anything the parked reader can reach;
+// and Size never exceeds the ring.
+func TestChainEvictionKeepsWalkersOnTrack(t *testing.T) {
+	tr := newTier(1, 3) // one shard, a three-slot ring, four buckets
+	const g = 7
+	ks := collidingKeys(tr, 4)
+	a, b, c, d := ks[0], ks[1], ks[2], ks[3]
+	_, head := tr.locate(a.hash())
+	checkSize := func(step string) {
+		t.Helper()
+		if size := tr.stats().Size; size > len(tr.shards[0].ring) {
+			t.Fatalf("%s: size %d exceeds the %d-slot ring", step, size, len(tr.shards[0].ring))
+		}
+	}
+	for i, k := range []Key{a, b, c} {
+		tr.put(k, g, i)
+		checkSize("fill")
+	}
+
+	// Chain: c → b → a. Park a reader on b, the middle slot.
+	parked, _ := find(head.Load(), b.hash(), b)
+	if parked == nil {
+		t.Fatal("b not chained after put")
+	}
+	// Referencing a makes the CLOCK sweep pass over it and take b.
+	if _, ok := tr.get(a, g); !ok {
+		t.Fatal("a missed")
+	}
+	tr.put(d, g, 3)
+	checkSize("evict b")
+	if ev := tr.evictions.Load(); ev != 1 || parked.box.Load() != nil {
+		t.Fatalf("want b evicted: %d evictions, parked box %v", ev, parked.box.Load())
+	}
+	if sl, _ := find(parked, b.hash(), b); sl != nil {
+		t.Fatal("the dead slot read as live from where the reader stands")
+	}
+	if _, ok := tr.get(b, g); ok {
+		t.Fatal("evicted key hit from the head")
+	}
+	if sl, bx := find(parked, a.hash(), a); sl == nil || bx.val != 0 {
+		t.Fatal("a reader parked on the evicted slot lost the live tail")
+	}
+	for sl := head.Load(); sl != nil; sl = sl.next.Load() {
+		if sl == parked {
+			t.Fatal("evicted slot still linked from the head")
+		}
+	}
+
+	// Re-insert b: the sweep now takes c (unreferenced), and b comes
+	// back in a fresh slot at the head.
+	tr.put(b, g, 4)
+	checkSize("re-insert b")
+	fresh, bx := find(head.Load(), b.hash(), b)
+	if fresh == nil || fresh == parked || bx.val != 4 {
+		t.Fatalf("re-inserted b: slot %p (parked %p), box %v", fresh, parked, bx)
+	}
+	if head.Load() != fresh {
+		t.Fatal("re-inserted slot is not at the head")
+	}
+	if v, ok := tr.get(b, g); !ok || v != 4 {
+		t.Fatalf("re-inserted b: got (%v, %v), want (4, true)", v, ok)
+	}
+	if sl, _ := find(parked, b.hash(), b); sl != nil {
+		t.Fatal("the parked reader found a b it could not have reached")
+	}
+	if size := tr.stats().Size; size != 3 {
+		t.Fatalf("size %d, want a full ring of 3", size)
+	}
+}
+
+// TestChainHammer is TestRCUHammer with every key on one chain: a
+// one-shard tier whose keys all share a bucket, so each store unlinks a
+// victim some walker may be standing on. Hits must carry their key's
+// value, and every lookup is counted exactly once. Runs in CI under
+// -race.
+func TestChainHammer(t *testing.T) {
+	tr := newTier(1, 8)
+	keys := collidingKeys(tr, 24)
+	const g = 1
+	val := func(i int) float64 { return float64(i) + 0.5 }
+	var (
+		wg      sync.WaitGroup
+		torn    atomic.Int64
+		lookups atomic.Int64
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 20000; i += 4 {
+				k := i % len(keys)
+				if i%3 == 0 {
+					tr.put(keys[k], g, val(k))
+					continue
+				}
+				lookups.Add(1)
+				if v, ok := tr.get(keys[k], g); ok && v != val(k) {
+					torn.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := torn.Load(); n != 0 {
+		t.Fatalf("%d hits carried another key's value", n)
+	}
+	st := tr.stats()
+	if st.Hits+st.Misses != lookups.Load() || st.Size != 8 {
+		t.Fatalf("stats %+v after %d lookups, want them all counted and a full ring of 8", st, lookups.Load())
 	}
 }

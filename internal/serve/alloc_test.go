@@ -15,10 +15,10 @@ import (
 )
 
 // TestEstimateWarmZeroAlloc pins the tentpole invariant at the serving
-// layer: once a query's prediction is resident (and the cache shard's
-// snapshot published), Server.Estimate answers it with zero heap
-// allocations — environment resolution, the cache probe (struct key,
-// lock-free snapshot read), counters, and monitor dispatch included.
+// layer: once a query's prediction is resident, Server.Estimate answers
+// it with zero heap allocations — environment resolution, the cache
+// probe (struct key, lock-free bucket-chain walk), counters, and monitor
+// dispatch included.
 // The second pass repeats the measurement after a hot swap to a
 // Save→Load twin of the serving estimator: identical bytes, identical
 // generation, so the swap must leave the entry resident and the hit
@@ -41,8 +41,7 @@ func TestEstimateWarmZeroAlloc(t *testing.T) {
 	}
 	measure := func(when string) {
 		t.Helper()
-		// Drain the cache's publication window so the measured hits read the
-		// lock-free snapshot (see qcache's TestPredictionHitZeroAlloc).
+		// Settle sync.Pools before measuring.
 		for i := 0; i < 64; i++ {
 			if got, err := srv.Estimate(ctx, env.ID, sql); err != nil || got != want {
 				t.Fatalf("%s: warm-up hit = (%v, %v), want (%v, nil)", when, got, err, want)
@@ -104,7 +103,7 @@ func TestHandlerWarmEstimateAllocs(t *testing.T) {
 			t.Fatalf("warm /estimate = %d %q, want 200 %q", w.code, w.body, wantBody)
 		}
 	}
-	for i := 0; i < 64; i++ { // settle pools and the cache's publication window
+	for i := 0; i < 64; i++ { // settle pools
 		serveOnce()
 	}
 	if allocs := testing.AllocsPerRun(1000, serveOnce); allocs > ceiling {

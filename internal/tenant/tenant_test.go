@@ -307,11 +307,6 @@ func TestWarmEstimateZeroAlloc(t *testing.T) {
 			t.Fatalf("warm Estimate = (%v, degraded=%v, %v), want (%v, false, nil)", got, degraded, err, want)
 		}
 	}
-	// Drain the shard's publication window so the measured reads take the
-	// lock-free snapshot (see qcache's TestPredictionHitZeroAlloc).
-	for i := 0; i < 64; i++ {
-		hit()
-	}
 	warm, admitted := alpha.warm.Load(), alpha.admitted.Load()
 	const runs = 1000
 	if allocs := testing.AllocsPerRun(runs, hit); allocs != 0 {

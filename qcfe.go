@@ -528,6 +528,7 @@ type FeaturizedBatch struct {
 	gen   uint64
 	res   []float64                  // warm values at their original indexes (cached path)
 	miss  []int                      // indexes into sqls that missed the prediction tier
+	keys  []qcache.Key               // prediction-tier probe key per miss, reused by the write-back
 	nodes []*planner.Node            // uncached path: annotated plans, one per query
 	fps   []*encoding.FeaturizedPlan // cached path: featurized plans, one per miss
 	tr    *obs.Trace
@@ -579,14 +580,19 @@ func (e *CostEstimator) FeaturizeSQLBatchCtx(ctx context.Context, env *Environme
 	g := e.cacheGeneration()
 	fb := &FeaturizedBatch{env: env, sqls: sqls, cache: c, gen: g, tr: tr}
 	fb.res = make([]float64, len(sqls))
-	fb.miss = make([]int, 0, len(sqls))
 	probeStart := time.Now()
 	for i, sql := range sqls {
-		if ms, ok := c.GetPrediction(qcache.PredictionKey(env.ID, sql), g); ok {
+		k := qcache.PredictionKey(env.ID, sql)
+		if ms, ok := c.GetPrediction(k, g); ok {
 			fb.res[i] = ms
-		} else {
-			fb.miss = append(fb.miss, i)
+			continue
 		}
+		if fb.miss == nil { // at the first miss: an all-warm batch allocates neither
+			fb.miss = make([]int, 0, len(sqls)-i)
+			fb.keys = make([]qcache.Key, 0, len(sqls)-i)
+		}
+		fb.miss = append(fb.miss, i)
+		fb.keys = append(fb.keys, k)
 	}
 	if tr != nil {
 		tr.AddSpan("probe", fmt.Sprintf("%d/%d warm", len(sqls)-len(fb.miss), len(sqls)), probeStart)
@@ -629,7 +635,7 @@ func (e *CostEstimator) PredictFeaturized(fb *FeaturizedBatch) []float64 {
 	mstart := time.Now()
 	for k, i := range fb.miss {
 		fb.res[i] = ms[k]
-		fb.cache.PutPrediction(qcache.PredictionKey(fb.env.ID, fb.sqls[i]), fb.gen, ms[k])
+		fb.cache.PutPrediction(fb.keys[k], fb.gen, ms[k])
 	}
 	fb.tr.AddSpan("merge", "", mstart)
 	return fb.res
