@@ -16,7 +16,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/dbenv"
@@ -28,6 +27,7 @@ import (
 // operator outputs (unlike a streaming executor), so a mis-planned join on
 // a pathological key distribution could otherwise exhaust memory; queries
 // hitting the bound fail cleanly and are skipped by workload collection.
+// Each join checks the bound before it materialises one key's matches.
 const maxJoinRows = 5_000_000
 
 // Executor runs plans for one dataset inside one environment. It holds no
@@ -113,24 +113,35 @@ func (e *Executor) ms(c counters) float64 {
 	return t
 }
 
+// exec runs n's children left to right, then n itself over their rows.
+// Every operator returns a row slice its parent owns outright (rows
+// themselves may be shared with the heap and are never written).
 func (e *Executor) exec(n *planner.Node) ([]catalog.Row, error) {
+	var in [2][]catalog.Row // no operator has more than two inputs
+	for i, c := range n.Children {
+		rows, err := e.exec(c)
+		if err != nil {
+			return nil, err
+		}
+		in[i] = rows
+	}
 	switch n.Op {
 	case planner.SeqScan:
 		return e.execSeqScan(n)
 	case planner.IndexScan:
 		return e.execIndexScan(n)
 	case planner.Sort:
-		return e.execSort(n)
+		return e.execSort(n, in[0]), nil
 	case planner.HashJoin:
-		return e.execHashJoin(n)
+		return e.execHashJoin(n, in[0], in[1])
 	case planner.MergeJoin:
-		return e.execMergeJoin(n)
+		return e.execMergeJoin(n, in[0], in[1])
 	case planner.NestedLoop:
-		return e.execNestedLoop(n)
+		return e.execNestedLoop(n, in[0], in[1])
 	case planner.Aggregate:
-		return e.execAggregate(n)
+		return e.execAggregate(n, in[0])
 	case planner.Materialize:
-		return e.execMaterialize(n)
+		return e.execMaterialize(n, in[0]), nil
 	}
 	return nil, fmt.Errorf("engine: unknown operator %v", n.Op)
 }
@@ -215,27 +226,10 @@ func indexBounds(p *planner.CompiledPred) (lo, hi *catalog.Value, loInc, hiInc b
 	return nil, nil, true, true
 }
 
-func (e *Executor) execSort(n *planner.Node) ([]catalog.Row, error) {
-	in, err := e.exec(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]catalog.Row, len(in))
-	copy(rows, in)
-	cols, desc := n.SortCols, n.SortDesc
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k, c := range cols {
-			cmp := rows[i][c].Compare(rows[j][c])
-			if cmp == 0 {
-				continue
-			}
-			if desc[k] {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
+// execSort sorts its input, which it owns (see exec), in the input's own
+// slice plus one buffer.
+func (e *Executor) execSort(n *planner.Node, in []catalog.Row) []catalog.Row {
+	rows := sortRows(in, rowOrder{cols: n.SortCols, desc: n.SortDesc})
 	nn := int64(len(rows))
 	comparisons := nn * ceilLog2(nn)
 	bytes := nn * int64(n.EstWidth)
@@ -249,18 +243,111 @@ func (e *Executor) execSort(n *planner.Node) ([]catalog.Row, error) {
 	n.ActualIn1 = float64(nn)
 	n.ActualRows = nn
 	n.ActualMs = e.ms(c)
-	return rows, nil
+	return rows
 }
 
-func (e *Executor) execHashJoin(n *planner.Node) ([]catalog.Row, error) {
-	left, err := e.exec(n.Children[0])
-	if err != nil {
-		return nil, err
+// rowOrder is a sort key: column ordinals with per-column descending flags.
+type rowOrder struct {
+	cols []int
+	desc []bool
+}
+
+func (o rowOrder) compare(a, b catalog.Row) int {
+	for k, c := range o.cols {
+		if d := a[c].Compare(b[c]); d != 0 {
+			if o.desc[k] {
+				return -d
+			}
+			return d
+		}
 	}
-	right, err := e.exec(n.Children[1]) // build side (planner puts smaller here)
-	if err != nil {
-		return nil, err
+	return 0
+}
+
+// sortRun is the length of the runs sortRows insertion-sorts before merging.
+const sortRun = 16
+
+// sortRows orders rows stably by o with a bottom-up merge sort: runs of
+// sortRun are insertion-sorted in place, then merged pairwise back and
+// forth between rows and one buffer of the same length — O(n log n) moves
+// of row headers, no reflection, no in-place rotation. The result is
+// whichever of the two holds the last pass, so rows' own contents are
+// clobbered. A stable sort under a consistent comparator has exactly one
+// result, so this orders rows exactly as sort.SliceStable would.
+func sortRows(rows []catalog.Row, o rowOrder) []catalog.Row {
+	n := len(rows)
+	for lo := 0; lo < n; lo += sortRun {
+		run := rows[lo:min(lo+sortRun, n)]
+		for i := 1; i < len(run); i++ {
+			x, j := run[i], i
+			for ; j > 0 && o.compare(x, run[j-1]) < 0; j-- {
+				run[j] = run[j-1]
+			}
+			run[j] = x
+		}
 	}
+	if n <= sortRun {
+		return rows
+	}
+	src, dst := rows, make([]catalog.Row, n)
+	for width := sortRun; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			a, b, out := src[lo:mid], src[mid:hi], dst[lo:hi]
+			i, j, k := 0, 0, 0
+			for ; i < len(a) && j < len(b); k++ {
+				// Ties take from a, the earlier run: that is the stability.
+				if o.compare(b[j], a[i]) < 0 {
+					out[k] = b[j]
+					j++
+				} else {
+					out[k] = a[i]
+					i++
+				}
+			}
+			k += copy(out[k:], a[i:])
+			copy(out[k:], b[j:])
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// joinRows carves join output rows out of per-join slabs of Values, so a
+// join makes one allocation per slab rather than one per output row. The
+// slabs grow geometrically from slabFirst Values to slabMax, which bounds
+// the unused tail of a join's last slab and is the runtime's largest
+// small-object size, so no slab takes the large-object path. Each row is a
+// three-index slice (cap == len): an append to a returned row reallocates
+// instead of writing into the next row's cells. A slab stays reachable
+// while any row carved from it is, and slabs are never reused, so rows
+// need no lifetime rule beyond the query's own.
+type joinRows struct {
+	free []catalog.Value // unused tail of the current slab
+	next int             // length of the next slab
+}
+
+const (
+	slabFirst = 64   // 2 KiB of Values
+	slabMax   = 1024 // 32 KiB of Values
+)
+
+// concat returns a new row holding a's values followed by b's.
+func (s *joinRows) concat(a, b catalog.Row) catalog.Row {
+	w := len(a) + len(b)
+	if len(s.free) < w {
+		s.next = min(max(2*s.next, slabFirst), slabMax)
+		s.free = make([]catalog.Value, max(s.next, w))
+	}
+	r := s.free[:w:w]
+	s.free = s.free[w:]
+	copy(r, a)
+	copy(r[len(a):], b)
+	return r
+}
+
+func (e *Executor) execHashJoin(n *planner.Node, left, right []catalog.Row) ([]catalog.Row, error) {
+	// right is the build side (the planner puts the smaller input there).
 	build := make(map[catalog.Value][]catalog.Row, len(right))
 	rc := n.JoinRightCol
 	for _, r := range right {
@@ -271,6 +358,7 @@ func (e *Executor) execHashJoin(n *planner.Node) ([]catalog.Row, error) {
 		build[k] = append(build[k], r)
 	}
 	var out []catalog.Row
+	var slab joinRows
 	var matches int64
 	lc := n.JoinLeftCol
 	for _, l := range left {
@@ -278,12 +366,13 @@ func (e *Executor) execHashJoin(n *planner.Node) ([]catalog.Row, error) {
 		if k.Null {
 			continue
 		}
-		for _, r := range build[k] {
-			matches++
-			out = append(out, concatRows(l, r))
-		}
-		if len(out) > maxJoinRows {
+		bucket := build[k]
+		if len(out)+len(bucket) > maxJoinRows {
 			return nil, fmt.Errorf("engine: hash join result exceeds %d rows", maxJoinRows)
+		}
+		for _, r := range bucket {
+			matches++
+			out = append(out, slab.concat(l, r))
 		}
 	}
 	buildBytes := int64(len(right)) * int64(n.Children[1].EstWidth)
@@ -302,17 +391,10 @@ func (e *Executor) execHashJoin(n *planner.Node) ([]catalog.Row, error) {
 	return out, nil
 }
 
-func (e *Executor) execMergeJoin(n *planner.Node) ([]catalog.Row, error) {
-	left, err := e.exec(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	right, err := e.exec(n.Children[1])
-	if err != nil {
-		return nil, err
-	}
+func (e *Executor) execMergeJoin(n *planner.Node, left, right []catalog.Row) ([]catalog.Row, error) {
 	lc, rc := n.JoinLeftCol, n.JoinRightCol
 	var out []catalog.Row
+	var slab joinRows
 	var matches int64
 	i, j := 0, 0
 	for i < len(left) && j < len(right) {
@@ -336,14 +418,16 @@ func (e *Executor) execMergeJoin(n *planner.Node) ([]catalog.Row, error) {
 			for j2 < len(right) && right[j2][rc].Compare(left[i][lc]) == 0 {
 				j2++
 			}
+			// Check the bound before materialising the group's cross
+			// product, which a low-cardinality key makes huge.
+			if len(out)+(i2-i)*(j2-j) > maxJoinRows {
+				return nil, fmt.Errorf("engine: merge join result exceeds %d rows", maxJoinRows)
+			}
 			for a := i; a < i2; a++ {
 				for b := j; b < j2; b++ {
 					matches++
-					out = append(out, concatRows(left[a], right[b]))
+					out = append(out, slab.concat(left[a], right[b]))
 				}
-			}
-			if len(out) > maxJoinRows {
-				return nil, fmt.Errorf("engine: merge join result exceeds %d rows", maxJoinRows)
 			}
 			i, j = i2, j2
 		}
@@ -364,16 +448,8 @@ func (e *Executor) execMergeJoin(n *planner.Node) ([]catalog.Row, error) {
 // For equi-joins the matching inner rows are located via a hash table so
 // the *computation* stays bounded, while the *charged* tuple count is the
 // full n1·n2 scan the operator logically performs — the simulation rule
-// documented in DESIGN.md.
-func (e *Executor) execNestedLoop(n *planner.Node) ([]catalog.Row, error) {
-	outer, err := e.exec(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	inner, err := e.exec(n.Children[1])
-	if err != nil {
-		return nil, err
-	}
+// documented in docs/ARCHITECTURE.md §1.
+func (e *Executor) execNestedLoop(n *planner.Node, outer, inner []catalog.Row) ([]catalog.Row, error) {
 	rc := n.JoinRightCol
 	byKey := make(map[catalog.Value][]catalog.Row, len(inner))
 	for _, r := range inner {
@@ -382,16 +458,18 @@ func (e *Executor) execNestedLoop(n *planner.Node) ([]catalog.Row, error) {
 		}
 	}
 	var out []catalog.Row
+	var slab joinRows
 	lc := n.JoinLeftCol
 	for _, l := range outer {
 		if l[lc].Null {
 			continue
 		}
-		for _, r := range byKey[l[lc]] {
-			out = append(out, concatRows(l, r))
-		}
-		if len(out) > maxJoinRows {
+		bucket := byKey[l[lc]]
+		if len(out)+len(bucket) > maxJoinRows {
 			return nil, fmt.Errorf("engine: nested loop result exceeds %d rows", maxJoinRows)
+		}
+		for _, r := range bucket {
+			out = append(out, slab.concat(l, r))
 		}
 	}
 	c := counters{
@@ -406,11 +484,7 @@ func (e *Executor) execNestedLoop(n *planner.Node) ([]catalog.Row, error) {
 	return out, nil
 }
 
-func (e *Executor) execMaterialize(n *planner.Node) ([]catalog.Row, error) {
-	in, err := e.exec(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
+func (e *Executor) execMaterialize(n *planner.Node, in []catalog.Row) []catalog.Row {
 	bytes := int64(len(in)) * int64(n.EstWidth)
 	passes := e.Env.SpillPasses(bytes)
 	c := counters{
@@ -422,7 +496,7 @@ func (e *Executor) execMaterialize(n *planner.Node) ([]catalog.Row, error) {
 	n.ActualIn1 = float64(len(in))
 	n.ActualRows = int64(len(in))
 	n.ActualMs = e.ms(c)
-	return in, nil
+	return in
 }
 
 // aggState accumulates one group.
@@ -434,11 +508,7 @@ type aggState struct {
 	maxs   []catalog.Value
 }
 
-func (e *Executor) execAggregate(n *planner.Node) ([]catalog.Row, error) {
-	in, err := e.exec(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
+func (e *Executor) execAggregate(n *planner.Node, in []catalog.Row) ([]catalog.Row, error) {
 	groups := make(map[string]*aggState)
 	order := make([]string, 0, 16)
 	for _, row := range in {
@@ -560,12 +630,6 @@ func matchAll(preds []planner.CompiledPred, row catalog.Row) bool {
 		}
 	}
 	return true
-}
-
-func concatRows(a, b catalog.Row) catalog.Row {
-	out := make(catalog.Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
 }
 
 func ceilLog2(n int64) int64 {

@@ -9,8 +9,8 @@
 // parallel runs do not interleave lines. RunAll fans independent runners
 // out over the worker pool.
 //
-// The experiment → module mapping lives in DESIGN.md; the measured-vs-paper
-// comparison lives in EXPERIMENTS.md.
+// docs/ARCHITECTURE.md describes the modules the runners drive (§3 covers
+// how their grids fan out and which runners stay serial).
 package experiments
 
 import (
