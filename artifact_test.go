@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -168,6 +170,33 @@ func TestFitRejectsEmptyTrain(t *testing.T) {
 	for _, train := range [][]workload.Sample{nil, {}} {
 		if _, err := NewPipeline("mscn").Fit(b, envs, train); err == nil {
 			t.Fatalf("Fit(%v samples) should error", len(train))
+		}
+	}
+}
+
+// TestFitRejectsNonPositiveReferences: difference propagation with fewer
+// than one reference fails the fit with an error naming the count, where
+// -1 used to panic inside the reduction and 0 to report that the mask
+// removes every feature.
+func TestFitRejectsNonPositiveReferences(t *testing.T) {
+	b, err := OpenBenchmark("sysbench", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := RandomEnvironments(2, 1)
+	pool, err := b.CollectWorkload(envs, 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _ := pool.Split(0.8)
+	for _, n := range []int{-1, 0} {
+		est, err := NewPipeline("mscn", WithReferences(n), WithTrainIters(10)).Fit(b, envs, train)
+		want := fmt.Sprintf("NumReferences = %d", n)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("WithReferences(%d): err = %v, want one naming %q", n, err, want)
+		}
+		if est != nil {
+			t.Fatalf("WithReferences(%d) returned an estimator", n)
 		}
 	}
 }

@@ -213,6 +213,9 @@ func Reduce(f *encoding.Featurizer, train []workload.Sample, cfg Config) ([]bool
 	if cfg.Reduction == ReduceNone || cfg.Reduction == "" {
 		return nil, 0, nil
 	}
+	if cfg.Reduction == ReduceFR && cfg.NumReferences < 1 {
+		return nil, 0, fmt.Errorf("core: difference-propagation reduction needs at least one reference, got NumReferences = %d", cfg.NumReferences)
+	}
 	start := time.Now()
 	d := OperatorDataset(f, train).Subsample(cfg.ProbeSamples, cfg.Seed)
 	probe := featred.TrainProbe(d, 32, cfg.ProbeEpochs, cfg.Seed)

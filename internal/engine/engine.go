@@ -16,6 +16,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/dbenv"
@@ -227,7 +228,7 @@ func indexBounds(p *planner.CompiledPred) (lo, hi *catalog.Value, loInc, hiInc b
 }
 
 // execSort sorts its input, which it owns (see exec), in the input's own
-// slice plus one buffer.
+// slice plus at most one buffer.
 func (e *Executor) execSort(n *planner.Node, in []catalog.Row) []catalog.Row {
 	rows := sortRows(in, rowOrder{cols: n.SortCols, desc: n.SortDesc})
 	nn := int64(len(rows))
@@ -264,17 +265,28 @@ func (o rowOrder) compare(a, b catalog.Row) int {
 	return 0
 }
 
-// sortRun is the length of the runs sortRows insertion-sorts before merging.
+// sortRun is the length of the runs mergeSortRows insertion-sorts before
+// merging, and the length up to which sortRows skips key extraction.
 const sortRun = 16
 
-// sortRows orders rows stably by o with a bottom-up merge sort: runs of
+// sortRows orders rows stably by o. A single integer key column over more
+// than sortRun rows sorts packed keys and permutes rows in place
+// (sortByKey); every other order merge-sorts the rows (mergeSortRows).
+func sortRows(rows []catalog.Row, o rowOrder) []catalog.Row {
+	if len(o.cols) == 1 && len(rows) > sortRun && sortByKey(rows, o.cols[0], o.desc[0]) {
+		return rows
+	}
+	return mergeSortRows(rows, o)
+}
+
+// mergeSortRows orders rows stably by o with a bottom-up merge sort: runs of
 // sortRun are insertion-sorted in place, then merged pairwise back and
 // forth between rows and one buffer of the same length — O(n log n) moves
 // of row headers, no reflection, no in-place rotation. The result is
 // whichever of the two holds the last pass, so rows' own contents are
 // clobbered. A stable sort under a consistent comparator has exactly one
 // result, so this orders rows exactly as sort.SliceStable would.
-func sortRows(rows []catalog.Row, o rowOrder) []catalog.Row {
+func mergeSortRows(rows []catalog.Row, o rowOrder) []catalog.Row {
 	n := len(rows)
 	for lo := 0; lo < n; lo += sortRun {
 		run := rows[lo:min(lo+sortRun, n)]
@@ -311,6 +323,80 @@ func sortRows(rows []catalog.Row, o rowOrder) []catalog.Row {
 		src, dst = dst, src
 	}
 	return src
+}
+
+// sortByKey orders rows stably by their column col, descending when desc,
+// exactly as mergeSortRows does with a one-column rowOrder, and reports
+// false, leaving rows untouched, when the column holds a string or its
+// integers span 2^32 or more. It sorts one uint64 per row instead of the
+// rows themselves: the key's distance from the column's minimum (from its
+// maximum under DESC) in the high half, the row's input index in the low.
+//
+// Value.Compare puts NULL before every integer and orders integers by I;
+// DESC negates it. So the NULL rows form one tie group, which stays in
+// input order, first under ASC and last under DESC, and takes no part in
+// the sort. The packed words of the other rows compare as (key, index),
+// so no two tie and the unstable in-place slices.Sort lands on the one
+// stable order. The distances are taken in uint64, so they cannot
+// overflow at either end of int64.
+func sortByKey(rows []catalog.Row, col int, desc bool) bool {
+	nulls, lo, hi := 0, int64(math.MaxInt64), int64(math.MinInt64)
+	for _, r := range rows {
+		switch v := r[col]; {
+		case v.Null:
+			nulls++
+		case v.IsStr:
+			return false
+		default:
+			lo, hi = min(lo, v.I), max(hi, v.I)
+		}
+	}
+	if uint64(len(rows)) > math.MaxUint32 || (nulls < len(rows) && uint64(hi)-uint64(lo) > math.MaxUint32) {
+		return false
+	}
+	// perm[p] is the input row that ends at position p: its low 32 bits
+	// once sorted, with the sort key above them until then.
+	perm := make([]uint64, len(rows))
+	keyed, nullAt := perm[nulls:], perm[:nulls]
+	if desc {
+		keyed, nullAt = perm[:len(rows)-nulls], perm[len(rows)-nulls:]
+	}
+	k, z := 0, 0
+	for i, r := range rows {
+		v := r[col]
+		switch {
+		case v.Null:
+			nullAt[z] = uint64(i)
+			z++
+			continue
+		case desc:
+			keyed[k] = (uint64(hi) - uint64(v.I)) << 32
+		default:
+			keyed[k] = (uint64(v.I) - uint64(lo)) << 32
+		}
+		keyed[k] |= uint64(i)
+		k++
+	}
+	slices.Sort(keyed)
+	// Follow each cycle of the permutation once, marking a placed position
+	// with its own index.
+	for i := range perm {
+		if int(uint32(perm[i])) == i {
+			continue
+		}
+		first, j := rows[i], i
+		for {
+			src := int(uint32(perm[j]))
+			perm[j] = uint64(j)
+			if src == i {
+				rows[j] = first
+				break
+			}
+			rows[j] = rows[src]
+			j = src
+		}
+	}
+	return true
 }
 
 // joinRows carves join output rows out of per-join slabs of Values, so a

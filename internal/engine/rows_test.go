@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -91,6 +92,69 @@ func TestStableSortRows(t *testing.T) {
 		desc := oracleSort(rows, rowOrder{cols: []int{2, 1}, desc: []bool{true, true}})
 		requireSameOrder(t, desc, orders[6])
 	}
+	// One integer key column over more than sortRun rows takes sortByKey
+	// when its integers span less than 2^32: at both ends of int64, where
+	// the distances must not overflow, and around 0, each beside NULLs,
+	// which stay first under ASC and last under DESC. Wider columns and
+	// span 2^32 exactly fall back to the merge sort.
+	for _, tc := range []struct {
+		name  string
+		ints  []int64
+		keyed bool
+	}{
+		{"min end", []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + math.MaxUint32}, true},
+		{"max end", []int64{math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 - math.MaxUint32}, true},
+		{"zero", []int64{0, -1, 1}, true},
+		{"all NULL", nil, true},
+		{"both ends", []int64{math.MinInt64, 0, math.MaxInt64}, false},
+		{"span 2^32", []int64{0, 1 << 32}, false},
+	} {
+		vals := []catalog.Value{catalog.NullVal()}
+		for _, v := range tc.ints {
+			vals = append(vals, catalog.IntVal(v))
+		}
+		for _, n := range []int{17, 1000, 4097} {
+			rows := make([]catalog.Row, n)
+			for i := range rows {
+				rows[i] = catalog.Row{vals[rng.Intn(len(vals))], catalog.IntVal(int64(i))}
+			}
+			for _, desc := range []bool{false, true} {
+				o := rowOrder{cols: []int{0}, desc: []bool{desc}}
+				requireSameOrder(t, rows, o)
+				if keyed := sortByKey(append([]catalog.Row(nil), rows...), 0, desc); keyed != tc.keyed {
+					t.Fatalf("%s, n=%d, desc=%v: sortByKey took the rows = %v, want %v", tc.name, n, desc, keyed, tc.keyed)
+				}
+			}
+		}
+	}
+}
+
+// TestSortBytesPerRow holds a single-column sort to the keyed path's
+// memory: 4 096 rows on one integer column allocate one 8-byte word per
+// row, under the 24-byte row header per row that mergeSortRows' buffer
+// costs.
+func TestSortBytesPerRow(t *testing.T) {
+	const n, runs, maxBytesPerRow = 4096, 8, 24
+	rng := rand.New(rand.NewSource(29))
+	inputs := make([][]catalog.Row, runs)
+	for r := range inputs {
+		inputs[r] = make([]catalog.Row, n)
+		for i := range inputs[r] {
+			inputs[r][i] = catalog.Row{catalog.IntVal(rng.Int63n(1000)), catalog.IntVal(int64(i))}
+		}
+	}
+	o := rowOrder{cols: []int{0}, desc: []bool{true}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, rows := range inputs {
+		sortRows(rows, o)
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / (runs * n)
+	t.Logf("%.2f bytes allocated per sorted row", perRow)
+	if perRow >= maxBytesPerRow {
+		t.Fatalf("%.2f bytes allocated per sorted row, want under %d", perRow, maxBytesPerRow)
+	}
 }
 
 // FuzzStableSortRows decodes the input into a sort key and rows of small
@@ -101,6 +165,19 @@ func FuzzStableSortRows(f *testing.F) {
 	f.Add([]byte{0x02, 0x00, 0x05, 1, 2, 3, 3, 2, 1, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte("a sort key and a few rows of it, ties included"))
 	f.Add(make([]byte, 200))
+	// One key column (data[0]%3 == 0) and more than 16 rows reach
+	// sortByKey: column 2 descending with NULLs, column 0 ascending, and
+	// column 1, which holds strings and falls back to the merge sort.
+	keyed := func(col byte) []byte {
+		b := []byte{0x03, col}
+		for i := 0; i < 60; i++ {
+			b = append(b, byte(i*37), byte(i*11), byte(i*59)|byte(i%4)<<3)
+		}
+		return b
+	}
+	f.Add(keyed(0x82))
+	f.Add(keyed(0x00))
+	f.Add(keyed(0x01))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return

@@ -54,7 +54,9 @@ func (s *Suite) table6Impl(refCounts []int) ([]Table6Row, error) {
 	// The |R| arms stay serial on purpose: each row's RuntimeSec is a
 	// wall-clock measurement of the FR step, and the paper's claim — FR
 	// runtime grows with |R| — only holds when the measurements do not
-	// contend with each other for cores.
+	// contend with each other for cores. Inside one arm the step itself
+	// prices its samples on the worker pool, so RuntimeSec is wall time
+	// over the pool; -workers 1 gives the serial figure.
 	var out []Table6Row
 	rep := s.newReport()
 	defer rep.flush()

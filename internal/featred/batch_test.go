@@ -58,13 +58,15 @@ func TestTrainProbeMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestDiffPropScoresMatchesScalar checks the batched difference
-// propagation against a straightforward per-pair scalar recomputation.
+// TestDiffPropScoresMatchesScalar checks the reference difference
+// propagation (batched forwards, one refDiffMultipliers call per pair)
+// against a straightforward per-pair scalar recomputation.
+// TestDiffPropMatchesReference carries the check on to DiffPropScores.
 func TestDiffPropScoresMatchesScalar(t *testing.T) {
 	d := syntheticData(60, 10, 3, 5)
 	m := TrainProbe(d, 12, 4, 5)
 	const nRef = 11
-	got := DiffPropScores(m, d.X, nRef, 2)
+	got := refDiffPropScores(m, d.X, nRef, 2)
 
 	rng := rand.New(rand.NewSource(2))
 	refIdx := rng.Perm(len(d.X))[:nRef]
@@ -78,7 +80,7 @@ func TestDiffPropScoresMatchesScalar(t *testing.T) {
 	for _, x := range d.X {
 		_, cx := m.Forward(x)
 		for _, cr := range refs {
-			mult := diffMultipliers(m, cx, cr)
+			mult := refDiffMultipliers(m, cx, cr)
 			for k := 0; k < dim; k++ {
 				want[k] += math.Abs(mult[k] * (x[k] - cr.Act[0][k]))
 			}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 )
 
 // forwardChunk bounds the number of rows one batched forward materializes
@@ -205,11 +206,27 @@ func GradientScores(m *nn.MLP, X [][]float64) []float64 {
 	return scores
 }
 
+// diffBlock is the number of samples one pool task prices, and
+// diffRoundBlocks the number of tasks per worker in one round: a round's
+// samples are priced in parallel, then folded, and several tasks per
+// worker even out the workers' finishing times before the fold.
+const (
+	diffBlock       = 4
+	diffRoundBlocks = 4
+)
+
 // DiffPropScores implements Equation 1: for every (sample, reference) pair
 // it propagates difference-quotient multipliers from the output back to
 // the inputs through the cached layer activations, and averages their
-// absolute values per dimension. References are sampled from the data
-// itself (Algorithm 3 line 1).
+// absolute contributions per dimension. References are sampled from the
+// data itself (Algorithm 3 line 1); nRef must be positive.
+//
+// Samples fan out over the internal/parallel pool in blocks of diffBlock;
+// each block writes its samples' |multiplier × Δx| contributions into
+// per-sample slots, and the calling goroutine folds the slots into the
+// scores in (sample, reference, dimension) order, as the one-pair-at-a-
+// time loop did. The scores are therefore bit-identical at any worker
+// count (docs/ARCHITECTURE.md §3–§4).
 func DiffPropScores(m *nn.MLP, X [][]float64, nRef int, seed int64) []float64 {
 	if len(X) == 0 {
 		return nil
@@ -219,94 +236,161 @@ func DiffPropScores(m *nn.MLP, X [][]float64, nRef int, seed int64) []float64 {
 		nRef = len(X)
 	}
 	// The reference set and the samples both run through the network
-	// batched — these are the "many near-identical forward passes" of the
-	// reduction step, and each row of a batched forward is bit-identical
-	// to the scalar forward, so the scores are unchanged.
+	// batched; each row of a batched forward is bit-identical to the
+	// scalar forward. Reference caches persist across every chunk, so
+	// they come from the heap (nil arena); chunk caches die with their
+	// chunk.
 	refIdx := rng.Perm(len(X))[:nRef]
-	refMat := linalg.NewMatrix(nRef, len(X[0]))
+	dim := len(X[0])
+	refMat := linalg.NewMatrix(nRef, dim)
 	for i, ri := range refIdx {
 		refMat.SetRow(i, X[ri])
 	}
-	// Reference caches persist across every chunk, so they come from the
-	// heap (nil arena); chunk caches die with their chunk.
-	_, refCache := m.ForwardBatch(nil, refMat)
-	refs := make([]*nn.Cache, nRef)
-	for i := range refs {
-		refs[i] = refCache.Sample(i)
+	_, refs := m.ForwardBatch(nil, refMat)
+
+	workers := parallel.Workers(0)
+	kernels := make([]diffKernel, workers)
+	for w := range kernels {
+		kernels[w] = newDiffKernel(m, nRef)
 	}
-	dim := len(X[0])
+	round := diffRoundBlocks * workers * diffBlock
+	slot := nRef * dim
+	contrib := make([]float64, round*slot)
 	scores := make([]float64, dim)
-	var pairs float64
 	ar := &linalg.Arena{}
 	for base := 0; base < len(X); base += forwardChunk {
 		ar.Reset()
-		end := base + forwardChunk
-		if end > len(X) {
-			end = len(X)
-		}
+		end := min(base+forwardChunk, len(X))
 		chunk := ar.Alloc(end-base, dim)
 		for r := base; r < end; r++ {
 			chunk.SetRow(r-base, X[r])
 		}
-		_, chunkCache := m.ForwardBatch(ar, chunk)
-		for r := base; r < end; r++ {
-			x := X[r]
-			cx := chunkCache.Sample(r - base)
-			for _, cr := range refs {
-				mult := diffMultipliers(m, cx, cr)
-				ref := cr.Act[0]
-				// Contribution form: multiplier × Δx. A dimension that never
-				// differs from the references (an unused table/index one-hot,
-				// a constant knob) contributes exactly zero and is reduced —
-				// Equation 1's Δx_k denominator cancels against it.
-				for k := 0; k < dim; k++ {
-					scores[k] += math.Abs(mult[k] * (x[k] - ref[k]))
+		_, xs := m.ForwardBatch(ar, chunk)
+		for lo := base; lo < end; lo += round {
+			hi := min(lo+round, end)
+			parallel.ForEachWorker((hi-lo+diffBlock-1)/diffBlock, workers, func(w, b int) {
+				for s := lo + b*diffBlock; s < min(lo+(b+1)*diffBlock, hi); s++ {
+					kernels[w].price(m, xs, s-base, refs, X[s], contrib[(s-lo)*slot:(s-lo+1)*slot])
 				}
-				pairs++
+			})
+			// Contribution form: multiplier × Δx. A dimension that never
+			// differs from the references (an unused table/index one-hot,
+			// a constant knob) contributes exactly zero and is reduced —
+			// Equation 1's Δx_k denominator cancels against it.
+			for p := 0; p < (hi-lo)*nRef; p++ {
+				for k, c := range contrib[p*dim : (p+1)*dim] {
+					scores[k] += c
+				}
 			}
 		}
 	}
+	pairs := float64(len(X) * nRef)
 	for k := range scores {
 		scores[k] /= pairs
 	}
 	return scores
 }
 
-// diffMultipliers computes the input multipliers Δy/Δx_k for one pair via
-// the rescale rule: linear layers propagate exactly (Wᵀ), ReLU layers
-// scale by Δa/Δz (falling back to the local derivative when Δz ≈ 0). This
-// is the well-defined form of the telescoping product in Equation 1.
-func diffMultipliers(m *nn.MLP, cx, cr *nn.Cache) []float64 {
-	g := []float64{1} // multiplier at the scalar output
-	for li := len(m.Layers) - 1; li >= 0; li-- {
-		if li < len(m.Layers)-1 {
-			zx, zr := cx.Pre[li], cr.Pre[li]
-			ax, ar := cx.Act[li+1], cr.Act[li+1]
-			scaled := make([]float64, len(g))
-			for i := range g {
-				dz := zx[i] - zr[i]
-				if math.Abs(dz) > 1e-9 {
-					scaled[i] = g[i] * (ax[i] - ar[i]) / dz
-				} else if zx[i] > 0 {
-					scaled[i] = g[i] // ReLU derivative 1 on the active side
+// diffKernel is one worker's scratch for pricing a sample against every
+// reference: two nRef × width multiplier matrices, reused for every
+// sample, so a pair allocates nothing.
+type diffKernel struct {
+	g, next []float64
+	nz      []int // the nonzero entries of one multiplier row
+}
+
+func newDiffKernel(m *nn.MLP, nRef int) diffKernel {
+	width := 1
+	for _, l := range m.Layers {
+		width = max(width, l.In, l.Out)
+	}
+	return diffKernel{g: make([]float64, nRef*width), next: make([]float64, nRef*width), nz: make([]int, width)}
+}
+
+// addWT adds Wᵀg to d (W is len(g) × len(d), row-major), skipping zero
+// entries of g. Each d[i] takes its products in ascending row order, one
+// rounding per addition, as `for o { d[i] += g[o]*W[o][i] }` does; four
+// rows share one pass over d to save its loads and stores.
+func (k *diffKernel) addWT(d, g, W []float64) {
+	n := len(d)
+	nz := k.nz[:0]
+	for o, gv := range g {
+		if gv != 0 {
+			nz = append(nz, o)
+		}
+	}
+	t := 0
+	for ; t+4 <= len(nz); t += 4 {
+		o0, o1, o2, o3 := nz[t], nz[t+1], nz[t+2], nz[t+3]
+		g0, g1, g2, g3 := g[o0], g[o1], g[o2], g[o3]
+		w0, w1, w2, w3 := W[o0*n:][:n], W[o1*n:][:n], W[o2*n:][:n], W[o3*n:][:n]
+		for i := range d {
+			d[i] = d[i] + g0*w0[i] + g1*w1[i] + g2*w2[i] + g3*w3[i]
+		}
+	}
+	for ; t < len(nz); t++ {
+		o := nz[t]
+		gv, w := g[o], W[o*n:][:n]
+		for i := range d {
+			d[i] += gv * w[i]
+		}
+	}
+}
+
+// price writes sample s's contributions |Δy/Δx_k · (x_k − ref_k)| against
+// every reference into out (nRef × dim, reference-major). xs and refs are
+// the batched forward caches of the sample's chunk and of the references;
+// x is the sample itself.
+//
+// Row r of the multiplier matrix is the pair (s, r)'s multiplier vector,
+// propagated from the output by the rescale rule: linear layers
+// propagate exactly (Wᵀ), ReLU layers scale by Δa/Δz, falling back to the
+// local derivative when Δz ≈ 0. Every element sees exactly the
+// arithmetic of the one-pair-at-a-time loop: the same rescale expression
+// and fallback, the same skip of zero multipliers, and Wᵀ's sums taken
+// over the layer's outputs in ascending order from +0.
+func (k *diffKernel) price(m *nn.MLP, xs *nn.BatchCache, s int, refs *nn.BatchCache, x, out []float64) {
+	nRef := refs.Act[0].Rows
+	last := len(m.Layers) - 1
+	g, spare := k.g[:nRef], k.next
+	for r := range g {
+		g[r] = 1 // the multiplier at the scalar output
+	}
+	for li := last; li >= 0; li-- {
+		l := m.Layers[li]
+		if li < last {
+			zx, ax := xs.Pre[li].RowView(s)[:l.Out], xs.Act[li+1].RowView(s)[:l.Out]
+			for r := 0; r < nRef; r++ {
+				gr := g[r*l.Out : (r+1)*l.Out]
+				zr, ar := refs.Pre[li].RowView(r)[:len(gr)], refs.Act[li+1].RowView(r)[:len(gr)]
+				for i := range gr {
+					switch dz := zx[i] - zr[i]; {
+					case math.Abs(dz) > 1e-9:
+						gr[i] = gr[i] * (ax[i] - ar[i]) / dz
+					case zx[i] > 0:
+						// ReLU derivative 1 on the active side: gr[i] stays.
+					default:
+						gr[i] = 0
+					}
 				}
 			}
-			g = scaled
 		}
-		l := m.Layers[li]
-		dx := make([]float64, l.In)
-		for o := 0; o < l.Out; o++ {
-			if g[o] == 0 {
-				continue
-			}
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i := range row {
-				dx[i] += g[o] * row[i]
-			}
+		dx := spare[:nRef*l.In]
+		if li == 0 {
+			dx = out
 		}
-		g = dx
+		clear(dx)
+		for r := 0; r < nRef; r++ {
+			k.addWT(dx[r*l.In:(r+1)*l.In], g[r*l.Out:(r+1)*l.Out], l.W)
+		}
+		g, spare = dx, g[:cap(g)]
 	}
-	return g
+	for r := 0; r < nRef; r++ {
+		mult, ref := out[r*len(x):(r+1)*len(x)], refs.Act[0].RowView(r)
+		for i := range mult {
+			mult[i] = math.Abs(mult[i] * (x[i] - ref[i]))
+		}
+	}
 }
 
 // MaskFromScores turns importance scores into a keep-mask: a feature is

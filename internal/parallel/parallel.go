@@ -1,7 +1,7 @@
 // Package parallel is the bounded worker pool behind the labeling
 // pipeline: workload collection, feature-snapshot labeling, and the
 // experiments suite all fan their (environment × query) work out through
-// it.
+// it, and featred's difference propagation fans out its samples.
 //
 // Every helper here is deterministic by construction: tasks are identified
 // by index, results land in index-addressed slots, and reductions happen
