@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"repro/internal/planner"
 )
 
 // raceEnabled reports whether the test binary was built with -race.
@@ -123,4 +125,55 @@ func TestMissAllocationBudget(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestEstimateMsAllocs pins what pricing one plan with EstimateMs costs
+// the allocator on both learned models. A single plan is priced as a
+// batch of one on the pooled inference scratch, so what is left is the
+// one-element plan slice, the result slice and, for qppnet, the plan's
+// featurization and execution skeleton. The ceilings are the counts
+// measured on this two-node plan.
+func TestEstimateMsAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector changes allocation counts")
+	}
+	// TPC-H Q6 (forecasting revenue change): an aggregate over one
+	// filtered scan of lineitem.
+	const q6 = "SELECT SUM(l_extendedprice), COUNT(*) FROM lineitem" +
+		" WHERE l_shipdate BETWEEN 8400 AND 8765 AND l_quantity < 24"
+	b, err := OpenBenchmark("tpch", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := RandomEnvironments(2, 1)
+	pool, err := b.CollectWorkload(envs, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _ := pool.Split(0.8)
+	plan, err := b.Plan(envs[0], q6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		model     string
+		maxAllocs float64
+	}{
+		{"mscn", 2},    // the plan slice and the result slice
+		{"qppnet", 16}, // plus the plan's featurization and skeleton
+	} {
+		est, err := NewPipeline(tc.model, WithTrainIters(20), WithReferences(20), WithSeed(3)).Fit(b, envs, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := est.EstimateBatch([]*planner.Node{plan})[0]
+		if got := est.EstimateMs(plan); got != want {
+			t.Fatalf("%s: EstimateMs %v != EstimateBatch %v", tc.model, got, want)
+		}
+		allocs := testing.AllocsPerRun(200, func() { est.EstimateMs(plan) })
+		t.Logf("%s: %d-node plan, %.0f allocations per EstimateMs", tc.model, plan.CountNodes(), allocs)
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s: EstimateMs allocates %.0f objects, ceiling %.0f", tc.model, allocs, tc.maxAllocs)
+		}
+	}
 }

@@ -45,9 +45,10 @@ var (
 	ErrMalformed = errors.New("artifact: malformed payload")
 )
 
-// maxLen bounds the declared payload length a decoder will allocate for,
-// so a corrupt length field cannot OOM the loader. Model artifacts in
-// this repo are a few hundred KB; 1 GB is far beyond any legitimate file.
+// maxLen bounds the declared payload length a decoder accepts. Model
+// artifacts in this repo are a few hundred KB; 1 GB is far beyond any
+// legitimate file. Below the bound, memory follows the bytes that arrive,
+// never the declared length (NewDecoder).
 const maxLen = 1 << 30
 
 // Encoder accumulates a payload. The zero value is ready to use; write
@@ -172,9 +173,15 @@ func NewDecoder(r io.Reader, version uint32) (*Decoder, error) {
 	if n > maxLen {
 		return nil, fmt.Errorf("%w: declared payload length %d exceeds limit", ErrMalformed, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Read at most the declared length, growing the buffer with the bytes
+	// that actually arrive: a header that declares far more than the
+	// stream holds costs what the stream holds, not what it declares.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
+	}
+	if uint64(len(payload)) < n {
+		return nil, fmt.Errorf("%w: payload has %d of %d declared bytes", ErrTruncated, len(payload), n)
 	}
 	var tail [4]byte
 	if _, err := io.ReadFull(r, tail[:]); err != nil {
@@ -253,14 +260,25 @@ func (d *Decoder) Str() string {
 	return string(b)
 }
 
+// Count reads a uint32 element count for a sequence whose elements each
+// occupy at least minSize payload bytes. A count the rest of the payload
+// cannot hold fails the decode with ErrMalformed and reads as 0, so a
+// hostile count can never size an allocation beyond the bytes present.
+func (d *Decoder) Count(minSize int, what string) int {
+	n := int(d.U32())
+	if d.err == nil && n > (len(d.data)-d.off)/minSize {
+		d.fail(what)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
 // F64s reads a length-prefixed []float64 (nil when empty).
 func (d *Decoder) F64s() []float64 {
-	n := int(d.U32())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if d.off+8*n > len(d.data) {
-		d.fail("[]float64")
+	n := d.Count(8, "[]float64")
+	if n == 0 {
 		return nil
 	}
 	out := make([]float64, n)
@@ -272,12 +290,8 @@ func (d *Decoder) F64s() []float64 {
 
 // Bools reads a length-prefixed []bool (nil when empty).
 func (d *Decoder) Bools() []bool {
-	n := int(d.U32())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if d.off+n > len(d.data) {
-		d.fail("[]bool")
+	n := d.Count(1, "[]bool")
+	if n == 0 {
 		return nil
 	}
 	out := make([]bool, n)

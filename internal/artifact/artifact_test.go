@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -136,5 +137,34 @@ func TestVersionCheckedBeforeChecksum(t *testing.T) {
 	raw[8] = 9
 	if _, err := NewDecoder(bytes.NewReader(raw), 2); !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
+	}
+}
+
+// TestDecoderDeclaredLengthBeyondStream: a 28-byte stream whose header
+// declares a 1 GiB payload (within maxLen, so the length check passes) is
+// truncated, and finding that out costs about what the stream holds, not
+// what it declares.
+func TestDecoderDeclaredLengthBeyondStream(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(magic[:])
+	var b [8]byte
+	binary.LittleEndian.PutUint32(b[:4], 1)
+	buf.Write(b[:4])
+	binary.LittleEndian.PutUint64(b[:], maxLen)
+	buf.Write(b[:])
+	buf.Write([]byte("8 bytes."))
+	raw := buf.Bytes()
+	if len(raw) != 28 {
+		t.Fatalf("stream is %d bytes, want 28", len(raw))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewDecoder(bytes.NewReader(raw), 1)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting a 28-byte stream allocated %d bytes", alloc)
 	}
 }

@@ -39,11 +39,8 @@ func (a *Analytic) TrainCtx(ctx context.Context, _ []*planner.Node, _ []float64,
 	return 0, ctx.Err()
 }
 
-// PredictMs prices the plan with the analytic cost formula.
-func (a *Analytic) PredictMs(root *planner.Node) float64 { return a.model.EstimateMs(root) }
-
-// PredictBatch prices every plan; element i equals PredictMs(roots[i])
-// trivially (each plan is priced independently).
+// PredictBatch prices every plan with the analytic cost formula, each
+// independently of the others.
 func (a *Analytic) PredictBatch(roots []*planner.Node) []float64 {
 	if len(roots) == 0 {
 		return nil

@@ -167,7 +167,10 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 	a.Cfg.ProbeSamples = d.Int()
 	a.Cfg.Seed = d.I64()
 
-	nEnvs := int(d.U32())
+	// Counts are checked against the payload left before they size
+	// anything: an environment starts with its 8-byte ID, a snapshot
+	// entry with its 8-byte environment ID and two 4-byte dimensions.
+	nEnvs := d.Count(8, "environment count")
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -188,7 +191,7 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 
 	f := &encoding.Featurizer{Enc: encoding.New(ds.Schema)}
 	if d.Bool() { // snapshot block present
-		nSnaps := int(d.U32())
+		nSnaps := d.Count(16, "snapshot count")
 		if err := d.Err(); err != nil {
 			return nil, err
 		}

@@ -46,14 +46,14 @@ type Estimator interface {
 	// state of the last completed optimizer step. It returns the elapsed
 	// training time together with ctx's error when cancelled.
 	TrainCtx(ctx context.Context, plans []*planner.Node, ms []float64, iters int) (time.Duration, error)
-	PredictMs(root *planner.Node) float64
-	// PredictBatch prices many plans in one vectorized pass; element i is
-	// bit-identical to PredictMs(roots[i]). Batching is owned by the
-	// model layer — callers hand over the whole slice and never chunk.
+	// PredictBatch prices many plans in one vectorized pass; element i
+	// does not depend on the rest of the batch, so a single plan is priced
+	// as a batch of one. Batching is owned by the model layer — callers
+	// hand over the whole slice and never chunk.
 	PredictBatch(roots []*planner.Node) []float64
 	// PredictFeaturizedBatch is PredictBatch over plans whose per-node
 	// feature vectors were computed earlier (the query cache's feature
-	// tier); element i is bit-identical to PredictMs(fps[i].Root).
+	// tier); element i is bit-identical to PredictBatch of fps[i].Root.
 	PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64
 	SetFeaturizer(f *encoding.Featurizer)
 }
@@ -309,7 +309,7 @@ func RunCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment,
 
 // Evaluate computes the full metric summary of a model on test samples.
 // Predictions run through the model's batched inference path, which is
-// bit-identical to per-sample PredictMs.
+// bit-identical to pricing each sample alone.
 func Evaluate(m Estimator, test []workload.Sample) metrics.Summary {
 	actual := make([]float64, len(test))
 	plans := make([]*planner.Node, len(test))

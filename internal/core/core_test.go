@@ -6,6 +6,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dbenv"
 	"repro/internal/encoding"
+	"repro/internal/planner"
 	"repro/internal/workload"
 )
 
@@ -193,7 +194,7 @@ func TestTransferWorkflow(t *testing.T) {
 		t.Fatalf("transfer bookkeeping missing")
 	}
 	// The basis model must be untouched by the transfer retraining.
-	if basis.Model.PredictMs(te2[0].Plan) == 0 {
+	if basis.Model.PredictBatch([]*planner.Node{te2[0].Plan})[0] == 0 {
 		t.Fatalf("basis model broken")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/nn"
+	"repro/internal/nn/nntest"
 )
 
 // trainProbeScalar is the pre-batching probe training loop, kept here as
@@ -26,9 +27,9 @@ func trainProbeScalar(d *Dataset, hidden, epochs int, seed int64) *nn.MLP {
 			sz := 0
 			for i := b; i < b+batch && i < n; i++ {
 				j := rng.Intn(n)
-				y, c := m.Forward(d.X[j])
+				y, c := nntest.Forward(m, d.X[j])
 				diff := y[0] - d.Y[j]
-				m.Backward(c, []float64{2 * diff})
+				nntest.Backward(m, c, []float64{2 * diff})
 				sz++
 			}
 			opt.Step(layers, sz)
@@ -70,15 +71,15 @@ func TestDiffPropScoresMatchesScalar(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(2))
 	refIdx := rng.Perm(len(d.X))[:nRef]
-	refs := make([]*nn.Cache, nRef)
+	refs := make([]*nntest.Cache, nRef)
 	for i, ri := range refIdx {
-		_, refs[i] = m.Forward(d.X[ri])
+		_, refs[i] = nntest.Forward(m, d.X[ri])
 	}
 	dim := len(d.X[0])
 	want := make([]float64, dim)
 	var pairs float64
 	for _, x := range d.X {
-		_, cx := m.Forward(x)
+		_, cx := nntest.Forward(m, x)
 		for _, cr := range refs {
 			mult := refDiffMultipliers(m, cx, cr)
 			for k := 0; k < dim; k++ {
@@ -123,7 +124,7 @@ func TestQErrorOfMatchesScalar(t *testing.T) {
 				}
 				in = buf
 			}
-			sum += metrics.QError(metrics.UnlogMs(d.Y[i]), metrics.UnlogMs(m.Predict(in)[0]))
+			sum += metrics.QError(metrics.UnlogMs(d.Y[i]), metrics.UnlogMs(nntest.Predict(m, in)[0]))
 		}
 		want := sum / float64(len(d.X))
 		if got := QErrorOf(m, d, tc.mask); got != want {

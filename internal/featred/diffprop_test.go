@@ -1,11 +1,13 @@
 package featred
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/nn/nntest"
 	"repro/internal/parallel"
 )
 
@@ -70,12 +72,12 @@ func requireBitwiseEqual(t *testing.T, what string, got, want []float64) {
 // (derivative 1) and inactive side (0).
 func tieBranches(m *nn.MLP, X [][]float64, nRef int, seed int64) (active, inactive int) {
 	refIdx := rand.New(rand.NewSource(seed)).Perm(len(X))[:min(nRef, len(X))]
-	refs := make([]*nn.Cache, len(refIdx))
+	refs := make([]*nntest.Cache, len(refIdx))
 	for i, ri := range refIdx {
-		_, refs[i] = m.Forward(X[ri])
+		_, refs[i] = nntest.Forward(m, X[ri])
 	}
 	for _, x := range X {
-		_, cx := m.Forward(x)
+		_, cx := nntest.Forward(m, x)
 		for _, cr := range refs {
 			for li := 0; li < len(m.Layers)-1; li++ {
 				for i, zx := range cx.Pre[li] {
@@ -157,4 +159,55 @@ func TestDiffPropAllocsIndependentOfRefs(t *testing.T) {
 			t.Fatalf("%v allocations with 160 references, %v with 4: allocations grow with nRef", many, few)
 		}
 	})
+}
+
+// TestGradientScoresMatchesReference requires GradientScores to reproduce
+// the per-sample refGradientScores bit for bit — on the Figure 6 probe
+// shape (46 × 32 × 32 × 1 over 1 563 operator samples, two forward
+// chunks), past a chunk edge, and with repeated rows — and to leave the
+// probe's weights and accumulated gradients exactly as it found them.
+func TestGradientScoresMatchesReference(t *testing.T) {
+	cases := []struct {
+		name   string
+		d      *Dataset
+		hidden int
+	}{
+		{name: "fit shape", d: fitShapedData(1563, 1, 1), hidden: 32},
+		{name: "chunk + 1", d: syntheticData(forwardChunk+1, 7, 3, 3), hidden: 6},
+		{name: "exact ties", d: fitShapedData(301, 3, 5), hidden: 12},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := TrainProbe(tc.d, tc.hidden, 3, 7)
+			// Leave nonzero accumulated gradients behind, so a kernel
+			// that wrote them would show.
+			for _, l := range m.Layers {
+				for i := range l.GW {
+					l.GW[i] = float64(i%5) - 2
+				}
+				for i := range l.GB {
+					l.GB[i] = float64(i%3) + 0.5
+				}
+			}
+			before := m.Clone()
+			for li, l := range m.Layers {
+				copy(before.Layers[li].GW, l.GW)
+				copy(before.Layers[li].GB, l.GB)
+			}
+			want := refGradientScores(m, tc.d.X)
+			requireBitwiseEqual(t, tc.name, GradientScores(m, tc.d.X), want)
+			for li, l := range m.Layers {
+				b := before.Layers[li]
+				for _, p := range []struct {
+					what      string
+					got, want []float64
+				}{{"W", l.W, b.W}, {"B", l.B, b.B}, {"GW", l.GW, b.GW}, {"GB", l.GB, b.GB}} {
+					requireBitwiseEqual(t, fmt.Sprintf("layer %d %s", li, p.what), p.got, p.want)
+				}
+			}
+		})
+	}
+	if got := GradientScores(TrainProbe(syntheticData(10, 3, 1, 1), 4, 1, 1), nil); got != nil {
+		t.Fatalf("GradientScores of no samples = %v, want nil", got)
+	}
 }

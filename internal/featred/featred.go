@@ -189,15 +189,34 @@ func GreedyReduce(m *nn.MLP, d *Dataset) []bool {
 // E|∂y/∂x_k| over the dataset. One-hot dimensions and dead-ReLU regions
 // yield zero gradients, which is precisely the failure mode §IV-B
 // describes.
+//
+// Samples go through the network in batched forwards of forwardChunk
+// rows; each sample's unit output gradient then flows back through the
+// ReLU masks of its cached pre-activations and, per layer, through
+// diffKernel.addWT — whose sums start from +0, skip zero entries and take
+// the layer's outputs in ascending order, the arithmetic of a scalar
+// input-gradient backward. The model's weights and accumulated gradients
+// are only read.
 func GradientScores(m *nn.MLP, X [][]float64) []float64 {
 	if len(X) == 0 {
 		return nil
 	}
-	scores := make([]float64, len(X[0]))
-	for _, x := range X {
-		g := m.InputGradient(x, 0)
-		for k, v := range g {
-			scores[k] += math.Abs(v)
+	dim := len(X[0])
+	kern := newDiffKernel(m, 1)
+	scores := make([]float64, dim)
+	ar := &linalg.Arena{}
+	for base := 0; base < len(X); base += forwardChunk {
+		ar.Reset()
+		end := min(base+forwardChunk, len(X))
+		chunk := ar.Alloc(end-base, dim)
+		for r := base; r < end; r++ {
+			chunk.SetRow(r-base, X[r])
+		}
+		_, xs := m.ForwardBatch(ar, chunk)
+		for s := 0; s < end-base; s++ {
+			for k, v := range kern.inputGradient(m, xs, s) {
+				scores[k] += math.Abs(v)
+			}
 		}
 	}
 	for k := range scores {
@@ -335,6 +354,32 @@ func (k *diffKernel) addWT(d, g, W []float64) {
 			d[i] += gv * w[i]
 		}
 	}
+}
+
+// inputGradient returns ∂out[0]/∂x at row s of the batched forward cache
+// xs: the unit output gradient carried back through every layer's Wᵀ,
+// zeroed wherever the ReLU's pre-activation is not positive. The result
+// lives in k's scratch until the next call.
+func (k *diffKernel) inputGradient(m *nn.MLP, xs *nn.BatchCache, s int) []float64 {
+	last := len(m.Layers) - 1
+	g, spare := k.g[:m.OutDim()], k.next
+	clear(g)
+	g[0] = 1
+	for li := last; li >= 0; li-- {
+		l := m.Layers[li]
+		if li < last {
+			for i, z := range xs.Pre[li].RowView(s)[:len(g)] {
+				if !(z > 0) {
+					g[i] = 0
+				}
+			}
+		}
+		dx := spare[:l.In]
+		clear(dx)
+		k.addWT(dx, g, l.W)
+		g, spare = dx, g[:cap(g)]
+	}
+	return g
 }
 
 // price writes sample s's contributions |Δy/Δx_k · (x_k − ref_k)| against

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/nn"
+	"repro/internal/nn/nntest"
 )
 
 // This file keeps difference propagation as it was before DiffPropScores
@@ -40,9 +41,9 @@ func refDiffPropScores(m *nn.MLP, X [][]float64, nRef int, seed int64) []float64
 	// Reference caches persist across every chunk, so they come from the
 	// heap (nil arena); chunk caches die with their chunk.
 	_, refCache := m.ForwardBatch(nil, refMat)
-	refs := make([]*nn.Cache, nRef)
+	refs := make([]*nntest.Cache, nRef)
 	for i := range refs {
-		refs[i] = refCache.Sample(i)
+		refs[i] = nntest.Sample(refCache, i)
 	}
 	dim := len(X[0])
 	scores := make([]float64, dim)
@@ -61,7 +62,7 @@ func refDiffPropScores(m *nn.MLP, X [][]float64, nRef int, seed int64) []float64
 		_, chunkCache := m.ForwardBatch(ar, chunk)
 		for r := base; r < end; r++ {
 			x := X[r]
-			cx := chunkCache.Sample(r - base)
+			cx := nntest.Sample(chunkCache, r-base)
 			for _, cr := range refs {
 				mult := refDiffMultipliers(m, cx, cr)
 				ref := cr.Act[0]
@@ -86,7 +87,7 @@ func refDiffPropScores(m *nn.MLP, X [][]float64, nRef int, seed int64) []float64
 // the rescale rule: linear layers propagate exactly (Wᵀ), ReLU layers
 // scale by Δa/Δz (falling back to the local derivative when Δz ≈ 0). This
 // is the well-defined form of the telescoping product in Equation 1.
-func refDiffMultipliers(m *nn.MLP, cx, cr *nn.Cache) []float64 {
+func refDiffMultipliers(m *nn.MLP, cx, cr *nntest.Cache) []float64 {
 	g := []float64{1} // multiplier at the scalar output
 	for li := len(m.Layers) - 1; li >= 0; li-- {
 		if li < len(m.Layers)-1 {
@@ -117,4 +118,27 @@ func refDiffMultipliers(m *nn.MLP, cx, cr *nn.Cache) []float64 {
 		g = dx
 	}
 	return g
+}
+
+// refGradientScores is GradientScores as it was before it ran on the
+// batched forward: one scalar input-gradient pass (its own scalar forward
+// included) per sample, on one goroutine. TestGradientScoresMatchesReference
+// requires the two to agree bitwise. The body is verbatim apart from the
+// ref prefix and the oracle call, which was the MLP's InputGradient method
+// before it moved to nntest.
+func refGradientScores(m *nn.MLP, X [][]float64) []float64 {
+	if len(X) == 0 {
+		return nil
+	}
+	scores := make([]float64, len(X[0]))
+	for _, x := range X {
+		g := nntest.InputGradient(m, x, 0)
+		for k, v := range g {
+			scores[k] += math.Abs(v)
+		}
+	}
+	for k := range scores {
+		scores[k] /= float64(len(X))
+	}
+	return scores
 }

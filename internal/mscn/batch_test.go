@@ -9,8 +9,8 @@ import (
 
 // TestPredictFeaturizedBatchBitIdentical asserts the feature-tier
 // inference path (cached per-node vectors, the query cache's hit path)
-// equals both the batched and the per-sample paths bit for bit, across
-// chunk boundaries.
+// equals both the batched and the per-sample scalar paths bit for bit,
+// across chunk boundaries and in batches of one.
 func TestPredictFeaturizedBatchBitIdentical(t *testing.T) {
 	f := testFeaturizer()
 	m := New(f, 1)
@@ -22,9 +22,16 @@ func TestPredictFeaturizedBatchBitIdentical(t *testing.T) {
 	}
 	got := m.PredictFeaturizedBatch(fps)
 	want := m.PredictBatch(plans)
-	for i := range plans {
+	for i, p := range plans {
 		if got[i] != want[i] {
 			t.Fatalf("plan %d: PredictFeaturizedBatch %v != PredictBatch %v", i, got[i], want[i])
+		}
+		s := m.predictMsReference(p)
+		if got[i] != s {
+			t.Fatalf("plan %d: PredictFeaturizedBatch %v != scalar reference %v", i, got[i], s)
+		}
+		if one := m.PredictFeaturizedBatch(fps[i : i+1])[0]; one != s {
+			t.Fatalf("plan %d: PredictFeaturizedBatch of one %v != scalar reference %v", i, one, s)
 		}
 	}
 	if out := m.PredictFeaturizedBatch(nil); out != nil {
@@ -33,7 +40,9 @@ func TestPredictFeaturizedBatchBitIdentical(t *testing.T) {
 }
 
 // TestPredictBatchBitIdentical asserts the batched inference path equals
-// the per-sample path bit for bit, including after training.
+// the per-sample scalar path bit for bit, including after training, both
+// for the whole batch and for every plan priced as a batch of one (the
+// single-plan path).
 func TestPredictBatchBitIdentical(t *testing.T) {
 	m := New(testFeaturizer(), 1)
 	plans, ms := synthPlans(80, 2)
@@ -43,8 +52,12 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 		t.Fatalf("batch size = %d, want %d", len(batch), len(plans))
 	}
 	for i, p := range plans {
-		if s := m.PredictMs(p); batch[i] != s {
-			t.Fatalf("plan %d: PredictBatch %v != PredictMs %v", i, batch[i], s)
+		s := m.predictMsReference(p)
+		if batch[i] != s {
+			t.Fatalf("plan %d: PredictBatch %v != scalar reference %v", i, batch[i], s)
+		}
+		if one := m.PredictBatch(plans[i : i+1])[0]; one != s {
+			t.Fatalf("plan %d: PredictBatch of one %v != scalar reference %v", i, one, s)
 		}
 	}
 	if out := m.PredictBatch(nil); out != nil {
@@ -60,8 +73,8 @@ func TestPredictBatchChunking(t *testing.T) {
 	plans, _ := synthPlans(900, 11) // ~1350 nodes → several chunks
 	batch := m.PredictBatch(plans)
 	for i, p := range plans {
-		if s := m.PredictMs(p); batch[i] != s {
-			t.Fatalf("plan %d: chunked PredictBatch %v != PredictMs %v", i, batch[i], s)
+		if s := m.predictMsReference(p); batch[i] != s {
+			t.Fatalf("plan %d: chunked PredictBatch %v != scalar reference %v", i, batch[i], s)
 		}
 	}
 }
@@ -121,8 +134,8 @@ func TestTrainMatchesReference(t *testing.T) {
 // from several goroutines at once — the serving daemons' situation — with
 // batch sizes on both sides of predictChunkNodes, so calls take pooled
 // scratch of every size back and forth. Every output must equal the
-// serial PredictMs bit for bit: a call that read another call's arena
-// would show here (and under -race).
+// serial scalar reference bit for bit: a call that read another call's
+// arena would show here (and under -race).
 func TestPredictConcurrentBitIdentical(t *testing.T) {
 	f := testFeaturizer()
 	m := New(f, 3)
@@ -131,7 +144,7 @@ func TestPredictConcurrentBitIdentical(t *testing.T) {
 	want := make([]float64, len(plans))
 	fps := make([]*encoding.FeaturizedPlan, len(plans))
 	for i, p := range plans {
-		want[i] = m.PredictMs(p)
+		want[i] = m.predictMsReference(p)
 		fps[i] = f.Featurize(p)
 	}
 	const workers = 8
@@ -152,7 +165,7 @@ func TestPredictConcurrentBitIdentical(t *testing.T) {
 				}
 				for i, v := range got {
 					if v != want[lo+i] {
-						t.Errorf("worker %d round %d: plan %d = %v, serial PredictMs %v", w, round, lo+i, v, want[lo+i])
+						t.Errorf("worker %d round %d: plan %d = %v, serial reference %v", w, round, lo+i, v, want[lo+i])
 						return
 					}
 				}

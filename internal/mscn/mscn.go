@@ -8,12 +8,13 @@
 // every plan node, embeddings are average-pooled, and a merge network maps
 // the pooled vector to the predicted log-cost.
 //
-// Training and batch inference run vector-at-a-time: every minibatch
-// gathers its plans' node features into one matrix and drives the batched
-// nn kernels, which preserve the scalar path's accumulation order — so
-// Train is bit-identical to the per-sample reference trainer at any batch
-// size (TrainReference, which lives in reference_test.go as the tests'
-// oracle), and PredictBatch to PredictMs.
+// Training and inference run vector-at-a-time — a single plan is priced
+// as a batch of one: every minibatch or inference chunk gathers its
+// plans' node features into one matrix and drives the batched nn kernels,
+// which preserve the scalar path's accumulation order. Train is therefore
+// bit-identical to the per-sample reference trainer at any batch size,
+// and PredictBatch to the per-plan scalar forward; both oracles live in
+// reference_test.go.
 package mscn
 
 import (
@@ -74,40 +75,6 @@ func (m *Model) batch() int {
 	return batchSize
 }
 
-type forwardCache struct {
-	nodeCaches []*nn.Cache
-	pooled     []float64
-	outCache   *nn.Cache
-	out        float64
-	n          int
-}
-
-func (m *Model) forward(root *planner.Node) *forwardCache {
-	fc := &forwardCache{pooled: make([]float64, m.SetNet.OutDim())}
-	root.Walk(func(n *planner.Node) {
-		emb, c := m.SetNet.Forward(m.F.Node(n))
-		fc.nodeCaches = append(fc.nodeCaches, c)
-		for i, v := range emb {
-			fc.pooled[i] += v
-		}
-		fc.n++
-	})
-	inv := 1 / float64(fc.n)
-	for i := range fc.pooled {
-		fc.pooled[i] *= inv
-	}
-	y, oc := m.OutNet.Forward(fc.pooled)
-	fc.outCache = oc
-	fc.out = y[0]
-	return fc
-}
-
-// PredictMs estimates the plan's execution time in milliseconds.
-func (m *Model) PredictMs(root *planner.Node) float64 {
-	fc := m.forward(root)
-	return metrics.UnlogMs(fc.out)
-}
-
 // predictChunkNodes bounds how many node rows one inference batch
 // materializes at a time, so pricing an arbitrarily large workload keeps
 // bounded memory. Plans are independent, so chunking cannot change
@@ -137,7 +104,8 @@ func (sc *inferScratch) release() {
 // PredictBatch estimates every plan's execution time batched: all nodes
 // of a chunk of plans go through the set network as a single matrix,
 // pooled per plan, and the pooled batch goes through the merge network.
-// Output i is bit-identical to PredictMs(roots[i]).
+// Output i does not depend on the other plans in the batch: it is
+// bit-identical to pricing roots[i] alone, as a batch of one.
 func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 	return m.predictChunks(len(roots),
 		func(i int) int { return roots[i].CountNodes() },
@@ -148,7 +116,7 @@ func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 // query cache's feature tier): node features come from the cached
 // pre-order rows instead of the featurizer, and everything downstream —
 // chunk boundaries, set-network batching, pooling order — is identical,
-// so output i is bit-identical to PredictMs(fps[i].Root).
+// so output i is bit-identical to PredictBatch of fps[i].Root.
 func (m *Model) PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64 {
 	return m.predictChunks(len(fps),
 		func(i int) int { return fps[i].NumNodes() },

@@ -44,11 +44,7 @@ func TestMSCNLearns(t *testing.T) {
 	plans, ms := synthPlans(300, 2)
 	m.Train(plans, ms, 400)
 	testPlans, testMs := synthPlans(60, 3)
-	pred := make([]float64, len(testPlans))
-	for i, p := range testPlans {
-		pred[i] = m.PredictMs(p)
-	}
-	s := metrics.Summarize(testMs, pred)
+	s := metrics.Summarize(testMs, m.PredictBatch(testPlans))
 	if s.Pearson < 0.9 {
 		t.Fatalf("pearson = %v", s.Pearson)
 	}
@@ -65,7 +61,7 @@ func TestMSCNPooling(t *testing.T) {
 	m := New(testFeaturizer(), 4)
 	scan := &planner.Node{Op: planner.SeqScan, Table: "t", EstRows: 5000, EstIn1: 5000, EstWidth: 16, Limit: -1}
 	wrapped := &planner.Node{Op: planner.Materialize, Children: []*planner.Node{scan}, EstRows: 5000, EstIn1: 5000, EstWidth: 16, Limit: -1}
-	if m.PredictMs(scan) == m.PredictMs(wrapped) {
+	if got := m.PredictBatch([]*planner.Node{scan, wrapped}); got[0] == got[1] {
 		t.Fatalf("pooling ignores plan structure")
 	}
 }
@@ -75,9 +71,9 @@ func TestMSCNCloneIndependent(t *testing.T) {
 	plans, ms := synthPlans(50, 4)
 	m.Train(plans, ms, 50)
 	c := m.Clone()
-	before := c.PredictMs(plans[0])
+	before := c.PredictBatch(plans[:1])[0]
 	m.Train(plans, ms, 100)
-	if c.PredictMs(plans[0]) != before {
+	if c.PredictBatch(plans[:1])[0] != before {
 		t.Fatalf("clone shares state")
 	}
 }
@@ -101,8 +97,8 @@ func TestMSCNNonNegativeAndNamed(t *testing.T) {
 		t.Fatalf("name = %q", m.Name())
 	}
 	plans, _ := synthPlans(10, 5)
-	for _, p := range plans {
-		if v := m.PredictMs(p); v < 0 {
+	for _, v := range m.PredictBatch(plans) {
+		if v < 0 {
 			t.Fatalf("negative prediction")
 		}
 	}

@@ -1,13 +1,14 @@
 // Batched (vector-at-a-time) execution for the nn package.
 //
-// Every routine here is the batch counterpart of a scalar routine in nn.go
-// and is **bit-identical** to running that scalar routine once per row:
-// each output element and each gradient accumulator receives exactly the
-// same floating-point additions in exactly the same order as the scalar
-// path. That rule — same accumulation order as the scalar path — is what
-// lets PredictBatch/EstimateBatch and minibatch training reproduce the
-// per-sample results down to the last bit (see docs/ARCHITECTURE.md,
-// "Batched execution"). The speedup comes from amortized allocation,
+// Every routine here is the batch counterpart of a scalar routine in the
+// test-only oracle package nntest and is **bit-identical** to running that
+// scalar routine once per row: each output element and each gradient
+// accumulator receives exactly the same floating-point additions in
+// exactly the same order as the scalar path. That rule — same
+// accumulation order as the scalar path — is what makes a batch of one,
+// a batch of many and minibatch training reproduce the per-sample results
+// down to the last bit (see docs/ARCHITECTURE.md, "Batched execution").
+// The speedup comes from amortized allocation,
 // weight-row reuse across the batch, and multiple independent
 // accumulation chains hiding FP-add latency — never from reordering the
 // arithmetic inside one sample.
@@ -51,7 +52,7 @@ func allocFloats(a *linalg.Arena, n int) []float64 {
 }
 
 // ForwardBatch computes y = W·x + b for every row of x. Row n of the
-// result is bit-identical to Forward(x.Row(n)).
+// result is bit-identical to the scalar forward of x.Row(n).
 func (l *Linear) ForwardBatch(a *linalg.Arena, x *linalg.Matrix) *linalg.Matrix {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: Linear batch forward got %d inputs, want %d", x.Cols, l.In))
@@ -99,7 +100,7 @@ func (l *Linear) ForwardBatch(a *linalg.Arena, x *linalg.Matrix) *linalg.Matrix 
 
 // BackwardBatch accumulates dL/dW and dL/dB over every row of (x, dy) and
 // returns dL/dx. Gradient accumulators receive per-row contributions in
-// row order — the order the scalar Backward would produce when called once
+// row order — the order the scalar backward would produce when called once
 // per row — so minibatch training is bit-identical to the per-sample loop.
 func (l *Linear) BackwardBatch(a *linalg.Arena, x, dy *linalg.Matrix) *linalg.Matrix {
 	if x.Cols != l.In || dy.Cols != l.Out || x.Rows != dy.Rows {
@@ -232,11 +233,11 @@ func (l *Linear) AccumulateBatch(x, dy *linalg.Matrix) {
 	}
 }
 
-// BackwardTail is Backward restricted to the trailing `tail` entries of
-// the returned input gradient: dL/dW and dL/dB accumulate identically to
-// Backward (same order), but dx is only produced for inputs [In-tail, In)
-// — nil when tail is 0. QPPNet consumes only the child-sum suffix of its
-// input gradient, and leaves consume nothing.
+// BackwardTail is the scalar backward restricted to the trailing `tail`
+// entries of the returned input gradient: dL/dW and dL/dB accumulate
+// identically to the full backward (same order), but dx is only produced
+// for inputs [In-tail, In) — nil when tail is 0. QPPNet consumes only the
+// child-sum suffix of its input gradient, and leaves consume nothing.
 func (l *Linear) BackwardTail(a *linalg.Arena, x, dy []float64, tail int) []float64 {
 	if tail < 0 || tail > l.In {
 		panic(fmt.Sprintf("nn: BackwardTail tail %d out of range for In %d", tail, l.In))
@@ -267,8 +268,8 @@ func (l *Linear) BackwardTail(a *linalg.Arena, x, dy []float64, tail int) []floa
 	return dx
 }
 
-// backwardRow is the scalar Backward with arena-backed dx, used by the
-// per-sample tree backward inside batched training.
+// backwardRow is the scalar backward of one row with arena-backed dx,
+// used by the per-sample tree backward inside batched training.
 func (l *Linear) backwardRow(a *linalg.Arena, x, dy []float64) []float64 {
 	dx := allocFloats(a, l.In)
 	for i := range dx {
@@ -290,35 +291,19 @@ func (l *Linear) backwardRow(a *linalg.Arena, x, dy []float64) []float64 {
 	return dx
 }
 
-// BatchCache is the batched analogue of Cache: Act[0] is the input batch,
+// BatchCache caches one batched forward pass: Act[0] is the input batch,
 // Act[i] the activation batch after layer i, Pre[i] the pre-activation
-// batch of layer i. Sample(n) exposes one row as a scalar Cache.
+// batch of layer i. Backward passes and difference propagation read it
+// row by row.
 type BatchCache struct {
 	Act []*linalg.Matrix
 	Pre []*linalg.Matrix
 }
 
-// Sample returns row n of the batch as a scalar Cache of row views (no
-// data copying). The views alias the batch matrices; callers must treat
-// them as read-only, which every consumer (Backward, difference
-// propagation) does.
-func (c *BatchCache) Sample(n int) *Cache {
-	s := &Cache{
-		Act: make([][]float64, len(c.Act)),
-		Pre: make([][]float64, len(c.Pre)),
-	}
-	for i, m := range c.Act {
-		s.Act[i] = m.RowView(n)
-	}
-	for i, m := range c.Pre {
-		s.Pre[i] = m.RowView(n)
-	}
-	return s
-}
-
 // ForwardBatch runs the network over a batch of row vectors and returns
 // the output batch plus the batched activation cache. Row n of the output
-// (and of every cache matrix) is bit-identical to Forward(x.Row(n)).
+// (and of every cache matrix) is bit-identical to the scalar forward of
+// x.Row(n).
 func (m *MLP) ForwardBatch(a *linalg.Arena, x *linalg.Matrix) (*linalg.Matrix, *BatchCache) {
 	c := &BatchCache{
 		Act: make([]*linalg.Matrix, 0, len(m.Layers)+1),
@@ -367,7 +352,7 @@ func (m *MLP) PredictBatch(a *linalg.Arena, x *linalg.Matrix) *linalg.Matrix {
 // BackwardBatch propagates a batch of output gradients through the cached
 // batched pass, accumulating layer gradients, and returns the batch of
 // input gradients. Accumulators see per-row contributions in row order —
-// bit-identical to calling Backward once per row, in order.
+// bit-identical to the scalar backward called once per row, in order.
 func (m *MLP) BackwardBatch(a *linalg.Arena, c *BatchCache, dOut *linalg.Matrix) *linalg.Matrix {
 	g := dOut
 	for li := len(m.Layers) - 1; li >= 0; li-- {
@@ -412,11 +397,11 @@ func reluMaskBatch(a *linalg.Arena, pre, g *linalg.Matrix) *linalg.Matrix {
 }
 
 // BackwardTailRow backpropagates one row of a batched cache through the
-// network, accumulating parameter gradients exactly like Backward on that
-// row, and produces only the trailing `tail` entries of the input
-// gradient. This is the per-sample tree backward of QPPNet's batched
-// training: row views keep it allocation-free on the arena, and running
-// samples one at a time keeps accumulation in the scalar order.
+// network, accumulating parameter gradients exactly like the scalar
+// backward on that row, and produces only the trailing `tail` entries of
+// the input gradient. This is the per-sample tree backward of QPPNet's
+// batched training: row views keep it allocation-free on the arena, and
+// running samples one at a time keeps accumulation in the scalar order.
 func (m *MLP) BackwardTailRow(a *linalg.Arena, c *BatchCache, row int, dOut []float64, tail int) []float64 {
 	g := dOut
 	for li := len(m.Layers) - 1; li >= 0; li-- {

@@ -1,10 +1,12 @@
-package nn
+package nn_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/nn"
+	"repro/internal/nn/nntest"
 )
 
 func randBatch(rng *rand.Rand, rows, cols int) *linalg.Matrix {
@@ -20,14 +22,14 @@ func randBatch(rng *rand.Rand, rows, cols int) *linalg.Matrix {
 // within a tolerance — with and without an arena.
 func TestForwardBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := NewMLP([]int{13, 9, 5, 3}, rng)
+	m := nn.NewMLP([]int{13, 9, 5, 3}, rng)
 	x := randBatch(rng, 17, 13)
 
 	for _, ar := range []*linalg.Arena{nil, {}} {
 		yb, cb := m.ForwardBatch(ar, x)
 		pb := m.PredictBatch(ar, x)
 		for n := 0; n < x.Rows; n++ {
-			ys, cs := m.Forward(x.Row(n))
+			ys, cs := nntest.Forward(m, x.Row(n))
 			for k, v := range ys {
 				if yb.At(n, k) != v {
 					t.Fatalf("row %d out[%d]: batch %v != scalar %v", n, k, yb.At(n, k), v)
@@ -36,7 +38,7 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 					t.Fatalf("row %d PredictBatch[%d]: %v != %v", n, k, pb.At(n, k), v)
 				}
 			}
-			view := cb.Sample(n)
+			view := nntest.Sample(cb, n)
 			for li := range cs.Pre {
 				for i := range cs.Pre[li] {
 					if view.Pre[li][i] != cs.Pre[li][i] {
@@ -57,7 +59,7 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 // and requires identical results — stale slab contents must never leak.
 func TestArenaReuseStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	m := NewMLP([]int{11, 7, 2}, rng)
+	m := nn.NewMLP([]int{11, 7, 2}, rng)
 	x := randBatch(rng, 9, 11)
 	ar := &linalg.Arena{}
 	first, _ := m.ForwardBatch(ar, x)
@@ -78,7 +80,7 @@ func TestArenaReuseStable(t *testing.T) {
 // requires identical accumulated gradients and identical input gradients.
 func TestBackwardBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := NewMLP([]int{8, 6, 4}, rng)
+	m := nn.NewMLP([]int{8, 6, 4}, rng)
 	ref := m.Clone()
 	const batch = 9
 	x := randBatch(rng, batch, 8)
@@ -92,8 +94,8 @@ func TestBackwardBatchBitIdentical(t *testing.T) {
 
 	dxs := linalg.NewMatrix(batch, 8)
 	for n := 0; n < batch; n++ {
-		_, c := ref.Forward(x.Row(n))
-		dxs.SetRow(n, ref.Backward(c, dOut.Row(n)))
+		_, c := nntest.Forward(ref, x.Row(n))
+		dxs.SetRow(n, nntest.Backward(ref, c, dOut.Row(n)))
 	}
 
 	for i := range dxb.Data {
@@ -104,7 +106,7 @@ func TestBackwardBatchBitIdentical(t *testing.T) {
 	gradsEqual(t, m, ref)
 }
 
-func gradsEqual(t *testing.T, a, b *MLP) {
+func gradsEqual(t *testing.T, a, b *nn.MLP) {
 	t.Helper()
 	for li := range a.Layers {
 		for i, g := range a.Layers[li].GW {
@@ -126,7 +128,7 @@ func gradsEqual(t *testing.T, a, b *MLP) {
 // suffix of the full input gradient.
 func TestGradientOnlyVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	full := NewMLP([]int{10, 6, 3}, rng)
+	full := nn.NewMLP([]int{10, 6, 3}, rng)
 	noInput := full.Clone()
 	tailed := full.Clone()
 	const batch, tail = 7, 4
@@ -165,7 +167,7 @@ func TestGradientOnlyVariants(t *testing.T) {
 		if got := noDx.BackwardTailRow(nil, cz, n, dOut.Row(n), 0); got != nil {
 			t.Fatalf("tail=0 should return nil, got %v", got)
 		}
-		ref.Backward(cr.Sample(n), dOut.Row(n))
+		nntest.Backward(ref, nntest.Sample(cr, n), dOut.Row(n))
 	}
 	gradsEqual(t, noDx, ref)
 }
@@ -175,9 +177,9 @@ func TestGradientOnlyVariants(t *testing.T) {
 // a time — and requires bit-identical weights afterwards.
 func TestBatchedTrainingTrajectory(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	mb := NewMLP([]int{10, 8, 1}, rng)
+	mb := nn.NewMLP([]int{10, 8, 1}, rng)
 	ms := mb.Clone()
-	optB, optS := NewAdam(0.01), NewAdam(0.01)
+	optB, optS := nn.NewAdam(0.01), nn.NewAdam(0.01)
 	const batch, steps = 6, 12
 
 	data := randBatch(rng, 64, 10)
@@ -205,15 +207,15 @@ func TestBatchedTrainingTrajectory(t *testing.T) {
 			dOut.Data[b] = 2 * (out.Data[b] - y[b])
 		}
 		mb.BackwardBatch(ar, c, dOut)
-		optB.Step(LayersOf(mb), batch)
+		optB.Step(nn.LayersOf(mb), batch)
 
 		// Scalar arm, same draws.
 		for b := 0; b < batch; b++ {
 			j := drawsS.Intn(64)
-			out, c := ms.Forward(data.Row(j))
-			ms.Backward(c, []float64{2 * (out[0] - targets[j])})
+			out, c := nntest.Forward(ms, data.Row(j))
+			nntest.Backward(ms, c, []float64{2 * (out[0] - targets[j])})
 		}
-		optS.Step(LayersOf(ms), batch)
+		optS.Step(nn.LayersOf(ms), batch)
 	}
 
 	for li := range mb.Layers {
@@ -232,7 +234,7 @@ func TestBatchedTrainingTrajectory(t *testing.T) {
 
 func TestForwardBatchDimensionPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	l := NewLinear(4, 2, rng)
+	l := nn.NewLinear(4, 2, rng)
 	for _, fn := range []func(){
 		func() { l.ForwardBatch(nil, linalg.NewMatrix(3, 5)) },
 		func() { l.BackwardBatch(nil, linalg.NewMatrix(3, 4), linalg.NewMatrix(2, 2)) },

@@ -7,21 +7,8 @@ import (
 	"repro/internal/linalg"
 )
 
-func BenchmarkMLPForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := NewMLP([]int{64, 32, 32, 16}, rng)
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(x)
-	}
-}
-
-// BenchmarkMLPForwardBatch32 reports per-sample cost of the batched
-// forward at batch 32; compare against BenchmarkMLPForward.
+// BenchmarkMLPForwardBatch32 reports the cost of the batched forward at
+// batch 32.
 func BenchmarkMLPForwardBatch32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMLP([]int{64, 32, 32, 16}, rng)
@@ -37,32 +24,8 @@ func BenchmarkMLPForwardBatch32(b *testing.B) {
 	}
 }
 
-// BenchmarkMLPTrainIterScalar is one 32-sample training iteration
-// (forward + backward per sample, then an Adam step) on the scalar path.
-func BenchmarkMLPTrainIterScalar(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := NewMLP([]int{64, 32, 32, 1}, rng)
-	opt := NewAdam(0.001)
-	layers := LayersOf(m)
-	xs := make([][]float64, 32)
-	for n := range xs {
-		xs[n] = make([]float64, 64)
-		for i := range xs[n] {
-			xs[n][i] = rng.NormFloat64()
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for n := range xs {
-			y, c := m.Forward(xs[n])
-			m.Backward(c, []float64{2 * y[0]})
-		}
-		opt.Step(layers, len(xs))
-	}
-}
-
-// BenchmarkMLPTrainIterBatch is the same 32-sample training iteration on
-// the batched path.
+// BenchmarkMLPTrainIterBatch is one 32-sample training iteration: a
+// batched forward and backward, then an Adam step.
 func BenchmarkMLPTrainIterBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMLP([]int{64, 32, 32, 1}, rng)
@@ -83,22 +46,6 @@ func BenchmarkMLPTrainIterBatch(b *testing.B) {
 		}
 		m.BackwardBatchNoInput(ar, c, dOut)
 		opt.Step(layers, 32)
-	}
-}
-
-func BenchmarkMLPForwardBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := NewMLP([]int{64, 32, 32, 16}, rng)
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	dOut := make([]float64, 16)
-	dOut[0] = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, c := m.Forward(x)
-		m.Backward(c, dOut)
 	}
 }
 

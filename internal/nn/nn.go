@@ -3,14 +3,15 @@
 // Adam optimizer. It replaces the PyTorch dependency of the original QPPNet
 // and MSCN implementations.
 //
-// The design exposes per-layer pre-activations and activations on every
-// forward pass because the paper's difference-propagation feature reduction
-// (Equation 1) is defined over layer activations, and the gradient baseline
-// needs exact input gradients through ReLU.
+// Every pass runs vector-at-a-time (batch.go). ForwardBatch exposes
+// per-layer pre-activations and activations because the paper's
+// difference-propagation feature reduction (Equation 1) is defined over
+// layer activations, and the gradient baseline needs exact input
+// gradients through the ReLU masks. The scalar one-sample passes the
+// batched kernels are pinned to live in the test-only package nntest.
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -39,43 +40,6 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 		l.W[i] = (rng.Float64()*2 - 1) * bound
 	}
 	return l
-}
-
-// Forward computes W·x + b.
-func (l *Linear) Forward(x []float64) []float64 {
-	if len(x) != l.In {
-		panic(fmt.Sprintf("nn: Linear forward got %d inputs, want %d", len(x), l.In))
-	}
-	y := make([]float64, l.Out)
-	for o := 0; o < l.Out; o++ {
-		row := l.W[o*l.In : (o+1)*l.In]
-		s := l.B[o]
-		for i, w := range row {
-			s += w * x[i]
-		}
-		y[o] = s
-	}
-	return y
-}
-
-// Backward accumulates dL/dW and dL/dB given the layer input x and the
-// upstream gradient dy, and returns dL/dx.
-func (l *Linear) Backward(x, dy []float64) []float64 {
-	dx := make([]float64, l.In)
-	for o := 0; o < l.Out; o++ {
-		g := dy[o]
-		if g == 0 {
-			continue
-		}
-		l.GB[o] += g
-		row := l.W[o*l.In : (o+1)*l.In]
-		grow := l.GW[o*l.In : (o+1)*l.In]
-		for i := range row {
-			grow[i] += g * x[i]
-			dx[i] += g * row[i]
-		}
-	}
-	return dx
 }
 
 // ZeroGrad clears accumulated gradients.
@@ -126,100 +90,6 @@ func (m *MLP) InDim() int { return m.Layers[0].In }
 
 // OutDim reports the output width.
 func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].Out }
-
-// Cache stores one forward pass: Act[0] is the input, Act[i] the activation
-// after layer i (post-ReLU for hidden layers), Pre[i] the pre-activation of
-// layer i. Difference propagation and backprop both consume it.
-type Cache struct {
-	Act [][]float64
-	Pre [][]float64
-}
-
-// Forward runs the network and returns the output plus the activation
-// cache.
-func (m *MLP) Forward(x []float64) ([]float64, *Cache) {
-	c := &Cache{Act: make([][]float64, 0, len(m.Layers)+1), Pre: make([][]float64, 0, len(m.Layers))}
-	c.Act = append(c.Act, x)
-	h := x
-	for li, l := range m.Layers {
-		z := l.Forward(h)
-		c.Pre = append(c.Pre, z)
-		if li < len(m.Layers)-1 {
-			a := make([]float64, len(z))
-			for i, v := range z {
-				if v > 0 {
-					a[i] = v
-				}
-			}
-			h = a
-		} else {
-			h = z
-		}
-		c.Act = append(c.Act, h)
-	}
-	return h, c
-}
-
-// Predict runs the network and returns only the output.
-func (m *MLP) Predict(x []float64) []float64 {
-	y, _ := m.Forward(x)
-	return y
-}
-
-// Backward propagates dL/dOut through the cached pass, accumulating layer
-// gradients, and returns dL/dInput.
-func (m *MLP) Backward(c *Cache, dOut []float64) []float64 {
-	g := dOut
-	for li := len(m.Layers) - 1; li >= 0; li-- {
-		if li < len(m.Layers)-1 {
-			// Undo ReLU: gradient flows only where pre-activation > 0.
-			pre := c.Pre[li]
-			masked := make([]float64, len(g))
-			for i := range g {
-				if pre[i] > 0 {
-					masked[i] = g[i]
-				}
-			}
-			g = masked
-		}
-		g = m.Layers[li].Backward(c.Act[li], g)
-	}
-	return g
-}
-
-// InputGradient returns d out[k] / d x at x (exact, through ReLU masks)
-// without touching accumulated parameter gradients.
-func (m *MLP) InputGradient(x []float64, k int) []float64 {
-	_, c := m.Forward(x)
-	dOut := make([]float64, m.OutDim())
-	dOut[k] = 1
-	g := dOut
-	for li := len(m.Layers) - 1; li >= 0; li-- {
-		if li < len(m.Layers)-1 {
-			pre := c.Pre[li]
-			masked := make([]float64, len(g))
-			for i := range g {
-				if pre[i] > 0 {
-					masked[i] = g[i]
-				}
-			}
-			g = masked
-		}
-		l := m.Layers[li]
-		dx := make([]float64, l.In)
-		for o := 0; o < l.Out; o++ {
-			if g[o] == 0 {
-				continue
-			}
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i := range row {
-				dx[i] += g[o] * row[i]
-			}
-		}
-		g = dx
-	}
-	return g
-}
 
 // ZeroGrad clears every layer's gradients.
 func (m *MLP) ZeroGrad() {

@@ -1,15 +1,18 @@
-package nn
+package nn_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/nn"
+	"repro/internal/nn/nntest"
 )
 
 func TestLinearForwardKnown(t *testing.T) {
-	l := &Linear{In: 2, Out: 1, W: []float64{2, 3}, B: []float64{1}, GW: make([]float64, 2), GB: make([]float64, 1)}
-	y := l.Forward([]float64{4, 5})
+	l := &nn.Linear{In: 2, Out: 1, W: []float64{2, 3}, B: []float64{1}, GW: make([]float64, 2), GB: make([]float64, 1)}
+	y := nntest.LinearForward(l, []float64{4, 5})
 	if y[0] != 2*4+3*5+1 {
 		t.Fatalf("forward = %v", y)
 	}
@@ -21,21 +24,21 @@ func TestLinearDimPanics(t *testing.T) {
 			t.Fatalf("expected panic")
 		}
 	}()
-	NewLinear(3, 1, rand.New(rand.NewSource(1))).Forward([]float64{1, 2})
+	nntest.LinearForward(nn.NewLinear(3, 1, rand.New(rand.NewSource(1))), []float64{1, 2})
 }
 
 func TestLinearBackwardMatchesNumericalGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	l := NewLinear(4, 3, rng)
+	l := nn.NewLinear(4, 3, rng)
 	x := []float64{0.5, -1, 2, 0.1}
 	// Scalar loss = sum(y).
 	dy := []float64{1, 1, 1}
 	l.ZeroGrad()
-	dx := l.Backward(x, dy)
+	dx := nntest.LinearBackward(l, x, dy)
 
 	const eps = 1e-6
 	loss := func() float64 {
-		y := l.Forward(x)
+		y := nntest.LinearForward(l, x)
 		return y[0] + y[1] + y[2]
 	}
 	for i := range l.W {
@@ -66,23 +69,23 @@ func TestLinearBackwardMatchesNumericalGradient(t *testing.T) {
 
 func TestMLPBackwardMatchesNumericalGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := NewMLP([]int{5, 8, 8, 1}, rng)
+	m := nn.NewMLP([]int{5, 8, 8, 1}, rng)
 	x := make([]float64, 5)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
 	m.ZeroGrad()
-	_, c := m.Forward(x)
-	m.Backward(c, []float64{1})
+	_, c := nntest.Forward(m, x)
+	nntest.Backward(m, c, []float64{1})
 
 	const eps = 1e-6
 	l0 := m.Layers[0]
 	for i := 0; i < len(l0.W); i += 7 {
 		orig := l0.W[i]
 		l0.W[i] = orig + eps
-		up := m.Predict(x)[0]
+		up := nntest.Predict(m, x)[0]
 		l0.W[i] = orig - eps
-		dn := m.Predict(x)[0]
+		dn := nntest.Predict(m, x)[0]
 		l0.W[i] = orig
 		num := (up - dn) / (2 * eps)
 		if math.Abs(num-l0.GW[i]) > 1e-4 {
@@ -93,16 +96,16 @@ func TestMLPBackwardMatchesNumericalGradient(t *testing.T) {
 
 func TestInputGradientMatchesNumerical(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	m := NewMLP([]int{4, 6, 1}, rng)
+	m := nn.NewMLP([]int{4, 6, 1}, rng)
 	x := []float64{0.3, -0.7, 1.1, 0.9}
-	g := m.InputGradient(x, 0)
+	g := nntest.InputGradient(m, x, 0)
 	const eps = 1e-6
 	for i := range x {
 		orig := x[i]
 		x[i] = orig + eps
-		up := m.Predict(x)[0]
+		up := nntest.Predict(m, x)[0]
 		x[i] = orig - eps
-		dn := m.Predict(x)[0]
+		dn := nntest.Predict(m, x)[0]
 		x[i] = orig
 		num := (up - dn) / (2 * eps)
 		if math.Abs(num-g[i]) > 1e-4 {
@@ -113,17 +116,17 @@ func TestInputGradientMatchesNumerical(t *testing.T) {
 
 func TestMLPLearnsLinearFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m := NewMLP([]int{2, 16, 1}, rng)
-	opt := NewAdam(0.01)
-	layers := LayersOf(m)
+	m := nn.NewMLP([]int{2, 16, 1}, rng)
+	opt := nn.NewAdam(0.01)
+	layers := nn.LayersOf(m)
 	target := func(x []float64) float64 { return 3*x[0] - 2*x[1] + 1 }
 	for epoch := 0; epoch < 400; epoch++ {
 		batch := 32
 		for b := 0; b < batch; b++ {
 			x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-			y, c := m.Forward(x)
+			y, c := nntest.Forward(m, x)
 			diff := y[0] - target(x)
-			m.Backward(c, []float64{2 * diff})
+			nntest.Backward(m, c, []float64{2 * diff})
 		}
 		opt.Step(layers, batch)
 	}
@@ -131,7 +134,7 @@ func TestMLPLearnsLinearFunction(t *testing.T) {
 	n := 100
 	for i := 0; i < n; i++ {
 		x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		d := m.Predict(x)[0] - target(x)
+		d := nntest.Predict(m, x)[0] - target(x)
 		mse += d * d
 	}
 	mse /= float64(n)
@@ -142,17 +145,17 @@ func TestMLPLearnsLinearFunction(t *testing.T) {
 
 func TestMLPLearnsNonlinearFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	m := NewMLP([]int{1, 32, 32, 1}, rng)
-	opt := NewAdam(0.005)
-	layers := LayersOf(m)
+	m := nn.NewMLP([]int{1, 32, 32, 1}, rng)
+	opt := nn.NewAdam(0.005)
+	layers := nn.LayersOf(m)
 	target := func(x float64) float64 { return math.Abs(x) } // kinked
 	for epoch := 0; epoch < 600; epoch++ {
 		batch := 32
 		for b := 0; b < batch; b++ {
 			x := rng.Float64()*4 - 2
-			y, c := m.Forward([]float64{x})
+			y, c := nntest.Forward(m, []float64{x})
 			diff := y[0] - target(x)
-			m.Backward(c, []float64{2 * diff})
+			nntest.Backward(m, c, []float64{2 * diff})
 		}
 		opt.Step(layers, batch)
 	}
@@ -160,7 +163,7 @@ func TestMLPLearnsNonlinearFunction(t *testing.T) {
 	n := 200
 	for i := 0; i < n; i++ {
 		x := rng.Float64()*4 - 2
-		d := m.Predict([]float64{x})[0] - target(x)
+		d := nntest.Predict(m, []float64{x})[0] - target(x)
 		mse += d * d
 	}
 	mse /= float64(n)
@@ -171,22 +174,22 @@ func TestMLPLearnsNonlinearFunction(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := NewMLP([]int{3, 4, 1}, rng)
+	m := nn.NewMLP([]int{3, 4, 1}, rng)
 	c := m.Clone()
 	x := []float64{1, 2, 3}
-	before := c.Predict(x)[0]
+	before := nntest.Predict(c, x)[0]
 	m.Layers[0].W[0] += 10
-	if c.Predict(x)[0] != before {
+	if nntest.Predict(c, x)[0] != before {
 		t.Fatalf("clone shares weights with original")
 	}
-	if m.Predict(x)[0] == before {
+	if nntest.Predict(m, x)[0] == before {
 		t.Fatalf("original should have changed")
 	}
 }
 
 func TestDeterministicInit(t *testing.T) {
-	a := NewMLP([]int{4, 8, 1}, rand.New(rand.NewSource(9)))
-	b := NewMLP([]int{4, 8, 1}, rand.New(rand.NewSource(9)))
+	a := nn.NewMLP([]int{4, 8, 1}, rand.New(rand.NewSource(9)))
+	b := nn.NewMLP([]int{4, 8, 1}, rand.New(rand.NewSource(9)))
 	for i := range a.Layers[0].W {
 		if a.Layers[0].W[i] != b.Layers[0].W[i] {
 			t.Fatalf("same-seed init differs")
@@ -195,7 +198,7 @@ func TestDeterministicInit(t *testing.T) {
 }
 
 func TestNumParams(t *testing.T) {
-	m := NewMLP([]int{3, 5, 2}, rand.New(rand.NewSource(1)))
+	m := nn.NewMLP([]int{3, 5, 2}, rand.New(rand.NewSource(1)))
 	want := (3*5 + 5) + (5*2 + 2)
 	if m.NumParams() != want {
 		t.Fatalf("NumParams = %d, want %d", m.NumParams(), want)
@@ -207,11 +210,11 @@ func TestNumParams(t *testing.T) {
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Single-parameter layer: minimize (w - 4)^2.
-	l := &Linear{In: 1, Out: 1, W: []float64{0}, B: []float64{0}, GW: make([]float64, 1), GB: make([]float64, 1)}
-	opt := NewAdam(0.1)
+	l := &nn.Linear{In: 1, Out: 1, W: []float64{0}, B: []float64{0}, GW: make([]float64, 1), GB: make([]float64, 1)}
+	opt := nn.NewAdam(0.1)
 	for i := 0; i < 500; i++ {
 		l.GW[0] = 2 * (l.W[0] - 4)
-		opt.Step([]*Linear{l}, 1)
+		opt.Step([]*nn.Linear{l}, 1)
 	}
 	if math.Abs(l.W[0]-4) > 0.01 {
 		t.Fatalf("Adam did not converge: w=%v", l.W[0])
@@ -224,12 +227,12 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 func TestForwardFiniteProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewMLP([]int{6, 10, 10, 1}, rng)
+		m := nn.NewMLP([]int{6, 10, 10, 1}, rng)
 		x := make([]float64, 6)
 		for i := range x {
 			x[i] = rng.NormFloat64() * 100
 		}
-		y := m.Predict(x)
+		y := nntest.Predict(m, x)
 		return !math.IsNaN(y[0]) && !math.IsInf(y[0], 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

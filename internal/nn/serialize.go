@@ -23,7 +23,9 @@ func (m *MLP) Encode(e *artifact.Encoder) {
 
 // DecodeMLP reads a network written by Encode.
 func DecodeMLP(d *artifact.Decoder) (*MLP, error) {
-	n := int(d.U32())
+	// A layer is at least four 4-byte words: its two widths and the
+	// lengths of W and B.
+	n := d.Count(16, "layer count")
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

@@ -10,8 +10,9 @@ import (
 
 // TestPredictFeaturizedBatchBitIdentical asserts the feature-tier
 // inference path (skeletons built from cached post-order vectors, the
-// query cache's hit path) equals the batched path bit for bit, across
-// chunk boundaries and multi-level trees.
+// query cache's hit path) equals the batched and the per-sample scalar
+// paths bit for bit, across chunk boundaries, multi-level trees and in
+// batches of one.
 func TestPredictFeaturizedBatchBitIdentical(t *testing.T) {
 	f := testFeaturizer()
 	m := New(f, 1)
@@ -23,9 +24,16 @@ func TestPredictFeaturizedBatchBitIdentical(t *testing.T) {
 	}
 	got := m.PredictFeaturizedBatch(fps)
 	want := m.PredictBatch(plans)
-	for i := range plans {
+	for i, p := range plans {
 		if got[i] != want[i] {
 			t.Fatalf("plan %d: PredictFeaturizedBatch %v != PredictBatch %v", i, got[i], want[i])
+		}
+		s := m.predictMsReference(p)
+		if got[i] != s {
+			t.Fatalf("plan %d: PredictFeaturizedBatch %v != scalar reference %v", i, got[i], s)
+		}
+		if one := m.PredictFeaturizedBatch(fps[i : i+1])[0]; one != s {
+			t.Fatalf("plan %d: PredictFeaturizedBatch of one %v != scalar reference %v", i, one, s)
 		}
 	}
 	if out := m.PredictFeaturizedBatch(nil); out != nil {
@@ -34,9 +42,11 @@ func TestPredictFeaturizedBatchBitIdentical(t *testing.T) {
 }
 
 // TestPredictBatchBitIdentical asserts the level-batched inference path
-// equals the per-sample tree recursion bit for bit, including after
+// equals the per-sample scalar tree recursion bit for bit, including after
 // training (plans here mix single-node trees and two-scan hash joins, so
-// several levels and shared operator subnetworks are exercised).
+// several levels and shared operator subnetworks are exercised), both for
+// the whole batch and for every plan priced as a batch of one (the
+// single-plan path).
 func TestPredictBatchBitIdentical(t *testing.T) {
 	m := New(testFeaturizer(), 1)
 	plans, ms := synthPlans(80, 2)
@@ -46,8 +56,12 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 		t.Fatalf("batch size = %d, want %d", len(batch), len(plans))
 	}
 	for i, p := range plans {
-		if s := m.PredictMs(p); batch[i] != s {
-			t.Fatalf("plan %d: PredictBatch %v != PredictMs %v", i, batch[i], s)
+		s := m.predictMsReference(p)
+		if batch[i] != s {
+			t.Fatalf("plan %d: PredictBatch %v != scalar reference %v", i, batch[i], s)
+		}
+		if one := m.PredictBatch(plans[i : i+1])[0]; one != s {
+			t.Fatalf("plan %d: PredictBatch of one %v != scalar reference %v", i, one, s)
 		}
 	}
 	if out := m.PredictBatch(nil); out != nil {
@@ -62,8 +76,8 @@ func TestPredictBatchChunking(t *testing.T) {
 	plans, _ := synthPlans(700, 11) // ~1400 nodes → several chunks
 	batch := m.PredictBatch(plans)
 	for i, p := range plans {
-		if s := m.PredictMs(p); batch[i] != s {
-			t.Fatalf("plan %d: chunked PredictBatch %v != PredictMs %v", i, batch[i], s)
+		if s := m.predictMsReference(p); batch[i] != s {
+			t.Fatalf("plan %d: chunked PredictBatch %v != scalar reference %v", i, batch[i], s)
 		}
 	}
 }
@@ -77,8 +91,8 @@ func TestPredictBatchDeepTree(t *testing.T) {
 	inner := &planner.Node{Op: planner.Materialize, Children: []*planner.Node{scan}, EstRows: 1000, EstIn1: 1000, EstWidth: 16, Limit: -1}
 	outer := &planner.Node{Op: planner.Materialize, Children: []*planner.Node{inner}, EstRows: 1000, EstIn1: 1000, EstWidth: 16, Limit: -1}
 	got := m.PredictBatch([]*planner.Node{outer, scan})
-	if got[0] != m.PredictMs(outer) || got[1] != m.PredictMs(scan) {
-		t.Fatalf("deep-tree batch diverged: %v vs %v / %v", got, m.PredictMs(outer), m.PredictMs(scan))
+	if got[0] != m.predictMsReference(outer) || got[1] != m.predictMsReference(scan) {
+		t.Fatalf("deep-tree batch diverged: %v vs %v / %v", got, m.predictMsReference(outer), m.predictMsReference(scan))
 	}
 }
 
@@ -126,7 +140,7 @@ func TestTrainMatchesReference(t *testing.T) {
 // from several goroutines at once — the serving daemons' situation — with
 // batch sizes on both sides of predictChunkNodes, so calls take pooled
 // scratch (arena, grouping buffers, skeleton list) of every size back and
-// forth. Every output must equal the serial PredictMs bit for bit.
+// forth. Every output must equal the serial scalar reference bit for bit.
 func TestPredictConcurrentBitIdentical(t *testing.T) {
 	f := testFeaturizer()
 	m := New(f, 3)
@@ -135,7 +149,7 @@ func TestPredictConcurrentBitIdentical(t *testing.T) {
 	want := make([]float64, len(plans))
 	fps := make([]*encoding.FeaturizedPlan, len(plans))
 	for i, p := range plans {
-		want[i] = m.PredictMs(p)
+		want[i] = m.predictMsReference(p)
 		fps[i] = f.Featurize(p)
 	}
 	const workers = 8
@@ -156,7 +170,7 @@ func TestPredictConcurrentBitIdentical(t *testing.T) {
 				}
 				for i, v := range got {
 					if v != want[lo+i] {
-						t.Errorf("worker %d round %d: plan %d = %v, serial PredictMs %v", w, round, lo+i, v, want[lo+i])
+						t.Errorf("worker %d round %d: plan %d = %v, serial reference %v", w, round, lo+i, v, want[lo+i])
 						return
 					}
 				}

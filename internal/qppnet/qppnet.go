@@ -15,8 +15,8 @@
 // stays per-sample tree recursion over row views of the batched caches —
 // that is what keeps gradient accumulation in the scalar path's order, so
 // Train is bit-identical to the per-sample reference trainer at any batch
-// size (TrainReference, which lives in reference_test.go as the tests'
-// oracle), and PredictBatch to PredictMs.
+// size, and PredictBatch — which prices a single plan as a batch of one —
+// to the per-plan scalar forward; both oracles live in reference_test.go.
 package qppnet
 
 import (
@@ -83,33 +83,14 @@ func (m *Model) batch() int {
 	return batchSize
 }
 
-// treeCache stores one forward pass through a plan tree for backprop. The
-// scalar path fills cache; the batched path fills (bc, row) — a row of
-// the level-batch its node ran in.
+// treeCache stores one node's place in a batched forward pass for
+// backprop: the level batch its node ran in (bc) and its row there.
 type treeCache struct {
 	op       planner.OpType
-	input    []float64
-	cache    *nn.Cache
 	bc       *nn.BatchCache
 	row      int
 	out      []float64
 	children []*treeCache
-}
-
-func (m *Model) forward(n *planner.Node) *treeCache {
-	tc := &treeCache{op: n.Op}
-	childSum := make([]float64, m.OutVec)
-	for _, c := range n.Children {
-		cc := m.forward(c)
-		tc.children = append(tc.children, cc)
-		for i, v := range cc.out {
-			childSum[i] += v
-		}
-	}
-	feat := m.F.Node(n)
-	tc.input = append(append(make([]float64, 0, len(feat)+m.OutVec), feat...), childSum...)
-	tc.out, tc.cache = m.Nets[n.Op].Forward(tc.input)
-	return tc
 }
 
 // backward is the training backward over a batched forward's caches: the
@@ -189,8 +170,8 @@ type batchScratch struct {
 // forwardBatch runs a batch of plan skeletons level by level: at each
 // level (leaves first) the nodes sharing an operator type form one matrix
 // through that operator's subnetwork. Every node's input, output, and
-// cache are bit-identical to the scalar forward — the batch only regroups
-// independent rows, never reorders arithmetic within one.
+// cache row are bit-identical to the scalar forward — the batch only
+// regroups independent rows, never reorders arithmetic within one.
 func (m *Model) forwardBatch(ar *linalg.Arena, sc *batchScratch, skels []*planSkeleton) {
 	maxLevel := 0
 	for _, s := range skels {
@@ -243,7 +224,6 @@ func (m *Model) forwardBatch(ar *linalg.Arena, sc *batchScratch, skels []*planSk
 			y, cache := net.ForwardBatch(ar, x)
 			for r, bn := range group {
 				tc := bn.tc
-				tc.input = x.RowView(r)
 				tc.out = y.RowView(r)
 				tc.bc = cache
 				tc.row = r
@@ -253,19 +233,14 @@ func (m *Model) forwardBatch(ar *linalg.Arena, sc *batchScratch, skels []*planSk
 	}
 }
 
-// PredictMs estimates the plan's execution time in milliseconds.
-func (m *Model) PredictMs(root *planner.Node) float64 {
-	tc := m.forward(root)
-	return metrics.UnlogMs(tc.out[0])
-}
-
 // predictChunkNodes bounds how many plan nodes one inference chunk
 // materializes (skeletons, features, and layer caches); plans are
 // independent, so chunking never changes results.
 const predictChunkNodes = 1024
 
 // PredictBatch estimates every plan's execution time in one level-batched
-// pass. Output i is bit-identical to PredictMs(roots[i]).
+// pass. Output i does not depend on the other plans in the batch: it is
+// bit-identical to pricing roots[i] alone, as a batch of one.
 func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 	return m.predictSkeletons(len(roots),
 		func(i int) int { return roots[i].CountNodes() },
@@ -276,7 +251,7 @@ func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 // query cache's feature tier): skeletons are built from the cached
 // post-order rows instead of re-featurizing — exactly the feature reuse
 // the training loop already does across iterations — so output i is
-// bit-identical to PredictMs(fps[i].Root).
+// bit-identical to PredictBatch of fps[i].Root.
 func (m *Model) PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64 {
 	return m.predictSkeletons(len(fps),
 		func(i int) int { return fps[i].NumNodes() },

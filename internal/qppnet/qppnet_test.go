@@ -50,11 +50,7 @@ func TestQPPNetLearnsTreeCosts(t *testing.T) {
 	m.Train(plans, ms, 500)
 
 	testPlans, testMs := synthPlans(60, 3)
-	pred := make([]float64, len(testPlans))
-	for i, p := range testPlans {
-		pred[i] = m.PredictMs(p)
-	}
-	s := metrics.Summarize(testMs, pred)
+	s := metrics.Summarize(testMs, m.PredictBatch(testPlans))
 	if s.Pearson < 0.9 {
 		t.Fatalf("pearson = %v, want ≥0.9", s.Pearson)
 	}
@@ -81,9 +77,9 @@ func TestQPPNetCloneIndependent(t *testing.T) {
 	plans, ms := synthPlans(50, 4)
 	m.Train(plans, ms, 50)
 	c := m.Clone()
-	before := c.PredictMs(plans[0])
+	before := c.PredictBatch(plans[:1])[0]
 	m.Train(plans, ms, 100)
-	if c.PredictMs(plans[0]) != before {
+	if c.PredictBatch(plans[:1])[0] != before {
 		t.Fatalf("clone affected by original's training")
 	}
 }
@@ -112,8 +108,8 @@ func TestQPPNetEmptyTraining(t *testing.T) {
 func TestQPPNetPredictionNonNegative(t *testing.T) {
 	m := New(testFeaturizer(), 9)
 	plans, _ := synthPlans(20, 5)
-	for _, p := range plans {
-		if v := m.PredictMs(p); v < 0 {
+	for _, v := range m.PredictBatch(plans) {
+		if v < 0 {
 			t.Fatalf("negative prediction %v", v)
 		}
 	}

@@ -294,9 +294,10 @@ func (p *Pipeline) FitCtx(ctx context.Context, b *Benchmark, envs []*Environment
 	return &CostEstimator{res: res, bench: b, envs: envs, cfg: p.cfg}, nil
 }
 
-// EstimateMs predicts the execution time of a plan in milliseconds.
+// EstimateMs predicts the execution time of a plan in milliseconds: the
+// plan is priced as a batch of one.
 func (e *CostEstimator) EstimateMs(plan *planner.Node) float64 {
-	return e.res.Model.PredictMs(plan)
+	return e.res.Model.PredictBatch([]*planner.Node{plan})[0]
 }
 
 // EstimateBatch predicts the execution time of many plans in one
@@ -390,7 +391,7 @@ func (e *CostEstimator) EstimateSQL(env *Environment, sql string) (float64, erro
 		if err != nil {
 			return 0, err
 		}
-		return e.res.Model.PredictMs(node), nil
+		return e.EstimateMs(node), nil
 	}
 	g := e.cacheGeneration()
 	pkey := qcache.PredictionKey(env.ID, sql)
