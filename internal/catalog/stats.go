@@ -3,6 +3,7 @@ package catalog
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -40,7 +41,6 @@ func BuildColumnStats(vals []Value, rng *rand.Rand) *ColumnStats {
 	}
 	var nulls int64
 	numeric := make([]int64, 0, len(vals))
-	distinct := make(map[int64]struct{})
 	distinctStr := make(map[string]struct{})
 	isStr := false
 	for _, v := range vals {
@@ -54,7 +54,6 @@ func BuildColumnStats(vals []Value, rng *rand.Rand) *ColumnStats {
 			continue
 		}
 		numeric = append(numeric, v.I)
-		distinct[v.I] = struct{}{}
 	}
 	st.NullFrac = float64(nulls) / float64(len(vals))
 
@@ -75,11 +74,17 @@ func BuildColumnStats(vals []Value, rng *rand.Rand) *ColumnStats {
 		st.DistinctVals = int64(len(distinctStr))
 		return st
 	}
-	st.DistinctVals = int64(len(distinct))
 	if len(numeric) == 0 {
 		return st
 	}
-	sort.Slice(numeric, func(i, j int) bool { return numeric[i] < numeric[j] })
+	// Sorted, the distinct values are the starts of the runs of equal ones.
+	slices.Sort(numeric)
+	st.DistinctVals = 1
+	for i := 1; i < len(numeric); i++ {
+		if numeric[i] != numeric[i-1] {
+			st.DistinctVals++
+		}
+	}
 	st.Min, st.Max = numeric[0], numeric[len(numeric)-1]
 
 	b := histBuckets

@@ -149,10 +149,15 @@ func BuildSnapshots(ds *datagen.Dataset, envs []*dbenv.Environment, cfg Config) 
 
 // BuildSnapshotsCtx is BuildSnapshots with cooperative cancellation:
 // the worker pool stops claiming environments once ctx is cancelled, and
-// each environment's labeling run checks ctx between queries.
+// each environment's labeling run checks ctx between queries. The
+// snapshots are keyed by environment ID, so two environments with one ID
+// are rejected with a *dbenv.DuplicateIDError.
 func BuildSnapshotsCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, cfg Config) (map[int]*snapshot.Snapshot, float64, error) {
 	if cfg.SnapshotMode != FST && cfg.SnapshotMode != FSO {
 		return nil, 0, fmt.Errorf("core: unknown snapshot mode %q", cfg.SnapshotMode)
+	}
+	if err := dbenv.CheckDistinctIDs(envs); err != nil {
+		return nil, 0, fmt.Errorf("core: %w", err)
 	}
 	results, err := parallel.MapCtx(ctx, len(envs), 0, func(i int) (*snapshot.BuildResult, error) {
 		env := envs[i]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/datagen"
@@ -116,6 +117,21 @@ func TestSnapshotModes(t *testing.T) {
 	bad.SnapshotMode = "nope"
 	if _, _, err := BuildSnapshots(sysb, envs[:1], bad); err == nil {
 		t.Fatalf("unknown mode should error")
+	}
+}
+
+// TestSnapshotsRejectDuplicateIDs builds snapshots for two different
+// environments that share ID 0. Snapshots are keyed by ID, so one would
+// silently replace the other; the build must fail with a typed error.
+func TestSnapshotsRejectDuplicateIDs(t *testing.T) {
+	other := dbenv.SampleSet(1, 7)[0]
+	cfg := smallConfig("mscn")
+	cfg.SnapshotMode = FSO
+	cfg.FSOPerEnv = 14
+	_, _, err := BuildSnapshots(sysb, []*dbenv.Environment{dbenv.Default(), other}, cfg)
+	var dup *dbenv.DuplicateIDError
+	if !errors.As(err, &dup) || dup.ID != 0 || dup.First != 0 || dup.Second != 1 {
+		t.Fatalf("err = %v, want a DuplicateIDError for ID 0 at positions 0 and 1", err)
 	}
 }
 

@@ -147,6 +147,33 @@ func Random(id int, rng *rand.Rand) *Environment {
 	}
 }
 
+// DuplicateIDError reports two environments of one set that share an ID.
+// Labelling keys its per-worker planners and executors, the noise stream
+// and every sample's EnvID by environment ID, and snapshots are keyed by
+// it too, so the second environment would silently be labelled as the
+// first.
+type DuplicateIDError struct {
+	ID            int
+	First, Second int // positions of the two environments in the set
+}
+
+func (e *DuplicateIDError) Error() string {
+	return fmt.Sprintf("dbenv: environments %d and %d share ID %d", e.First, e.Second, e.ID)
+}
+
+// CheckDistinctIDs returns a *DuplicateIDError for the first environment
+// in envs whose ID an earlier one has, or nil when every ID is distinct.
+func CheckDistinctIDs(envs []*Environment) error {
+	seen := make(map[int]int, len(envs))
+	for i, e := range envs {
+		if first, ok := seen[e.ID]; ok {
+			return &DuplicateIDError{ID: e.ID, First: first, Second: i}
+		}
+		seen[e.ID] = i
+	}
+	return nil
+}
+
 // SampleSet draws n distinct-seeming environments from one seed — the
 // paper's "20 random database configurations".
 func SampleSet(n int, seed int64) []*Environment {

@@ -11,11 +11,19 @@
 // environment's cache, spill, and parallelism effects applied. This makes
 // the simulated latency respond to the "ignored variables" exactly the way
 // the paper's §III-A premise describes.
+//
+// Operators run one at a time over whole inputs, and materialise late
+// (Abadi et al., ICDE 2007): an operator's output is a rel, tuples of row
+// ids into the heaps and aggregate outputs below it, and values are read
+// where they lie. A Value is copied only when a caller asks Result.Rows
+// for the output rows; labelling, which keeps plans and counts, never
+// does.
 package engine
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/catalog"
@@ -24,11 +32,13 @@ import (
 	"repro/internal/storage"
 )
 
-// maxJoinRows bounds materialized join outputs. The engine materializes
-// operator outputs (unlike a streaming executor), so a mis-planned join on
-// a pathological key distribution could otherwise exhaust memory; queries
-// hitting the bound fail cleanly and are skipped by workload collection.
-// Each join checks the bound before it materialises one key's matches.
+// maxJoinRows bounds join outputs. Operators hold their whole output (the
+// engine does not stream), so a mis-planned join on a pathological key
+// distribution could otherwise exhaust memory; queries hitting the bound
+// fail cleanly and are skipped by workload collection. A join output tuple
+// is a few row ids now, not a row of Values, but the bound stays where it
+// was because it decides which queries are labelled. Each join checks the
+// bound before it adds one key's matches.
 const maxJoinRows = 5_000_000
 
 // Executor runs plans for one dataset inside one environment. It holds no
@@ -47,12 +57,38 @@ func New(db *storage.Database, env *dbenv.Environment) *Executor {
 	return &Executor{DB: db, Env: env}
 }
 
-// Result is one executed query: output rows plus the simulated latency.
-// The plan tree passed to Execute is annotated in place with per-node
-// actuals (rows, input cardinalities, own time).
+// Result is one executed query: the simulated latency and the output,
+// whose rows Rows copies out on demand. The plan tree passed to Execute is
+// annotated in place with per-node actuals (rows, input cardinalities, own
+// time).
 type Result struct {
-	Rows    []catalog.Row
 	TotalMs float64
+	out     rel
+}
+
+// Len returns the number of output rows.
+func (r *Result) Len() int { return r.out.len() }
+
+// Rows copies the output rows out of the heaps and aggregate outputs they
+// reference. All rows share one slab of Values, and each is a three-index
+// slice of it (cap == len), so an append to one row reallocates instead of
+// writing into the next. Every call returns a fresh copy.
+func (r *Result) Rows() []catalog.Row {
+	n, w := r.out.len(), len(r.out.cols)
+	cols := make([]column, w)
+	for o := range cols {
+		cols[o] = r.out.column(o)
+	}
+	slab := make([]catalog.Value, n*w)
+	rows := make([]catalog.Row, n)
+	for t := range rows {
+		row := slab[t*w : (t+1)*w : (t+1)*w]
+		for o, c := range cols {
+			row[o] = *c.at(t)
+		}
+		rows[t] = row
+	}
+	return rows
 }
 
 // Execute runs the plan and returns rows plus simulated time. The plan's
@@ -70,19 +106,87 @@ func (e *Executor) Execute(root *planner.Node) (*Result, error) {
 // generated workload — gets bit-identical labels no matter how many
 // goroutines execute the workload or in what order.
 func (e *Executor) ExecuteSeq(root *planner.Node, seq int64) (*Result, error) {
-	rows, err := e.exec(root)
+	out, err := e.exec(root)
 	if err != nil {
 		return nil, err
 	}
-	if root.Limit >= 0 && len(rows) > root.Limit {
-		rows = rows[:root.Limit]
+	if root.Limit >= 0 && out.len() > root.Limit {
+		out.ids = out.ids[:root.Limit*len(out.srcs)]
 	}
 	// One multiplicative noise factor per query, applied to every node so
 	// per-node and total times stay consistent.
 	f := e.Env.Noise(seq)
 	root.Walk(func(n *planner.Node) { n.ActualMs *= f })
-	return &Result{Rows: rows, TotalMs: root.TotalMs()}, nil
+	return &Result{TotalMs: root.TotalMs(), out: out}, nil
 }
+
+// rel is an operator's output: n tuples of k row ids, back to back in ids,
+// so tuple t is ids[t*k : t*k+k]. Slot s of every tuple indexes the row
+// set srcs[s], a heap's rows or an aggregate's group rows, and output
+// ordinal o of tuple t is cell cols[o].col of row ids[t*k+cols[o].slot] of
+// srcs[cols[o].slot]. A join concatenates its inputs' slots, so k is the
+// number of scans and aggregates under the operator. ids holds no
+// pointers, so the collector never scans it. Each operator's output is
+// owned by its parent alone, which may reorder or drop its ids; the
+// source rows are shared and never written.
+type rel struct {
+	ids  []int32
+	srcs [][]catalog.Row
+	cols []colRef
+}
+
+// colRef locates one output ordinal: a tuple slot and a column of the row
+// that slot names.
+type colRef struct{ slot, col int }
+
+// oneSlot is the rel of the rows of src that ids name, with src's width
+// columns as its ordinals.
+func oneSlot(src []catalog.Row, width int, ids []int32) rel {
+	cols := make([]colRef, width)
+	for c := range cols {
+		cols[c] = colRef{col: c}
+	}
+	return rel{ids: ids, srcs: [][]catalog.Row{src}, cols: cols}
+}
+
+// joined is the empty rel whose tuples are a tuple of l followed by a
+// tuple of r, with l's ordinals followed by r's.
+func joined(l, r rel) rel {
+	srcs := slices.Concat(l.srcs, r.srcs)
+	cols := slices.Grow(slices.Clone(l.cols), len(r.cols))
+	for _, c := range r.cols {
+		cols = append(cols, colRef{slot: len(l.srcs) + c.slot, col: c.col})
+	}
+	return rel{srcs: srcs, cols: cols}
+}
+
+func (r rel) len() int { return len(r.ids) / len(r.srcs) }
+
+func (r rel) tuple(t int) []int32 {
+	k := len(r.srcs)
+	return r.ids[t*k : t*k+k]
+}
+
+// pair appends tuple a of left followed by tuple b of right to r, a rel
+// built by joined(left, right).
+func (r *rel) pair(left rel, a int, right rel, b int) {
+	r.ids = append(append(r.ids, left.tuple(a)...), right.tuple(b)...)
+}
+
+// column reads one output ordinal of a rel's tuples in place.
+type column struct {
+	src          []catalog.Row
+	ids          []int32
+	k, slot, col int
+}
+
+func (r rel) column(o int) column {
+	c := r.cols[o]
+	return column{src: r.srcs[c.slot], ids: r.ids, k: len(r.srcs), slot: c.slot, col: c.col}
+}
+
+// at returns the value of tuple t.
+func (c column) at(t int) *catalog.Value { return &c.src[c.ids[t*c.k+c.slot]][c.col] }
 
 // counters accumulates one node's physical resource usage.
 type counters struct {
@@ -114,17 +218,15 @@ func (e *Executor) ms(c counters) float64 {
 	return t
 }
 
-// exec runs n's children left to right, then n itself over their rows.
-// Every operator returns a row slice its parent owns outright (rows
-// themselves may be shared with the heap and are never written).
-func (e *Executor) exec(n *planner.Node) ([]catalog.Row, error) {
-	var in [2][]catalog.Row // no operator has more than two inputs
+// exec runs n's children left to right, then n itself over their outputs.
+func (e *Executor) exec(n *planner.Node) (rel, error) {
+	var in [2]rel // no operator has more than two inputs
 	for i, c := range n.Children {
-		rows, err := e.exec(c)
+		r, err := e.exec(c)
 		if err != nil {
-			return nil, err
+			return rel{}, err
 		}
-		in[i] = rows
+		in[i] = r
 	}
 	switch n.Op {
 	case planner.SeqScan:
@@ -144,49 +246,58 @@ func (e *Executor) exec(n *planner.Node) ([]catalog.Row, error) {
 	case planner.Materialize:
 		return e.execMaterialize(n, in[0]), nil
 	}
-	return nil, fmt.Errorf("engine: unknown operator %v", n.Op)
+	return rel{}, fmt.Errorf("engine: unknown operator %v", n.Op)
 }
 
-func (e *Executor) execSeqScan(n *planner.Node) ([]catalog.Row, error) {
+func (e *Executor) execSeqScan(n *planner.Node) (rel, error) {
 	h := e.DB.Heap(n.Table)
 	if h == nil {
-		return nil, fmt.Errorf("engine: no heap for table %q", n.Table)
+		return rel{}, fmt.Errorf("engine: no heap for table %q", n.Table)
 	}
-	var out []catalog.Row
-	total := h.NumRows()
-	for id := 0; id < total; id++ {
-		row := h.Get(id)
+	// Mark the matches in a bitmap, then gather their ids into a slice of
+	// exactly their number.
+	rows := h.Rows()
+	hit := make([]uint64, (len(rows)+63)/64)
+	kept := 0
+	for id, row := range rows {
 		if matchAll(n.Preds, row) {
-			out = append(out, row)
+			hit[id/64] |= 1 << (id % 64)
+			kept++
+		}
+	}
+	ids := make([]int32, 0, kept)
+	for w, word := range hit {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, int32(w*64+bits.TrailingZeros64(word)))
 		}
 	}
 	c := counters{
 		seqPages: h.NumPages(),
-		tuples:   int64(total),
+		tuples:   int64(len(rows)),
 		startups: 1,
 		relPages: h.NumPages(),
 		parallel: true,
 	}
-	n.ActualIn1 = float64(total)
-	n.ActualRows = int64(len(out))
+	n.ActualIn1 = float64(len(rows))
+	n.ActualRows = int64(len(ids))
 	n.ActualMs = e.ms(c)
-	return out, nil
+	return oneSlot(rows, len(h.Table.Columns), ids), nil
 }
 
-func (e *Executor) execIndexScan(n *planner.Node) ([]catalog.Row, error) {
+func (e *Executor) execIndexScan(n *planner.Node) (rel, error) {
 	h := e.DB.Heap(n.Table)
 	idx := e.DB.Index(n.Index)
 	if h == nil || idx == nil {
-		return nil, fmt.Errorf("engine: missing heap/index for %q/%q", n.Table, n.Index)
+		return rel{}, fmt.Errorf("engine: missing heap/index for %q/%q", n.Table, n.Index)
 	}
 	lo, hi, loInc, hiInc := indexBounds(n.IndexPred)
-	var out []catalog.Row
+	rows := h.Rows()
+	var ids []int32
 	var matches int64
 	idx.Range(lo, hi, loInc, hiInc, func(id int) bool {
 		matches++
-		row := h.Get(id)
-		if matchAll(n.Preds, row) {
-			out = append(out, row)
+		if matchAll(n.Preds, rows[id]) {
+			ids = append(ids, int32(id))
 		}
 		return true
 	})
@@ -199,9 +310,9 @@ func (e *Executor) execIndexScan(n *planner.Node) ([]catalog.Row, error) {
 		relPages:  h.NumPages(),
 	}
 	n.ActualIn1 = float64(matches)
-	n.ActualRows = int64(len(out))
+	n.ActualRows = int64(len(ids))
 	n.ActualMs = e.ms(c)
-	return out, nil
+	return oneSlot(rows, len(h.Table.Columns), ids), nil
 }
 
 // indexBounds converts the index-serving predicate into a B+tree interval.
@@ -227,11 +338,9 @@ func indexBounds(p *planner.CompiledPred) (lo, hi *catalog.Value, loInc, hiInc b
 	return nil, nil, true, true
 }
 
-// execSort sorts its input, which it owns (see exec), in the input's own
-// slice plus at most one buffer.
-func (e *Executor) execSort(n *planner.Node, in []catalog.Row) []catalog.Row {
-	rows := sortRows(in, rowOrder{cols: n.SortCols, desc: n.SortDesc})
-	nn := int64(len(rows))
+func (e *Executor) execSort(n *planner.Node, in rel) rel {
+	in.ids = sortTuples(in, rowOrder{cols: n.SortCols, desc: n.SortDesc})
+	nn := int64(in.len())
 	comparisons := nn * ceilLog2(nn)
 	bytes := nn * int64(n.EstWidth)
 	passes := e.Env.SpillPasses(bytes)
@@ -244,64 +353,82 @@ func (e *Executor) execSort(n *planner.Node, in []catalog.Row) []catalog.Row {
 	n.ActualIn1 = float64(nn)
 	n.ActualRows = nn
 	n.ActualMs = e.ms(c)
-	return rows
+	return in
 }
 
-// rowOrder is a sort key: column ordinals with per-column descending flags.
+// rowOrder is a sort key: output ordinals with per-column descending flags.
 type rowOrder struct {
 	cols []int
 	desc []bool
 }
 
-func (o rowOrder) compare(a, b catalog.Row) int {
-	for k, c := range o.cols {
-		if d := a[c].Compare(b[c]); d != 0 {
-			if o.desc[k] {
-				return -d
-			}
-			return d
-		}
-	}
-	return 0
-}
-
-// sortRun is the length of the runs mergeSortRows insertion-sorts before
-// merging, and the length up to which sortRows skips key extraction.
+// sortRun is the length of the runs mergeSortTuples insertion-sorts before
+// merging, and the length up to which sortTuples skips key extraction.
 const sortRun = 16
 
-// sortRows orders rows stably by o. A single integer key column over more
-// than sortRun rows sorts packed keys and permutes rows in place
-// (sortByKey); every other order merge-sorts the rows (mergeSortRows).
-func sortRows(rows []catalog.Row, o rowOrder) []catalog.Row {
-	if len(o.cols) == 1 && len(rows) > sortRun && sortByKey(rows, o.cols[0], o.desc[0]) {
-		return rows
+// sortTuples returns in's ids with its tuples ordered stably by o. A
+// single integer key column over more than sortRun tuples sorts packed
+// keys (sortByKey); every other order merge-sorts tuple indices
+// (mergeSortTuples). Either way the order is a permutation of tuple
+// indices, and the tuples' ids are gathered into a new slice in that
+// order.
+func sortTuples(in rel, o rowOrder) []int32 {
+	n, k := in.len(), len(in.srcs)
+	ids := make([]int32, len(in.ids))
+	if len(o.cols) == 1 && n > sortRun {
+		if words, ok := sortByKey(in.column(o.cols[0]), n, o.desc[0]); ok {
+			for p, w := range words {
+				copy(ids[p*k:p*k+k], in.tuple(int(uint32(w))))
+			}
+			return ids
+		}
 	}
-	return mergeSortRows(rows, o)
+	for p, t := range mergeSortTuples(in, o) {
+		copy(ids[p*k:p*k+k], in.tuple(int(t)))
+	}
+	return ids
 }
 
-// mergeSortRows orders rows stably by o with a bottom-up merge sort: runs of
-// sortRun are insertion-sorted in place, then merged pairwise back and
-// forth between rows and one buffer of the same length — O(n log n) moves
-// of row headers, no reflection, no in-place rotation. The result is
-// whichever of the two holds the last pass, so rows' own contents are
-// clobbered. A stable sort under a consistent comparator has exactly one
-// result, so this orders rows exactly as sort.SliceStable would.
-func mergeSortRows(rows []catalog.Row, o rowOrder) []catalog.Row {
-	n := len(rows)
+// mergeSortTuples returns in's tuple indices ordered stably by o, with a
+// bottom-up merge sort: runs of sortRun are insertion-sorted in place, then
+// merged pairwise back and forth between the index slice and one buffer of
+// the same length. A stable sort under a consistent comparator has exactly
+// one result, so this orders tuples exactly as sort.SliceStable would.
+func mergeSortTuples(in rel, o rowOrder) []int32 {
+	keys := make([]column, len(o.cols))
+	for i, c := range o.cols {
+		keys[i] = in.column(c)
+	}
+	compare := func(a, b int32) int {
+		for i, c := range keys {
+			if d := c.at(int(a)).Compare(*c.at(int(b))); d != 0 {
+				if o.desc[i] {
+					return -d
+				}
+				return d
+			}
+		}
+		return 0
+	}
+	n := in.len()
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
 	for lo := 0; lo < n; lo += sortRun {
-		run := rows[lo:min(lo+sortRun, n)]
+		run := idx[lo:min(lo+sortRun, n)]
 		for i := 1; i < len(run); i++ {
 			x, j := run[i], i
-			for ; j > 0 && o.compare(x, run[j-1]) < 0; j-- {
+			for ; j > 0 && compare(x, run[j-1]) < 0; j-- {
 				run[j] = run[j-1]
 			}
 			run[j] = x
 		}
 	}
 	if n <= sortRun {
-		return rows
+		return idx
 	}
-	src, dst := rows, make([]catalog.Row, n)
+	src, dst := idx, make([]int32, n)
 	for width := sortRun; width < n; width *= 2 {
 		for lo := 0; lo < n; lo += 2 * width {
 			mid, hi := min(lo+width, n), min(lo+2*width, n)
@@ -309,7 +436,7 @@ func mergeSortRows(rows []catalog.Row, o rowOrder) []catalog.Row {
 			i, j, k := 0, 0, 0
 			for ; i < len(a) && j < len(b); k++ {
 				// Ties take from a, the earlier run: that is the stability.
-				if o.compare(b[j], a[i]) < 0 {
+				if compare(b[j], a[i]) < 0 {
 					out[k] = b[j]
 					j++
 				} else {
@@ -325,48 +452,47 @@ func mergeSortRows(rows []catalog.Row, o rowOrder) []catalog.Row {
 	return src
 }
 
-// sortByKey orders rows stably by their column col, descending when desc,
-// exactly as mergeSortRows does with a one-column rowOrder, and reports
-// false, leaving rows untouched, when the column holds a string or its
-// integers span 2^32 or more. It sorts one uint64 per row instead of the
-// rows themselves: the key's distance from the column's minimum (from its
-// maximum under DESC) in the high half, the row's input index in the low.
+// sortByKey orders the n tuples of col stably by col's value, descending
+// when desc, exactly as mergeSortTuples does with a one-column rowOrder,
+// and reports false when the column holds a string or its integers span
+// 2^32 or more. It sorts one uint64 per tuple: the key's distance from the
+// column's minimum (from its maximum under DESC) in the high half, the
+// tuple's index in the low. The low halves of the returned words, in
+// order, are the sorted permutation.
 //
 // Value.Compare puts NULL before every integer and orders integers by I;
-// DESC negates it. So the NULL rows form one tie group, which stays in
+// DESC negates it. So the NULL tuples form one tie group, which stays in
 // input order, first under ASC and last under DESC, and takes no part in
-// the sort. The packed words of the other rows compare as (key, index),
+// the sort. The packed words of the other tuples compare as (key, index),
 // so no two tie and the unstable in-place slices.Sort lands on the one
 // stable order. The distances are taken in uint64, so they cannot
 // overflow at either end of int64.
-func sortByKey(rows []catalog.Row, col int, desc bool) bool {
+func sortByKey(col column, n int, desc bool) ([]uint64, bool) {
 	nulls, lo, hi := 0, int64(math.MaxInt64), int64(math.MinInt64)
-	for _, r := range rows {
-		switch v := r[col]; {
+	for t := 0; t < n; t++ {
+		switch v := col.at(t); {
 		case v.Null:
 			nulls++
 		case v.IsStr:
-			return false
+			return nil, false
 		default:
 			lo, hi = min(lo, v.I), max(hi, v.I)
 		}
 	}
-	if uint64(len(rows)) > math.MaxUint32 || (nulls < len(rows) && uint64(hi)-uint64(lo) > math.MaxUint32) {
-		return false
+	if uint64(n) > math.MaxUint32 || (nulls < n && uint64(hi)-uint64(lo) > math.MaxUint32) {
+		return nil, false
 	}
-	// perm[p] is the input row that ends at position p: its low 32 bits
-	// once sorted, with the sort key above them until then.
-	perm := make([]uint64, len(rows))
-	keyed, nullAt := perm[nulls:], perm[:nulls]
+	words := make([]uint64, n)
+	keyed, nullAt := words[nulls:], words[:nulls]
 	if desc {
-		keyed, nullAt = perm[:len(rows)-nulls], perm[len(rows)-nulls:]
+		keyed, nullAt = words[:n-nulls], words[n-nulls:]
 	}
 	k, z := 0, 0
-	for i, r := range rows {
-		v := r[col]
+	for t := 0; t < n; t++ {
+		v := col.at(t)
 		switch {
 		case v.Null:
-			nullAt[z] = uint64(i)
+			nullAt[z] = uint64(t)
 			z++
 			continue
 		case desc:
@@ -374,121 +500,132 @@ func sortByKey(rows []catalog.Row, col int, desc bool) bool {
 		default:
 			keyed[k] = (uint64(v.I) - uint64(lo)) << 32
 		}
-		keyed[k] |= uint64(i)
+		keyed[k] |= uint64(t)
 		k++
 	}
 	slices.Sort(keyed)
-	// Follow each cycle of the permutation once, marking a placed position
-	// with its own index.
-	for i := range perm {
-		if int(uint32(perm[i])) == i {
+	return words, true
+}
+
+// keyIndex groups a join's inner tuples by their join key, NULL keys left
+// out: the tuples whose key has group g are at[start[g]:start[g+1]], in
+// input order. It costs one map entry per distinct key and two int32s per
+// tuple, whatever the number of tuples per key. The map is not presized:
+// an inner side often has far fewer distinct keys than tuples.
+type keyIndex struct {
+	group     map[catalog.Value]int32
+	start, at []int32
+}
+
+func indexByKey(in rel, o int) keyIndex {
+	col, n := in.column(o), in.len()
+	ix := keyIndex{group: make(map[catalog.Value]int32)}
+	gid := make([]int32, n) // each tuple's group, -1 for a NULL key
+	var size []int32
+	for t := range gid {
+		v := col.at(t)
+		if v.Null {
+			gid[t] = -1
 			continue
 		}
-		first, j := rows[i], i
-		for {
-			src := int(uint32(perm[j]))
-			perm[j] = uint64(j)
-			if src == i {
-				rows[j] = first
-				break
-			}
-			rows[j] = rows[src]
-			j = src
+		g, ok := ix.group[*v]
+		if !ok {
+			g = int32(len(size))
+			ix.group[*v] = g
+			size = append(size, 0)
+		}
+		gid[t] = g
+		size[g]++
+	}
+	ix.start = make([]int32, len(size)+1)
+	for g, s := range size {
+		ix.start[g+1] = ix.start[g] + s
+	}
+	next := size // reused as each group's fill position
+	copy(next, ix.start)
+	ix.at = make([]int32, ix.start[len(size)])
+	for t, g := range gid {
+		if g >= 0 {
+			ix.at[next[g]] = int32(t)
+			next[g]++
 		}
 	}
-	return true
+	return ix
 }
 
-// joinRows carves join output rows out of per-join slabs of Values, so a
-// join makes one allocation per slab rather than one per output row. The
-// slabs grow geometrically from slabFirst Values to slabMax, which bounds
-// the unused tail of a join's last slab and is the runtime's largest
-// small-object size, so no slab takes the large-object path. Each row is a
-// three-index slice (cap == len): an append to a returned row reallocates
-// instead of writing into the next row's cells. A slab stays reachable
-// while any row carved from it is, and slabs are never reused, so rows
-// need no lifetime rule beyond the query's own.
-type joinRows struct {
-	free []catalog.Value // unused tail of the current slab
-	next int             // length of the next slab
-}
-
-const (
-	slabFirst = 64   // 2 KiB of Values
-	slabMax   = 1024 // 32 KiB of Values
-)
-
-// concat returns a new row holding a's values followed by b's.
-func (s *joinRows) concat(a, b catalog.Row) catalog.Row {
-	w := len(a) + len(b)
-	if len(s.free) < w {
-		s.next = min(max(2*s.next, slabFirst), slabMax)
-		s.free = make([]catalog.Value, max(s.next, w))
+// equiJoin pairs each outer tuple, in order, with the inner tuples that
+// share its key, in order: the output of a hash join with inner as the
+// build side, and of a nested loop. It finds every outer tuple's group and
+// the output's size, bounded by maxJoinRows, before it allocates the output
+// once. what names the operator in the maxJoinRows error.
+func equiJoin(outer, inner rel, lc, rc int, what string) (rel, error) {
+	ix := indexByKey(inner, rc)
+	col := outer.column(lc)
+	groups := make([]int32, outer.len()) // each outer tuple's group, -1 for none
+	total := 0
+	for t := range groups {
+		groups[t] = -1
+		v := col.at(t)
+		if v.Null {
+			continue
+		}
+		g, ok := ix.group[*v]
+		if !ok {
+			continue
+		}
+		if total += int(ix.start[g+1] - ix.start[g]); total > maxJoinRows {
+			return rel{}, fmt.Errorf("engine: %s result exceeds %d rows", what, maxJoinRows)
+		}
+		groups[t] = g
 	}
-	r := s.free[:w:w]
-	s.free = s.free[w:]
-	copy(r, a)
-	copy(r[len(a):], b)
-	return r
+	out := joined(outer, inner)
+	out.ids = make([]int32, 0, total*len(out.srcs))
+	for t, g := range groups {
+		if g < 0 {
+			continue
+		}
+		for _, b := range ix.at[ix.start[g]:ix.start[g+1]] {
+			out.pair(outer, t, inner, int(b))
+		}
+	}
+	return out, nil
 }
 
-func (e *Executor) execHashJoin(n *planner.Node, left, right []catalog.Row) ([]catalog.Row, error) {
+func (e *Executor) execHashJoin(n *planner.Node, left, right rel) (rel, error) {
 	// right is the build side (the planner puts the smaller input there).
-	build := make(map[catalog.Value][]catalog.Row, len(right))
-	rc := n.JoinRightCol
-	for _, r := range right {
-		k := r[rc]
-		if k.Null {
-			continue
-		}
-		build[k] = append(build[k], r)
+	out, err := equiJoin(left, right, n.JoinLeftCol, n.JoinRightCol, "hash join")
+	if err != nil {
+		return rel{}, err
 	}
-	var out []catalog.Row
-	var slab joinRows
-	var matches int64
-	lc := n.JoinLeftCol
-	for _, l := range left {
-		k := l[lc]
-		if k.Null {
-			continue
-		}
-		bucket := build[k]
-		if len(out)+len(bucket) > maxJoinRows {
-			return nil, fmt.Errorf("engine: hash join result exceeds %d rows", maxJoinRows)
-		}
-		for _, r := range bucket {
-			matches++
-			out = append(out, slab.concat(l, r))
-		}
-	}
-	buildBytes := int64(len(right)) * int64(n.Children[1].EstWidth)
+	nl, nr := int64(left.len()), int64(right.len())
+	buildBytes := nr * int64(n.Children[1].EstWidth)
 	passes := e.Env.SpillPasses(buildBytes)
-	totalBytes := buildBytes + int64(len(left))*int64(n.Children[0].EstWidth)
+	totalBytes := buildBytes + nl*int64(n.Children[0].EstWidth)
 	c := counters{
-		tuples:   int64(len(left)) + int64(len(right)) + matches,
+		tuples:   nl + nr + int64(out.len()),
 		seqPages: 2 * int64(passes) * (totalBytes/storage.PageSize + 1),
 		startups: 1,
 		relPages: totalBytes/storage.PageSize + 1,
 	}
-	n.ActualIn1 = float64(len(left))
-	n.ActualIn2 = float64(len(right))
-	n.ActualRows = int64(len(out))
+	n.ActualIn1 = float64(nl)
+	n.ActualIn2 = float64(nr)
+	n.ActualRows = int64(out.len())
 	n.ActualMs = e.ms(c)
 	return out, nil
 }
 
-func (e *Executor) execMergeJoin(n *planner.Node, left, right []catalog.Row) ([]catalog.Row, error) {
-	lc, rc := n.JoinLeftCol, n.JoinRightCol
-	var out []catalog.Row
-	var slab joinRows
-	var matches int64
+func (e *Executor) execMergeJoin(n *planner.Node, left, right rel) (rel, error) {
+	lcol, rcol := left.column(n.JoinLeftCol), right.column(n.JoinRightCol)
+	nl, nr := left.len(), right.len()
+	out := joined(left, right)
 	i, j := 0, 0
-	for i < len(left) && j < len(right) {
-		cmp := left[i][lc].Compare(right[j][rc])
+	for i < nl && j < nr {
+		lv, rv := lcol.at(i), rcol.at(j)
+		cmp := lv.Compare(*rv)
 		switch {
-		case left[i][lc].Null:
+		case lv.Null:
 			i++
-		case right[j][rc].Null:
+		case rv.Null:
 			j++
 		case cmp < 0:
 			i++
@@ -497,35 +634,34 @@ func (e *Executor) execMergeJoin(n *planner.Node, left, right []catalog.Row) ([]
 		default:
 			// Find the full duplicate group on each side.
 			i2 := i
-			for i2 < len(left) && left[i2][lc].Compare(right[j][rc]) == 0 {
+			for i2 < nl && lcol.at(i2).Compare(*rv) == 0 {
 				i2++
 			}
 			j2 := j
-			for j2 < len(right) && right[j2][rc].Compare(left[i][lc]) == 0 {
+			for j2 < nr && rcol.at(j2).Compare(*lv) == 0 {
 				j2++
 			}
-			// Check the bound before materialising the group's cross
-			// product, which a low-cardinality key makes huge.
-			if len(out)+(i2-i)*(j2-j) > maxJoinRows {
-				return nil, fmt.Errorf("engine: merge join result exceeds %d rows", maxJoinRows)
+			// Check the bound before adding the group's cross product,
+			// which a low-cardinality key makes huge.
+			if out.len()+(i2-i)*(j2-j) > maxJoinRows {
+				return rel{}, fmt.Errorf("engine: merge join result exceeds %d rows", maxJoinRows)
 			}
 			for a := i; a < i2; a++ {
 				for b := j; b < j2; b++ {
-					matches++
-					out = append(out, slab.concat(left[a], right[b]))
+					out.pair(left, a, right, b)
 				}
 			}
 			i, j = i2, j2
 		}
 	}
 	c := counters{
-		tuples:   int64(len(left)) + int64(len(right)) + matches,
+		tuples:   int64(nl) + int64(nr) + int64(out.len()),
 		startups: 1,
 		relPages: 1,
 	}
-	n.ActualIn1 = float64(len(left))
-	n.ActualIn2 = float64(len(right))
-	n.ActualRows = int64(len(out))
+	n.ActualIn1 = float64(nl)
+	n.ActualIn2 = float64(nr)
+	n.ActualRows = int64(out.len())
 	n.ActualMs = e.ms(c)
 	return out, nil
 }
@@ -535,52 +671,36 @@ func (e *Executor) execMergeJoin(n *planner.Node, left, right []catalog.Row) ([]
 // the *computation* stays bounded, while the *charged* tuple count is the
 // full n1·n2 scan the operator logically performs — the simulation rule
 // documented in docs/ARCHITECTURE.md §1.
-func (e *Executor) execNestedLoop(n *planner.Node, outer, inner []catalog.Row) ([]catalog.Row, error) {
-	rc := n.JoinRightCol
-	byKey := make(map[catalog.Value][]catalog.Row, len(inner))
-	for _, r := range inner {
-		if !r[rc].Null {
-			byKey[r[rc]] = append(byKey[r[rc]], r)
-		}
+func (e *Executor) execNestedLoop(n *planner.Node, outer, inner rel) (rel, error) {
+	out, err := equiJoin(outer, inner, n.JoinLeftCol, n.JoinRightCol, "nested loop")
+	if err != nil {
+		return rel{}, err
 	}
-	var out []catalog.Row
-	var slab joinRows
-	lc := n.JoinLeftCol
-	for _, l := range outer {
-		if l[lc].Null {
-			continue
-		}
-		bucket := byKey[l[lc]]
-		if len(out)+len(bucket) > maxJoinRows {
-			return nil, fmt.Errorf("engine: nested loop result exceeds %d rows", maxJoinRows)
-		}
-		for _, r := range bucket {
-			out = append(out, slab.concat(l, r))
-		}
-	}
+	no, ni := int64(outer.len()), int64(inner.len())
 	c := counters{
-		tuples:   int64(len(outer))*int64(len(inner)) + int64(len(outer)),
+		tuples:   no*ni + no,
 		startups: 1,
 		relPages: 1,
 	}
-	n.ActualIn1 = float64(len(outer))
-	n.ActualIn2 = float64(len(inner))
-	n.ActualRows = int64(len(out))
+	n.ActualIn1 = float64(no)
+	n.ActualIn2 = float64(ni)
+	n.ActualRows = int64(out.len())
 	n.ActualMs = e.ms(c)
 	return out, nil
 }
 
-func (e *Executor) execMaterialize(n *planner.Node, in []catalog.Row) []catalog.Row {
-	bytes := int64(len(in)) * int64(n.EstWidth)
+func (e *Executor) execMaterialize(n *planner.Node, in rel) rel {
+	nn := int64(in.len())
+	bytes := nn * int64(n.EstWidth)
 	passes := e.Env.SpillPasses(bytes)
 	c := counters{
-		tuples:   int64(len(in)),
+		tuples:   nn,
 		seqPages: 2 * int64(passes) * (bytes/storage.PageSize + 1),
 		startups: 1,
 		relPages: bytes/storage.PageSize + 1,
 	}
-	n.ActualIn1 = float64(len(in))
-	n.ActualRows = int64(len(in))
+	n.ActualIn1 = float64(nn)
+	n.ActualRows = nn
 	n.ActualMs = e.ms(c)
 	return in
 }
@@ -594,66 +714,78 @@ type aggState struct {
 	maxs   []catalog.Value
 }
 
-func (e *Executor) execAggregate(n *planner.Node, in []catalog.Row) ([]catalog.Row, error) {
+func newAggState(aggs int) *aggState {
+	st := &aggState{
+		counts: make([]int64, aggs),
+		sums:   make([]int64, aggs),
+		mins:   make([]catalog.Value, aggs),
+		maxs:   make([]catalog.Value, aggs),
+	}
+	for i := range st.mins {
+		st.mins[i] = catalog.NullVal()
+		st.maxs[i] = catalog.NullVal()
+	}
+	return st
+}
+
+// execAggregate groups its input in order of first appearance and emits
+// one row per group — the group columns, then the aggregates — as the
+// source of a new one-slot rel.
+func (e *Executor) execAggregate(n *planner.Node, in rel) (rel, error) {
+	groupCols := make([]column, len(n.GroupCols))
+	for i, c := range n.GroupCols {
+		groupCols[i] = in.column(c)
+	}
+	aggCols := make([]column, len(n.Aggs))
+	for i, a := range n.Aggs {
+		if a.Col >= 0 {
+			aggCols[i] = in.column(a.Col)
+		}
+	}
 	groups := make(map[string]*aggState)
-	order := make([]string, 0, 16)
-	for _, row := range in {
-		key := groupKey(row, n.GroupCols)
-		st := groups[key]
+	order := make([]*aggState, 0, 16)
+	var key []byte
+	nn := in.len()
+	for t := 0; t < nn; t++ {
+		key = key[:0]
+		for _, c := range groupCols {
+			key = appendGroupKey(key, c.at(t))
+		}
+		st := groups[string(key)]
 		if st == nil {
-			st = &aggState{
-				counts: make([]int64, len(n.Aggs)),
-				sums:   make([]int64, len(n.Aggs)),
-				mins:   make([]catalog.Value, len(n.Aggs)),
-				maxs:   make([]catalog.Value, len(n.Aggs)),
+			st = newAggState(len(n.Aggs))
+			for _, c := range groupCols {
+				st.key = append(st.key, *c.at(t))
 			}
-			for _, gc := range n.GroupCols {
-				st.key = append(st.key, row[gc])
-			}
-			for i := range n.Aggs {
-				st.mins[i] = catalog.NullVal()
-				st.maxs[i] = catalog.NullVal()
-			}
-			groups[key] = st
-			order = append(order, key)
+			groups[string(key)] = st
+			order = append(order, st)
 		}
 		for ai, a := range n.Aggs {
 			if a.Col < 0 { // COUNT(*)
 				st.counts[ai]++
 				continue
 			}
-			v := row[a.Col]
+			v := aggCols[ai].at(t)
 			if v.Null {
 				continue
 			}
 			st.counts[ai]++
 			st.sums[ai] += v.I
 			if st.mins[ai].Null || v.Compare(st.mins[ai]) < 0 {
-				st.mins[ai] = v
+				st.mins[ai] = *v
 			}
 			if st.maxs[ai].Null || v.Compare(st.maxs[ai]) > 0 {
-				st.maxs[ai] = v
+				st.maxs[ai] = *v
 			}
 		}
 	}
 	// Scalar aggregate over empty input still yields one row.
 	if len(n.GroupCols) == 0 && len(order) == 0 {
-		st := &aggState{
-			counts: make([]int64, len(n.Aggs)),
-			sums:   make([]int64, len(n.Aggs)),
-			mins:   make([]catalog.Value, len(n.Aggs)),
-			maxs:   make([]catalog.Value, len(n.Aggs)),
-		}
-		for i := range n.Aggs {
-			st.mins[i] = catalog.NullVal()
-			st.maxs[i] = catalog.NullVal()
-		}
-		groups[""] = st
-		order = append(order, "")
+		order = append(order, newAggState(len(n.Aggs)))
 	}
-	out := make([]catalog.Row, 0, len(order))
-	for _, key := range order {
-		st := groups[key]
+	rows := make([]catalog.Row, 0, len(order))
+	ids := make([]int32, len(order))
+	for gi, st := range order {
 		row := append(catalog.Row{}, st.key...)
 		for ai, a := range n.Aggs {
 			switch a.Func {
@@ -672,41 +804,37 @@ func (e *Executor) execAggregate(n *planner.Node, in []catalog.Row) ([]catalog.R
 			case "max":
 				row = append(row, st.maxs[ai])
 			default:
-				return nil, fmt.Errorf("engine: unsupported aggregate %q", a.Func)
+				return rel{}, fmt.Errorf("engine: unsupported aggregate %q", a.Func)
 			}
 		}
-		out = append(out, row)
+		rows = append(rows, row)
+		ids[gi] = int32(gi)
 	}
 	c := counters{
-		tuples:   int64(len(in)),
-		startups: 1 + int64(len(out)),
+		tuples:   int64(nn),
+		startups: 1 + int64(len(rows)),
 		relPages: 1,
 	}
-	n.ActualIn1 = float64(len(in))
-	n.ActualRows = int64(len(out))
+	n.ActualIn1 = float64(nn)
+	n.ActualRows = int64(len(rows))
 	n.ActualMs = e.ms(c)
-	return out, nil
+	return oneSlot(rows, len(n.GroupCols)+len(n.Aggs), ids), nil
 }
 
-func groupKey(row catalog.Row, cols []int) string {
-	if len(cols) == 0 {
-		return ""
-	}
-	var b []byte
-	for _, c := range cols {
-		v := row[c]
-		if v.Null {
-			b = append(b, 0xFF)
-		} else if v.IsStr {
-			b = append(b, v.S...)
-		} else {
-			for s := 0; s < 64; s += 8 {
-				b = append(b, byte(v.I>>s))
-			}
+// appendGroupKey appends v to a group key: NULL as 0xFF, a string as its
+// bytes, an integer as its eight little-endian bytes, each followed by 0.
+func appendGroupKey(b []byte, v *catalog.Value) []byte {
+	switch {
+	case v.Null:
+		b = append(b, 0xFF)
+	case v.IsStr:
+		b = append(b, v.S...)
+	default:
+		for s := 0; s < 64; s += 8 {
+			b = append(b, byte(v.I>>s))
 		}
-		b = append(b, 0)
 	}
-	return string(b)
+	return append(b, 0)
 }
 
 func matchAll(preds []planner.CompiledPred, row catalog.Row) bool {

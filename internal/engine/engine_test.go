@@ -53,8 +53,8 @@ func TestSeqScanCorrectness(t *testing.T) {
 	node, res := runSQL(t, tpch, env, "SELECT * FROM lineitem WHERE l_quantity < 10")
 	qi := tpch.Schema.Table("lineitem").ColIndex("l_quantity")
 	want := bruteCount(tpch, "lineitem", func(r catalog.Row) bool { return r[qi].I < 10 })
-	if len(res.Rows) != want {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
+	if res.Len() != want {
+		t.Fatalf("rows = %d, want %d", res.Len(), want)
 	}
 	if node.Op != planner.SeqScan {
 		t.Fatalf("op = %v", node.Op)
@@ -70,11 +70,11 @@ func TestIndexScanMatchesSeqScan(t *testing.T) {
 	noIdx := quietEnv()
 	noIdx.Knobs.EnableIndexScan = false
 	_, seqRes := runSQL(t, tpch, noIdx, "SELECT * FROM orders WHERE o_orderkey = 442")
-	if len(idxRes.Rows) != len(seqRes.Rows) || len(idxRes.Rows) != 1 {
-		t.Fatalf("index %d vs seq %d rows", len(idxRes.Rows), len(seqRes.Rows))
+	if idxRes.Len() != seqRes.Len() || idxRes.Len() != 1 {
+		t.Fatalf("index %d vs seq %d rows", idxRes.Len(), seqRes.Len())
 	}
-	if idxRes.Rows[0][0].I != 442 {
-		t.Fatalf("wrong row: %v", idxRes.Rows[0])
+	if row := idxRes.Rows()[0]; row[0].I != 442 {
+		t.Fatalf("wrong row: %v", row)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestIndexScanRange(t *testing.T) {
 	node, res := runSQL(t, tpch, env, "SELECT * FROM orders WHERE o_orderdate BETWEEN 8100 AND 8120")
 	di := tpch.Schema.Table("orders").ColIndex("o_orderdate")
 	want := bruteCount(tpch, "orders", func(r catalog.Row) bool { return r[di].I >= 8100 && r[di].I <= 8120 })
-	if len(res.Rows) != want {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
+	if res.Len() != want {
+		t.Fatalf("rows = %d, want %d", res.Len(), want)
 	}
 	if node.Op != planner.IndexScan {
 		t.Fatalf("expected IndexScan, got %v", node.Op)
@@ -99,8 +99,8 @@ func TestIndexScanWithResidualFilter(t *testing.T) {
 	want := bruteCount(tpch, "orders", func(r catalog.Row) bool {
 		return r[oi].I < 100 && r[pi].Float() > 200000
 	})
-	if len(res.Rows) != want {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
+	if res.Len() != want {
+		t.Fatalf("rows = %d, want %d", res.Len(), want)
 	}
 }
 
@@ -108,13 +108,13 @@ func TestHashJoinCorrectness(t *testing.T) {
 	env := quietEnv()
 	node, res := runSQL(t, tpch, env,
 		"SELECT * FROM nation JOIN region ON nation.n_regionkey = region.r_regionkey")
-	if len(res.Rows) != 25 {
-		t.Fatalf("join rows = %d, want 25 (every nation matches)", len(res.Rows))
+	if res.Len() != 25 {
+		t.Fatalf("join rows = %d, want 25 (every nation matches)", res.Len())
 	}
 	// Verify the join key actually matches on every output row.
 	lc := node.ColIndex("nation", "n_regionkey")
 	rc := node.ColIndex("region", "r_regionkey")
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		if r[lc].I != r[rc].I {
 			t.Fatalf("join produced non-matching row: %v", r)
 		}
@@ -132,10 +132,10 @@ func TestJoinMethodsAgree(t *testing.T) {
 		env := quietEnv()
 		mut(&env.Knobs)
 		node, res := runSQL(t, tpch, env, sql)
-		if len(res.Rows) != 1 {
-			t.Fatalf("%s: agg rows = %d", name, len(res.Rows))
+		if res.Len() != 1 {
+			t.Fatalf("%s: agg rows = %d", name, res.Len())
 		}
-		counts[name] = res.Rows[0][0].I
+		counts[name] = res.Rows()[0][0].I
 		_ = node
 	}
 	if counts["hash"] != counts["merge"] || counts["hash"] != counts["nl"] {
@@ -150,8 +150,9 @@ func TestSortOrdersOutput(t *testing.T) {
 	env := quietEnv()
 	node, res := runSQL(t, tpch, env, "SELECT * FROM orders WHERE o_totalprice > 440000 ORDER BY o_totalprice DESC")
 	pi := node.ColIndex("orders", "o_totalprice")
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i][pi].I > res.Rows[i-1][pi].I {
+	rows := res.Rows()
+	for i := 1; i < len(rows); i++ {
+		if rows[i][pi].I > rows[i-1][pi].I {
 			t.Fatalf("not descending at %d", i)
 		}
 	}
@@ -163,8 +164,8 @@ func TestSortOrdersOutput(t *testing.T) {
 func TestLimitApplied(t *testing.T) {
 	env := quietEnv()
 	_, res := runSQL(t, tpch, env, "SELECT * FROM orders WHERE o_totalprice > 0 ORDER BY o_totalprice LIMIT 5")
-	if len(res.Rows) != 5 {
-		t.Fatalf("limit rows = %d", len(res.Rows))
+	if res.Len() != 5 {
+		t.Fatalf("limit rows = %d", res.Len())
 	}
 }
 
@@ -172,11 +173,11 @@ func TestAggregateGroupBy(t *testing.T) {
 	env := quietEnv()
 	node, res := runSQL(t, tpch, env,
 		"SELECT COUNT(*), SUM(l_quantity), MIN(l_quantity), MAX(l_quantity), AVG(l_quantity) FROM lineitem GROUP BY l_returnflag")
-	if len(res.Rows) != 3 {
-		t.Fatalf("groups = %d, want 3 (A,N,R)", len(res.Rows))
+	if res.Len() != 3 {
+		t.Fatalf("groups = %d, want 3 (A,N,R)", res.Len())
 	}
 	var total int64
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		total += r[1].I // COUNT(*) is first agg after group col
 		if r[3].I < 1 || r[4].I > 50 {
 			t.Fatalf("min/max out of domain: %v", r)
@@ -194,8 +195,8 @@ func TestAggregateGroupBy(t *testing.T) {
 func TestScalarAggregateOnEmptyInput(t *testing.T) {
 	env := quietEnv()
 	_, res := runSQL(t, tpch, env, "SELECT COUNT(*) FROM orders WHERE o_orderkey = -1")
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 0 {
-		t.Fatalf("COUNT over empty = %v", res.Rows)
+	if rows := res.Rows(); len(rows) != 1 || rows[0][0].I != 0 {
+		t.Fatalf("COUNT over empty = %v", rows)
 	}
 }
 
@@ -204,7 +205,7 @@ func TestThreeWayJoinCount(t *testing.T) {
 	_, res := runSQL(t, tpch, env,
 		"SELECT COUNT(*) FROM customer, orders, lineitem WHERE customer.c_custkey = orders.o_custkey AND orders.o_orderkey = lineitem.l_orderkey")
 	// Every lineitem row joins to exactly one order and one customer.
-	if got := res.Rows[0][0].I; got != int64(tpch.DB.Heap("lineitem").NumRows()) {
+	if got := res.Rows()[0][0].I; got != int64(tpch.DB.Heap("lineitem").NumRows()) {
 		t.Fatalf("3-way count = %d, want %d", got, tpch.DB.Heap("lineitem").NumRows())
 	}
 }
@@ -287,8 +288,8 @@ func TestPerNodeTimesSumToTotal(t *testing.T) {
 func TestSysbenchPointSelect(t *testing.T) {
 	env := quietEnv()
 	node, res := runSQL(t, sysb, env, "SELECT * FROM sbtest1 WHERE id = 777")
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 777 {
-		t.Fatalf("point select = %v", res.Rows)
+	if rows := res.Rows(); len(rows) != 1 || rows[0][0].I != 777 {
+		t.Fatalf("point select = %v", rows)
 	}
 	if node.Op != planner.IndexScan {
 		t.Fatalf("point select should use the PK index")

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/catalog"
@@ -9,17 +10,27 @@ import (
 	"repro/internal/storage"
 )
 
-// This file keeps the executor's sort and join operators as they were
-// before rows were sorted by sortRows and carved out of joinRows slabs:
-// sort.SliceStable over a copy of the input, and one heap object per join
-// output row. TestMatchesReference runs every workload template through
-// both and requires identical rows, actuals and totals. The bodies below
-// are verbatim apart from the ref prefixes.
+// This file keeps the executor as it was before operators passed row-id
+// tuples: every operator returns a []catalog.Row, scans return the heap's
+// rows, sort is sort.SliceStable over a copy of its input, each join output
+// row is one heap object holding copies of both sides' values, and
+// aggregate builds a string key per row. TestMatchesReference runs every
+// workload template through both and requires identical rows, errors,
+// actuals and totals. The bodies below are verbatim apart from the ref
+// prefixes, the sort and joins taking their inputs from refExec, and
+// RefResult.
+
+// RefResult is one reference execution: the output rows and the simulated
+// latency.
+type RefResult struct {
+	Rows    []catalog.Row
+	TotalMs float64
+}
 
 // RefExecuteSeq is ExecuteSeq over the reference operators. Exported for
 // the differential test, which lives in package engine_test because it
 // draws its queries from internal/workload (which imports engine).
-func (e *Executor) RefExecuteSeq(root *planner.Node, seq int64) (*Result, error) {
+func (e *Executor) RefExecuteSeq(root *planner.Node, seq int64) (*RefResult, error) {
 	rows, err := e.refExec(root)
 	if err != nil {
 		return nil, err
@@ -29,44 +40,239 @@ func (e *Executor) RefExecuteSeq(root *planner.Node, seq int64) (*Result, error)
 	}
 	f := e.Env.Noise(seq)
 	root.Walk(func(n *planner.Node) { n.ActualMs *= f })
-	return &Result{Rows: rows, TotalMs: root.TotalMs()}, nil
+	return &RefResult{Rows: rows, TotalMs: root.TotalMs()}, nil
 }
 
+// refExec runs n's children left to right, then n itself over their rows.
+// Every operator returns a row slice its parent owns outright (rows
+// themselves may be shared with the heap and are never written).
 func (e *Executor) refExec(n *planner.Node) ([]catalog.Row, error) {
+	var in [2][]catalog.Row // no operator has more than two inputs
+	for i, c := range n.Children {
+		rows, err := e.refExec(c)
+		if err != nil {
+			return nil, err
+		}
+		in[i] = rows
+	}
 	switch n.Op {
 	case planner.SeqScan:
-		return e.execSeqScan(n)
+		return e.refExecSeqScan(n)
 	case planner.IndexScan:
-		return e.execIndexScan(n)
+		return e.refExecIndexScan(n)
 	case planner.Sort:
-		return e.refExecSort(n)
+		return e.refExecSort(n, in[0]), nil
 	case planner.HashJoin:
-		return e.refExecHashJoin(n)
+		return e.refExecHashJoin(n, in[0], in[1])
 	case planner.MergeJoin:
-		return e.refExecMergeJoin(n)
+		return e.refExecMergeJoin(n, in[0], in[1])
 	case planner.NestedLoop:
-		return e.refExecNestedLoop(n)
+		return e.refExecNestedLoop(n, in[0], in[1])
 	case planner.Aggregate:
-		in, err := e.refExec(n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return e.execAggregate(n, in)
+		return e.refExecAggregate(n, in[0])
 	case planner.Materialize:
-		in, err := e.refExec(n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return e.execMaterialize(n, in), nil
+		return e.refExecMaterialize(n, in[0]), nil
 	}
 	return nil, fmt.Errorf("engine: unknown operator %v", n.Op)
 }
 
-func (e *Executor) refExecSort(n *planner.Node) ([]catalog.Row, error) {
-	in, err := e.refExec(n.Children[0])
-	if err != nil {
-		return nil, err
+func (e *Executor) refExecSeqScan(n *planner.Node) ([]catalog.Row, error) {
+	h := e.DB.Heap(n.Table)
+	if h == nil {
+		return nil, fmt.Errorf("engine: no heap for table %q", n.Table)
 	}
+	var out []catalog.Row
+	total := h.NumRows()
+	for id := 0; id < total; id++ {
+		row := h.Get(id)
+		if matchAll(n.Preds, row) {
+			out = append(out, row)
+		}
+	}
+	c := counters{
+		seqPages: h.NumPages(),
+		tuples:   int64(total),
+		startups: 1,
+		relPages: h.NumPages(),
+		parallel: true,
+	}
+	n.ActualIn1 = float64(total)
+	n.ActualRows = int64(len(out))
+	n.ActualMs = e.ms(c)
+	return out, nil
+}
+
+func (e *Executor) refExecIndexScan(n *planner.Node) ([]catalog.Row, error) {
+	h := e.DB.Heap(n.Table)
+	idx := e.DB.Index(n.Index)
+	if h == nil || idx == nil {
+		return nil, fmt.Errorf("engine: missing heap/index for %q/%q", n.Table, n.Index)
+	}
+	lo, hi, loInc, hiInc := indexBounds(n.IndexPred)
+	var out []catalog.Row
+	var matches int64
+	idx.Range(lo, hi, loInc, hiInc, func(id int) bool {
+		matches++
+		row := h.Get(id)
+		if matchAll(n.Preds, row) {
+			out = append(out, row)
+		}
+		return true
+	})
+	leafPages := int64(math.Ceil(float64(matches) / 256))
+	c := counters{
+		randPages: int64(idx.Height()) + leafPages + matches, // descent + leaves + heap fetches
+		idxTuples: matches,
+		tuples:    matches,
+		startups:  1,
+		relPages:  h.NumPages(),
+	}
+	n.ActualIn1 = float64(matches)
+	n.ActualRows = int64(len(out))
+	n.ActualMs = e.ms(c)
+	return out, nil
+}
+
+func (e *Executor) refExecMaterialize(n *planner.Node, in []catalog.Row) []catalog.Row {
+	bytes := int64(len(in)) * int64(n.EstWidth)
+	passes := e.Env.SpillPasses(bytes)
+	c := counters{
+		tuples:   int64(len(in)),
+		seqPages: 2 * int64(passes) * (bytes/storage.PageSize + 1),
+		startups: 1,
+		relPages: bytes/storage.PageSize + 1,
+	}
+	n.ActualIn1 = float64(len(in))
+	n.ActualRows = int64(len(in))
+	n.ActualMs = e.ms(c)
+	return in
+}
+
+// refAggState accumulates one group.
+type refAggState struct {
+	key    catalog.Row
+	counts []int64
+	sums   []int64
+	mins   []catalog.Value
+	maxs   []catalog.Value
+}
+
+func (e *Executor) refExecAggregate(n *planner.Node, in []catalog.Row) ([]catalog.Row, error) {
+	groups := make(map[string]*refAggState)
+	order := make([]string, 0, 16)
+	for _, row := range in {
+		key := refGroupKey(row, n.GroupCols)
+		st := groups[key]
+		if st == nil {
+			st = &refAggState{
+				counts: make([]int64, len(n.Aggs)),
+				sums:   make([]int64, len(n.Aggs)),
+				mins:   make([]catalog.Value, len(n.Aggs)),
+				maxs:   make([]catalog.Value, len(n.Aggs)),
+			}
+			for _, gc := range n.GroupCols {
+				st.key = append(st.key, row[gc])
+			}
+			for i := range n.Aggs {
+				st.mins[i] = catalog.NullVal()
+				st.maxs[i] = catalog.NullVal()
+			}
+			groups[key] = st
+			order = append(order, key)
+		}
+		for ai, a := range n.Aggs {
+			if a.Col < 0 { // COUNT(*)
+				st.counts[ai]++
+				continue
+			}
+			v := row[a.Col]
+			if v.Null {
+				continue
+			}
+			st.counts[ai]++
+			st.sums[ai] += v.I
+			if st.mins[ai].Null || v.Compare(st.mins[ai]) < 0 {
+				st.mins[ai] = v
+			}
+			if st.maxs[ai].Null || v.Compare(st.maxs[ai]) > 0 {
+				st.maxs[ai] = v
+			}
+		}
+	}
+	// Scalar aggregate over empty input still yields one row.
+	if len(n.GroupCols) == 0 && len(order) == 0 {
+		st := &refAggState{
+			counts: make([]int64, len(n.Aggs)),
+			sums:   make([]int64, len(n.Aggs)),
+			mins:   make([]catalog.Value, len(n.Aggs)),
+			maxs:   make([]catalog.Value, len(n.Aggs)),
+		}
+		for i := range n.Aggs {
+			st.mins[i] = catalog.NullVal()
+			st.maxs[i] = catalog.NullVal()
+		}
+		groups[""] = st
+		order = append(order, "")
+	}
+	out := make([]catalog.Row, 0, len(order))
+	for _, key := range order {
+		st := groups[key]
+		row := append(catalog.Row{}, st.key...)
+		for ai, a := range n.Aggs {
+			switch a.Func {
+			case "count":
+				row = append(row, catalog.IntVal(st.counts[ai]))
+			case "sum":
+				row = append(row, catalog.Value{I: st.sums[ai]})
+			case "avg":
+				if st.counts[ai] == 0 {
+					row = append(row, catalog.NullVal())
+				} else {
+					row = append(row, catalog.Value{I: st.sums[ai] / st.counts[ai]})
+				}
+			case "min":
+				row = append(row, st.mins[ai])
+			case "max":
+				row = append(row, st.maxs[ai])
+			default:
+				return nil, fmt.Errorf("engine: unsupported aggregate %q", a.Func)
+			}
+		}
+		out = append(out, row)
+	}
+	c := counters{
+		tuples:   int64(len(in)),
+		startups: 1 + int64(len(out)),
+		relPages: 1,
+	}
+	n.ActualIn1 = float64(len(in))
+	n.ActualRows = int64(len(out))
+	n.ActualMs = e.ms(c)
+	return out, nil
+}
+
+func refGroupKey(row catalog.Row, cols []int) string {
+	if len(cols) == 0 {
+		return ""
+	}
+	var b []byte
+	for _, c := range cols {
+		v := row[c]
+		if v.Null {
+			b = append(b, 0xFF)
+		} else if v.IsStr {
+			b = append(b, v.S...)
+		} else {
+			for s := 0; s < 64; s += 8 {
+				b = append(b, byte(v.I>>s))
+			}
+		}
+		b = append(b, 0)
+	}
+	return string(b)
+}
+
+func (e *Executor) refExecSort(n *planner.Node, in []catalog.Row) []catalog.Row {
 	rows := make([]catalog.Row, len(in))
 	copy(rows, in)
 	cols, desc := n.SortCols, n.SortDesc
@@ -96,18 +302,11 @@ func (e *Executor) refExecSort(n *planner.Node) ([]catalog.Row, error) {
 	n.ActualIn1 = float64(nn)
 	n.ActualRows = nn
 	n.ActualMs = e.ms(c)
-	return rows, nil
+	return rows
 }
 
-func (e *Executor) refExecHashJoin(n *planner.Node) ([]catalog.Row, error) {
-	left, err := e.refExec(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	right, err := e.refExec(n.Children[1]) // build side (planner puts smaller here)
-	if err != nil {
-		return nil, err
-	}
+func (e *Executor) refExecHashJoin(n *planner.Node, left, right []catalog.Row) ([]catalog.Row, error) {
+	// right is the build side (planner puts smaller here).
 	build := make(map[catalog.Value][]catalog.Row, len(right))
 	rc := n.JoinRightCol
 	for _, r := range right {
@@ -149,15 +348,7 @@ func (e *Executor) refExecHashJoin(n *planner.Node) ([]catalog.Row, error) {
 	return out, nil
 }
 
-func (e *Executor) refExecMergeJoin(n *planner.Node) ([]catalog.Row, error) {
-	left, err := e.refExec(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	right, err := e.refExec(n.Children[1])
-	if err != nil {
-		return nil, err
-	}
+func (e *Executor) refExecMergeJoin(n *planner.Node, left, right []catalog.Row) ([]catalog.Row, error) {
 	lc, rc := n.JoinLeftCol, n.JoinRightCol
 	var out []catalog.Row
 	var matches int64
@@ -207,15 +398,7 @@ func (e *Executor) refExecMergeJoin(n *planner.Node) ([]catalog.Row, error) {
 	return out, nil
 }
 
-func (e *Executor) refExecNestedLoop(n *planner.Node) ([]catalog.Row, error) {
-	outer, err := e.refExec(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	inner, err := e.refExec(n.Children[1])
-	if err != nil {
-		return nil, err
-	}
+func (e *Executor) refExecNestedLoop(n *planner.Node, outer, inner []catalog.Row) ([]catalog.Row, error) {
 	rc := n.JoinRightCol
 	byKey := make(map[catalog.Value][]catalog.Row, len(inner))
 	for _, r := range inner {

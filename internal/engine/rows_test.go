@@ -15,8 +15,8 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// oracleSort is the executor's sort before sortRows: sort.SliceStable over
-// a copy, with the comparator written as a less function.
+// oracleSort is the executor's sort before sortTuples: sort.SliceStable
+// over a copy, with the comparator written as a less function.
 func oracleSort(rows []catalog.Row, o rowOrder) []catalog.Row {
 	out := append([]catalog.Row(nil), rows...)
 	sort.SliceStable(out, func(i, j int) bool {
@@ -35,19 +35,34 @@ func oracleSort(rows []catalog.Row, o rowOrder) []catalog.Row {
 	return out
 }
 
-// requireSameOrder checks that sortRows and the oracle put rows in the same
-// order. Each row's last cell is its unique id, not part of any key.
+// rowsRel is rows, each width wide, as an operator's one-slot output,
+// every row in order.
+func rowsRel(rows []catalog.Row, width int) rel {
+	ids := make([]int32, len(rows))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return oneSlot(rows, width, ids)
+}
+
+// requireSameOrder checks that sortTuples and the oracle put rows in the
+// same order. Each row's last cell is its unique id, not part of any key.
 func requireSameOrder(t *testing.T, rows []catalog.Row, o rowOrder) {
 	t.Helper()
 	want := oracleSort(rows, o)
-	got := sortRows(append([]catalog.Row(nil), rows...), o)
-	if len(got) != len(want) {
-		t.Fatalf("%d rows sorted to %d", len(want), len(got))
+	width := 0 // the key columns are all the sort reads, even of no rows
+	for _, c := range o.cols {
+		width = max(width, c+1)
+	}
+	ids := sortTuples(rowsRel(rows, width), o)
+	if len(ids) != len(want) {
+		t.Fatalf("%d rows sorted to %d", len(want), len(ids))
 	}
 	for i := range want {
-		if id := len(want[i]) - 1; got[i][id] != want[i][id] {
+		got := rows[ids[i]]
+		if id := len(want[i]) - 1; got[id] != want[i][id] {
 			t.Fatalf("n=%d key %v: position %d holds row %v, sort.SliceStable put row %v there",
-				len(rows), o, i, got[i][id].I, want[i][id].I)
+				len(rows), o, i, got[id].I, want[i][id].I)
 		}
 	}
 }
@@ -92,7 +107,7 @@ func TestStableSortRows(t *testing.T) {
 		desc := oracleSort(rows, rowOrder{cols: []int{2, 1}, desc: []bool{true, true}})
 		requireSameOrder(t, desc, orders[6])
 	}
-	// One integer key column over more than sortRun rows takes sortByKey
+	// One integer key column over more than sortRun tuples takes sortByKey
 	// when its integers span less than 2^32: at both ends of int64, where
 	// the distances must not overflow, and around 0, each beside NULLs,
 	// which stay first under ASC and last under DESC. Wider columns and
@@ -121,7 +136,7 @@ func TestStableSortRows(t *testing.T) {
 			for _, desc := range []bool{false, true} {
 				o := rowOrder{cols: []int{0}, desc: []bool{desc}}
 				requireSameOrder(t, rows, o)
-				if keyed := sortByKey(append([]catalog.Row(nil), rows...), 0, desc); keyed != tc.keyed {
+				if _, keyed := sortByKey(rowsRel(rows, 2).column(0), n, desc); keyed != tc.keyed {
 					t.Fatalf("%s, n=%d, desc=%v: sortByKey took the rows = %v, want %v", tc.name, n, desc, keyed, tc.keyed)
 				}
 			}
@@ -130,24 +145,25 @@ func TestStableSortRows(t *testing.T) {
 }
 
 // TestSortBytesPerRow holds a single-column sort to the keyed path's
-// memory: 4 096 rows on one integer column allocate one 8-byte word per
-// row, under the 24-byte row header per row that mergeSortRows' buffer
-// costs.
+// memory: 4 096 tuples on one integer column allocate one 8-byte packed
+// word and one 4-byte reordered id per tuple, under the 24 bytes per row
+// that a merge buffer of row headers costs.
 func TestSortBytesPerRow(t *testing.T) {
 	const n, runs, maxBytesPerRow = 4096, 8, 24
 	rng := rand.New(rand.NewSource(29))
-	inputs := make([][]catalog.Row, runs)
+	inputs := make([]rel, runs)
 	for r := range inputs {
-		inputs[r] = make([]catalog.Row, n)
-		for i := range inputs[r] {
-			inputs[r][i] = catalog.Row{catalog.IntVal(rng.Int63n(1000)), catalog.IntVal(int64(i))}
+		rows := make([]catalog.Row, n)
+		for i := range rows {
+			rows[i] = catalog.Row{catalog.IntVal(rng.Int63n(1000)), catalog.IntVal(int64(i))}
 		}
+		inputs[r] = rowsRel(rows, 2)
 	}
 	o := rowOrder{cols: []int{0}, desc: []bool{true}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for _, rows := range inputs {
-		sortRows(rows, o)
+	for _, in := range inputs {
+		sortTuples(in, o)
 	}
 	runtime.ReadMemStats(&after)
 	perRow := float64(after.TotalAlloc-before.TotalAlloc) / (runs * n)
@@ -159,7 +175,7 @@ func TestSortBytesPerRow(t *testing.T) {
 
 // FuzzStableSortRows decodes the input into a sort key and rows of small
 // ints, short strings and NULLs (each column holds one type, as a table
-// column does), and requires sortRows to produce sort.SliceStable's
+// column does), and requires sortTuples to produce sort.SliceStable's
 // permutation.
 func FuzzStableSortRows(f *testing.F) {
 	f.Add([]byte{0x02, 0x00, 0x05, 1, 2, 3, 3, 2, 1, 0, 0, 0, 1, 2, 3})
@@ -228,39 +244,41 @@ func TestJoinRowsDoNotAlias(t *testing.T) {
 		if node.Op != method {
 			t.Fatalf("%v: planned %v at the root", method, node.Op)
 		}
-		if len(res.Rows) < 1000 {
-			t.Fatalf("%v: only %d rows, too few to span several slabs", method, len(res.Rows))
+		rows := res.Rows()
+		if len(rows) < 1000 {
+			t.Fatalf("%v: only %d rows, too few to span several slabs", method, len(rows))
 		}
-		for i, r := range res.Rows {
+		for i, r := range rows {
 			if cap(r) != len(r) {
 				t.Fatalf("%v: row %d has len %d, cap %d", method, i, len(r), cap(r))
 			}
 		}
-		for i := 0; i+1 < len(res.Rows); i++ {
-			next := append(catalog.Row(nil), res.Rows[i+1]...)
-			grown := append(res.Rows[i], catalog.IntVal(-1))
+		for i := 0; i+1 < len(rows); i++ {
+			next := append(catalog.Row(nil), rows[i+1]...)
+			grown := append(rows[i], catalog.IntVal(-1))
 			for c := range next {
-				if res.Rows[i+1][c] != next[c] {
+				if rows[i+1][c] != next[c] {
 					t.Fatalf("%v: appending to row %d changed row %d", method, i, i+1)
 				}
 			}
-			if &grown[0] == &res.Rows[i][0] {
+			if &grown[0] == &rows[i][0] {
 				t.Fatalf("%v: append to row %d did not reallocate", method, i)
 			}
 		}
 	}
 }
 
-// TestJoinAllocsPerOutputRow holds join output to slab allocation: the
-// orders ⋈ lineitem hash join of BenchmarkHashJoinOrdersLineitem, run
-// whole, allocates far fewer objects than the join produces rows. With one
-// heap object per output row (the executor before joinRows) it reads 1.26
-// allocations per output row (24 720 for 19 658 rows); with slabs, 0.27,
-// nearly all of them the build side's per-key bucket slices. The ceiling
-// is that reading plus 15%. Nothing here is pooled, so the count is the
-// same under -race.
+// TestJoinAllocsPerOutputRow holds join output to a constant number of
+// allocations: the orders ⋈ lineitem hash join of
+// BenchmarkHashJoinOrdersLineitem, run whole, allocates far fewer objects
+// than the join produces rows. With one heap object per output row it read
+// 1.26 allocations per output row (24 720 for 19 658 rows); with rows
+// carved from slabs, 0.27, nearly all of them the build side's per-key
+// bucket slices. With row-id tuples, a flat key index and an output sized
+// before it is built, it reads 0.0046 (91 allocations), 0.0047 under
+// -race. The ceiling is the plain reading plus 15%.
 func TestJoinAllocsPerOutputRow(t *testing.T) {
-	const maxAllocsPerRow = 0.31
+	const maxAllocsPerRow = 0.0053
 	env := quietEnv()
 	node, err := planner.New(tpch.Schema, tpch.Stats, env.Knobs).Plan(sqlparse.MustParse(
 		"SELECT COUNT(*) FROM orders JOIN lineitem ON orders.o_orderkey = lineitem.l_orderkey WHERE o_totalprice > 300000"))

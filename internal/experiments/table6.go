@@ -33,6 +33,9 @@ func (s *Suite) Table6(refCounts []int) ([]Table6Row, error) {
 	return v.([]Table6Row), nil
 }
 
+// frRounds is how many times Table6 times each arm's FR step.
+const frRounds = 5
+
 func (s *Suite) table6Impl(refCounts []int) ([]Table6Row, error) {
 	benchmark := "tpch"
 	pool, err := s.Pool(benchmark)
@@ -51,45 +54,59 @@ func (s *Suite) table6Impl(refCounts []int) ([]Table6Row, error) {
 	}
 	iters := s.trainIters(benchmark)
 
-	// The |R| arms stay serial on purpose: each row's RuntimeSec is a
-	// wall-clock measurement of the FR step, and the paper's claim — FR
-	// runtime grows with |R| — only holds when the measurements do not
-	// contend with each other for cores. Inside one arm the step itself
-	// prices its samples on the worker pool, so RuntimeSec is wall time
-	// over the pool; -workers 1 gives the serial figure.
-	var out []Table6Row
-	rep := s.newReport()
-	defer rep.flush()
-	rep.printf("Table VI (tpch, scale=%d, QCFE(qpp)): reference-count robustness\n", scale)
-	for _, nref := range refCounts {
+	cfgs := make([]core.Config, len(refCounts))
+	for i, nref := range refCounts {
 		cfg := core.DefaultConfig("qppnet")
 		cfg.NumReferences = nref
 		cfg.TrainIters = iters
 		cfg.Seed = s.P.Seed
 		cfg.Prebuilt = snaps
 		cfg.PrebuiltMs = snapMs
+		cfgs[i] = cfg
+	}
 
-		// Measure the FR step in isolation (the paper's "runtime" column).
-		f := &encoding.Featurizer{Enc: encoding.New(ds.Schema), Snaps: snaps}
-		start := time.Now()
-		mask, _, err := core.Reduce(f, train, cfg)
-		if err != nil {
-			return nil, err
+	// Measure the FR step in isolation (the paper's "runtime" column). The
+	// |R| arms are timed serially on purpose: each row's RuntimeSec is a
+	// wall-clock measurement of the FR step, and the paper's claim — FR
+	// runtime grows with |R| — only holds when the measurements do not
+	// contend with each other for cores. Inside one arm the step itself
+	// prices its samples on the worker pool, so RuntimeSec is wall time
+	// over the pool; -workers 1 gives the serial figure. The step is
+	// deterministic, so the arms take turns for frRounds rounds and each
+	// keeps its fastest time: contention from other processes on the box
+	// then falls on every arm alike, not on whichever ran during a burst.
+	f := &encoding.Featurizer{Enc: encoding.New(ds.Schema), Snaps: snaps}
+	masks := make([][]bool, len(cfgs))
+	frTimes := make([]time.Duration, len(cfgs))
+	for round := 0; round < frRounds; round++ {
+		for i, cfg := range cfgs {
+			start := time.Now()
+			if masks[i], _, err = core.Reduce(f, train, cfg); err != nil {
+				return nil, err
+			}
+			if d := time.Since(start); round == 0 || d < frTimes[i] {
+				frTimes[i] = d
+			}
 		}
-		frTime := time.Since(start)
+	}
 
+	var out []Table6Row
+	rep := s.newReport()
+	defer rep.flush()
+	rep.printf("Table VI (tpch, scale=%d, QCFE(qpp)): reference-count robustness\n", scale)
+	for i, cfg := range cfgs {
 		res, err := core.Run(ds, s.Envs(), train, cfg)
 		if err != nil {
 			return nil, err
 		}
 		qe := core.QErrors(res.Model, test)
 		row := Table6Row{
-			NumReferences:  nref,
+			NumReferences:  cfg.NumReferences,
 			MeanQ:          metrics.Mean(qe),
 			P95:            metrics.Percentile(qe, 95),
 			P90:            metrics.Percentile(qe, 90),
-			RuntimeSec:     frTime.Seconds(),
-			ReductionRatio: featred.ReductionRatio(mask),
+			RuntimeSec:     frTimes[i].Seconds(),
+			ReductionRatio: featred.ReductionRatio(masks[i]),
 		}
 		out = append(out, row)
 		rep.printf("  refs=%-4d mean=%.3f p95=%.3f p90=%.3f runtime=%.2fs reduction=%.1f%%\n",

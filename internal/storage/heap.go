@@ -56,6 +56,10 @@ func (h *Heap) Append(r catalog.Row) int {
 // ids from indexes built over this same heap, so a miss is a program bug.
 func (h *Heap) Get(id int) catalog.Row { return h.rows[id] }
 
+// Rows returns every stored row, indexed by RowID. The slice is the heap's
+// own: callers read it and never write it.
+func (h *Heap) Rows() []catalog.Row { return h.rows }
+
 // NumRows returns the stored row count.
 func (h *Heap) NumRows() int { return len(h.rows) }
 

@@ -55,8 +55,12 @@ func CollectWorkers(ds *datagen.Dataset, envs []*dbenv.Environment, perEnv int, 
 	return CollectWorkersCtx(context.Background(), ds, envs, perEnv, seed, workers)
 }
 
-// CollectWorkersCtx is CollectWorkers with cooperative cancellation.
+// CollectWorkersCtx is CollectWorkers with cooperative cancellation. Two
+// environments with one ID are rejected with a *dbenv.DuplicateIDError.
 func CollectWorkersCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, perEnv int, seed int64, workers int) (*Labeled, error) {
+	if err := dbenv.CheckDistinctIDs(envs); err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
 	templates := TemplatesFor(ds.Name)
 	if templates == nil {
 		return nil, fmt.Errorf("workload: unknown benchmark %q", ds.Name)

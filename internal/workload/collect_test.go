@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -54,5 +55,18 @@ func TestCollectWorkerCountInvariant(t *testing.T) {
 				t.Fatalf("workers=%d: sample %d plan actuals diverged", workers, i)
 			}
 		}
+	}
+}
+
+// TestCollectRejectsDuplicateIDs labels two different environments that
+// share ID 0. Labelling keys executors, noise and EnvID by ID, so the
+// second environment's queries would be labelled as the first's; the
+// collection must fail with a typed error instead.
+func TestCollectRejectsDuplicateIDs(t *testing.T) {
+	other := dbenv.SampleSet(1, 7)[0]
+	_, err := CollectWorkers(tpch, []*dbenv.Environment{dbenv.Default(), other}, 40, 1, 1)
+	var dup *dbenv.DuplicateIDError
+	if !errors.As(err, &dup) || dup.ID != 0 || dup.First != 0 || dup.Second != 1 {
+		t.Fatalf("err = %v, want a DuplicateIDError for ID 0 at positions 0 and 1", err)
 	}
 }

@@ -149,7 +149,7 @@ func (b *Benchmark) Execute(env *Environment, sql string) (*QueryResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &QueryResult{Plan: node, Ms: res.TotalMs, Rows: len(res.Rows)}, nil
+	return &QueryResult{Plan: node, Ms: res.TotalMs, Rows: res.Len()}, nil
 }
 
 // AnalyticEstimateMs prices a plan with the PostgreSQL-style cost model
