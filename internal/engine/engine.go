@@ -15,9 +15,10 @@
 // Operators run one at a time over whole inputs, and materialise late
 // (Abadi et al., ICDE 2007): an operator's output is a rel, tuples of row
 // ids into the heaps and aggregate outputs below it, and values are read
-// where they lie. A Value is copied only when a caller asks Result.Rows
-// for the output rows; labelling, which keeps plans and counts, never
-// does.
+// where they lie. The root's order is late too: a root ORDER BY is charged
+// like any sort, but its tuples are ordered, cut to the LIMIT and copied
+// out only when a caller asks Result.Rows for the output rows. Labelling,
+// which keeps plans and counts, never does.
 package engine
 
 import (
@@ -64,20 +65,33 @@ func New(db *storage.Database, env *dbenv.Environment) *Executor {
 type Result struct {
 	TotalMs float64
 	out     rel
+	order   rowOrder // the root ORDER BY, which Rows applies; no columns if none
+	limit   int      // the root LIMIT, which Len and Rows apply; -1 if none
 }
 
-// Len returns the number of output rows.
-func (r *Result) Len() int { return r.out.len() }
+// Len returns the number of output rows, LIMIT applied. It sorts nothing.
+func (r *Result) Len() int {
+	if n := r.out.len(); r.limit < 0 || n <= r.limit {
+		return n
+	}
+	return r.limit
+}
 
 // Rows copies the output rows out of the heaps and aggregate outputs they
-// reference. All rows share one slab of Values, and each is a three-index
-// slice of it (cap == len), so an append to one row reallocates instead of
-// writing into the next. Every call returns a fresh copy.
+// reference: it orders the tuples by the root ORDER BY, keeps the first
+// LIMIT, and materialises those. All rows share one slab of Values, and
+// each is a three-index slice of it (cap == len), so an append to one row
+// reallocates instead of writing into the next. Every call sorts and
+// copies afresh and leaves r as it was.
 func (r *Result) Rows() []catalog.Row {
-	n, w := r.out.len(), len(r.out.cols)
+	out := r.out
+	if len(r.order.cols) > 0 {
+		out.ids = sortTuples(out, r.order)
+	}
+	n, w := r.Len(), len(out.cols)
 	cols := make([]column, w)
 	for o := range cols {
-		cols[o] = r.out.column(o)
+		cols[o] = out.column(o)
 	}
 	slab := make([]catalog.Value, n*w)
 	rows := make([]catalog.Row, n)
@@ -91,10 +105,11 @@ func (r *Result) Rows() []catalog.Row {
 	return rows
 }
 
-// Execute runs the plan and returns rows plus simulated time. The plan's
-// Actual* fields are overwritten. The noise sequence advances with every
-// call, so Execute is not safe for concurrent use on one Executor;
-// parallel callers use ExecuteSeq with an explicit sequence instead.
+// Execute runs the plan and returns its simulated time and its output,
+// whose rows Result.Rows materialises on demand. The plan's Actual* fields
+// are overwritten. The noise sequence advances with every call, so Execute
+// is not safe for concurrent use on one Executor; parallel callers use
+// ExecuteSeq with an explicit sequence instead.
 func (e *Executor) Execute(root *planner.Node) (*Result, error) {
 	e.querySeq++
 	return e.ExecuteSeq(root, e.querySeq)
@@ -105,19 +120,31 @@ func (e *Executor) Execute(root *planner.Node) (*Result, error) {
 // that assigns each query a fixed sequence — e.g. its index in the
 // generated workload — gets bit-identical labels no matter how many
 // goroutines execute the workload or in what order.
+//
+// A root Sort (the planner's ORDER BY) is charged here like any other, but
+// its tuples stay unordered: no counter reads their order, so the Result
+// keeps the sort key and the LIMIT, and Rows applies both when asked.
 func (e *Executor) ExecuteSeq(root *planner.Node, seq int64) (*Result, error) {
-	out, err := e.exec(root)
+	res := &Result{limit: root.Limit}
+	top := root
+	if root.Op == planner.Sort {
+		top = root.Children[0]
+		res.order = rowOrder{cols: root.SortCols, desc: root.SortDesc}
+	}
+	out, err := e.exec(top)
 	if err != nil {
 		return nil, err
 	}
-	if root.Limit >= 0 && out.len() > root.Limit {
-		out.ids = out.ids[:root.Limit*len(out.srcs)]
+	if top != root {
+		e.chargeSort(root, out.len())
 	}
+	res.out = out
 	// One multiplicative noise factor per query, applied to every node so
 	// per-node and total times stay consistent.
 	f := e.Env.Noise(seq)
 	root.Walk(func(n *planner.Node) { n.ActualMs *= f })
-	return &Result{TotalMs: root.TotalMs(), out: out}, nil
+	res.TotalMs = root.TotalMs()
+	return res, nil
 }
 
 // rel is an operator's output: n tuples of k row ids, back to back in ids,
@@ -338,9 +365,17 @@ func indexBounds(p *planner.CompiledPred) (lo, hi *catalog.Value, loInc, hiInc b
 	return nil, nil, true, true
 }
 
+// execSort orders a Sort's input, which a merge join above it reads.
 func (e *Executor) execSort(n *planner.Node, in rel) rel {
 	in.ids = sortTuples(in, rowOrder{cols: n.SortCols, desc: n.SortDesc})
-	nn := int64(in.len())
+	e.chargeSort(n, in.len())
+	return in
+}
+
+// chargeSort sets a Sort node's actuals for sorting tuples of its
+// estimated width: comparisons, and spill passes past work memory.
+func (e *Executor) chargeSort(n *planner.Node, tuples int) {
+	nn := int64(tuples)
 	comparisons := nn * ceilLog2(nn)
 	bytes := nn * int64(n.EstWidth)
 	passes := e.Env.SpillPasses(bytes)
@@ -353,7 +388,6 @@ func (e *Executor) execSort(n *planner.Node, in rel) rel {
 	n.ActualIn1 = float64(nn)
 	n.ActualRows = nn
 	n.ActualMs = e.ms(c)
-	return in
 }
 
 // rowOrder is a sort key: output ordinals with per-column descending flags.

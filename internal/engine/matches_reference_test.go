@@ -77,6 +77,77 @@ func TestManyToManyJoinsMatchReference(t *testing.T) {
 	}
 }
 
+// TestRootSortMatchesReference runs root ORDER BY queries — ascending and
+// descending, integer and string keys, over a scan, an aggregate and a
+// join — with no LIMIT and with a LIMIT of 0, below the row count and above
+// it, through ExecuteSeq, which charges a root Sort but leaves the order to
+// Result.Rows, and through the reference, which sorts. Len must be
+// min(n, LIMIT); Rows must return the reference's rows in its order, and
+// again on a second call; the total and every node's actuals must match
+// bit for bit.
+func TestRootSortMatchesReference(t *testing.T) {
+	ds, err := datagen.Build("tpch", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := *dbenv.Default()
+	pl := planner.New(ds.Schema, ds.Stats, env.Knobs)
+	ex := engine.New(ds.DB, &env)
+	sqls := []string{
+		"SELECT * FROM orders WHERE o_totalprice > 400000 ORDER BY o_totalprice",
+		"SELECT * FROM orders WHERE o_totalprice > 400000 ORDER BY o_totalprice DESC",
+		"SELECT * FROM lineitem WHERE lineitem.l_returnflag <> 'N' ORDER BY lineitem.l_returnflag",
+		"SELECT * FROM lineitem WHERE l_quantity < 10 ORDER BY l_returnflag DESC, l_quantity",
+		"SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag DESC",
+		"SELECT * FROM customer JOIN supplier ON customer.c_nationkey = supplier.s_nationkey WHERE c_acctbal > 9500 ORDER BY s_name",
+	}
+	for qi, base := range sqls {
+		for _, limit := range []int{-1, 0, 2, 10_000_000} {
+			sql := base
+			if limit >= 0 {
+				sql = fmt.Sprintf("%s LIMIT %d", base, limit)
+			}
+			where := fmt.Sprintf("query %d %q", qi, sql)
+			got, want, err := planTwice(pl, sql)
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			if got.Op != planner.Sort {
+				t.Fatalf("%s: root is %v, want Sort", where, got.Op)
+			}
+			seq := int64(qi + 1)
+			gotRes, err := ex.ExecuteSeq(got, seq)
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			wantRes, err := ex.RefExecuteSeq(want, seq)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", where, err)
+			}
+			n := int(got.ActualRows)
+			if limit == 2 && n <= limit {
+				t.Fatalf("%s: %d rows, want more than the LIMIT", where, n)
+			}
+			wantLen := n
+			if limit >= 0 {
+				wantLen = min(n, limit)
+			}
+			if gotRes.Len() != wantLen || len(wantRes.Rows) != wantLen {
+				t.Fatalf("%s: Len %d, reference %d rows, want min(%d, LIMIT)", where, gotRes.Len(), len(wantRes.Rows), n)
+			}
+			for call := 1; call <= 2; call++ {
+				if i := firstRowDiff(gotRes.Rows(), wantRes.Rows); i >= 0 {
+					t.Fatalf("%s: Rows call %d differs at %d", where, call, i)
+				}
+			}
+			if math.Float64bits(gotRes.TotalMs) != math.Float64bits(wantRes.TotalMs) {
+				t.Fatalf("%s: TotalMs %v, reference %v", where, gotRes.TotalMs, wantRes.TotalMs)
+			}
+			compareActuals(t, where, got, want)
+		}
+	}
+}
+
 // joinSets narrow a sampled environment's join permissions: taken as
 // sampled, then hash only, merge only and nested loop only.
 var joinSets = []struct {

@@ -44,6 +44,76 @@ func fitShapedData(n, copies int, seed int64) *Dataset {
 	return d
 }
 
+// fitRepeatData is fitShapedData with the repeats of a fit's operator
+// dataset, whose rows are one-hots and coarse numerics: about half of the n
+// rows are copies, drawn from n/10 heavy rows so that about a quarter of
+// 250 references repeat too. The rows are shuffled, so a row's copies
+// straddle sample rounds and the end of the forward chunk.
+func fitRepeatData(n int, seed int64) *Dataset {
+	d := fitShapedData(n/2, 1, seed)
+	rng := rand.New(rand.NewSource(seed))
+	heavy := max(n/10, 1)
+	for len(d.X) < n {
+		i := rng.Intn(heavy)
+		d.X = append(d.X, d.X[i])
+		d.Y = append(d.Y, d.Y[i])
+	}
+	rng.Shuffle(n, func(i, j int) {
+		d.X[i], d.X[j] = d.X[j], d.X[i]
+		d.Y[i], d.Y[j] = d.Y[j], d.Y[i]
+	})
+	return d
+}
+
+// twiceData is n/2 fit-shaped rows followed by the same rows in another
+// order, so every row is live across the middle of the data.
+func twiceData(n int, seed int64) *Dataset {
+	d := fitShapedData(n/2, 1, seed)
+	rng := rand.New(rand.NewSource(seed))
+	for _, i := range rng.Perm(n / 2) {
+		d.X = append(d.X, d.X[i])
+		d.Y = append(d.Y, d.Y[i])
+	}
+	return d
+}
+
+// repeatStats describes the repeats DiffPropScores finds in a dataset: how
+// many samples and references repeat an earlier row, the most rows live
+// between two of their copies at once, the bytes of contributions one kept
+// row takes, and whether a row has copies on both sides of the end of the
+// first forward chunk.
+type repeatStats struct {
+	samples, refs, live, rowBytes int
+	straddlesChunk                bool
+}
+
+// repeatsOf finds the repeats of X and of the nRef references seed draws.
+func repeatsOf(X [][]float64, nRef int, seed int64) repeatStats {
+	n := len(X)
+	nRef = min(nRef, n)
+	refIdx := rand.New(rand.NewSource(seed)).Perm(n)[:nRef]
+	order, first, last := make([]int32, n), make([]int32, n), make([]int32, n)
+	copies(order[:nRef], first[:nRef], nil, func(i int) []float64 { return X[refIdx[i]] })
+	var st repeatStats
+	for i, f := range first[:nRef] {
+		if int(f) < i {
+			st.refs++
+		}
+	}
+	st.rowBytes = 8 * (nRef - st.refs) * len(X[0])
+	copies(order, first, last, func(i int) []float64 { return X[i] })
+	for i := range first {
+		if int(first[i]) < i {
+			st.samples++
+		}
+		if int(first[i]) < forwardChunk && int(last[i]) >= forwardChunk {
+			st.straddlesChunk = true
+		}
+	}
+	st.live = liveRepeats(first, last)
+	return st
+}
+
 // withWorkers runs fn with the process-wide default worker count set to w.
 func withWorkers(t *testing.T, w int, fn func()) {
 	t.Helper()
@@ -106,10 +176,29 @@ func TestDiffPropMatchesReference(t *testing.T) {
 		nRef       int
 		wantTies   bool
 		shortSkips bool
+		check      func(*testing.T, repeatStats)
 	}{
 		// 46 × 32 × 32 × 1 with 250 references over 1 563 samples: two
 		// forward chunks, neither a multiple of diffBlock.
 		{name: "fit shape", d: fitShapedData(1563, 1, 1), hidden: 32, nRef: 250, shortSkips: true},
+		// The same shape with the fit's repeats: a repeated sample reads
+		// contributions priced in its own round or kept from an earlier
+		// one, a repeated reference is priced once, and the fold must
+		// still add every pair in order.
+		{name: "fit repeats", d: fitRepeatData(1563, 1), hidden: 32, nRef: 250, shortSkips: true,
+			check: func(t *testing.T, st repeatStats) {
+				if st.samples < 1563*2/5 || st.refs < 250/5 || !st.straddlesChunk {
+					t.Fatalf("fixture: %+v, want about half the samples and a quarter of the references repeated, and a row across the chunk end", st)
+				}
+			}},
+		// Every row twice, far apart: more rows are live at once than
+		// diffKeepBytes holds, so some repeats are priced again.
+		{name: "repeats past the cap", d: twiceData(600, 4), hidden: 32, nRef: 250, shortSkips: true,
+			check: func(t *testing.T, st repeatStats) {
+				if st.live*st.rowBytes <= diffKeepBytes {
+					t.Fatalf("fixture: %d live rows of %d bytes fit under diffKeepBytes (%d)", st.live, st.rowBytes, diffKeepBytes)
+				}
+			}},
 		// More references asked for than there are samples.
 		{name: "nRef > len(X)", d: fitShapedData(30, 1, 2), hidden: 8, nRef: 100},
 		// One sample past a chunk and not a multiple of the block.
@@ -123,6 +212,11 @@ func TestDiffPropMatchesReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.shortSkips && testing.Short() {
 				t.Skip("the 1 563 × 250 reference loop takes seconds")
+			}
+			if tc.check != nil {
+				st := repeatsOf(tc.d.X, tc.nRef, 11)
+				t.Logf("repeats: %+v", st)
+				tc.check(t, st)
 			}
 			m := TrainProbe(tc.d, tc.hidden, 3, 7)
 			if tc.wantTies {

@@ -16,9 +16,11 @@
 package featred
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/linalg"
 	"repro/internal/metrics"
@@ -234,18 +236,28 @@ const (
 	diffRoundBlocks = 4
 )
 
+// diffKeepBytes caps the contributions DiffPropScores keeps for sample rows
+// that repeat in a later round. A repeat whose row found no room under the
+// cap is priced again, which gives the same bits: pricing is deterministic.
+const diffKeepBytes = 16 << 20
+
 // DiffPropScores implements Equation 1: for every (sample, reference) pair
 // it propagates difference-quotient multipliers from the output back to
 // the inputs through the cached layer activations, and averages their
 // absolute contributions per dimension. References are sampled from the
 // data itself (Algorithm 3 line 1); nRef must be positive.
 //
-// Samples fan out over the internal/parallel pool in blocks of diffBlock;
-// each block writes its samples' |multiplier × Δx| contributions into
-// per-sample slots, and the calling goroutine folds the slots into the
-// scores in (sample, reference, dimension) order, as the one-pair-at-a-
-// time loop did. The scores are therefore bit-identical at any worker
-// count (docs/ARCHITECTURE.md §3–§4).
+// A pair's contributions depend only on the bits of its two rows, so each
+// distinct (sample row, reference row) pair is priced once. References
+// that repeat a row run through the network and the kernel once, and a
+// sample row that repeats an earlier one reads that row's contributions:
+// from the same round's slots, or from a copy kept across rounds until the
+// row's last occurrence, within diffKeepBytes. Samples fan out over the
+// internal/parallel pool in blocks of diffBlock; the calling goroutine then
+// folds every (sample, reference, dimension) contribution into the scores
+// in that order, repeats included, as the one-pair-at-a-time loop did. The
+// scores are therefore bit-identical at any worker count
+// (docs/ARCHITECTURE.md §3–§4).
 func DiffPropScores(m *nn.MLP, X [][]float64, nRef int, seed int64) []float64 {
 	if len(X) == 0 {
 		return nil
@@ -254,32 +266,64 @@ func DiffPropScores(m *nn.MLP, X [][]float64, nRef int, seed int64) []float64 {
 	if nRef > len(X) {
 		nRef = len(X)
 	}
-	// The reference set and the samples both run through the network
-	// batched; each row of a batched forward is bit-identical to the
-	// scalar forward. Reference caches persist across every chunk, so
-	// they come from the heap (nil arena); chunk caches die with their
-	// chunk.
-	refIdx := rng.Perm(len(X))[:nRef]
-	dim := len(X[0])
-	refMat := linalg.NewMatrix(nRef, dim)
+	n, dim := len(X), len(X[0])
+	ids := make([]int32, 4*n)
+	order, first, last, at := ids[:n], ids[n:2*n], ids[2*n:3*n], ids[3*n:]
+
+	// The distinct references run through the network batched; each row of
+	// a batched forward is bit-identical to the scalar forward. Their caches
+	// persist across every chunk, so they come from the heap (nil arena);
+	// chunk caches die with their chunk. refSlot maps each reference, in
+	// refIdx order, to its row of the distinct forward: it first holds each
+	// reference's first copy, which precedes it, so the slots fill in place.
+	refIdx := rng.Perm(n)[:nRef]
+	refSlot := make([]int32, nRef)
+	copies(order[:nRef], refSlot, nil, func(i int) []float64 { return X[refIdx[i]] })
+	distinct := 0
+	for i, f := range refSlot {
+		if int(f) < i {
+			refSlot[i] = refSlot[f]
+		} else {
+			refSlot[i] = int32(distinct)
+			distinct++
+		}
+	}
+	refMat := linalg.NewMatrix(distinct, dim)
 	for i, ri := range refIdx {
-		refMat.SetRow(i, X[ri])
+		refMat.SetRow(int(refSlot[i]), X[ri])
 	}
 	_, refs := m.ForwardBatch(nil, refMat)
 
 	workers := parallel.Workers(0)
 	kernels := make([]diffKernel, workers)
 	for w := range kernels {
-		kernels[w] = newDiffKernel(m, nRef)
+		kernels[w] = newDiffKernel(m, distinct)
 	}
 	round := diffRoundBlocks * workers * diffBlock
-	slot := nRef * dim
+	slot := distinct * dim
 	contrib := make([]float64, round*slot)
+	from := make([][]float64, round) // each round sample's contributions
+	todo := make([]int32, 0, round)  // the round samples priced
+
+	// Each sample's first and last copy. The kept rows never outnumber
+	// the rows live between two of their copies, nor diffKeepBytes.
+	copies(order, first, last, func(i int) []float64 { return X[i] })
+	keepRows := min(liveRepeats(first, last), diffKeepBytes/(8*max(slot, 1)))
+	keep := make([]float64, keepRows*slot)
+	free := make([][]float64, keepRows)
+	for i := range free {
+		free[i] = keep[i*slot : (i+1)*slot]
+	}
+	held := make([][]float64, n) // the kept contributions of a first copy's row
+	for i := range at {
+		at[i] = -1 // the round sample priced for a first copy's row
+	}
+
 	scores := make([]float64, dim)
 	ar := &linalg.Arena{}
-	for base := 0; base < len(X); base += forwardChunk {
+	for base := 0; base < n; base += forwardChunk {
 		ar.Reset()
-		end := min(base+forwardChunk, len(X))
+		end := min(base+forwardChunk, n)
 		chunk := ar.Alloc(end-base, dim)
 		for r := base; r < end; r++ {
 			chunk.SetRow(r-base, X[r])
@@ -287,27 +331,113 @@ func DiffPropScores(m *nn.MLP, X [][]float64, nRef int, seed int64) []float64 {
 		_, xs := m.ForwardBatch(ar, chunk)
 		for lo := base; lo < end; lo += round {
 			hi := min(lo+round, end)
-			parallel.ForEachWorker((hi-lo+diffBlock-1)/diffBlock, workers, func(w, b int) {
-				for s := lo + b*diffBlock; s < min(lo+(b+1)*diffBlock, hi); s++ {
-					kernels[w].price(m, xs, s-base, refs, X[s], contrib[(s-lo)*slot:(s-lo+1)*slot])
+			todo = todo[:0]
+			for s := lo; s < hi; s++ {
+				switch g := first[s]; {
+				case held[g] != nil:
+					from[s-lo] = held[g]
+				case int(at[g]) >= lo:
+					from[s-lo] = from[int(at[g])-lo]
+				default:
+					at[g] = int32(s)
+					from[s-lo] = contrib[(s-lo)*slot : (s-lo+1)*slot]
+					todo = append(todo, int32(s))
+				}
+			}
+			parallel.ForEachWorker((len(todo)+diffBlock-1)/diffBlock, workers, func(w, b int) {
+				for _, s := range todo[b*diffBlock : min((b+1)*diffBlock, len(todo))] {
+					kernels[w].price(m, xs, int(s)-base, refs, X[s], from[int(s)-lo])
 				}
 			})
 			// Contribution form: multiplier × Δx. A dimension that never
 			// differs from the references (an unused table/index one-hot,
 			// a constant knob) contributes exactly zero and is reduced —
 			// Equation 1's Δx_k denominator cancels against it.
-			for p := 0; p < (hi-lo)*nRef; p++ {
-				for k, c := range contrib[p*dim : (p+1)*dim] {
-					scores[k] += c
+			for _, c := range from[:hi-lo] {
+				for _, r := range refSlot {
+					for k, v := range c[int(r)*dim : (int(r)+1)*dim] {
+						scores[k] += v
+					}
+				}
+			}
+			// Free the rows whose last copy was in this round, then keep
+			// the rows priced in it that occur again after it.
+			for s := lo; s < hi; s++ {
+				if g := first[s]; int(last[s]) == s && held[g] != nil {
+					free = append(free, held[g])
+					held[g] = nil
+				}
+			}
+			for _, s := range todo {
+				if int(last[s]) >= hi && len(free) > 0 {
+					g := first[s]
+					held[g] = free[len(free)-1]
+					free = free[:len(free)-1]
+					copy(held[g], from[int(s)-lo])
 				}
 			}
 		}
 	}
-	pairs := float64(len(X) * nRef)
+	pairs := float64(n * nRef)
 	for k := range scores {
 		scores[k] /= pairs
 	}
 	return scores
+}
+
+// copies groups the rows row(0), …, row(len(order)−1) by their bits: it
+// sets first[i] and, when last is not nil, last[i] to the smallest and the
+// largest j whose row equals row i bit for bit. It sorts order, its
+// scratch, by row bits and then index, so it allocates nothing per row.
+func copies(order, first, last []int32, row func(int) []float64) {
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := compareBits(row(int(a)), row(int(b))); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && compareBits(row(int(order[lo])), row(int(order[hi]))) == 0 {
+			hi++
+		}
+		for _, i := range order[lo:hi] {
+			first[i] = order[lo]
+			if last != nil {
+				last[i] = order[hi-1]
+			}
+		}
+		lo = hi
+	}
+}
+
+// compareBits orders two equal-length rows by the bits of their elements.
+func compareBits(a, b []float64) int {
+	for k := range a {
+		if c := cmp.Compare(math.Float64bits(a[k]), math.Float64bits(b[k])); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// liveRepeats returns the largest number of rows that have a copy before
+// and a copy after one sample position, given copies' first and last.
+func liveRepeats(first, last []int32) int {
+	live, most := 0, 0
+	for i := range first {
+		if int(first[i]) < i && int(last[i]) == i {
+			live--
+		}
+		if int(first[i]) == i && int(last[i]) > i {
+			live++
+		}
+		most = max(most, live)
+	}
+	return most
 }
 
 // diffKernel is one worker's scratch for pricing a sample against every
