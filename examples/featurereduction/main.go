@@ -7,12 +7,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	qcfe "repro"
 	"repro/internal/core"
-	"repro/internal/encoding"
 	"repro/internal/featred"
 )
 
@@ -30,13 +30,11 @@ func main() {
 
 	// Build the QCFE feature space: general encoding + per-environment
 	// snapshots.
-	cfg := core.DefaultConfig("qppnet")
-	snaps, _, err := core.BuildSnapshots(bench.Dataset(), envs, cfg)
+	snaps, err := core.SnapshotFeaturesCtx(context.Background(), bench.Dataset(), envs, core.DefaultConfig("qppnet"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	f := &encoding.Featurizer{Enc: encoding.New(bench.Dataset().Schema), Snaps: snaps}
-	data := core.OperatorDataset(f, train).Subsample(1500, 1)
+	data := core.OperatorDataset(snaps.F, train).Subsample(1500, 1)
 	fmt.Printf("operator dataset: %d samples × %d features\n\n", len(data.X), data.Dim())
 
 	probe := featred.TrainProbe(data, 32, 25, 1)

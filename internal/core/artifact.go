@@ -72,8 +72,7 @@ func SaveArtifact(w io.Writer, benchName string, benchSeed int64, envs []*dbenv.
 	e.I64(benchSeed)
 	e.I64(fingerprint(benchName, benchSeed, res.F.Names()))
 
-	// Pipeline configuration (everything except Prebuilt, which is an
-	// in-process cache handle, not state).
+	// Pipeline configuration.
 	e.Str(cfg.Model)
 	e.Bool(cfg.UseSnapshot)
 	e.Str(string(cfg.SnapshotMode))
@@ -111,12 +110,14 @@ func SaveArtifact(w io.Writer, benchName string, benchSeed int64, envs []*dbenv.
 	}
 	e.Bools(res.F.Mask)
 
-	// Bookkeeping the serving front end reports.
+	// Bookkeeping the serving front end reports. The last two fields are
+	// derived from the featurizer; LoadArtifact checks them against the
+	// one it rebuilds.
 	e.I64(int64(res.TrainTime))
 	e.F64(res.SnapshotMs)
 	e.I64(int64(res.ReductionTime))
-	e.F64(res.ReductionRatio)
-	e.Int(res.RawDim)
+	e.F64(res.ReductionRatio())
+	e.Int(res.F.RawDim())
 
 	// Model weights.
 	switch m := res.Model.(type) {
@@ -224,14 +225,17 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 			a.BenchName, a.BenchSeed, uint64(wantFP), uint64(gotFP))
 	}
 
-	res := &Result{F: f, Mask: mask}
+	res := &Result{Features: Features{F: f}}
 	res.TrainTime = time.Duration(d.I64())
 	res.SnapshotMs = d.F64()
 	res.ReductionTime = time.Duration(d.I64())
-	res.ReductionRatio = d.F64()
-	res.RawDim = d.Int()
+	ratio, rawDim := d.F64(), d.Int()
 	if err := d.Err(); err != nil {
 		return nil, err
+	}
+	if ratio != res.ReductionRatio() || rawDim != f.RawDim() {
+		return nil, fmt.Errorf("core: artifact records reduction ratio %v over %d raw features, but its featurizer prunes %v of %d",
+			ratio, rawDim, res.ReductionRatio(), f.RawDim())
 	}
 
 	switch modelName {

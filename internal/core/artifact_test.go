@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -89,6 +90,46 @@ func TestLoadArtifactHostileCounts(t *testing.T) {
 	}
 }
 
+// TestLoadArtifactChecksDerivedBookkeeping: the raw feature width and the
+// reduction ratio an artifact stores are derived from its featurizer, so
+// LoadArtifact checks them against the featurizer it rebuilds. An artifact
+// with a valid checksum whose stored value disagrees is rejected.
+func TestLoadArtifactChecksDerivedBookkeeping(t *testing.T) {
+	raw := fuzzSeedArtifact(t, "mscn")
+	a, err := LoadArtifact(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio, rawDim := a.Res.ReductionRatio(), a.Res.F.RawDim()
+	if ratio <= 0 {
+		t.Fatalf("seed artifact reduction ratio %v, want a mask that prunes", ratio)
+	}
+	// SaveArtifact writes the ratio's IEEE-754 bits, then the width as an
+	// int64, both little-endian.
+	field := binary.LittleEndian.AppendUint64(nil, math.Float64bits(ratio))
+	field = binary.LittleEndian.AppendUint64(field, uint64(rawDim))
+	if n := bytes.Count(raw, field); n != 1 {
+		t.Fatalf("bookkeeping bytes found %d times, want once", n)
+	}
+	at := bytes.Index(raw, field)
+	for _, tc := range []struct {
+		name   string
+		off    int
+		forged uint64
+	}{
+		{"reduction ratio", at, math.Float64bits(ratio / 2)},
+		{"raw width", at + 8, uint64(rawDim + 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint64(bad[tc.off:], tc.forged)
+			if _, err := LoadArtifact(bytes.NewReader(reseal(bad))); err == nil {
+				t.Fatalf("artifact with a forged %s loaded", tc.name)
+			}
+		})
+	}
+}
+
 // The fuzz target loads every input against one dataset: LoadArtifact
 // builds (and datagen memoizes for the life of the process) whatever
 // benchmark and seed an artifact names, so inputs naming another one are
@@ -103,7 +144,7 @@ const (
 // decoder has bytes to read. Its networks are two units wide: the
 // fuzzer's mutation and minimization costs grow with the input, and the
 // decoders read a two-unit layer exactly as a wide one.
-func fuzzSeedArtifact(f *testing.F, model string) []byte {
+func fuzzSeedArtifact(f testing.TB, model string) []byte {
 	f.Helper()
 	ds, err := datagen.Build(fuzzBench, fuzzSeed)
 	if err != nil {
@@ -135,7 +176,7 @@ func fuzzSeedArtifact(f *testing.F, model string) []byte {
 		est = m
 	}
 	var buf bytes.Buffer
-	res := &Result{Model: est, F: feat, Mask: feat.Mask, RawDim: feat.RawDim()}
+	res := &Result{Model: est, Features: Features{F: feat}}
 	if err := SaveArtifact(&buf, fuzzBench, fuzzSeed, envs, DefaultConfig(model), res); err != nil {
 		f.Fatal(err)
 	}

@@ -1,18 +1,19 @@
 // Package core is the QCFE pipeline — the paper's primary contribution
-// assembled end to end:
+// assembled end to end, in two steps:
 //
-//  1. Build a feature snapshot per environment (§III), either from the
-//     original workload queries (FSO) or from simplified templates
-//     generated by Algorithm 1 (FST).
-//  2. Append the snapshot block to the general feature encoding.
-//  3. Prune useless dimensions with feature reduction (§IV): difference
-//     propagation (FR), or the gradient / greedy baselines.
-//  4. Train a downstream estimator (QPPNet or MSCN) on the reduced
-//     features and evaluate it.
+//  1. Fit the feature engineering once, as a Features value. Build a
+//     feature snapshot per environment (§III), either from the original
+//     workload queries (FSO) or from simplified templates generated by
+//     Algorithm 1 (FST), append the snapshot block to the general feature
+//     encoding, and prune useless dimensions with feature reduction (§IV):
+//     difference propagation (FR), or the gradient / greedy baselines.
+//  2. Train a downstream estimator (QPPNet or MSCN) on the Features and
+//     evaluate it. A Features is never modified after fitting, so any
+//     number of models train on one.
 //
-// The pipeline is model-agnostic through the Estimator interface, which is
-// how the paper plugs QCFE into both QPPNet ("QCFE(qpp)") and MSCN
-// ("QCFE(mscn)").
+// Run composes the two. The pipeline is model-agnostic through the
+// Estimator interface, which is how the paper plugs one QCFE feature set
+// into both QPPNet ("QCFE(qpp)") and MSCN ("QCFE(mscn)").
 package core
 
 import (
@@ -95,13 +96,6 @@ type Config struct {
 	ProbeEpochs   int             // probe-model epochs for reduction
 	ProbeSamples  int             // operator-sample cap for reduction
 	Seed          int64
-
-	// Prebuilt, when non-nil, supplies already-fitted per-environment
-	// snapshots (with their collection cost) so experiment grids that
-	// train many models on one environment set do not refit identical
-	// snapshots; Run uses it instead of calling BuildSnapshots.
-	Prebuilt   map[int]*snapshot.Snapshot
-	PrebuiltMs float64
 }
 
 // DefaultConfig returns the configuration used by the headline
@@ -123,35 +117,43 @@ func DefaultConfig(model string) Config {
 	}
 }
 
-// Result is one trained pipeline plus its bookkeeping.
-type Result struct {
-	Model Estimator
-	F     *encoding.Featurizer
-
-	TrainTime      time.Duration
-	SnapshotMs     float64 // simulated collection cost of the snapshot
-	ReductionTime  time.Duration
-	ReductionRatio float64
-	Mask           []bool
-	RawDim         int
+// Features is QCFE's feature engineering fitted once: the featurizer
+// (encoder, per-environment snapshots, reduction mask) plus what fitting
+// it cost. Nothing writes to it after fitting, so one Features may train
+// any number of models, concurrently too.
+type Features struct {
+	F             *encoding.Featurizer
+	SnapshotMs    float64       // simulated collection cost of the snapshots
+	ReductionTime time.Duration // wall time of the reduction step
 }
 
-// BuildSnapshots fits one feature snapshot per environment using the
+// ReductionRatio is the fraction of raw dimensions the mask prunes (0
+// without a mask or a featurizer).
+func (ft Features) ReductionRatio() float64 {
+	if ft.F == nil {
+		return 0
+	}
+	return featred.ReductionRatio(ft.F.Mask)
+}
+
+// Result is one trained model and the Features it was trained on.
+type Result struct {
+	Model Estimator
+	Features
+	TrainTime time.Duration
+}
+
+// BuildSnapshotsCtx fits one feature snapshot per environment using the
 // configured labeling mode, returning the snapshots plus total simulated
 // collection cost. Environments are labeled concurrently on the worker
 // pool; each environment parses its own copy of the original templates
 // (query resolution mutates the AST in place, so parsed queries cannot be
 // shared across goroutines), and the fan-in sums collection cost in
-// environment order so the result is identical at any worker count.
-func BuildSnapshots(ds *datagen.Dataset, envs []*dbenv.Environment, cfg Config) (map[int]*snapshot.Snapshot, float64, error) {
-	return BuildSnapshotsCtx(context.Background(), ds, envs, cfg)
-}
-
-// BuildSnapshotsCtx is BuildSnapshots with cooperative cancellation:
-// the worker pool stops claiming environments once ctx is cancelled, and
-// each environment's labeling run checks ctx between queries. The
-// snapshots are keyed by environment ID, so two environments with one ID
-// are rejected with a *dbenv.DuplicateIDError.
+// environment order so the result is identical at any worker count. The
+// pool stops claiming environments once ctx is cancelled, and each
+// environment's labeling run checks ctx between queries. The snapshots
+// are keyed by environment ID, so two environments with one ID are
+// rejected with a *dbenv.DuplicateIDError.
 func BuildSnapshotsCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, cfg Config) (map[int]*snapshot.Snapshot, float64, error) {
 	if cfg.SnapshotMode != FST && cfg.SnapshotMode != FSO {
 		return nil, 0, fmt.Errorf("core: unknown snapshot mode %q", cfg.SnapshotMode)
@@ -258,47 +260,75 @@ func NewEstimator(name string, f *encoding.Featurizer, stats *catalog.Stats, see
 	return nil, fmt.Errorf("core: unknown model %q", name)
 }
 
-// Run executes the full QCFE pipeline: snapshots → encoding → reduction →
-// training. envs must cover every EnvID appearing in the samples.
-func Run(ds *datagen.Dataset, envs []*dbenv.Environment, train []workload.Sample, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), ds, envs, train, cfg)
+// SnapshotFeaturesCtx fits the snapshot half of the feature engineering:
+// an unreduced featurizer over ds's encoding, with one snapshot per
+// environment when cfg.UseSnapshot (see BuildSnapshotsCtx).
+func SnapshotFeaturesCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, cfg Config) (Features, error) {
+	ft := Features{F: &encoding.Featurizer{Enc: encoding.New(ds.Schema)}}
+	if cfg.UseSnapshot {
+		snaps, ms, err := BuildSnapshotsCtx(ctx, ds, envs, cfg)
+		if err != nil {
+			return Features{}, err
+		}
+		ft.F.Snaps, ft.SnapshotMs = snaps, ms
+	}
+	return ft, nil
 }
 
-// RunCtx is Run with cooperative cancellation: ctx is checked inside the
-// snapshot-labeling pool and between training minibatches, so cancelling
-// stops the pipeline promptly. A cancelled run returns ctx's error and no
-// Result — partial training state never escapes.
-func RunCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, train []workload.Sample, cfg Config) (*Result, error) {
-	if len(train) == 0 {
-		return nil, fmt.Errorf("core: Fit requires a non-empty training set (got 0 samples); collect a workload first")
-	}
-	f := &encoding.Featurizer{Enc: encoding.New(ds.Schema)}
-	res := &Result{F: f}
-	if cfg.UseSnapshot {
-		if cfg.Prebuilt != nil {
-			f.Snaps = cfg.Prebuilt
-			res.SnapshotMs = cfg.PrebuiltMs
-		} else {
-			snaps, ms, err := BuildSnapshotsCtx(ctx, ds, envs, cfg)
-			if err != nil {
-				return nil, err
-			}
-			f.Snaps = snaps
-			res.SnapshotMs = ms
-		}
-	}
-	res.RawDim = f.RawDim()
+// Reduced returns ft with a reduction mask fitted over train by cfg's
+// method (see Reduce). The encoder and snapshots are shared, a mask ft
+// already has is replaced, and ft itself is left as it was.
+func (ft Features) Reduced(train []workload.Sample, cfg Config) (Features, error) {
+	f := &encoding.Featurizer{Enc: ft.F.Enc, Snaps: ft.F.Snaps}
 	mask, rt, err := Reduce(f, train, cfg)
 	if err != nil {
-		return nil, err
+		return Features{}, err
 	}
 	f.Mask = mask
-	res.Mask = mask
-	res.ReductionTime = rt
-	if mask != nil {
-		res.ReductionRatio = featred.ReductionRatio(mask)
+	return Features{F: f, SnapshotMs: ft.SnapshotMs, ReductionTime: rt}, nil
+}
+
+// ForEnvCtx refits ft's snapshot block in one new environment (§V-E): the
+// result keeps ft's encoder and mask over a snapshot fitted in env alone,
+// so a model trained on ft can move onto it (Transfer) and a fresh model
+// sees the same feature space. Its SnapshotMs is the new snapshot's cost.
+// Without a snapshot block there is nothing to refit.
+func (ft Features) ForEnvCtx(ctx context.Context, ds *datagen.Dataset, env *dbenv.Environment, cfg Config) (Features, error) {
+	if ft.F == nil || ft.F.Snaps == nil {
+		return Features{F: ft.F}, nil
 	}
-	model, err := NewEstimator(cfg.Model, f, ds.Stats, cfg.Seed)
+	snaps, ms, err := BuildSnapshotsCtx(ctx, ds, []*dbenv.Environment{env}, cfg)
+	if err != nil {
+		return Features{}, err
+	}
+	return Features{F: &encoding.Featurizer{Enc: ft.F.Enc, Snaps: snaps, Mask: ft.F.Mask}, SnapshotMs: ms}, nil
+}
+
+// FitFeaturesCtx fits QCFE's feature engineering: snapshots over envs,
+// then a reduction mask over train. envs must cover every EnvID appearing
+// in the samples; ctx is checked inside the snapshot-labeling pool.
+func FitFeaturesCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, train []workload.Sample, cfg Config) (Features, error) {
+	if len(train) == 0 {
+		return Features{}, errNoSamples
+	}
+	ft, err := SnapshotFeaturesCtx(ctx, ds, envs, cfg)
+	if err != nil {
+		return Features{}, err
+	}
+	return ft.Reduced(train, cfg)
+}
+
+var errNoSamples = fmt.Errorf("core: Fit requires a non-empty training set (got 0 samples); collect a workload first")
+
+// TrainCtx builds cfg.Model over ft and trains it on train. ft is only
+// read. ctx is checked between training minibatches; a cancelled run
+// returns ctx's error and no Result, so partial training state never
+// escapes.
+func TrainCtx(ctx context.Context, ds *datagen.Dataset, ft Features, train []workload.Sample, cfg Config) (*Result, error) {
+	if len(train) == 0 {
+		return nil, errNoSamples
+	}
+	model, err := NewEstimator(cfg.Model, ft.F, ds.Stats, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -307,35 +337,35 @@ func RunCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment,
 	if err != nil {
 		return nil, fmt.Errorf("core: training cancelled after %v: %w", trainTime, err)
 	}
-	res.TrainTime = trainTime
-	res.Model = model
-	return res, nil
+	return &Result{Model: model, Features: ft, TrainTime: trainTime}, nil
+}
+
+// Run executes the full QCFE pipeline: FitFeaturesCtx, then TrainCtx.
+func Run(ds *datagen.Dataset, envs []*dbenv.Environment, train []workload.Sample, cfg Config) (*Result, error) {
+	return RunCtx(context.Background(), ds, envs, train, cfg)
+}
+
+// RunCtx is Run with cooperative cancellation, checked inside the
+// snapshot-labeling pool and between training minibatches.
+func RunCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, train []workload.Sample, cfg Config) (*Result, error) {
+	ft, err := FitFeaturesCtx(ctx, ds, envs, train, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return TrainCtx(ctx, ds, ft, train, cfg)
 }
 
 // Evaluate computes the full metric summary of a model on test samples.
 // Predictions run through the model's batched inference path, which is
 // bit-identical to pricing each sample alone.
 func Evaluate(m Estimator, test []workload.Sample) metrics.Summary {
-	actual := make([]float64, len(test))
-	plans := make([]*planner.Node, len(test))
-	for i, s := range test {
-		actual[i] = s.Ms
-		plans[i] = s.Plan
-	}
+	plans, actual := workload.PlansAndLabels(test)
 	return metrics.Summarize(actual, m.PredictBatch(plans))
 }
 
 // QErrors returns the per-query q-errors of a model on test samples (for
 // the variance box plots of Figure 5), predicting batched.
 func QErrors(m Estimator, test []workload.Sample) []float64 {
-	plans := make([]*planner.Node, len(test))
-	for i, s := range test {
-		plans[i] = s.Plan
-	}
-	pred := m.PredictBatch(plans)
-	out := make([]float64, len(test))
-	for i, s := range test {
-		out[i] = metrics.QError(s.Ms, pred[i])
-	}
-	return out
+	plans, actual := workload.PlansAndLabels(test)
+	return metrics.QErrors(actual, m.PredictBatch(plans))
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/dbenv"
 	"repro/internal/encoding"
+	"repro/internal/parallel"
 	"repro/internal/planner"
 	"repro/internal/workload"
 )
@@ -47,7 +50,7 @@ func TestPipelinePlainMSCN(t *testing.T) {
 	if s.Pearson < 0.5 {
 		t.Fatalf("plain MSCN pearson = %v, want ≥0.5", s.Pearson)
 	}
-	if res.Mask != nil || res.SnapshotMs != 0 {
+	if res.F.Mask != nil || res.F.Snaps != nil || res.SnapshotMs != 0 || res.ReductionRatio() != 0 {
 		t.Fatalf("plain run should have no snapshot/mask")
 	}
 }
@@ -78,7 +81,7 @@ func TestPipelineQCFEBeatsPlain(t *testing.T) {
 	if qres.SnapshotMs <= 0 {
 		t.Fatalf("snapshot collection cost not recorded")
 	}
-	if qres.ReductionRatio <= 0 {
+	if qres.ReductionRatio() <= 0 {
 		t.Fatalf("no features reduced")
 	}
 }
@@ -105,7 +108,7 @@ func TestSnapshotModes(t *testing.T) {
 		cfg := smallConfig("mscn")
 		cfg.SnapshotMode = mode
 		cfg.FSOPerEnv = 14
-		snaps, ms, err := BuildSnapshots(sysb, envs[:2], cfg)
+		snaps, ms, err := BuildSnapshotsCtx(context.Background(), sysb, envs[:2], cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -115,7 +118,7 @@ func TestSnapshotModes(t *testing.T) {
 	}
 	bad := smallConfig("mscn")
 	bad.SnapshotMode = "nope"
-	if _, _, err := BuildSnapshots(sysb, envs[:1], bad); err == nil {
+	if _, _, err := BuildSnapshotsCtx(context.Background(), sysb, envs[:1], bad); err == nil {
 		t.Fatalf("unknown mode should error")
 	}
 }
@@ -128,7 +131,7 @@ func TestSnapshotsRejectDuplicateIDs(t *testing.T) {
 	cfg := smallConfig("mscn")
 	cfg.SnapshotMode = FSO
 	cfg.FSOPerEnv = 14
-	_, _, err := BuildSnapshots(sysb, []*dbenv.Environment{dbenv.Default(), other}, cfg)
+	_, _, err := BuildSnapshotsCtx(context.Background(), sysb, []*dbenv.Environment{dbenv.Default(), other}, cfg)
 	var dup *dbenv.DuplicateIDError
 	if !errors.As(err, &dup) || dup.ID != 0 || dup.First != 0 || dup.Second != 1 {
 		t.Fatalf("err = %v, want a DuplicateIDError for ID 0 at positions 0 and 1", err)
@@ -198,7 +201,11 @@ func TestTransferWorkflow(t *testing.T) {
 	}
 	tr2, te2 := workload.Split(lab2.Samples, 0.8)
 
-	trans, err := Transfer(basis, sysb, h2, tr2, cfg, 40)
+	ft, err := basis.ForEnvCtx(context.Background(), sysb, h2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trans, err := Transfer(basis, ft, tr2, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +213,74 @@ func TestTransferWorkflow(t *testing.T) {
 	if s.Pearson < 0.4 {
 		t.Fatalf("transferred model pearson = %v", s.Pearson)
 	}
-	if trans.SnapshotMs <= 0 || trans.RetrainTime <= 0 {
+	if trans.SnapshotMs <= 0 || trans.TrainTime <= 0 {
 		t.Fatalf("transfer bookkeeping missing")
+	}
+	// The transferred result carries h2's snapshot under the basis encoder
+	// and mask, and reports the basis's reduction.
+	if _, ok := trans.F.Snaps[h2.ID]; !ok || len(trans.F.Snaps) != 1 {
+		t.Fatalf("transferred featurizer has snapshots for %d environments, want h2's alone", len(trans.F.Snaps))
+	}
+	if trans.F.Enc != basis.F.Enc || &trans.F.Mask[0] != &basis.F.Mask[0] {
+		t.Fatalf("transferred featurizer does not keep the basis encoder and mask")
+	}
+	if trans.ReductionRatio() != basis.ReductionRatio() {
+		t.Fatalf("reduction ratio %v after transfer, basis %v", trans.ReductionRatio(), basis.ReductionRatio())
 	}
 	// The basis model must be untouched by the transfer retraining.
 	if basis.Model.PredictBatch([]*planner.Node{te2[0].Plan})[0] == 0 {
 		t.Fatalf("basis model broken")
+	}
+}
+
+// TestFeaturesTrainTwoModels fits one Features and trains mscn and qppnet
+// on it. Each model's artifact must equal, byte for byte, that of
+// its own independent RunCtx: sharing the featurizer changes nothing, and
+// training the first model must not write to what the second one reads.
+func TestFeaturesTrainTwoModels(t *testing.T) {
+	train, _ := workload.Split(pool.Scale(300), 0.8)
+	cfg := func(model string) Config {
+		c := smallConfig(model)
+		c.TrainIters = 40
+		return c
+	}
+	ctx := context.Background()
+	ft, err := FitFeaturesCtx(ctx, sysb, envs, train, cfg("mscn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ft.F.Snaps == nil || ft.F.Mask == nil {
+		t.Fatalf("default features carry no snapshot block or mask")
+	}
+	// save writes res's artifact with the two wall-clock fields zeroed.
+	save := func(res *Result, c Config) []byte {
+		r := *res
+		r.TrainTime, r.ReductionTime = 0, 0
+		var buf bytes.Buffer
+		if err := SaveArtifact(&buf, "sysbench", 1, envs, c, &r); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// The two models train at once, so -race also sees a write to ft.
+	models := []string{"mscn", "qppnet"}
+	shared, err := parallel.Map(len(models), len(models), func(i int) (*Result, error) {
+		return TrainCtx(ctx, sysb, ft, train, cfg(models[i]))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, model := range models {
+		alone, err := RunCtx(ctx, sysb, envs, train, cfg(model))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared[i].F != ft.F {
+			t.Fatalf("%s: trained on a copy of the shared featurizer", model)
+		}
+		if !bytes.Equal(save(shared[i], cfg(model)), save(alone, cfg(model))) {
+			t.Fatalf("%s trained on the shared Features saves other bytes than its own RunCtx", model)
+		}
 	}
 }
 

@@ -2,22 +2,11 @@ package core
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/datagen"
-	"repro/internal/dbenv"
-	"repro/internal/encoding"
 	"repro/internal/mscn"
 	"repro/internal/qppnet"
 	"repro/internal/workload"
 )
-
-// TransferResult is an adapted model for a new environment (§V-E).
-type TransferResult struct {
-	Model       Estimator
-	RetrainTime time.Duration
-	SnapshotMs  float64 // collection cost of the new environment's snapshot
-}
 
 // cloneEstimator deep-copies a trained model's weights.
 func cloneEstimator(e Estimator) (Estimator, error) {
@@ -34,30 +23,25 @@ func cloneEstimator(e Estimator) (Estimator, error) {
 }
 
 // Transfer implements the paper's §V-E hardware-transfer workflow: keep the
-// basis model's weights and feature mask, replace only the feature snapshot
-// with one fitted in the new environment, and retrain briefly on a small
-// labeled set collected there. The paper's finding is that this reaches the
-// accuracy of full retraining at ~25% of the training time.
-func Transfer(basis *Result, ds *datagen.Dataset, newEnv *dbenv.Environment, train []workload.Sample, cfg Config, retrainIters int) (*TransferResult, error) {
-	out := &TransferResult{}
-	newF := &encoding.Featurizer{Enc: basis.F.Enc, Mask: basis.F.Mask}
-	if basis.F.Snaps != nil {
-		snaps, ms, err := BuildSnapshots(ds, []*dbenv.Environment{newEnv}, cfg)
-		if err != nil {
-			return nil, err
-		}
-		newF.Snaps = snaps
-		out.SnapshotMs = ms
+// basis model's weights, move them onto ft — the basis Features refitted in
+// the new environment by ForEnvCtx, which keeps the encoder and mask and
+// swaps only the snapshot — and retrain briefly on a small labeled set
+// collected there. The result's TrainTime is the retraining time. The
+// basis keeps its weights, but the clone draws its sampler seed from the
+// basis, so each Transfer changes the minibatch order of the next. The
+// paper's finding is that this reaches the accuracy of full retraining at
+// ~25% of the training time.
+func Transfer(basis *Result, ft Features, train []workload.Sample, retrainIters int) (*Result, error) {
+	if basis.F == nil || ft.F == nil || ft.F.Dim() != basis.F.Dim() {
+		return nil, fmt.Errorf("core: transfer needs features as wide as the basis model's")
 	}
 	model, err := cloneEstimator(basis.Model)
 	if err != nil {
 		return nil, err
 	}
-	model.SetFeaturizer(newF)
+	model.SetFeaturizer(ft.F)
 	plans, ms := workload.PlansAndLabels(train)
-	out.RetrainTime = model.Train(plans, ms, retrainIters)
-	out.Model = model
-	return out, nil
+	return &Result{Model: model, Features: ft, TrainTime: model.Train(plans, ms, retrainIters)}, nil
 }
 
 // TrainCurve trains a fresh (or transferred) model in chunks and records

@@ -1,8 +1,9 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/workload"
 )
@@ -44,7 +45,6 @@ func (s *Suite) figure6Impl(benchmark string) ([]Fig6Row, error) {
 	}
 	train, test := workload.Split(pool.Scale(scale), 0.8)
 	ds := s.Dataset(benchmark)
-	iters := s.trainIters(benchmark)
 
 	variants := []struct {
 		name      string
@@ -57,41 +57,29 @@ func (s *Suite) figure6Impl(benchmark string) ([]Fig6Row, error) {
 		{"FSO+GD", core.FSO, core.ReduceGD},
 		{"FSO+Greedy", core.FSO, core.ReduceGreedy},
 	}
-	// FSO snapshots are shared by four variants; build once.
-	fsoCfg := core.DefaultConfig("qppnet")
-	fsoCfg.SnapshotMode = core.FSO
-	fsoCfg.Seed = s.P.Seed
-	fsoSnaps, fsoMs, err := core.BuildSnapshots(ds, s.Envs(), fsoCfg)
-	if err != nil {
-		return nil, err
-	}
 
 	// The five ablation arms are independent fits over the shared read-only
-	// pool and snapshots; they run concurrently and report in paper order.
+	// pool; they run concurrently and report in paper order. The four FSO
+	// arms reduce from one snapshot-only Features.
 	out, err := parallel.Map(len(variants), 0, func(vi int) (Fig6Row, error) {
 		v := variants[vi]
-		cfg := core.DefaultConfig("qppnet")
-		cfg.SnapshotMode = v.mode
+		cfg := s.config("qppnet", benchmark)
 		cfg.Reduction = v.reduction
-		cfg.TrainIters = iters
-		cfg.Seed = s.P.Seed
-		if v.mode == core.FSO {
-			cfg.Prebuilt = fsoSnaps
-			cfg.PrebuiltMs = fsoMs
-		}
-		res, err := core.Run(ds, s.Envs(), train, cfg)
+		snaps, err := s.Snapshots(benchmark, v.mode, cfg.TemplateScale)
 		if err != nil {
 			return Fig6Row{}, err
 		}
-		qe := core.QErrors(res.Model, test)
+		ft, err := snaps.Reduced(train, cfg)
+		if err != nil {
+			return Fig6Row{}, err
+		}
+		res, err := core.TrainCtx(context.TODO(), ds, ft, train, cfg)
+		if err != nil {
+			return Fig6Row{}, err
+		}
 		sum := core.Evaluate(res.Model, test)
-		return Fig6Row{
-			Benchmark: benchmark, Variant: v.name,
-			MeanQ:   sum.Mean,
-			Median:  metrics.Percentile(qe, 50),
-			P90:     metrics.Percentile(qe, 90),
-			Pearson: sum.Pearson,
-		}, nil
+		return Fig6Row{Benchmark: benchmark, Variant: v.name,
+			MeanQ: sum.Mean, Median: sum.Median, P90: sum.P90, Pearson: sum.Pearson}, nil
 	})
 	if err != nil {
 		return nil, err

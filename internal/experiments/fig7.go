@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/core"
-	"repro/internal/encoding"
 	"repro/internal/featred"
 	"repro/internal/parallel"
 	"repro/internal/planner"
@@ -38,7 +37,7 @@ func (s *Suite) figure7Impl() ([]Fig7Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	snaps, _, err := s.Snapshots(benchmark)
+	snaps, err := s.Snapshots(benchmark, core.FST, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -47,9 +46,7 @@ func (s *Suite) figure7Impl() ([]Fig7Row, error) {
 		scale = len(pool.Samples)
 	}
 	train, _ := workload.Split(pool.Scale(scale), 0.8)
-	ds := s.Dataset(benchmark)
-	f := &encoding.Featurizer{Enc: encoding.New(ds.Schema), Snaps: snaps}
-	full := core.OperatorDataset(f, train)
+	full := core.OperatorDataset(snaps.F, train)
 
 	cfg := core.DefaultConfig("qppnet")
 	cfg.Seed = s.P.Seed

@@ -3,11 +3,11 @@
 // reports and returns them as structured data for the benchmark harness.
 //
 // Runners are independent and safe to invoke concurrently: every shared
-// artifact (dataset, environment set, labeled pool, snapshot set, runner
-// result) is built exactly once behind a singleflight cache, and each
-// runner buffers its human-readable block and flushes it atomically, so
-// parallel runs do not interleave lines. RunAll fans independent runners
-// out over the worker pool.
+// artifact (dataset, environment set, labeled pool, fitted Features,
+// transfer setup, runner result) is built exactly once behind a
+// singleflight cache, and each runner buffers its human-readable block and
+// flushes it atomically, so parallel runs do not interleave lines. RunAll
+// fans independent runners out over the worker pool.
 //
 // docs/ARCHITECTURE.md describes the modules the runners drive (§3 covers
 // how their grids fan out and which runners stay serial).
@@ -15,6 +15,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -22,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dbenv"
-	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
 
@@ -97,9 +97,8 @@ type call struct {
 }
 
 // Suite owns the shared state of an experiment run: datasets, environment
-// set, labeled pools, per-benchmark snapshots, and memoized runner
-// results, all built lazily, exactly once, and shared across concurrent
-// runners.
+// set, labeled pools, fitted Features, and memoized runner results, all
+// built lazily, exactly once, and shared across concurrent runners.
 type Suite struct {
 	P   Params
 	Out io.Writer
@@ -195,31 +194,55 @@ func (s *Suite) Pool(name string) (*workload.Labeled, error) {
 	return v.(*workload.Labeled), nil
 }
 
-// snapshotSet bundles the per-environment snapshots with their total
-// collection cost.
-type snapshotSet struct {
-	snaps map[int]*snapshot.Snapshot
-	ms    float64
+// Snapshots returns the snapshot-only Features for a benchmark over the
+// suite's environments, in the given mode and (FST) template scale, fitted
+// on first use. Runners reduce and train on it without refitting it.
+func (s *Suite) Snapshots(name string, mode core.SnapshotMode, scale int) (core.Features, error) {
+	if mode == core.FSO {
+		scale = 0 // FSO labels original queries; the template scale is unused
+	}
+	v, err := s.memo(fmt.Sprintf("snapshots:%s:%s:%d", name, mode, scale), func() (any, error) {
+		cfg := s.config("qppnet", name)
+		cfg.SnapshotMode, cfg.TemplateScale = mode, scale
+		return core.SnapshotFeaturesCtx(context.TODO(), s.Dataset(name), s.Envs(), cfg)
+	})
+	if err != nil {
+		return core.Features{}, err
+	}
+	return v.(core.Features), nil
 }
 
-// Snapshots returns the default (FST, scale 2) per-environment snapshots
-// for a benchmark, fitting them on first use, plus the total collection
-// cost in simulated ms.
-func (s *Suite) Snapshots(name string) (map[int]*snapshot.Snapshot, float64, error) {
-	v, err := s.memo("snapshots:"+name, func() (any, error) {
-		cfg := core.DefaultConfig("mscn")
-		cfg.Seed = s.P.Seed
-		snaps, ms, err := core.BuildSnapshots(s.Dataset(name), s.Envs(), cfg)
+// qcfeFeatures returns QCFE's default Features (FST snapshots at scale 2,
+// FR) reduced over the training split of a benchmark's first n pooled
+// samples, fitted once for every model that trains on it: Table IV's
+// QCFE(mscn) and QCFE(qpp), and the transfer basis of Table VII and
+// Figure 8.
+func (s *Suite) qcfeFeatures(name string, n int) (core.Features, error) {
+	v, err := s.memo(fmt.Sprintf("features:%s:%d", name, n), func() (any, error) {
+		pool, err := s.Pool(name)
 		if err != nil {
 			return nil, err
 		}
-		return &snapshotSet{snaps: snaps, ms: ms}, nil
+		snaps, err := s.Snapshots(name, core.FST, 2)
+		if err != nil {
+			return nil, err
+		}
+		train, _ := workload.Split(pool.Scale(n), 0.8)
+		return snaps.Reduced(train, s.config("qppnet", name))
 	})
 	if err != nil {
-		return nil, 0, err
+		return core.Features{}, err
 	}
-	set := v.(*snapshotSet)
-	return set.snaps, set.ms, nil
+	return v.(core.Features), nil
+}
+
+// config is the default pipeline configuration of model at the suite's
+// seed and the benchmark's iteration budget.
+func (s *Suite) config(model, benchmark string) core.Config {
+	cfg := core.DefaultConfig(model)
+	cfg.TrainIters = s.trainIters(benchmark)
+	cfg.Seed = s.P.Seed
+	return cfg
 }
 
 // trainIters returns the per-benchmark iteration budget.

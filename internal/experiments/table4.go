@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -44,19 +46,16 @@ func (s *Suite) table4Impl(benchmark string) ([]Table4Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	snaps, snapMs, err := s.Snapshots(benchmark)
-	if err != nil {
-		return nil, err
-	}
 	ds := s.Dataset(benchmark)
-	iters := s.trainIters(benchmark)
 	// The (scale × method) grid cells are independent model fits over
 	// read-only pools, so they run concurrently; rows come back in grid
 	// order and each fit is internally seeded, keeping results identical to
-	// a serial run. TrainSec is each cell's own wall-clock fit time and
-	// inflates under contention when cells share cores — the relative
-	// ordering between methods survives, but to reproduce the paper's
-	// absolute training-time column run with -workers 1.
+	// a serial run. QCFE(mscn) and QCFE(qpp) at one scale train on one
+	// shared Features, and both report its reduction time. TrainSec is
+	// each cell's own wall-clock fit time and inflates under contention
+	// when cells share cores — the relative ordering between methods
+	// survives, but to reproduce the paper's absolute training-time column
+	// run with -workers 1.
 	type cell struct {
 		scale  int
 		method string
@@ -88,14 +87,18 @@ func (s *Suite) table4Impl(benchmark string) ([]Table4Row, error) {
 			row.TrainSec = time.Since(start).Seconds()
 			row.QErrors = qe
 		default:
-			cfg, useQCFE := methodConfig(method)
-			cfg.TrainIters = iters
-			cfg.Seed = s.P.Seed
-			if useQCFE {
-				cfg.Prebuilt = snaps
-				cfg.PrebuiltMs = snapMs
+			cfg := s.config(methodModel[method], benchmark)
+			var res *core.Result
+			var err error
+			if strings.HasPrefix(method, "QCFE") {
+				var ft core.Features
+				if ft, err = s.qcfeFeatures(benchmark, scale); err == nil {
+					res, err = core.TrainCtx(context.TODO(), ds, ft, train, cfg)
+				}
+			} else {
+				cfg.UseSnapshot, cfg.Reduction = false, core.ReduceNone
+				res, err = core.Run(ds, s.Envs(), train, cfg)
 			}
-			res, err := core.Run(ds, s.Envs(), train, cfg)
 			if err != nil {
 				return Table4Row{}, err
 			}
@@ -119,26 +122,11 @@ func (s *Suite) table4Impl(benchmark string) ([]Table4Row, error) {
 	return rows, nil
 }
 
-// methodConfig maps a Table IV method name to its pipeline configuration;
-// the bool reports whether the method uses the QCFE snapshot+reduction.
-func methodConfig(method string) (core.Config, bool) {
-	switch method {
-	case "QCFE(mscn)":
-		return core.DefaultConfig("mscn"), true
-	case "QCFE(qpp)":
-		return core.DefaultConfig("qppnet"), true
-	case "MSCN":
-		cfg := core.DefaultConfig("mscn")
-		cfg.UseSnapshot = false
-		cfg.Reduction = core.ReduceNone
-		return cfg, false
-	case "QPPNet":
-		cfg := core.DefaultConfig("qppnet")
-		cfg.UseSnapshot = false
-		cfg.Reduction = core.ReduceNone
-		return cfg, false
-	}
-	panic("experiments: unknown method " + method)
+// methodModel maps a learned Table IV method to its downstream model. The
+// QCFE methods train on the shared QCFE Features; MSCN and QPPNet run
+// without snapshot or reduction.
+var methodModel = map[string]string{
+	"QCFE(mscn)": "mscn", "QCFE(qpp)": "qppnet", "MSCN": "mscn", "QPPNet": "qppnet",
 }
 
 // Fig5Row is one box of Figure 5: the q-error quartiles of one method at

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -42,16 +43,13 @@ func (s *Suite) table5Impl(benchmark string, scales []int) ([]Table5Row, error) 
 	}
 	train, test := workload.Split(pool.Scale(n), 0.8)
 	ds := s.Dataset(benchmark)
-	iters := s.trainIters(benchmark)
 
 	runWith := func(variant string, mode core.SnapshotMode, tscale int) (Table5Row, error) {
-		cfg := core.DefaultConfig("qppnet")
-		cfg.SnapshotMode = mode
-		cfg.TemplateScale = tscale
-		cfg.Reduction = core.ReduceNone
-		cfg.TrainIters = iters
-		cfg.Seed = s.P.Seed
-		res, err := core.Run(ds, s.Envs(), train, cfg)
+		snaps, err := s.Snapshots(benchmark, mode, tscale)
+		if err != nil {
+			return Table5Row{}, err
+		}
+		res, err := core.TrainCtx(context.TODO(), ds, snaps, train, s.config("qppnet", benchmark))
 		if err != nil {
 			return Table5Row{}, err
 		}

@@ -1,13 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/encoding"
-	"repro/internal/featred"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -48,21 +46,14 @@ func (s *Suite) table6Impl(refCounts []int) ([]Table6Row, error) {
 	}
 	train, test := workload.Split(pool.Scale(scale), 0.8)
 	ds := s.Dataset(benchmark)
-	snaps, snapMs, err := s.Snapshots(benchmark)
+	snaps, err := s.Snapshots(benchmark, core.FST, 2)
 	if err != nil {
 		return nil, err
 	}
-	iters := s.trainIters(benchmark)
-
 	cfgs := make([]core.Config, len(refCounts))
 	for i, nref := range refCounts {
-		cfg := core.DefaultConfig("qppnet")
-		cfg.NumReferences = nref
-		cfg.TrainIters = iters
-		cfg.Seed = s.P.Seed
-		cfg.Prebuilt = snaps
-		cfg.PrebuiltMs = snapMs
-		cfgs[i] = cfg
+		cfgs[i] = s.config("qppnet", benchmark)
+		cfgs[i].NumReferences = nref
 	}
 
 	// Measure the FR step in isolation (the paper's "runtime" column). The
@@ -75,13 +66,13 @@ func (s *Suite) table6Impl(refCounts []int) ([]Table6Row, error) {
 	// deterministic, so the arms take turns for frRounds rounds and each
 	// keeps its fastest time: contention from other processes on the box
 	// then falls on every arm alike, not on whichever ran during a burst.
-	f := &encoding.Featurizer{Enc: encoding.New(ds.Schema), Snaps: snaps}
-	masks := make([][]bool, len(cfgs))
+	// Each arm then trains on the Features it timed.
+	fts := make([]core.Features, len(cfgs))
 	frTimes := make([]time.Duration, len(cfgs))
 	for round := 0; round < frRounds; round++ {
 		for i, cfg := range cfgs {
 			start := time.Now()
-			if masks[i], _, err = core.Reduce(f, train, cfg); err != nil {
+			if fts[i], err = snaps.Reduced(train, cfg); err != nil {
 				return nil, err
 			}
 			if d := time.Since(start); round == 0 || d < frTimes[i] {
@@ -95,18 +86,18 @@ func (s *Suite) table6Impl(refCounts []int) ([]Table6Row, error) {
 	defer rep.flush()
 	rep.printf("Table VI (tpch, scale=%d, QCFE(qpp)): reference-count robustness\n", scale)
 	for i, cfg := range cfgs {
-		res, err := core.Run(ds, s.Envs(), train, cfg)
+		res, err := core.TrainCtx(context.TODO(), ds, fts[i], train, cfg)
 		if err != nil {
 			return nil, err
 		}
-		qe := core.QErrors(res.Model, test)
+		sum := core.Evaluate(res.Model, test)
 		row := Table6Row{
 			NumReferences:  cfg.NumReferences,
-			MeanQ:          metrics.Mean(qe),
-			P95:            metrics.Percentile(qe, 95),
-			P90:            metrics.Percentile(qe, 90),
+			MeanQ:          sum.Mean,
+			P95:            sum.P95,
+			P90:            sum.P90,
 			RuntimeSec:     frTimes[i].Seconds(),
-			ReductionRatio: featred.ReductionRatio(masks[i]),
+			ReductionRatio: fts[i].ReductionRatio(),
 		}
 		out = append(out, row)
 		rep.printf("  refs=%-4d mean=%.3f p95=%.3f p90=%.3f runtime=%.2fs reduction=%.1f%%\n",

@@ -1,12 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/dbenv"
-	"repro/internal/encoding"
-	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
 
@@ -27,27 +26,72 @@ type Fig8Series struct {
 	Curve     []float64
 }
 
-// transferSetup collects the h2 environment's labeled data: 2000 training
-// and 500 test queries, per the paper's §V-E.
-func (s *Suite) transferSetup(benchmark string) (*dbenv.Environment, []workload.Sample, []workload.Sample, error) {
-	h2 := &dbenv.Environment{
-		ID:       1000 + s.P.NumEnvs,
-		Knobs:    dbenv.DefaultKnobs(),
-		Format:   dbenv.HeapBTree,
-		NoiseStd: 0.02,
-	}
-	h2.HW, _ = dbenv.ProfileByName("i7-12700h-nvme")
-	ds := s.Dataset(benchmark)
-	total := 2500
-	if s.P.PerEnv[benchmark] < 200 {
-		total = 250 // quick mode
-	}
-	lab, err := workload.Collect(ds, []*dbenv.Environment{h2}, total, s.P.Seed+555)
+// transferSetup is the shared state of Table VII and Figure 8 for one
+// benchmark, built once: the new hardware h2 with its labeled split (2000
+// training and 500 test queries, per the paper's §V-E), the basis
+// Features (QCFE's default at the largest scale, shared with Table IV),
+// and that Features refitted on h2 per snapshot mode.
+type transferSetup struct {
+	h2              *dbenv.Environment
+	train, test     []workload.Sample
+	basisTrain      []workload.Sample
+	basis, fso, fst core.Features
+}
+
+func (s *Suite) transfer(benchmark string) (*transferSetup, error) {
+	v, err := s.memo("transfer:"+benchmark, func() (any, error) {
+		h2 := &dbenv.Environment{
+			ID:       1000 + s.P.NumEnvs,
+			Knobs:    dbenv.DefaultKnobs(),
+			Format:   dbenv.HeapBTree,
+			NoiseStd: 0.02,
+		}
+		h2.HW, _ = dbenv.ProfileByName("i7-12700h-nvme")
+		ds := s.Dataset(benchmark)
+		total := 2500
+		if s.P.PerEnv[benchmark] < 200 {
+			total = 250 // quick mode
+		}
+		lab, err := workload.Collect(ds, []*dbenv.Environment{h2}, total, s.P.Seed+555)
+		if err != nil {
+			return nil, err
+		}
+		pool, err := s.Pool(benchmark)
+		if err != nil {
+			return nil, err
+		}
+		maxScale := s.P.Scales[len(s.P.Scales)-1]
+		t := &transferSetup{h2: h2}
+		t.train, t.test = workload.Split(lab.Samples, 0.8)
+		t.basisTrain, _ = workload.Split(pool.Scale(maxScale), 0.8)
+		if t.basis, err = s.qcfeFeatures(benchmark, maxScale); err != nil {
+			return nil, err
+		}
+		refit := func(mode core.SnapshotMode) (core.Features, error) {
+			cfg := s.config("qppnet", benchmark)
+			cfg.SnapshotMode = mode
+			return t.basis.ForEnvCtx(context.TODO(), ds, h2, cfg)
+		}
+		if t.fso, err = refit(core.FSO); err != nil {
+			return nil, err
+		}
+		if t.fst, err = refit(core.FST); err != nil {
+			return nil, err
+		}
+		return t, nil
+	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	train, test := workload.Split(lab.Samples, 0.8)
-	return h2, train, test, nil
+	return v.(*transferSetup), nil
+}
+
+// basisModel trains the transfer basis, QCFE(qpp) on the basis Features.
+// Each runner trains its own: cloning a model for Transfer draws the
+// clone's sampler seed from the basis, so a shared basis would make one
+// runner's rows depend on how many transfers another ran before it.
+func (s *Suite) basisModel(benchmark string, t *transferSetup) (*core.Result, error) {
+	return core.TrainCtx(context.TODO(), s.Dataset(benchmark), t.basis, t.basisTrain, s.config("qppnet", benchmark))
 }
 
 // Table7 reproduces the transferability study: a basis model trained at the
@@ -64,33 +108,16 @@ func (s *Suite) Table7(benchmark string) ([]Table7Row, error) {
 }
 
 func (s *Suite) table7Impl(benchmark string) ([]Table7Row, error) {
-	pool, err := s.Pool(benchmark)
+	t, err := s.transfer(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	snaps, snapMs, err := s.Snapshots(benchmark)
+	basis, err := s.basisModel(benchmark, t)
 	if err != nil {
 		return nil, err
 	}
 	ds := s.Dataset(benchmark)
-	iters := s.trainIters(benchmark)
-	maxScale := s.P.Scales[len(s.P.Scales)-1]
-	basisTrain, _ := workload.Split(pool.Scale(maxScale), 0.8)
-
-	h2, h2train, h2test, err := s.transferSetup(benchmark)
-	if err != nil {
-		return nil, err
-	}
-
-	cfg := core.DefaultConfig("qppnet")
-	cfg.TrainIters = iters
-	cfg.Seed = s.P.Seed
-	cfg.Prebuilt = snaps
-	cfg.PrebuiltMs = snapMs
-	basis, err := core.Run(ds, s.Envs(), basisTrain, cfg)
-	if err != nil {
-		return nil, err
-	}
+	cfg := s.config("qppnet", benchmark)
 
 	// The basis/transfer arms stay serial on purpose: the paper's claim is
 	// about measured (re)training time, and concurrent fits would contend
@@ -100,40 +127,34 @@ func (s *Suite) table7Impl(benchmark string) ([]Table7Row, error) {
 	defer rep.flush()
 	rep.printf("Table VII (%s): transferability to new hardware h2\n", benchmark)
 
-	// "basis": a model trained directly on h2's labeled data from scratch.
-	directCfg := cfg
-	directCfg.Prebuilt = nil
-	directCfg.PrebuiltMs = 0
-	direct, err := core.Run(ds, []*dbenv.Environment{h2}, h2train, directCfg)
+	// "basis": a model trained directly on h2's labeled data from scratch,
+	// with its own reduction over the h2 FST snapshot.
+	directFt, err := t.fst.Reduced(t.train, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sum := core.Evaluate(direct.Model, h2test)
+	direct, err := core.TrainCtx(context.TODO(), ds, directFt, t.train, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sum := core.Evaluate(direct.Model, t.test)
 	out = append(out, Table7Row{Benchmark: benchmark, Model: "basis",
 		Pearson: sum.Pearson, MeanQ: sum.Mean, TimeSec: direct.TrainTime.Seconds()})
 
 	// Transfer with FSO and FST snapshots, retraining for 25% of the
 	// basis iteration budget (the paper retrains 200 of 800 iterations).
-	retrain := iters / 4
-	if retrain < 1 {
-		retrain = 1
-	}
-	for _, mode := range []core.SnapshotMode{core.FSO, core.FST} {
-		tcfg := cfg
-		tcfg.Prebuilt = nil
-		tcfg.PrebuiltMs = 0
-		tcfg.SnapshotMode = mode
-		trans, err := core.Transfer(basis, ds, h2, h2train, tcfg, retrain)
+	retrain := max(cfg.TrainIters/4, 1)
+	for _, arm := range []struct {
+		name string
+		ft   core.Features
+	}{{"trans-FSO", t.fso}, {"trans-FST", t.fst}} {
+		trans, err := core.Transfer(basis, arm.ft, t.train, retrain)
 		if err != nil {
 			return nil, err
 		}
-		sum := core.Evaluate(trans.Model, h2test)
-		name := "trans-FSO"
-		if mode == core.FST {
-			name = "trans-FST"
-		}
-		out = append(out, Table7Row{Benchmark: benchmark, Model: name,
-			Pearson: sum.Pearson, MeanQ: sum.Mean, TimeSec: trans.RetrainTime.Seconds()})
+		sum := core.Evaluate(trans.Model, t.test)
+		out = append(out, Table7Row{Benchmark: benchmark, Model: arm.name,
+			Pearson: sum.Pearson, MeanQ: sum.Mean, TimeSec: trans.TrainTime.Seconds()})
 	}
 	for _, r := range out {
 		rep.printf("  %-10s pearson=%.3f mean=%.3f time=%.2fs\n", r.Model, r.Pearson, r.MeanQ, r.TimeSec)
@@ -154,59 +175,30 @@ func (s *Suite) Figure8(benchmark string) ([]Fig8Series, error) {
 }
 
 func (s *Suite) figure8Impl(benchmark string) ([]Fig8Series, error) {
-	pool, err := s.Pool(benchmark)
+	t, err := s.transfer(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	snaps, snapMs, err := s.Snapshots(benchmark)
+	basis, err := s.basisModel(benchmark, t)
 	if err != nil {
 		return nil, err
 	}
-	ds := s.Dataset(benchmark)
 	iters := s.trainIters(benchmark)
-	maxScale := s.P.Scales[len(s.P.Scales)-1]
-	basisTrain, _ := workload.Split(pool.Scale(maxScale), 0.8)
-	h2, h2train, h2test, err := s.transferSetup(benchmark)
-	if err != nil {
-		return nil, err
-	}
+	chunk := max(iters/8, 1)
 
-	cfg := core.DefaultConfig("qppnet")
-	cfg.TrainIters = iters
-	cfg.Seed = s.P.Seed
-	cfg.Prebuilt = snaps
-	cfg.PrebuiltMs = snapMs
-	basis, err := core.Run(ds, s.Envs(), basisTrain, cfg)
+	// Direct: a fresh model on h2 data, in the transfer model's feature space.
+	fresh, err := core.NewEstimator("qppnet", t.fst.F, s.Dataset(benchmark).Stats, s.P.Seed+9)
 	if err != nil {
 		return nil, err
 	}
-
-	chunk := iters / 8
-	if chunk < 1 {
-		chunk = 1
-	}
-
-	// Direct: fresh model on h2 data.
-	h2cfg := cfg
-	h2cfg.Prebuilt = nil
-	h2cfg.PrebuiltMs = 0
-	h2snaps, _, err := core.BuildSnapshots(ds, []*dbenv.Environment{h2}, h2cfg)
-	if err != nil {
-		return nil, err
-	}
-	freshF := basisFeaturizerWith(basis, h2snaps)
-	fresh, err := core.NewEstimator("qppnet", freshF, ds.Stats, s.P.Seed+9)
-	if err != nil {
-		return nil, err
-	}
-	directCurve := core.TrainCurve(fresh, h2train, h2test, iters, chunk)
+	directCurve := core.TrainCurve(fresh, t.train, t.test, iters, chunk)
 
 	// Transfer: clone basis, swap snapshot, continue training.
-	trans, err := core.Transfer(basis, ds, h2, h2train, h2cfg, 0)
+	trans, err := core.Transfer(basis, t.fst, t.train, 0)
 	if err != nil {
 		return nil, err
 	}
-	transferCurve := core.TrainCurve(trans.Model, h2train, h2test, iters, chunk)
+	transferCurve := core.TrainCurve(trans.Model, t.train, t.test, iters, chunk)
 
 	out := []Fig8Series{
 		{Benchmark: benchmark, Model: "direct", Curve: directCurve},
@@ -219,13 +211,6 @@ func (s *Suite) figure8Impl(benchmark string) ([]Fig8Series, error) {
 		rep.printf("  %-8s %v\n", series.Model, formatCurve(series.Curve))
 	}
 	return out, nil
-}
-
-// basisFeaturizerWith rebuilds the basis featurizer against a different
-// snapshot set (same mask, same encoder) — used to give the from-scratch
-// "direct" model the identical feature space the transfer model sees.
-func basisFeaturizerWith(basis *core.Result, snaps map[int]*snapshot.Snapshot) *encoding.Featurizer {
-	return &encoding.Featurizer{Enc: basis.F.Enc, Snaps: snaps, Mask: basis.F.Mask}
 }
 
 // formatCurve renders a q-error curve compactly.

@@ -786,7 +786,7 @@ func SwapEstimator(old, next *CostEstimator) *CostEstimator {
 
 // ReductionRatio returns the fraction of features pruned (0 when
 // reduction was disabled).
-func (e *CostEstimator) ReductionRatio() float64 { return e.res.ReductionRatio }
+func (e *CostEstimator) ReductionRatio() float64 { return e.res.ReductionRatio() }
 
 // SnapshotCollectionMs returns the simulated cost of labeling the feature
 // snapshot.
@@ -794,12 +794,17 @@ func (e *CostEstimator) SnapshotCollectionMs() float64 { return e.res.SnapshotMs
 
 // Transfer adapts the estimator to a new environment (§V-E): refit only
 // the feature snapshot there and retrain briefly on a small labeled set.
+// The result prices and saves under the new snapshot and the receiver's
+// mask.
 func (e *CostEstimator) Transfer(newEnv *Environment, train []workload.Sample, retrainIters int) (*CostEstimator, error) {
-	tr, err := core.Transfer(e.res, e.bench.ds, newEnv, train, e.cfg, retrainIters)
+	ft, err := e.res.ForEnvCtx(context.TODO(), e.bench.ds, newEnv, e.cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &core.Result{Model: tr.Model, F: e.res.F, TrainTime: tr.RetrainTime, SnapshotMs: tr.SnapshotMs}
+	res, err := core.Transfer(e.res, ft, train, retrainIters)
+	if err != nil {
+		return nil, err
+	}
 	return &CostEstimator{res: res, bench: e.bench, envs: []*Environment{newEnv}, cfg: e.cfg}, nil
 }
 

@@ -1,6 +1,7 @@
 package qcfe
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -185,6 +186,32 @@ func TestTransferAPI(t *testing.T) {
 	sum := trans.Evaluate(te2)
 	if sum.Mean < 1 {
 		t.Fatalf("impossible q-error %v", sum.Mean)
+	}
+	// The transferred estimator saves the featurizer it prices with (h2's
+	// snapshot under the basis mask), so a Save→Load round trip prices h2
+	// identically, and it reports the basis's reduction.
+	var buf bytes.Buffer
+	if err := trans.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEstimator(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Evaluate(te2); got != sum {
+		t.Fatalf("transferred estimator after Save→Load: %+v; before: %+v", got, sum)
+	}
+	if trans.ReductionRatio() != est.ReductionRatio() {
+		t.Fatalf("transferred reduction ratio %v, basis %v", trans.ReductionRatio(), est.ReductionRatio())
+	}
+	// The analytic estimator has no featurizer: it reports no reduction or
+	// snapshot cost, and transferring it is an error, not a panic.
+	an := AnalyticEstimator(b, envs)
+	if an.ReductionRatio() != 0 || an.SnapshotCollectionMs() != 0 {
+		t.Fatalf("analytic estimator reports ratio %v, snapshot cost %v", an.ReductionRatio(), an.SnapshotCollectionMs())
+	}
+	if _, err := an.Transfer(h2, tr2, 1); err == nil {
+		t.Fatalf("transferring the featurizer-less analytic estimator succeeded")
 	}
 }
 
