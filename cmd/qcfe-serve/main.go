@@ -26,8 +26,8 @@
 // flag is empty); -advertise names this replica in /healthz.
 //
 // A sharded query-fingerprint cache (on by default; -cache=false
-// disables, -cache-capacity sizes it) short-circuits warm
-// repeats before the coalescing queue and reuses plan skeletons and
+// disables, -cache-capacity sizes it) answers warm
+// repeats before they join a micro-batch and reuses plan skeletons and
 // featurizations across literal variants; /stats reports per-tier
 // hit/miss/size counters.
 //
@@ -44,7 +44,7 @@
 //
 // Predictions are bit-identical to the library's EstimateSQL on the same
 // artifact, cached or not. SIGINT/SIGTERM trigger a graceful shutdown:
-// in-flight requests finish, queued requests fail with a shutdown error.
+// the HTTP server stops accepting and drains its in-flight requests.
 //
 // # Multi-tenant mode
 //
@@ -53,7 +53,7 @@
 //
 //	qcfe-serve -tenants alpha=a.qcfe,beta=b.qcfe -tenant-weights alpha=3,beta=1 -max-inflight 32
 //
-// Each tenant gets its own coalescing server, its own tenant-namespaced
+// Each tenant gets its own serving front end, its own tenant-namespaced
 // query cache, and (with -adapt) its own drift monitor; requests name
 // their tenant via the X-QCFE-Tenant header or the body's "tenant"
 // field. Admission divides -max-inflight NN slots into weighted
@@ -85,7 +85,6 @@ import (
 func main() {
 	artifactPath := flag.String("artifact", "", "path to a model artifact written by CostEstimator.Save / qcfe-bench -save (required unless -tenants)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	maxBatch := flag.Int("max-batch", 64, "largest coalesced micro-batch (the batcher flushes what is already queued, never waiting for more)")
 	cache := flag.Bool("cache", true, "enable the sharded query-fingerprint cache (template/feature/prediction tiers); hits are bit-identical to cold estimates")
 	cacheCapacity := flag.Int("cache-capacity", 0, "cache entry budget per tier (0 = 4096)")
 	adapt := flag.Bool("adapt", false, "enable drift-monitored online adaptation: label served traffic, retrain incrementally on drift, hot-swap atomically")
@@ -126,7 +125,6 @@ func main() {
 		}
 	}
 	sopts := serve.Options{
-		MaxBatch:           *maxBatch,
 		AdminToken:         *adminToken,
 		Advertise:          *advertise,
 		SlowQueryThreshold: *slowQuery,
@@ -203,7 +201,6 @@ func runMulti(specs, weightsSpec string, maxInflight int, addr string, opts serv
 		fmt.Printf("qcfe-serve: online adaptation on per tenant (window %d, drift threshold %.2f)\n",
 			aopts.Window, aopts.DriftThreshold)
 	}
-	go reg.Run(ctx)
 
 	return httpx.Serve(ctx, "qcfe-serve", addr, reg.Handler())
 }
@@ -263,7 +260,6 @@ func run(artifactPath, addr string, opts serve.Options, copts *qcfe.CacheOptions
 		fmt.Printf("qcfe-serve: online adaptation on (window %d, drift threshold %.2f, %d retrain iters, labeling every %d); POST /shadow submits ground truth\n",
 			aopts.Window, aopts.DriftThreshold, aopts.RetrainIters, aopts.LabelEvery)
 	}
-	go srv.Run(ctx)
 
 	return httpx.Serve(ctx, "qcfe-serve", addr, srv.Handler())
 }

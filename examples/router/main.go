@@ -50,7 +50,6 @@ func main() {
 		check(err)
 		rep.AttachCache(qcfe.NewQueryCache(qcfe.CacheOptions{}))
 		srv := serve.New(rep, serve.Options{AdminToken: adminToken, Advertise: fmt.Sprintf("replica-%d", i)})
-		go srv.Run(ctx)
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		urls = append(urls, ts.URL)

@@ -9,7 +9,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -62,10 +61,7 @@ func main() {
 
 	// 4. Serve it: concurrent single-query requests coalesce into
 	// micro-batches over the batched inference path.
-	srv := serve.New(loaded, serve.Options{MaxBatch: 32})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Run(ctx)
+	srv := serve.New(loaded, serve.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	fmt.Printf("serving on %s\n", ts.URL)
@@ -108,7 +104,7 @@ func main() {
 	}
 
 	// A warm repeat is served from the cache's prediction tier without
-	// touching the coalescing queue (see "cache_hits" in the stats).
+	// joining a micro-batch (see "cache_hits" in the stats).
 	warm, err := loaded.EstimateSQL(env, sqls[0])
 	check(err)
 	fmt.Printf("warm repeat: %.4f ms (prediction-tier hit)\n", warm)

@@ -67,8 +67,7 @@ func TestGoldenEndToEnd(t *testing.T) {
 	srv := serve.New(loaded, serve.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	// No batcher: /estimate_batch prices directly through the batched
-	// inference path, so the response is complete without srv.Run.
+	// /estimate_batch prices directly through the batched inference path.
 
 	body := `{"env":0,"sqls":[` +
 		`"SELECT COUNT(*) FROM sbtest1 WHERE id BETWEEN 100 AND 300",` +

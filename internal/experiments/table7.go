@@ -30,12 +30,14 @@ type Fig8Series struct {
 // benchmark, built once: the new hardware h2 with its labeled split (2000
 // training and 500 test queries, per the paper's §V-E), the basis
 // Features (QCFE's default at the largest scale, shared with Table IV),
-// and that Features refitted on h2 per snapshot mode.
+// that Features refitted on h2 per snapshot mode, and the transfer basis
+// model, QCFE(qpp) trained on the basis Features. Both runners transfer
+// from the one basis model: Transfer clones it and only reads it.
 type transferSetup struct {
 	h2              *dbenv.Environment
 	train, test     []workload.Sample
-	basisTrain      []workload.Sample
 	basis, fso, fst core.Features
+	basisModel      *core.Result
 }
 
 func (s *Suite) transfer(benchmark string) (*transferSetup, error) {
@@ -63,8 +65,11 @@ func (s *Suite) transfer(benchmark string) (*transferSetup, error) {
 		maxScale := s.P.Scales[len(s.P.Scales)-1]
 		t := &transferSetup{h2: h2}
 		t.train, t.test = workload.Split(lab.Samples, 0.8)
-		t.basisTrain, _ = workload.Split(pool.Scale(maxScale), 0.8)
+		basisTrain, _ := workload.Split(pool.Scale(maxScale), 0.8)
 		if t.basis, err = s.qcfeFeatures(benchmark, maxScale); err != nil {
+			return nil, err
+		}
+		if t.basisModel, err = core.TrainCtx(context.TODO(), ds, t.basis, basisTrain, s.config("qppnet", benchmark)); err != nil {
 			return nil, err
 		}
 		refit := func(mode core.SnapshotMode) (core.Features, error) {
@@ -86,14 +91,6 @@ func (s *Suite) transfer(benchmark string) (*transferSetup, error) {
 	return v.(*transferSetup), nil
 }
 
-// basisModel trains the transfer basis, QCFE(qpp) on the basis Features.
-// Each runner trains its own: cloning a model for Transfer draws the
-// clone's sampler seed from the basis, so a shared basis would make one
-// runner's rows depend on how many transfers another ran before it.
-func (s *Suite) basisModel(benchmark string, t *transferSetup) (*core.Result, error) {
-	return core.TrainCtx(context.TODO(), s.Dataset(benchmark), t.basis, t.basisTrain, s.config("qppnet", benchmark))
-}
-
 // Table7 reproduces the transferability study: a basis model trained at the
 // largest scale on the original environment set is transferred to the new
 // hardware h2 by swapping the snapshot (FSO or FST) and retraining briefly;
@@ -109,10 +106,6 @@ func (s *Suite) Table7(benchmark string) ([]Table7Row, error) {
 
 func (s *Suite) table7Impl(benchmark string) ([]Table7Row, error) {
 	t, err := s.transfer(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	basis, err := s.basisModel(benchmark, t)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +141,7 @@ func (s *Suite) table7Impl(benchmark string) ([]Table7Row, error) {
 		name string
 		ft   core.Features
 	}{{"trans-FSO", t.fso}, {"trans-FST", t.fst}} {
-		trans, err := core.Transfer(basis, arm.ft, t.train, retrain)
+		trans, err := core.Transfer(t.basisModel, arm.ft, t.train, retrain)
 		if err != nil {
 			return nil, err
 		}
@@ -179,10 +172,6 @@ func (s *Suite) figure8Impl(benchmark string) ([]Fig8Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	basis, err := s.basisModel(benchmark, t)
-	if err != nil {
-		return nil, err
-	}
 	iters := s.trainIters(benchmark)
 	chunk := max(iters/8, 1)
 
@@ -194,7 +183,7 @@ func (s *Suite) figure8Impl(benchmark string) ([]Fig8Series, error) {
 	directCurve := core.TrainCurve(fresh, t.train, t.test, iters, chunk)
 
 	// Transfer: clone basis, swap snapshot, continue training.
-	trans, err := core.Transfer(basis, t.fst, t.train, 0)
+	trans, err := core.Transfer(t.basisModel, t.fst, t.train, 0)
 	if err != nil {
 		return nil, err
 	}

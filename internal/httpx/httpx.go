@@ -109,13 +109,21 @@ func WriteError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
+// ErrInternal marks a failure that is the server's own fault; an error
+// wrapping it is 500.
+var ErrInternal = errors.New("internal error")
+
 // StatusFor is the base status rule for a failed request: cancellation
 // (a draining daemon or a vanished client) is 503 — retryable, not the
-// client's fault — and everything else (bad SQL, unknown environment or
-// tenant) is 400. Daemons with more outcomes check theirs first.
+// client's fault — an ErrInternal is 500, and everything else (bad SQL,
+// unknown environment or tenant) is 400. Daemons with more outcomes
+// check theirs first.
 func StatusFor(err error) int {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrInternal):
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
 }

@@ -51,6 +51,9 @@ type Model struct {
 	BatchSize int
 	opt       *nn.Adam
 	rng       *rand.Rand
+	// seed is the sampler seed the model was built with; Clone seeds the
+	// copy's sampler from it, so cloning never draws from rng.
+	seed int64
 }
 
 // New builds an MSCN model.
@@ -62,6 +65,7 @@ func New(f *encoding.Featurizer, seed int64) *Model {
 		OutNet: nn.NewMLP([]int{defaultEmbed, defaultHidden, 1}, rng),
 		opt:    nn.NewAdam(defaultLR),
 		rng:    rng,
+		seed:   seed,
 	}
 }
 
@@ -283,7 +287,8 @@ func (m *Model) TrainCtx(ctx context.Context, plans []*planner.Node, ms []float6
 	return time.Since(start), nil
 }
 
-// Clone deep-copies the model weights.
+// Clone deep-copies the model weights. It only reads m: the copy's
+// optimizer starts fresh and its sampler from m's construction seed.
 func (m *Model) Clone() *Model {
 	return &Model{
 		F:         m.F,
@@ -291,7 +296,8 @@ func (m *Model) Clone() *Model {
 		OutNet:    m.OutNet.Clone(),
 		BatchSize: m.BatchSize,
 		opt:       nn.NewAdam(defaultLR),
-		rng:       rand.New(rand.NewSource(m.rng.Int63())),
+		rng:       rand.New(rand.NewSource(m.seed)),
+		seed:      m.seed,
 	}
 }
 

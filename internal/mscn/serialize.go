@@ -46,5 +46,6 @@ func Decode(d *artifact.Decoder, f *encoding.Featurizer, seed int64) (*Model, er
 		BatchSize: bs,
 		opt:       nn.NewAdam(defaultLR),
 		rng:       rand.New(rand.NewSource(seed)),
+		seed:      seed,
 	}, nil
 }

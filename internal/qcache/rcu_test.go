@@ -55,8 +55,8 @@ func TestTemplateFeatureHitZeroAlloc(t *testing.T) {
 }
 
 // TestPutThenGetVisibleImmediately pins the visibility contract the
-// serving layer depends on (serve's warm-probe test runs with the
-// batcher stopped, so a post-store miss would hang a request): a get
+// serving layer depends on (serve's warm-probe test holds the server
+// busy, so a post-store miss would hang a request): a get
 // issued any time after put returns must hit. The put pushes its slot at
 // the bucket head before it unlocks, so the reader's head load sees it;
 // no lock-free index trails the writers.

@@ -54,6 +54,9 @@ type Model struct {
 	BatchSize int
 	opt       *nn.Adam
 	rng       *rand.Rand
+	// seed is the sampler seed the model was built with; Clone seeds the
+	// copy's sampler from it, so cloning never draws from rng.
+	seed int64
 }
 
 // New builds a QPPNet with one subnetwork per operator type.
@@ -65,6 +68,7 @@ func New(f *encoding.Featurizer, seed int64) *Model {
 		Nets:   make(map[planner.OpType]*nn.MLP),
 		opt:    nn.NewAdam(defaultLR),
 		rng:    rand.New(rand.NewSource(seed)),
+		seed:   seed,
 	}
 	in := f.Dim() + m.OutVec
 	for _, op := range planner.AllOpTypes() {
@@ -411,7 +415,8 @@ func (m *Model) TrainCtx(ctx context.Context, plans []*planner.Node, ms []float6
 
 // Clone deep-copies the model (weights only) — the basis of the §V-E
 // transfer workflow, which clones a trained model and retrains briefly
-// against a new environment's snapshot.
+// against a new environment's snapshot. It only reads m: the copy's
+// optimizer starts fresh and its sampler from m's construction seed.
 func (m *Model) Clone() *Model {
 	c := &Model{
 		F:         m.F,
@@ -420,7 +425,8 @@ func (m *Model) Clone() *Model {
 		Nets:      make(map[planner.OpType]*nn.MLP, len(m.Nets)),
 		BatchSize: m.BatchSize,
 		opt:       nn.NewAdam(defaultLR),
-		rng:       rand.New(rand.NewSource(m.rng.Int63())),
+		rng:       rand.New(rand.NewSource(m.seed)),
+		seed:      m.seed,
 	}
 	for op, net := range m.Nets {
 		c.Nets[op] = net.Clone()

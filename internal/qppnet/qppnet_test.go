@@ -84,6 +84,24 @@ func TestQPPNetCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestQPPNetCloneLeavesSourceUntouched: cloning reads the source model
+// and writes nothing to it, so training the source after a Clone takes
+// the same steps as training it without one, and two clones of one
+// model are the same model.
+func TestQPPNetCloneLeavesSourceUntouched(t *testing.T) {
+	plans, ms := synthPlans(50, 4)
+	cloned, plain := New(testFeaturizer(), 1), New(testFeaturizer(), 1)
+	cloned.Train(plans, ms, 30)
+	plain.Train(plans, ms, 30)
+	a, b := cloned.Clone(), cloned.Clone()
+	cloned.Train(plans, ms, 30)
+	plain.Train(plans, ms, 30)
+	weightsEqual(t, cloned, plain, "source trained after a Clone")
+	a.Train(plans, ms, 30)
+	b.Train(plans, ms, 30)
+	weightsEqual(t, a, b, "two clones trained alike")
+}
+
 func TestQPPNetSetFeaturizerDimCheck(t *testing.T) {
 	f := testFeaturizer()
 	m := New(f, 1)

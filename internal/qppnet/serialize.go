@@ -35,6 +35,7 @@ func Decode(d *artifact.Decoder, f *encoding.Featurizer, seed int64) (*Model, er
 		Nets:      make(map[planner.OpType]*nn.MLP, int(planner.NumOpTypes)),
 		opt:       nn.NewAdam(defaultLR),
 		rng:       rand.New(rand.NewSource(seed)),
+		seed:      seed,
 	}
 	nOps := int(d.U32())
 	if err := d.Err(); err != nil {

@@ -98,9 +98,7 @@ type fleet struct {
 func startFleet(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler) *fleet {
 	t.Helper()
 	_, artifact := testEstimator(t)
-	ctx, cancel := context.WithCancel(context.Background())
 	f := &fleet{}
-	var done []chan struct{}
 	for i := 0; i < n; i++ {
 		est, err := qcfe.LoadEstimator(bytes.NewReader(artifact))
 		if err != nil {
@@ -111,9 +109,6 @@ func startFleet(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handl
 			AdminToken: testToken,
 			Advertise:  fmt.Sprintf("replica-%d", i),
 		})
-		ch := make(chan struct{})
-		done = append(done, ch)
-		go func() { srv.Run(ctx); close(ch) }()
 		h := http.Handler(srv.Handler())
 		if wrap != nil {
 			h = wrap(i, h)
@@ -126,10 +121,6 @@ func startFleet(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handl
 	t.Cleanup(func() {
 		for _, ts := range f.https {
 			ts.Close()
-		}
-		cancel()
-		for _, ch := range done {
-			<-ch
 		}
 	})
 	return f

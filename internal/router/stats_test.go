@@ -15,7 +15,7 @@ func TestFleetMeanBatch(t *testing.T) {
 	f := startFleet(t, 2, nil)
 	rt := newTestRouter(t, f, Options{})
 	ctx := context.Background()
-	// A coalesced miss on each replica (through its batcher, which routed
+	// A coalesced miss on each replica (through its combiner, which routed
 	// traffic never uses), then a warm repeat on the second.
 	for i, srv := range f.servers {
 		if _, err := srv.Estimate(ctx, 0, testSQL(i)); err != nil {

@@ -30,15 +30,8 @@ func startAdminServer(t *testing.T) (*Server, *Client) {
 		AdminToken: testToken,
 		Advertise:  "replica-under-test",
 	})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { srv.Run(ctx); close(done) }()
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		cancel()
-		<-done
-	})
+	t.Cleanup(ts.Close)
 	return srv, &Client{BaseURL: ts.URL, AdminToken: testToken}
 }
 

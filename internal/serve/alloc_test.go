@@ -23,16 +23,17 @@ import (
 // Save→Load twin of the serving estimator: identical bytes, identical
 // generation, so the swap must leave the entry resident and the hit
 // allocation-free — a swap that chilled the cache would send the request
-// to the batcher this test never starts.
+// to the pending list behind a leader this test never lets finish.
 func TestEstimateWarmZeroAlloc(t *testing.T) {
 	est := cachedCopy(t)
 	env := est.Environments()[0]
 	sql := testSQL(0)
 	srv := New(est, Options{})
-	// No srv.Run: a warm hit never touches the queue, so a batcherless
-	// server doubles as proof the fast path stayed queue-free. A request
-	// that did enqueue could only wait, so the deadline turns a lost hit
-	// into a failure instead of a hang.
+	// A held leader that never finishes: a warm hit never joins a batch,
+	// so the server doubles as proof the fast path stayed batch-free. A
+	// request that did join could only wait, so the deadline turns a lost
+	// hit into a failure instead of a hang.
+	holdLeader(srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	want, err := est.EstimateSQL(env, sql) // warm the prediction tier

@@ -16,7 +16,7 @@ import (
 // cachedCopy gives a test its own estimator object (Save→Load of the
 // shared fixture, so no extra training) with a fresh query cache
 // attached — the shared fixture must stay cacheless or the coalescing
-// tests' queue-depth arithmetic would break.
+// tests' pending-list arithmetic would break.
 func cachedCopy(t *testing.T) *qcfe.CostEstimator {
 	t.Helper()
 	var buf bytes.Buffer
@@ -32,10 +32,10 @@ func cachedCopy(t *testing.T) *qcfe.CostEstimator {
 }
 
 // TestWarmHitSkipsGather is the short-circuit regression test: a warm
-// prediction-tier hit must be answered before the request ever reaches
-// the coalescing queue. The server's batcher is deliberately never
-// started — a request that entered gather could only hang — so a reply
-// proves the queue was skipped.
+// prediction-tier hit must be answered before the request ever joins a
+// batch. The server is held busy by a leader that never finishes — a
+// request that joined the pending list could only hang — so a reply
+// proves the combiner was skipped.
 func TestWarmHitSkipsGather(t *testing.T) {
 	est := cachedCopy(t)
 	env := est.Environments()[0]
@@ -46,18 +46,18 @@ func TestWarmHitSkipsGather(t *testing.T) {
 	}
 
 	srv := New(est, Options{})
-	// No srv.Run: the queue has no consumer.
+	holdLeader(srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	got, err := srv.Estimate(ctx, env.ID, sql)
 	if err != nil {
-		t.Fatalf("warm hit entered the queue (or errored): %v", err)
+		t.Fatalf("warm hit joined the pending list (or errored): %v", err)
 	}
 	if got != want {
 		t.Fatalf("warm hit = %v, want %v", got, want)
 	}
-	if n := len(srv.queue); n != 0 {
-		t.Fatalf("queue depth = %d after a warm hit, want 0", n)
+	if n := pendingLen(srv); n != 0 {
+		t.Fatalf("%d pending after a warm hit, want 0", n)
 	}
 	st := srv.Stats()
 	if st.Requests != 1 || st.CacheHits != 1 || st.Flushes != 0 {
@@ -71,14 +71,7 @@ func TestWarmHitSkipsGather(t *testing.T) {
 // round must be served from the cache.
 func TestHTTPParityWithCache(t *testing.T) {
 	est := cachedCopy(t)
-	srv := New(est, Options{MaxBatch: 16})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { srv.Run(ctx); close(done) }()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-	})
+	srv := New(est, Options{})
 
 	// Ground truth from a cacheless copy of the same artifact.
 	var buf bytes.Buffer
@@ -154,9 +147,6 @@ func TestHTTPParityWithCache(t *testing.T) {
 func TestStatsExposesCache(t *testing.T) {
 	est := cachedCopy(t)
 	srv := New(est, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Run(ctx)
 	env := est.Environments()[0]
 	if _, err := srv.Estimate(context.Background(), env.ID, testSQL(1)); err != nil {
 		t.Fatal(err)

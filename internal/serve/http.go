@@ -206,7 +206,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) StatsSnapshot() StatsResponse {
 	resp := StatsResponse{
 		Stats:    s.Stats(),
-		MaxBatch: s.opts.MaxBatch,
+		MaxBatch: MaxBatch,
 	}
 	if cs, ok := s.Estimator().CacheStats(); ok {
 		resp.Cache = &cs

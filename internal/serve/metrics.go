@@ -22,7 +22,7 @@ func (s *Server) WriteMetrics(g *obs.Gatherer, extra ...obs.Label) {
 	g.Counter("qcfe_serve_cache_hits_total", "Requests served straight from the prediction tier.", st.CacheHits, extra...)
 	g.Counter("qcfe_serve_swaps_total", "Estimator hot swaps installed.", st.Swaps, extra...)
 	g.Counter("qcfe_serve_errors_total", "Requests that returned an error.", st.Errors, extra...)
-	g.Gauge("qcfe_serve_mean_batch", "Mean coalesced micro-batch size over queued requests.", st.MeanBatch, extra...)
+	g.Gauge("qcfe_serve_mean_batch", "Mean coalesced micro-batch size over priced requests.", st.MeanBatch, extra...)
 	g.Gauge("qcfe_serve_uptime_seconds", "Seconds since this server object was constructed.", s.Uptime().Seconds(), extra...)
 
 	if cs, ok := s.Estimator().CacheStats(); ok {
@@ -46,7 +46,7 @@ func (s *Server) WriteMetrics(g *obs.Gatherer, extra ...obs.Label) {
 	}
 
 	g.Histogram("qcfe_serve_warm_hit_seconds", "Latency of warm prediction-tier hits (Estimate/EstimateCached).", s.histWarm.Snapshot(), extra...)
-	g.Histogram("qcfe_serve_queue_wait_seconds", "Time a coalesced request waited between enqueue and batcher pickup.", s.histQueueWait.Snapshot(), extra...)
+	g.Histogram("qcfe_serve_queue_wait_seconds", "Time a coalesced request waited between arrival and the start of its batch's pricing.", s.histQueueWait.Snapshot(), extra...)
 	g.Histogram("qcfe_serve_flush_seconds", "Wall time of whole coalesced micro-batch flushes.", s.histFlush.Snapshot(), extra...)
 	for _, t := range []struct {
 		name string

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,15 +18,8 @@ import (
 func startObsServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cachedCopy(t), opts)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { srv.Run(ctx); close(done) }()
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		cancel()
-		<-done
-	})
+	t.Cleanup(ts.Close)
 	return srv, ts
 }
 
@@ -51,13 +43,13 @@ func getBody(t *testing.T, url string) (int, []byte) {
 // histograms, per-request trace IDs echoed on the data plane and
 // retrievable with their stage spans from /trace/recent, and /version.
 func TestObsEndpoints(t *testing.T) {
-	_, ts := startObsServer(t, Options{MaxBatch: 8})
+	_, ts := startObsServer(t, Options{})
 	// cachedCopy is a Save→Load of the shared fixture, so the fixture's
 	// environment IDs are valid against it.
 	envID := testEstimator(t).Environments()[0].ID
 
-	// Same SQL twice: the first request flows through the coalescing
-	// queue (queue_wait + predict spans), the repeat short-circuits warm
+	// Same SQL twice: the first request is priced as a coalesced batch
+	// (queue_wait + predict spans), the repeat short-circuits warm
 	// (probe span, warm-hit histogram).
 	sql := testSQL(1)
 	var lastID string
@@ -108,7 +100,7 @@ func TestObsEndpoints(t *testing.T) {
 		t.Fatalf("/trace/recent returned %d records, want 2", len(recs))
 	}
 	// Newest first: recs[0] is the warm repeat (probe span only),
-	// recs[1] the cold request that crossed the coalescing queue.
+	// recs[1] the cold request that was priced as a batch.
 	if recs[0].TraceID != lastID {
 		t.Fatalf("newest trace id %q, want the last echoed %q", recs[0].TraceID, lastID)
 	}

@@ -4,19 +4,16 @@
 // once from options with context.Context plumbed through every
 // execution path.
 //
-// Its core mechanism is micro-batch coalescing: concurrent single-query
-// Estimate calls enqueue into one channel, a batcher goroutine takes the
-// first and drains whatever else is already queued — up to
-// Options.MaxBatch, never waiting for more — groups them by environment,
-// and prices each group through the estimator's batched inference path.
-// The policy is work-conserving (group-commit style): an idle server
-// prices a lone request at once, and batches form from the requests that
-// arrived while the previous flush was pricing, which is exactly when
-// batching pays. Batched inference is bit-identical to per-query
-// inference, so coalescing changes latency shape, never results. This is
-// what turns the estimator stack's batched kernels into serving
-// throughput: N backlogged clients cost ~1 batched inference pass instead
-// of N scalar ones.
+// Its core mechanism is micro-batch coalescing by group commit, done on
+// the callers' own goroutines (Server.Estimate): a miss that finds the
+// server idle prices itself at once, misses that arrive while it prices
+// wait in a pending list, and when it is done the first of them prices
+// up to MaxBatch of them as one batch, grouped by environment, through
+// the estimator's batched inference path, and hands on in turn. Nothing
+// waits for a batch to fill, and the server starts no goroutine.
+// Batched inference is bit-identical to per-query inference, so
+// coalescing changes latency shape, never results: N backlogged clients
+// cost ~1 batched inference pass instead of N scalar ones.
 //
 // The estimator behind the server is hot-swappable: SwapEstimator is a
 // single atomic pointer store, every request path snapshots the
@@ -30,11 +27,13 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	qcfe "repro"
+	"repro/internal/httpx"
 	"repro/internal/obs"
 )
 
@@ -50,8 +49,8 @@ type Estimator interface {
 	// CachedEstimate returns the memoized prediction for an exact
 	// (environment, SQL text) pair when an attached query cache can
 	// answer without planning or inference; ok=false otherwise (no
-	// cache, cold key, or stale generation). Estimate probes it before
-	// enqueueing, so warm hits never pay the hop to the batcher.
+	// cache, cold key, or stale generation). Estimate probes it first,
+	// so warm hits never join a batch.
 	CachedEstimate(env *qcfe.Environment, sql string) (float64, bool)
 	// CacheStats snapshots the attached query cache's counters; ok is
 	// false when no cache is attached.
@@ -84,10 +83,6 @@ type Monitor interface {
 
 // Options configures the serving behavior.
 type Options struct {
-	// MaxBatch is the largest coalesced micro-batch (default 64). The
-	// batcher flushes what is already queued, up to this many requests;
-	// it never waits for a batch to fill.
-	MaxBatch int
 	// AdminToken, when non-empty, enables the remote-administration
 	// endpoints (/swap, /generation) and is the shared secret every
 	// admin request must present in the X-QCFE-Admin-Token header.
@@ -105,16 +100,14 @@ type Options struct {
 	SlowQueryThreshold time.Duration
 }
 
-// queueDepth bounds the pending-request queue. Enqueueing beyond it
-// blocks the client: backpressure, not unbounded memory.
-const queueDepth = 1024
+// MaxBatch is the largest coalesced micro-batch: a leader hands on at
+// most this many pending requests as the next batch.
+const MaxBatch = 64
 
-func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	return o
-}
+// ErrPricingPanic fails every request of a batch whose pricing panicked.
+// The panic costs that batch only: leadership passes on and the server
+// keeps serving. It wraps httpx.ErrInternal, so HTTP answers 500.
+var ErrPricingPanic = fmt.Errorf("serve: panic while pricing a batch: %w", httpx.ErrInternal)
 
 // Stats is a snapshot of the server's counters.
 type Stats struct {
@@ -130,41 +123,42 @@ type Stats struct {
 	// micro-batch with at least one other request.
 	Coalesced int64 `json:"coalesced"`
 	// CacheHits counts single-query requests served straight from the
-	// query cache's prediction tier — they skip the coalescing queue
-	// (and the hop to the batcher) entirely.
+	// query cache's prediction tier — they never join a batch.
 	CacheHits int64 `json:"cache_hits"`
 	// Swaps counts estimator hot swaps installed via SwapEstimator.
 	Swaps int64 `json:"swaps"`
 	// Errors counts requests that returned an error.
 	Errors int64 `json:"errors"`
 	// MeanBatch is (Requests-CacheHits)/Flushes — the average micro-batch
-	// size the coalescer achieved over the requests that actually queued.
+	// size the coalescer achieved over the requests that were priced.
 	MeanBatch float64 `json:"mean_batch"`
 }
 
-// result is one request's outcome.
+// result is one request's outcome. lead marks the other message a
+// reply channel carries: the request heads the batch just handed on,
+// and its goroutine must price it.
 type result struct {
-	ms  float64
-	err error
+	ms   float64
+	err  error
+	lead bool
 }
 
-// request is one enqueued single-query estimate. Requests are pooled:
-// Estimate takes one from reqPool, the batcher replies through the
-// buffered channel, and the caller returns it after reading the reply.
-// A request abandoned mid-flight (caller gave up on ctx after enqueue)
-// is NOT returned to the pool — the batcher still owns it and will
-// drop a reply into the buffered channel, so reuse would deliver that
-// stale result to a future caller. Abandoned requests leak to the GC,
-// which is exactly the pre-pool behavior.
+// request is one single-query estimate on its way through a batch.
+// Requests are pooled: Estimate takes one from reqPool and returns it
+// after reading its reply. A request leaves the pool's reach only while
+// some batch holds it, and every batch answers each of its requests
+// exactly once, so a recycled request never sees a stale reply.
 type request struct {
 	env   *qcfe.Environment
 	sql   string
 	reply chan result
-	// enq stamps when the request entered the queue; the batcher records
-	// the queue-wait histogram (and a queue_wait span on traced requests)
-	// from it. tr is the request's trace, nil on untraced paths — every
-	// obs.Trace method is a no-op on nil, so the pooled field costs
-	// nothing when tracing is off.
+	// res stages the request's answer until its whole batch is priced.
+	res result
+	// enq stamps the request's arrival; flush records the queue-wait
+	// histogram (and a queue_wait span on traced requests) from it. tr is
+	// the request's trace, nil on untraced paths — every obs.Trace method
+	// is a no-op on nil, so the pooled field costs nothing when tracing
+	// is off.
 	enq time.Time
 	tr  *obs.Trace
 }
@@ -177,9 +171,7 @@ var reqPool = sync.Pool{
 // Only the party that has consumed (or provably prevented) the reply
 // may call it.
 func putRequest(r *request) {
-	r.env = nil
-	r.sql = ""
-	r.tr = nil
+	*r = request{reply: r.reply}
 	reqPool.Put(r)
 }
 
@@ -189,23 +181,25 @@ func putRequest(r *request) {
 type estBox struct{ est Estimator }
 
 // Server is a concurrency-safe serving front end over one estimator.
-// Construct with New, start the batcher with Run, and serve traffic
-// through Estimate/EstimateBatch or the HTTP handler. The estimator
-// can be replaced at any time with SwapEstimator; every request works
-// against the snapshot it loaded at its own start, so a swap is
-// invisible to in-flight work.
+// Construct with New and serve traffic through Estimate/EstimateBatch or
+// the HTTP handler; it starts no goroutine, so there is nothing to run
+// or stop. The estimator can be replaced at any time with
+// SwapEstimator; every request works against the snapshot it loaded at
+// its own start, so a swap is invisible to in-flight work.
 type Server struct {
 	cur     atomic.Pointer[estBox]
 	opts    Options
-	queue   chan *request
 	start   time.Time
 	monitor Monitor // set during setup, read-only while serving
 
-	// done is closed when Run returns, after stopErr is set: from then
-	// on nobody drains the queue, so Estimate fails fast on it instead
-	// of waiting for a reply that cannot come.
-	done    chan struct{}
-	stopErr error
+	// The combiner (see Estimate). mu guards busy (some caller leads a
+	// batch) and pending (misses no batch holds yet, in arrival order).
+	// co is the batch scratch: only the current leader touches it, and
+	// leadership passes under mu and through a reply channel.
+	mu      sync.Mutex
+	busy    bool
+	pending []*request
+	co      *coalescer
 
 	// Admin-plane state for the two-phase remote swap (see admin.go).
 	// adminMu serializes stage/commit/rollback/abort; staged is an
@@ -231,7 +225,7 @@ type Server struct {
 	// so they survive hot swaps: SwapEstimator re-attaches the same
 	// registers to the incoming estimator's cache.
 	histWarm      *obs.Histogram // Estimate/EstimateCached warm prediction-tier hits
-	histQueueWait *obs.Histogram // enqueue → batcher pickup (coalescing wait)
+	histQueueWait *obs.Histogram // arrival → its batch's pricing starts
 	histFlush     *obs.Histogram // whole coalesced micro-batch flushes
 	histCacheTpl  *obs.Histogram // qcache template-tier lookups
 	histCacheFeat *obs.Histogram // qcache feature-tier lookups
@@ -243,11 +237,9 @@ type Server struct {
 
 // New builds a server over a loaded estimator.
 func New(est Estimator, opts Options) *Server {
-	o := opts.withDefaults()
 	s := &Server{
-		opts:          o,
-		queue:         make(chan *request, queueDepth),
-		done:          make(chan struct{}),
+		opts:          opts,
+		co:            &coalescer{groups: make(map[int][]*request)},
 		start:         time.Now(),
 		histWarm:      obs.NewHistogram(),
 		histQueueWait: obs.NewHistogram(),
@@ -255,7 +247,7 @@ func New(est Estimator, opts Options) *Server {
 		histCacheTpl:  obs.NewHistogram(),
 		histCacheFeat: obs.NewHistogram(),
 		histCachePred: obs.NewHistogram(),
-		tracer:        obs.NewTracer(0, o.SlowQueryThreshold, os.Stderr),
+		tracer:        obs.NewTracer(0, opts.SlowQueryThreshold, os.Stderr),
 	}
 	s.cur.Store(&estBox{est: est})
 	s.attachCacheHists(est)
@@ -306,42 +298,24 @@ func (s *Server) SwapEstimator(next Estimator) {
 // concurrent requests.
 func (s *Server) SetMonitor(m Monitor) { s.monitor = m }
 
-// Run drains the coalescing queue until ctx is cancelled, then fails any
-// still-pending requests with ctx's error and returns it. It is the
-// server's batcher goroutine; call it exactly once, typically via
-// `go srv.Run(ctx)`.
+// Run only waits for ctx to end: a Server starts no goroutine.
+//
+// Deprecated: Run goes once the benchmark harness stops calling it
+// (ROADMAP 1(e)).
 func (s *Server) Run(ctx context.Context) error {
-	co := newCoalescer()
-	// Shutdown takes priority over pending work: ctx is re-checked before
-	// every receive, so once it is cancelled queued requests fail fast
-	// instead of racing the Done case in the select.
-	for ctx.Err() == nil {
-		select {
-		case <-ctx.Done():
-		case first := <-s.queue:
-			s.gather(co, first)
-			s.flush(ctx, co)
-		}
-	}
-	s.stopErr = fmt.Errorf("serve: shutting down: %w", ctx.Err())
-	s.drainFailed()
-	close(s.done)
+	<-ctx.Done()
 	return ctx.Err()
 }
 
-// coalescer owns the batcher loop's reusable scratch so a steady stream
-// of micro-batches allocates nothing per batch: the gathered batch, the
-// env-grouping map, group-order slice, and SQL scratch are cleared and
-// reused. It is confined to the goroutine running Run.
+// coalescer is the batch scratch the leaders take turns with, reused so
+// a steady stream of micro-batches allocates nothing per batch: the
+// batch, the env-grouping map, group-order slice, and SQL scratch are
+// cleared and reused.
 type coalescer struct {
 	batch  []*request
 	groups map[int][]*request
 	order  []int
 	sqls   []string
-}
-
-func newCoalescer() *coalescer {
-	return &coalescer{groups: make(map[int][]*request)}
 }
 
 // groupBatch splits a gathered batch by environment ID, preserving
@@ -373,32 +347,61 @@ func (co *coalescer) reset() {
 	co.order = co.order[:0]
 }
 
-// gather collects one micro-batch into co.batch: the first request plus
-// whatever is already queued behind it, capped at MaxBatch. It never
-// blocks, so an idle server flushes a lone request at once and batches
-// form only from the backlog that built up while the previous flush was
-// pricing.
-func (s *Server) gather(co *coalescer, first *request) {
-	co.batch = append(co.batch, first)
-	for len(co.batch) < s.opts.MaxBatch {
-		select {
-		case r := <-s.queue:
-			co.batch = append(co.batch, r)
-		default:
-			return
-		}
+// handOn starts the next leader's turn: the first request of the next
+// batch wakes up to lead it.
+func (s *Server) handOn() {
+	if next := s.takeBatch(); next != nil {
+		next.reply <- result{lead: true}
 	}
 }
 
-// flush prices the gathered micro-batch: requests are grouped by
-// environment (preserving arrival order within each group) and each
-// group runs through the estimator's batched path. A group whose batch
+// takeBatch makes up to MaxBatch pending requests, in arrival order,
+// the next batch and returns its first request, which is to lead it.
+// With nothing pending it returns nil and the server is idle again.
+func (s *Server) takeBatch() *request {
+	co := s.co
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	co.reset()
+	n := min(len(s.pending), MaxBatch)
+	if n == 0 {
+		s.busy = false
+		return nil
+	}
+	co.batch = append(co.batch, s.pending[:n]...)
+	rest := copy(s.pending, s.pending[n:])
+	clear(s.pending[rest:])
+	s.pending = s.pending[:rest]
+	return co.batch[0]
+}
+
+// flush prices the batch in s.co: requests are grouped by environment
+// (preserving arrival order within each group) and each group runs
+// through the estimator's batched path. The batch is priced under
+// context.Background(), so no caller can cancel it. A group whose batch
 // call fails — one malformed query fails a whole library batch — falls
 // back to per-request estimation so errors stay isolated to the requests
-// that caused them.
-func (s *Server) flush(ctx context.Context, co *coalescer) {
+// that caused them; with no context to cancel, only a query error gets
+// there. Answers are staged in the requests and sent once the whole
+// batch is priced, so a panic on the way fails every request of the
+// batch with ErrPricingPanic, and none is left without a reply.
+func (s *Server) flush() {
+	co := s.co
 	batch := co.batch
-	defer co.reset()
+	defer func() {
+		if p := recover(); p != nil {
+			err := fmt.Errorf("%w: %v", ErrPricingPanic, p)
+			for _, r := range batch {
+				if r.res.err == nil {
+					s.errors.Add(1)
+				}
+				r.res = result{err: err}
+			}
+		}
+		for _, r := range batch {
+			r.reply <- r.res
+		}
+	}()
 	// One estimator snapshot per flush: every reply in this micro-batch
 	// is computed wholly by one model, even if a hot swap lands mid-way.
 	est := s.Estimator()
@@ -424,7 +427,7 @@ func (s *Server) flush(ctx context.Context, co *coalescer) {
 		}
 		co.sqls = sqls // keep the grown capacity for the next group/flush
 		groupStart := time.Now()
-		ms, err := est.EstimateSQLBatchCtx(ctx, group[0].env, sqls)
+		ms, err := est.EstimateSQLBatchCtx(context.Background(), group[0].env, sqls)
 		if err == nil {
 			// The whole group shares one batched inference call; each
 			// trace gets it as its predict span (the finer featurize/
@@ -440,16 +443,7 @@ func (s *Server) flush(ctx context.Context, co *coalescer) {
 					}
 					r.tr.AddSpan("predict", note, groupStart)
 				}
-				r.reply <- result{ms: ms[i]}
-			}
-			continue
-		}
-		// Cancellation is shutdown, not a query failure: fail the group
-		// fast instead of re-pricing it serially without a context.
-		if cerr := ctx.Err(); cerr != nil {
-			for _, r := range group {
-				s.errors.Add(1)
-				r.reply <- result{err: fmt.Errorf("serve: shutting down: %w", cerr)}
+				r.res = result{ms: ms[i]}
 			}
 			continue
 		}
@@ -463,22 +457,22 @@ func (s *Server) flush(ctx context.Context, co *coalescer) {
 				s.observe(est, r.env, r.sql, v)
 			}
 			r.tr.AddSpan("predict", "solo-fallback", soloStart)
-			r.reply <- result{ms: v, err: rerr}
+			r.res = result{ms: v, err: rerr}
 		}
 	}
 }
 
-// drainFailed fails every request still queued at shutdown.
-func (s *Server) drainFailed() {
-	for {
-		select {
-		case r := <-s.queue:
-			s.errors.Add(1)
-			r.reply <- result{err: s.stopErr}
-		default:
-			return
-		}
+// unqueue takes r off the pending list; false means a batch already
+// holds it.
+func (s *Server) unqueue(r *request) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := slices.Index(s.pending, r)
+	if i < 0 {
+		return false
 	}
+	s.pending = slices.Delete(s.pending, i, i+1)
+	return true
 }
 
 // EnvByID resolves an environment from the estimator's trained set.
@@ -492,9 +486,18 @@ func (s *Server) EnvByID(id int) (*qcfe.Environment, error) {
 	return nil, fmt.Errorf("serve: unknown environment %d (artifact has %d environments)", id, len(envs))
 }
 
-// Estimate prices one query under the environment with the given ID,
-// coalescing with concurrent callers into a micro-batch. It blocks until
-// the batcher replies, ctx is cancelled, or Run has returned; predictions
+// Estimate prices one query under the environment with the given ID.
+// Misses coalesce into micro-batches by group commit on the callers'
+// own goroutines. Every miss joins the pending list; one that finds the
+// server idle hands the list on at once and so leads a batch of itself.
+// The rest park on their reply channels until a leader, its batch
+// answered, hands on up to MaxBatch of them, in arrival order; the
+// first wakes, prices that batch and hands on in turn. With nothing
+// pending the server is idle.
+//
+// A caller whose ctx ends while it is pending leaves the list and
+// returns ctx.Err(). Once a batch holds it, it keeps its role — it
+// leads the batch if it heads it — and returns its answer. Predictions
 // are bit-identical to the library's EstimateSQL.
 func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, error) {
 	t0 := time.Now()
@@ -505,10 +508,9 @@ func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, 
 	}
 	s.requests.Add(1)
 	// A warm prediction-tier hit is deterministic and already known:
-	// answer straight away instead of paying the queue hop to the
-	// batcher. Misses (and cacheless estimators) coalesce.
-	// (Coalesced requests are observed inside flush, which holds the
-	// estimator snapshot that actually priced them.)
+	// answer straight away, outside any batch. Misses (and cacheless
+	// estimators) coalesce; they are observed inside flush, which holds
+	// the estimator snapshot that actually priced them.
 	// tr is nil on untraced paths (benchmarks, in-process callers) and
 	// every use below degrades to a no-op — the warm path stays at zero
 	// allocations with histogram recording on.
@@ -525,50 +527,41 @@ func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, 
 	r := reqPool.Get().(*request)
 	r.env, r.sql = env, sql
 	r.enq, r.tr = time.Now(), tr
-	select {
-	case s.queue <- r:
-	case <-ctx.Done():
-		// Never enqueued: nobody else holds r, safe to recycle.
-		putRequest(r)
-		s.errors.Add(1)
-		return 0, ctx.Err()
-	case <-s.done:
-		putRequest(r)
-		s.errors.Add(1)
-		return 0, s.stopErr
+	s.mu.Lock()
+	s.pending = append(s.pending, r)
+	idle := !s.busy
+	s.busy = true
+	s.mu.Unlock()
+	if idle {
+		s.handOn()
 	}
-	select {
-	case res := <-r.reply:
-		putRequest(r)
-		return res.ms, res.err
-	case <-ctx.Done():
-		// The batcher will still price the request and drop the reply
-		// into the buffered channel; the caller just stopped waiting.
-		// r stays out of the pool (see the request type comment).
-		s.errors.Add(1)
-		return 0, ctx.Err()
-	case <-s.done:
-		// Run replies before it closes done, so a reply that exists is
-		// already in the buffer; take it rather than count the request
-		// twice. With none, r was enqueued after the final drain and
-		// stays in the dead queue — out of the pool, like an abandoned
-		// request.
+	done := ctx.Done()
+	for {
 		select {
 		case res := <-r.reply:
+			if res.lead {
+				s.flush()
+				s.handOn()
+				continue
+			}
 			putRequest(r)
 			return res.ms, res.err
-		default:
+		case <-done:
+			if s.unqueue(r) {
+				putRequest(r)
+				s.errors.Add(1)
+				return 0, ctx.Err()
+			}
+			done = nil // a batch holds r: it keeps its role
 		}
-		s.errors.Add(1)
-		return 0, s.stopErr
 	}
 }
 
 // EstimateCached serves a query only when the attached cache's
 // prediction tier already knows it: a warm hit returns the memoized
 // prediction — counted and observed exactly like a warm hit through
-// Estimate — without touching the coalescing queue; a miss returns
-// ok=false having done no planning, inference, or queueing. The
+// Estimate — without joining a batch; a miss returns ok=false having
+// done no planning, inference, or batching. The
 // multi-tenant admission layer (internal/tenant) uses it as the
 // ladder's rung-2 path: prediction-tier hits are served at every load
 // level, only misses compete for NN capacity.

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	qcfe "repro"
 )
@@ -49,20 +47,13 @@ func testEstimator(t *testing.T) *qcfe.CostEstimator {
 	return fixture.est
 }
 
-// startServer builds a Server plus its HTTP front end and runs the
-// batcher until the test ends.
+// startServer builds a Server plus its HTTP front end, closed when the
+// test ends.
 func startServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(testEstimator(t), opts)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { srv.Run(ctx); close(done) }()
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		cancel()
-		<-done
-	})
+	t.Cleanup(ts.Close)
 	return srv, ts
 }
 
@@ -94,7 +85,7 @@ func testSQL(i int) string {
 // exactly the library's EstimateSQL predictions.
 func TestHTTPParityUnderConcurrentLoad(t *testing.T) {
 	est := testEstimator(t)
-	_, ts := startServer(t, Options{MaxBatch: 16})
+	_, ts := startServer(t, Options{})
 
 	const n = 48
 	envs := est.Environments()
@@ -173,12 +164,13 @@ func TestBatchEndpointParity(t *testing.T) {
 }
 
 // TestCoalescing proves concurrent singles actually share micro-batches:
-// requests enqueued before the batcher starts must drain in fewer
+// requests that arrive while a leader is pricing must drain in fewer
 // flushes than requests.
 func TestCoalescing(t *testing.T) {
 	est := testEstimator(t)
-	srv := New(est, Options{MaxBatch: 64})
+	srv := New(est, Options{})
 	env := est.Environments()[0]
+	holdLeader(srv)
 
 	const n = 24
 	type res struct {
@@ -195,14 +187,10 @@ func TestCoalescing(t *testing.T) {
 			results <- res{ms, err}
 		}(i)
 	}
-	// Wait until every request is parked in the queue, then start the
-	// batcher: the first flush must drain them all in one micro-batch.
-	for len(srv.queue) < n {
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Run(ctx)
+	// Wait until every request is parked behind a held leader, then end
+	// its turn: the next flush must drain them all in one micro-batch.
+	waitPending(t, srv, n)
+	srv.handOn()
 	wg.Wait()
 	close(results)
 	for r := range results {
@@ -215,7 +203,7 @@ func TestCoalescing(t *testing.T) {
 		t.Fatalf("requests = %d", st.Requests)
 	}
 	if st.Flushes != 1 {
-		t.Fatalf("flushes = %d, want 1 (all %d requests pre-queued)", st.Flushes, n)
+		t.Fatalf("flushes = %d, want 1 (all %d requests pending)", st.Flushes, n)
 	}
 	if st.MeanBatch != n {
 		t.Fatalf("mean batch = %v, want %d", st.MeanBatch, n)
@@ -226,8 +214,9 @@ func TestCoalescing(t *testing.T) {
 // fails only its own request; companions still get exact predictions.
 func TestErrorIsolation(t *testing.T) {
 	est := testEstimator(t)
-	srv := New(est, Options{MaxBatch: 8})
+	srv := New(est, Options{})
 	env := est.Environments()[0]
+	holdLeader(srv)
 
 	sqls := []string{testSQL(0), "THIS IS NOT SQL", testSQL(2)}
 	type res struct {
@@ -244,12 +233,8 @@ func TestErrorIsolation(t *testing.T) {
 			results[i] = res{ms, err}
 		}(i, sql)
 	}
-	for len(srv.queue) < len(sqls) {
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Run(ctx)
+	waitPending(t, srv, len(sqls))
+	srv.handOn()
 	wg.Wait()
 
 	if results[1].err == nil {
@@ -315,35 +300,5 @@ func TestHealthzAndStats(t *testing.T) {
 	resp.Body.Close()
 	if stats.Requests < 1 || stats.Flushes < 1 || stats.MaxBatch == 0 {
 		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-// TestShutdownFailsPending: requests still queued when the serving
-// context is cancelled fail with a shutdown error instead of hanging.
-func TestShutdownFailsPending(t *testing.T) {
-	est := testEstimator(t)
-	srv := New(est, Options{})
-	env := est.Environments()[0]
-
-	errc := make(chan error, 1)
-	go func() {
-		_, err := srv.Estimate(context.Background(), env.ID, testSQL(0))
-		errc <- err
-	}()
-	for len(srv.queue) < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := srv.Run(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run = %v", err)
-	}
-	select {
-	case err := <-errc:
-		if err == nil || !strings.Contains(err.Error(), "shutting down") {
-			t.Fatalf("pending request err = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("pending request hung across shutdown")
 	}
 }

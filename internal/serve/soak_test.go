@@ -51,10 +51,10 @@ func soakDuration(t *testing.T) time.Duration {
 // whole swap path (atomic pointer, generation store, CLOCK shards).
 func TestSoakSwapUnderLoad(t *testing.T) {
 	// One mode; the subtest keeps the test ID CI and the floor list know.
-	t.Run("serial", func(t *testing.T) { soakSwapUnderLoad(t, soakDuration(t), Options{MaxBatch: 32}) })
+	t.Run("serial", func(t *testing.T) { soakSwapUnderLoad(t, soakDuration(t)) })
 }
 
-func soakSwapUnderLoad(t *testing.T, dur time.Duration, opts Options) {
+func soakSwapUnderLoad(t *testing.T, dur time.Duration) {
 	estA := cachedCopy(t) // owns the cache initially
 	estB, err := testEstimator(t).Adapt(soakWindow(t), 25)
 	if err != nil {
@@ -88,14 +88,7 @@ func soakSwapUnderLoad(t *testing.T, dur time.Duration, opts Options) {
 		wantB[env.ID] = b
 	}
 
-	srv := New(estA, opts)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { srv.Run(ctx); close(done) }()
-	defer func() {
-		cancel()
-		<-done
-	}()
+	srv := New(estA, Options{})
 
 	var (
 		stop     atomic.Bool
@@ -119,7 +112,7 @@ func soakSwapUnderLoad(t *testing.T, dur time.Duration, opts Options) {
 				var rcancel context.CancelFunc = func() {}
 				if op%16 == 7 {
 					// Client gives up almost immediately: exercises the
-					// enqueue/reply cancellation arms.
+					// pending-list and in-batch cancellation paths.
 					rctx, rcancel = context.WithTimeout(rctx, time.Duration(rng.Intn(300))*time.Microsecond)
 				}
 				ms, err := srv.Estimate(rctx, env.ID, testSQL(qi))

@@ -124,9 +124,6 @@ func TestMonitorPlumbing(t *testing.T) {
 	srv := New(est, Options{})
 	mon := &recordingMonitor{}
 	srv.SetMonitor(mon)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Run(ctx)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	env := est.Environments()[0]
@@ -216,7 +213,8 @@ func TestMonitorPlumbing(t *testing.T) {
 // the query cache warm — the generation rule's positive case.
 func TestSwapKeepsWarmCacheOnIdenticalArtifact(t *testing.T) {
 	est := cachedCopy(t)
-	srv := New(est, Options{}) // batcher never started: only warm hits can answer
+	srv := New(est, Options{})
+	holdLeader(srv) // a leader that never finishes: only warm hits can answer
 	env := est.Environments()[0]
 	sql := testSQL(2)
 	want, err := est.EstimateSQL(env, sql) // warms the prediction tier

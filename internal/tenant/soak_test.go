@@ -12,7 +12,6 @@ import (
 	"time"
 
 	qcfe "repro"
-	"repro/internal/serve"
 )
 
 // TestTenantSoakHostile is the isolation soak: one tenant floods the
@@ -34,7 +33,6 @@ func TestTenantSoakHostile(t *testing.T) {
 	}
 
 	opts := Options{
-		Serve:       serve.Options{MaxBatch: 16},
 		Cache:       &qcfe.CacheOptions{Shards: 4, Capacity: 256},
 		MaxInflight: 4, // shares: 2 good + 2 evil
 		QueueDepth:  8,

@@ -1,13 +1,13 @@
 // Package tenant is the multi-tenant serving layer: one process hosts
-// many named CostEstimator artifacts, each with its own coalescing
-// server, its own tenant-namespaced query cache, and (optionally) its
+// many named CostEstimator artifacts, each with its own serve.Server,
+// its own tenant-namespaced query cache, and (optionally) its
 // own online-adaptation drift monitor, behind a weighted fair-share
 // admission controller with a three-rung degradation ladder.
 //
 // The rungs, in order of what a request gets under increasing load:
 //
-//  1. Full NN path — admitted to the tenant's coalescing queue and
-//     priced by the serving model. Answers are bitwise identical to
+//  1. Full NN path — admitted to the tenant's server, coalesced into a
+//     micro-batch and priced by the serving model. Answers are bitwise identical to
 //     single-tenant serving of the same artifact.
 //  2. Warm-cache-only — prediction-tier hits are served at every load
 //     level (they bypass admission entirely; a memoized float64 needs
@@ -26,7 +26,7 @@
 // (its own generation), its own qcache.QueryCache instance whose keys
 // are stamped with the tenant's name (internal/qcache Options.Tenant —
 // entries can never be read or evicted across tenants), its own
-// serve.Server (queue, batcher, counters), its own admission floor,
+// serve.Server (batch combiner, counters), its own admission floor,
 // and its own drift monitor. The only shared resources are the slot
 // budgets, and those are what admission meters.
 package tenant
@@ -48,8 +48,8 @@ import (
 
 // Options configures a Registry.
 type Options struct {
-	// Serve configures every per-tenant server (MaxBatch, AdminToken,
-	// Advertise, tracing). Defaults as in serve.Options.
+	// Serve configures every per-tenant server (AdminToken, Advertise,
+	// tracing).
 	Serve serve.Options
 	// MaxInflight is the NN-path slot budget shared by all tenants
 	// (divided into weighted floors). 0 means 4×GOMAXPROCS; values
@@ -122,7 +122,7 @@ type Tenant struct {
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
 
-// Server returns the tenant's coalescing server — the hook for wiring
+// Server returns the tenant's serve.Server — the hook for wiring
 // a drift monitor (SetMonitor) and for swapping adapted estimators.
 func (t *Tenant) Server() *serve.Server { return t.srv }
 
@@ -210,11 +210,11 @@ func (r *Registry) Tenant(name string) (*Tenant, error) {
 	return t, nil
 }
 
-// Run starts every tenant's batcher and blocks until ctx is cancelled.
+// Run only waits for ctx to end: a Registry starts no goroutine.
+//
+// Deprecated: Run goes once the benchmark harness stops calling it
+// (ROADMAP 1(e)).
 func (r *Registry) Run(ctx context.Context) error {
-	for _, name := range r.names {
-		go r.tenants[name].srv.Run(ctx)
-	}
 	<-ctx.Done()
 	return ctx.Err()
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -81,8 +82,7 @@ func libAnalytic(t *testing.T) *qcfe.CostEstimator {
 	return fixture.analytic
 }
 
-// newRegistry builds a registry over fresh artifact copies and runs
-// every tenant's batcher until the test ends.
+// newRegistry builds a registry over fresh artifact copies.
 func newRegistry(t *testing.T, opts Options, names ...string) *Registry {
 	t.Helper()
 	cfgs := make([]Config, len(names))
@@ -93,20 +93,27 @@ func newRegistry(t *testing.T, opts Options, names ...string) *Registry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { r.Run(ctx); close(done) }()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-	})
 	return r
 }
 
 func testOptions() Options {
-	return Options{
-		Serve: serve.Options{MaxBatch: 16},
-		Cache: &qcfe.CacheOptions{Shards: 4, Capacity: 512},
+	return Options{Cache: &qcfe.CacheOptions{Shards: 4, Capacity: 512}}
+}
+
+// TestNewStartsNoGoroutine: a registry and its tenants' servers serve
+// from the moment New returns, with no goroutine of their own.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	cfgs := []Config{{Name: "alpha", Est: loadEst(t)}, {Name: "beta", Est: loadEst(t)}}
+	base := runtime.NumGoroutine()
+	r, err := New(testOptions(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("New started %d goroutines", n-base)
+	}
+	if _, _, err := r.Estimate(context.Background(), "alpha", 0, testSQL(0)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -222,8 +229,8 @@ func TestUndegradedBitwiseParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := tn.Server().StatsSnapshot().MaxBatch, testOptions().Serve.MaxBatch; got != want {
-			t.Fatalf("tenant %s max batch = %d, want %d (Options.Serve not inherited)", name, got, want)
+		if got := tn.Server().StatsSnapshot().MaxBatch; got != serve.MaxBatch {
+			t.Fatalf("tenant %s max batch = %d, want %d", name, got, serve.MaxBatch)
 		}
 		got, degraded, err := r.EstimateBatch(ctx, name, env.ID, sqls)
 		if err != nil {

@@ -370,8 +370,8 @@ func (e *CostEstimator) Generation() uint64 { return e.cacheGeneration() }
 // CachedEstimate consults only the prediction tier: a warm hit returns
 // the memoized prediction for the exact (environment, SQL text) pair
 // without planning, featurizing, or inference; a miss returns ok=false
-// without doing any work. The serving layer probes this before paying
-// the coalescing queue's batching latency.
+// without doing any work. The serving layer probes this before a miss
+// joins a coalesced micro-batch.
 func (e *CostEstimator) CachedEstimate(env *Environment, sql string) (float64, bool) {
 	c := e.cache.Load()
 	if c == nil {

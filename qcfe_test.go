@@ -3,6 +3,7 @@ package qcfe
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/planner"
@@ -212,6 +213,51 @@ func TestTransferAPI(t *testing.T) {
 	}
 	if _, err := an.Transfer(h2, tr2, 1); err == nil {
 		t.Fatalf("transferring the featurizer-less analytic estimator succeeded")
+	}
+}
+
+// TestConcurrentTransfer: Transfer only reads the basis estimator, so
+// two goroutines may transfer from one estimator at once (race-free
+// under -race), and both get the same transferred model.
+func TestConcurrentTransfer(t *testing.T) {
+	b, err := OpenBenchmark("sysbench", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := RandomEnvironments(2, 1)
+	pool, err := b.CollectWorkload(envs, 60, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _ := pool.Split(0.8)
+	est, err := NewPipeline("mscn", WithTrainIters(30), WithReferences(20)).Fit(b, envs, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2 := DefaultEnvironment()
+	h2.ID = 77
+	pool2, err := b.CollectWorkload([]*Environment{h2}, 60, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr2, te2 := pool2.Split(0.8)
+	var sums [2]Summary
+	var wg sync.WaitGroup
+	for i := range sums {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			trans, err := est.Transfer(h2, tr2, 10)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sums[i] = trans.Evaluate(te2)
+		}(i)
+	}
+	wg.Wait()
+	if sums[0] != sums[1] {
+		t.Fatalf("two transfers from one estimator differ: %+v vs %+v", sums[0], sums[1])
 	}
 }
 
