@@ -1,8 +1,9 @@
 // Command qcfe-serve is the serving daemon of the train-once/serve-many
 // flow: it loads a model artifact written by CostEstimator.Save (e.g.
-// via `qcfe-bench -save`), and serves cost estimates over HTTP, turning
-// the estimator stack's batched inference kernels into throughput by
-// coalescing concurrent single-query requests into micro-batches.
+// via `qcfe-bench -save`), and serves cost estimates over HTTP: a
+// single-query miss is priced on its request's own goroutine, so
+// concurrent requests price in parallel, and /estimate_batch runs a
+// client's batch through the batched inference kernels.
 //
 // Usage:
 //
@@ -27,7 +28,7 @@
 //
 // A sharded query-fingerprint cache (on by default; -cache=false
 // disables, -cache-capacity sizes it) answers warm
-// repeats before they join a micro-batch and reuses plan skeletons and
+// repeats before they are priced and reuses plan skeletons and
 // featurizations across literal variants; /stats reports per-tier
 // hit/miss/size counters.
 //

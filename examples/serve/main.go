@@ -1,7 +1,7 @@
 // Command serve demonstrates the train-once/serve-many flow end to end,
 // in-process: train a QCFE pipeline, save it as a persistent artifact,
 // load the artifact back (exactly what cmd/qcfe-serve does at startup),
-// stand up the coalescing HTTP server, and fire concurrent requests at
+// stand up the HTTP server, and fire concurrent requests at
 // it — verifying the served predictions equal the library's.
 //
 //	go run ./examples/serve
@@ -59,8 +59,8 @@ func main() {
 	// variants reuse cached plan skeletons — results stay bit-identical.
 	loaded.AttachCache(qcfe.NewQueryCache(qcfe.CacheOptions{}))
 
-	// 4. Serve it: concurrent single-query requests coalesce into
-	// micro-batches over the batched inference path.
+	// 4. Serve it: concurrent single-query requests are each priced on
+	// their own request's goroutine.
 	srv := serve.New(loaded, serve.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -104,7 +104,7 @@ func main() {
 	}
 
 	// A warm repeat is served from the cache's prediction tier without
-	// joining a micro-batch (see "cache_hits" in the stats).
+	// being priced (see "cache_hits" in the stats).
 	warm, err := loaded.EstimateSQL(env, sqls[0])
 	check(err)
 	fmt.Printf("warm repeat: %.4f ms (prediction-tier hit)\n", warm)

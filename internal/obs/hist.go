@@ -5,7 +5,7 @@
 // identification (internal/httpx mounts these, and pprof, on every
 // daemon's HTTP surface). It imports nothing outside
 // the standard library and nothing else in this module, so any layer —
-// qcache's tier probes, serve's coalescer, the router's scatter path —
+// qcache's tier probes, serve's miss path, the router's scatter path —
 // can record into it without an import cycle.
 package obs
 

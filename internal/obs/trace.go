@@ -19,8 +19,8 @@ import (
 // the ORIGINAL id — that contract is pinned by the chaos tests), the
 // tenant layer carries it through admission and delegation, and every
 // daemon echoes it back in the response headers. Along the way each
-// layer appends stage spans (probe → admit → queue_wait → featurize →
-// predict → merge) to the trace; the finished record lands in a
+// layer appends stage spans (probe → admit → featurize → predict →
+// merge) to the trace; the finished record lands in a
 // per-daemon ring buffer served by /trace/recent and, when it exceeds
 // the -slow-query-threshold, in a structured slow-query log line on
 // stderr.

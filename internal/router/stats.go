@@ -45,7 +45,7 @@ type StatsResponse struct {
 	// (internal/router routeHashCache).
 	RouteHash RouteHashStats `json:"routehash"`
 	// Fleet sums the serve counters of every replica that answered;
-	// its mean_batch is the ratio of those sums.
+	// its mean_batch is 1 once any replica has priced a miss.
 	Fleet serve.Stats `json:"fleet"`
 	// Cache sums the per-tier hit/miss/size counters of every replica
 	// cache; present when at least one replica has a cache attached.

@@ -9,13 +9,13 @@ import (
 )
 
 // TestFleetMeanBatch: the router's /stats fleet block is the sum of its
-// replicas' serve counters, and its mean_batch is the ratio of those
-// sums — not a counter left at zero.
+// replicas' serve counters, and its mean_batch, (Σ requests − Σ cache
+// hits) / Σ priced misses, is not a counter left at zero.
 func TestFleetMeanBatch(t *testing.T) {
 	f := startFleet(t, 2, nil)
 	rt := newTestRouter(t, f, Options{})
 	ctx := context.Background()
-	// A coalesced miss on each replica (through its combiner, which routed
+	// A priced miss on each replica (through Estimate, which routed
 	// traffic never uses), then a warm repeat on the second.
 	for i, srv := range f.servers {
 		if _, err := srv.Estimate(ctx, 0, testSQL(i)); err != nil {

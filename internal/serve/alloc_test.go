@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
-	"time"
 
 	qcfe "repro"
 )
@@ -22,20 +22,15 @@ import (
 // The second pass repeats the measurement after a hot swap to a
 // Save→Load twin of the serving estimator: identical bytes, identical
 // generation, so the swap must leave the entry resident and the hit
-// allocation-free — a swap that chilled the cache would send the request
-// to the pending list behind a leader this test never lets finish.
+// allocation-free. The server sees both estimators through warmOnly, so
+// a hit that was lost — before or after the swap — fails the test
+// instead of being priced.
 func TestEstimateWarmZeroAlloc(t *testing.T) {
 	est := cachedCopy(t)
 	env := est.Environments()[0]
 	sql := testSQL(0)
-	srv := New(est, Options{})
-	// A held leader that never finishes: a warm hit never joins a batch,
-	// so the server doubles as proof the fast path stayed batch-free. A
-	// request that did join could only wait, so the deadline turns a lost
-	// hit into a failure instead of a hang.
-	holdLeader(srv)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+	srv := New(warmOnly{est, t}, Options{})
+	ctx := context.Background()
 	want, err := est.EstimateSQL(env, sql) // warm the prediction tier
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +54,7 @@ func TestEstimateWarmZeroAlloc(t *testing.T) {
 		}
 	}
 	measure("before swap")
-	srv.SwapEstimator(qcfe.SwapEstimator(est, reloaded(t, est)))
+	srv.SwapEstimator(warmOnly{qcfe.SwapEstimator(est, reloaded(t, est)), t})
 	measure("after swap to an identical artifact")
 	if st := srv.Stats(); st.Swaps != 1 || st.CacheHits != st.Requests {
 		t.Fatalf("stats = %+v, want 1 swap and every request a cache hit", st)
@@ -134,4 +129,18 @@ func (w *replyRecorder) Write(p []byte) (int, error) {
 	}
 	w.body = append(w.body, p...)
 	return len(p), nil
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
 }

@@ -90,9 +90,8 @@ type HealthResponse struct {
 // drift blocks into its fleet-wide /stats.
 type StatsResponse struct {
 	Stats
-	MaxBatch int              `json:"max_batch"`
-	Cache    *qcfe.CacheStats `json:"cache,omitempty"`
-	Drift    any              `json:"drift,omitempty"`
+	Cache *qcfe.CacheStats `json:"cache,omitempty"`
+	Drift any              `json:"drift,omitempty"`
 }
 
 // Handler returns the HTTP API over the server:
@@ -109,10 +108,10 @@ type StatsResponse struct {
 // gated by Options.AdminToken; see admin.go for the two-phase swap
 // protocol.
 //
-// Single estimates coalesce with concurrent requests into micro-batches;
-// batch estimates run directly through the batched inference path. Both
-// carry the request's context, so a disconnecting client cancels its
-// planning fan-out. Shadow requests score the live model against
+// A single estimate that misses the cache is priced on its request's
+// own goroutine; a batch estimate runs through the batched inference
+// path under the request's context, so a disconnecting client cancels
+// its planning fan-out. Shadow requests score the live model against
 // client-observed ground truth and feed the drift monitor when online
 // adaptation is enabled.
 func (s *Server) Handler() http.Handler {
@@ -159,8 +158,8 @@ func (s *Server) Handler() http.Handler {
 			httpx.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		// Score against the live model directly (no coalescing: shadow
-		// traffic is observability, not latency-sensitive serving).
+		// Score against the live model directly: shadow traffic is
+		// observability, not latency-sensitive serving.
 		est := s.Estimator()
 		ms, err := est.EstimateSQL(env, req.SQL)
 		if err != nil {
@@ -204,10 +203,7 @@ func (s *Server) Handler() http.Handler {
 // embeds one per tenant, so a tenant's block carries exactly what the
 // same server would report standalone.
 func (s *Server) StatsSnapshot() StatsResponse {
-	resp := StatsResponse{
-		Stats:    s.Stats(),
-		MaxBatch: MaxBatch,
-	}
+	resp := StatsResponse{Stats: s.Stats()}
 	if cs, ok := s.Estimator().CacheStats(); ok {
 		resp.Cache = &cs
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // Prometheus exposition for one Server. WriteMetrics renders the whole
-// serving surface — coalescer counters, query-cache tiers, latency
+// serving surface — request counters, query-cache tiers, latency
 // histograms, and the drift monitor when attached — into a scrape. It
 // reads through the same Stats()/CacheStats() snapshot paths /stats
 // uses, so the two surfaces can never disagree about what a counter
@@ -15,14 +15,12 @@ import (
 // the union of its tenants' servers with the tenant dimension attached.
 func (s *Server) WriteMetrics(g *obs.Gatherer, extra ...obs.Label) {
 	st := s.Stats()
-	g.Counter("qcfe_serve_requests_total", "Single-query estimate requests (coalescing path).", st.Requests, extra...)
+	g.Counter("qcfe_serve_requests_total", "Single-query estimate requests.", st.Requests, extra...)
 	g.Counter("qcfe_serve_batch_requests_total", "Queries arriving through explicit client batches.", st.BatchRequests, extra...)
-	g.Counter("qcfe_serve_flushes_total", "Coalesced micro-batches priced.", st.Flushes, extra...)
-	g.Counter("qcfe_serve_coalesced_total", "Requests that shared a micro-batch with at least one other.", st.Coalesced, extra...)
+	g.Counter("qcfe_serve_misses_total", "Single-query misses priced.", st.Flushes, extra...)
 	g.Counter("qcfe_serve_cache_hits_total", "Requests served straight from the prediction tier.", st.CacheHits, extra...)
 	g.Counter("qcfe_serve_swaps_total", "Estimator hot swaps installed.", st.Swaps, extra...)
 	g.Counter("qcfe_serve_errors_total", "Requests that returned an error.", st.Errors, extra...)
-	g.Gauge("qcfe_serve_mean_batch", "Mean coalesced micro-batch size over priced requests.", st.MeanBatch, extra...)
 	g.Gauge("qcfe_serve_uptime_seconds", "Seconds since this server object was constructed.", s.Uptime().Seconds(), extra...)
 
 	if cs, ok := s.Estimator().CacheStats(); ok {
@@ -46,8 +44,7 @@ func (s *Server) WriteMetrics(g *obs.Gatherer, extra ...obs.Label) {
 	}
 
 	g.Histogram("qcfe_serve_warm_hit_seconds", "Latency of warm prediction-tier hits (Estimate/EstimateCached).", s.histWarm.Snapshot(), extra...)
-	g.Histogram("qcfe_serve_queue_wait_seconds", "Time a coalesced request waited between arrival and the start of its batch's pricing.", s.histQueueWait.Snapshot(), extra...)
-	g.Histogram("qcfe_serve_flush_seconds", "Wall time of whole coalesced micro-batch flushes.", s.histFlush.Snapshot(), extra...)
+	g.Histogram("qcfe_serve_miss_seconds", "Latency of priced single-query misses (Estimate).", s.histMiss.Snapshot(), extra...)
 	for _, t := range []struct {
 		name string
 		h    *obs.Histogram

@@ -48,8 +48,8 @@ func TestObsEndpoints(t *testing.T) {
 	// environment IDs are valid against it.
 	envID := testEstimator(t).Environments()[0].ID
 
-	// Same SQL twice: the first request is priced as a coalesced batch
-	// (queue_wait + predict spans), the repeat short-circuits warm
+	// Same SQL twice: the first request misses and is priced (probe +
+	// predict spans, miss histogram), the repeat short-circuits warm
 	// (probe span, warm-hit histogram).
 	sql := testSQL(1)
 	var lastID string
@@ -77,8 +77,9 @@ func TestObsEndpoints(t *testing.T) {
 		"qcfe_serve_cache_hits_total 1",
 		"qcfe_serve_warm_hit_seconds_bucket",
 		"qcfe_serve_warm_hit_seconds_count 1",
-		"qcfe_serve_queue_wait_seconds_sum",
-		"qcfe_serve_flush_seconds_bucket",
+		"qcfe_serve_misses_total 1",
+		"qcfe_serve_miss_seconds_bucket",
+		"qcfe_serve_miss_seconds_count 1",
 		`qcfe_qcache_lookup_seconds_bucket{tier=`,
 		`tier="prediction"`,
 		"qcfe_build_info{",
@@ -100,7 +101,7 @@ func TestObsEndpoints(t *testing.T) {
 		t.Fatalf("/trace/recent returned %d records, want 2", len(recs))
 	}
 	// Newest first: recs[0] is the warm repeat (probe span only),
-	// recs[1] the cold request that was priced as a batch.
+	// recs[1] the cold request that was priced.
 	if recs[0].TraceID != lastID {
 		t.Fatalf("newest trace id %q, want the last echoed %q", recs[0].TraceID, lastID)
 	}
@@ -111,11 +112,11 @@ func TestObsEndpoints(t *testing.T) {
 		}
 		return m
 	}
-	if st := stages(recs[0]); st["probe"] != 1 || st["queue_wait"] != 0 {
-		t.Fatalf("warm trace spans = %+v, want a probe span and no queue_wait", recs[0].Spans)
+	if st := stages(recs[0]); st["probe"] != 1 || len(recs[0].Spans) != 1 {
+		t.Fatalf("warm trace spans = %+v, want a probe span only", recs[0].Spans)
 	}
-	if st := stages(recs[1]); st["probe"] != 1 || st["queue_wait"] != 1 || st["predict"] != 1 {
-		t.Fatalf("cold trace spans = %+v, want probe + queue_wait + predict", recs[1].Spans)
+	if st := stages(recs[1]); st["probe"] != 1 || st["predict"] != 1 || len(recs[1].Spans) != 2 {
+		t.Fatalf("cold trace spans = %+v, want probe + predict", recs[1].Spans)
 	}
 
 	code, body = getBody(t, ts.URL+"/version")

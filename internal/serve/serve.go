@@ -4,16 +4,13 @@
 // once from options with context.Context plumbed through every
 // execution path.
 //
-// Its core mechanism is micro-batch coalescing by group commit, done on
-// the callers' own goroutines (Server.Estimate): a miss that finds the
-// server idle prices itself at once, misses that arrive while it prices
-// wait in a pending list, and when it is done the first of them prices
-// up to MaxBatch of them as one batch, grouped by environment, through
-// the estimator's batched inference path, and hands on in turn. Nothing
-// waits for a batch to fill, and the server starts no goroutine.
-// Batched inference is bit-identical to per-query inference, so
-// coalescing changes latency shape, never results: N backlogged clients
-// cost ~1 batched inference pass instead of N scalar ones.
+// A single-query request (Server.Estimate) is answered from the query
+// cache's prediction tier when it is warm; a miss is priced on the
+// caller's own goroutine by the estimator's EstimateSQL, so misses from
+// different callers run in parallel and nothing waits on anyone else's
+// pricing. A client-assembled batch (Server.EstimateBatch) runs through
+// the estimator's batched inference path. Both answer bit-identically
+// to the library, and the server starts no goroutine.
 //
 // The estimator behind the server is hot-swappable: SwapEstimator is a
 // single atomic pointer store, every request path snapshots the
@@ -27,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,8 +34,8 @@ import (
 )
 
 // Estimator is the slice of the qcfe API the server needs.
-// *qcfe.CostEstimator satisfies it; tests substitute fakes to probe
-// coalescing behavior.
+// *qcfe.CostEstimator satisfies it; tests substitute fakes to probe the
+// serving paths.
 type Estimator interface {
 	ModelName() string
 	BenchmarkName() string
@@ -50,7 +46,7 @@ type Estimator interface {
 	// (environment, SQL text) pair when an attached query cache can
 	// answer without planning or inference; ok=false otherwise (no
 	// cache, cold key, or stale generation). Estimate probes it first,
-	// so warm hits never join a batch.
+	// so warm hits are never priced.
 	CachedEstimate(env *qcfe.Environment, sql string) (float64, bool)
 	// CacheStats snapshots the attached query cache's counters; ok is
 	// false when no cache is attached.
@@ -100,79 +96,34 @@ type Options struct {
 	SlowQueryThreshold time.Duration
 }
 
-// MaxBatch is the largest coalesced micro-batch: a leader hands on at
-// most this many pending requests as the next batch.
-const MaxBatch = 64
-
-// ErrPricingPanic fails every request of a batch whose pricing panicked.
-// The panic costs that batch only: leadership passes on and the server
-// keeps serving. It wraps httpx.ErrInternal, so HTTP answers 500.
-var ErrPricingPanic = fmt.Errorf("serve: panic while pricing a batch: %w", httpx.ErrInternal)
+// ErrPricingPanic fails a request whose pricing panicked. The panic
+// costs that request only: the server keeps serving. It wraps
+// httpx.ErrInternal, so HTTP answers 500.
+var ErrPricingPanic = fmt.Errorf("serve: panic while pricing: %w", httpx.ErrInternal)
 
 // Stats is a snapshot of the server's counters.
 type Stats struct {
-	// Requests counts single-query estimate requests (the coalescing
-	// path).
+	// Requests counts single-query estimate requests.
 	Requests int64 `json:"requests"`
 	// BatchRequests counts queries that arrived through explicit batch
-	// requests (already batched by the client; not coalesced again).
+	// requests.
 	BatchRequests int64 `json:"batch_requests"`
-	// Flushes counts coalesced micro-batches priced.
+	// Flushes counts priced single-query misses. ROADMAP 1(e) retires it
+	// with the benchmark harness's last reader.
 	Flushes int64 `json:"flushes"`
-	// Coalesced counts single-query requests that shared their
-	// micro-batch with at least one other request.
+	// Coalesced is always 0: no request shares its pricing with another.
+	// ROADMAP 1(e) retires it.
 	Coalesced int64 `json:"coalesced"`
 	// CacheHits counts single-query requests served straight from the
-	// query cache's prediction tier — they never join a batch.
+	// query cache's prediction tier — they are never priced.
 	CacheHits int64 `json:"cache_hits"`
 	// Swaps counts estimator hot swaps installed via SwapEstimator.
 	Swaps int64 `json:"swaps"`
 	// Errors counts requests that returned an error.
 	Errors int64 `json:"errors"`
-	// MeanBatch is (Requests-CacheHits)/Flushes — the average micro-batch
-	// size the coalescer achieved over the requests that were priced.
+	// MeanBatch is 1 once a miss is priced (each is priced alone), 0
+	// before. ROADMAP 1(e) retires it.
 	MeanBatch float64 `json:"mean_batch"`
-}
-
-// result is one request's outcome. lead marks the other message a
-// reply channel carries: the request heads the batch just handed on,
-// and its goroutine must price it.
-type result struct {
-	ms   float64
-	err  error
-	lead bool
-}
-
-// request is one single-query estimate on its way through a batch.
-// Requests are pooled: Estimate takes one from reqPool and returns it
-// after reading its reply. A request leaves the pool's reach only while
-// some batch holds it, and every batch answers each of its requests
-// exactly once, so a recycled request never sees a stale reply.
-type request struct {
-	env   *qcfe.Environment
-	sql   string
-	reply chan result
-	// res stages the request's answer until its whole batch is priced.
-	res result
-	// enq stamps the request's arrival; flush records the queue-wait
-	// histogram (and a queue_wait span on traced requests) from it. tr is
-	// the request's trace, nil on untraced paths — every obs.Trace method
-	// is a no-op on nil, so the pooled field costs nothing when tracing
-	// is off.
-	enq time.Time
-	tr  *obs.Trace
-}
-
-var reqPool = sync.Pool{
-	New: func() any { return &request{reply: make(chan result, 1)} },
-}
-
-// putRequest clears a request's references and returns it to the pool.
-// Only the party that has consumed (or provably prevented) the reply
-// may call it.
-func putRequest(r *request) {
-	*r = request{reply: r.reply}
-	reqPool.Put(r)
 }
 
 // estBox wraps the current estimator behind one pointer so a hot swap
@@ -192,15 +143,6 @@ type Server struct {
 	start   time.Time
 	monitor Monitor // set during setup, read-only while serving
 
-	// The combiner (see Estimate). mu guards busy (some caller leads a
-	// batch) and pending (misses no batch holds yet, in arrival order).
-	// co is the batch scratch: only the current leader touches it, and
-	// leadership passes under mu and through a reply channel.
-	mu      sync.Mutex
-	busy    bool
-	pending []*request
-	co      *coalescer
-
 	// Admin-plane state for the two-phase remote swap (see admin.go).
 	// adminMu serializes stage/commit/rollback/abort; staged is an
 	// artifact loaded but not yet serving; prev is the estimator the
@@ -212,8 +154,7 @@ type Server struct {
 
 	requests      atomic.Int64
 	batchRequests atomic.Int64
-	flushes       atomic.Int64
-	coalesced     atomic.Int64
+	misses        atomic.Int64
 	cacheHits     atomic.Int64
 	swaps         atomic.Int64
 	errors        atomic.Int64
@@ -225,8 +166,7 @@ type Server struct {
 	// so they survive hot swaps: SwapEstimator re-attaches the same
 	// registers to the incoming estimator's cache.
 	histWarm      *obs.Histogram // Estimate/EstimateCached warm prediction-tier hits
-	histQueueWait *obs.Histogram // arrival → its batch's pricing starts
-	histFlush     *obs.Histogram // whole coalesced micro-batch flushes
+	histMiss      *obs.Histogram // Estimate misses, probe and pricing
 	histCacheTpl  *obs.Histogram // qcache template-tier lookups
 	histCacheFeat *obs.Histogram // qcache feature-tier lookups
 	histCachePred *obs.Histogram // qcache prediction-tier lookups
@@ -239,11 +179,9 @@ type Server struct {
 func New(est Estimator, opts Options) *Server {
 	s := &Server{
 		opts:          opts,
-		co:            &coalescer{groups: make(map[int][]*request)},
 		start:         time.Now(),
 		histWarm:      obs.NewHistogram(),
-		histQueueWait: obs.NewHistogram(),
-		histFlush:     obs.NewHistogram(),
+		histMiss:      obs.NewHistogram(),
 		histCacheTpl:  obs.NewHistogram(),
 		histCacheFeat: obs.NewHistogram(),
 		histCachePred: obs.NewHistogram(),
@@ -307,174 +245,6 @@ func (s *Server) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// coalescer is the batch scratch the leaders take turns with, reused so
-// a steady stream of micro-batches allocates nothing per batch: the
-// batch, the env-grouping map, group-order slice, and SQL scratch are
-// cleared and reused.
-type coalescer struct {
-	batch  []*request
-	groups map[int][]*request
-	order  []int
-	sqls   []string
-}
-
-// groupBatch splits a gathered batch by environment ID, preserving
-// arrival order within each group; co.order lists the group keys in
-// first-arrival order. The groups alias coalescer-owned scratch — they
-// are valid until the next reset call.
-func (co *coalescer) groupBatch() {
-	co.order = co.order[:0]
-	for _, r := range co.batch {
-		id := r.env.ID
-		g, ok := co.groups[id]
-		if !ok || len(g) == 0 {
-			co.order = append(co.order, id)
-		}
-		co.groups[id] = append(g, r)
-	}
-}
-
-// reset empties the batch and grouping scratch, dropping request
-// references so pooled requests aren't retained past their reply.
-func (co *coalescer) reset() {
-	clear(co.batch)
-	co.batch = co.batch[:0]
-	for _, id := range co.order {
-		g := co.groups[id]
-		clear(g)
-		co.groups[id] = g[:0]
-	}
-	co.order = co.order[:0]
-}
-
-// handOn starts the next leader's turn: the first request of the next
-// batch wakes up to lead it.
-func (s *Server) handOn() {
-	if next := s.takeBatch(); next != nil {
-		next.reply <- result{lead: true}
-	}
-}
-
-// takeBatch makes up to MaxBatch pending requests, in arrival order,
-// the next batch and returns its first request, which is to lead it.
-// With nothing pending it returns nil and the server is idle again.
-func (s *Server) takeBatch() *request {
-	co := s.co
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	co.reset()
-	n := min(len(s.pending), MaxBatch)
-	if n == 0 {
-		s.busy = false
-		return nil
-	}
-	co.batch = append(co.batch, s.pending[:n]...)
-	rest := copy(s.pending, s.pending[n:])
-	clear(s.pending[rest:])
-	s.pending = s.pending[:rest]
-	return co.batch[0]
-}
-
-// flush prices the batch in s.co: requests are grouped by environment
-// (preserving arrival order within each group) and each group runs
-// through the estimator's batched path. The batch is priced under
-// context.Background(), so no caller can cancel it. A group whose batch
-// call fails — one malformed query fails a whole library batch — falls
-// back to per-request estimation so errors stay isolated to the requests
-// that caused them; with no context to cancel, only a query error gets
-// there. Answers are staged in the requests and sent once the whole
-// batch is priced, so a panic on the way fails every request of the
-// batch with ErrPricingPanic, and none is left without a reply.
-func (s *Server) flush() {
-	co := s.co
-	batch := co.batch
-	defer func() {
-		if p := recover(); p != nil {
-			err := fmt.Errorf("%w: %v", ErrPricingPanic, p)
-			for _, r := range batch {
-				if r.res.err == nil {
-					s.errors.Add(1)
-				}
-				r.res = result{err: err}
-			}
-		}
-		for _, r := range batch {
-			r.reply <- r.res
-		}
-	}()
-	// One estimator snapshot per flush: every reply in this micro-batch
-	// is computed wholly by one model, even if a hot swap lands mid-way.
-	est := s.Estimator()
-	s.flushes.Add(1)
-	flushStart := time.Now()
-	defer s.histFlush.RecordSince(flushStart)
-	if len(batch) > 1 {
-		s.coalesced.Add(int64(len(batch)))
-	}
-	// Queue wait ends here for every request in the batch. Spans must be
-	// recorded before a request's reply is sent: the HTTP edge finishes
-	// the trace the moment the reply arrives.
-	for _, r := range batch {
-		s.histQueueWait.RecordSince(r.enq)
-		r.tr.AddSpan("queue_wait", "", r.enq)
-	}
-	co.groupBatch()
-	for _, id := range co.order {
-		group := co.groups[id]
-		sqls := co.sqls[:0]
-		for _, r := range group {
-			sqls = append(sqls, r.sql)
-		}
-		co.sqls = sqls // keep the grown capacity for the next group/flush
-		groupStart := time.Now()
-		ms, err := est.EstimateSQLBatchCtx(context.Background(), group[0].env, sqls)
-		if err == nil {
-			// The whole group shares one batched inference call; each
-			// trace gets it as its predict span (the finer featurize/
-			// predict split shows up on traced /estimate_batch calls,
-			// which carry their context into the library). The note is
-			// formatted once per group, and only when someone will read it.
-			note := ""
-			for i, r := range group {
-				s.observe(est, r.env, r.sql, ms[i])
-				if r.tr != nil {
-					if note == "" {
-						note = fmt.Sprintf("batch=%d", len(group))
-					}
-					r.tr.AddSpan("predict", note, groupStart)
-				}
-				r.res = result{ms: ms[i]}
-			}
-			continue
-		}
-		// Isolate the failure: price each request alone.
-		for _, r := range group {
-			soloStart := time.Now()
-			v, rerr := est.EstimateSQL(r.env, r.sql)
-			if rerr != nil {
-				s.errors.Add(1)
-			} else {
-				s.observe(est, r.env, r.sql, v)
-			}
-			r.tr.AddSpan("predict", "solo-fallback", soloStart)
-			r.res = result{ms: v, err: rerr}
-		}
-	}
-}
-
-// unqueue takes r off the pending list; false means a batch already
-// holds it.
-func (s *Server) unqueue(r *request) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := slices.Index(s.pending, r)
-	if i < 0 {
-		return false
-	}
-	s.pending = slices.Delete(s.pending, i, i+1)
-	return true
-}
-
 // EnvByID resolves an environment from the estimator's trained set.
 func (s *Server) EnvByID(id int) (*qcfe.Environment, error) {
 	envs := s.Estimator().Environments()
@@ -487,18 +257,14 @@ func (s *Server) EnvByID(id int) (*qcfe.Environment, error) {
 }
 
 // Estimate prices one query under the environment with the given ID.
-// Misses coalesce into micro-batches by group commit on the callers'
-// own goroutines. Every miss joins the pending list; one that finds the
-// server idle hands the list on at once and so leads a batch of itself.
-// The rest park on their reply channels until a leader, its batch
-// answered, hands on up to MaxBatch of them, in arrival order; the
-// first wakes, prices that batch and hands on in turn. With nothing
-// pending the server is idle.
-//
-// A caller whose ctx ends while it is pending leaves the list and
-// returns ctx.Err(). Once a batch holds it, it keeps its role — it
-// leads the batch if it heads it — and returns its answer. Predictions
-// are bit-identical to the library's EstimateSQL.
+// A warm prediction-tier hit is answered at once. A miss is priced by
+// the estimator's EstimateSQL on the caller's own goroutine, so
+// concurrent misses run side by side and are bounded only by their
+// callers (net/http's connections; a tenant's admission slots). A
+// caller whose ctx has already ended gets ctx.Err() and is not priced;
+// once pricing starts it runs to the end. A panic while pricing fails
+// only this request, with ErrPricingPanic. Predictions are
+// bit-identical to the library's EstimateSQL.
 func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, error) {
 	t0 := time.Now()
 	env, err := s.EnvByID(envID)
@@ -507,10 +273,6 @@ func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, 
 		return 0, err
 	}
 	s.requests.Add(1)
-	// A warm prediction-tier hit is deterministic and already known:
-	// answer straight away, outside any batch. Misses (and cacheless
-	// estimators) coalesce; they are observed inside flush, which holds
-	// the estimator snapshot that actually priced them.
 	// tr is nil on untraced paths (benchmarks, in-process callers) and
 	// every use below degrades to a no-op — the warm path stays at zero
 	// allocations with histogram recording on.
@@ -524,37 +286,33 @@ func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, 
 		return ms, nil
 	}
 	tr.AddSpan("probe", "miss", t0)
-	r := reqPool.Get().(*request)
-	r.env, r.sql = env, sql
-	r.enq, r.tr = time.Now(), tr
-	s.mu.Lock()
-	s.pending = append(s.pending, r)
-	idle := !s.busy
-	s.busy = true
-	s.mu.Unlock()
-	if idle {
-		s.handOn()
+	if err := ctx.Err(); err != nil {
+		s.errors.Add(1)
+		return 0, err
 	}
-	done := ctx.Done()
-	for {
-		select {
-		case res := <-r.reply:
-			if res.lead {
-				s.flush()
-				s.handOn()
-				continue
-			}
-			putRequest(r)
-			return res.ms, res.err
-		case <-done:
-			if s.unqueue(r) {
-				putRequest(r)
-				s.errors.Add(1)
-				return 0, ctx.Err()
-			}
-			done = nil // a batch holds r: it keeps its role
+	s.misses.Add(1)
+	t1 := time.Now()
+	ms, err := priced(func() (float64, error) { return est.EstimateSQL(env, sql) })
+	s.histMiss.RecordSince(t0)
+	tr.AddSpan("predict", "", t1)
+	if err != nil {
+		s.errors.Add(1)
+		return 0, err
+	}
+	s.observe(est, env, sql, ms)
+	return ms, nil
+}
+
+// priced runs one pricing call and turns a panic inside it into
+// ErrPricingPanic, so the panic costs only the request that caused it:
+// the caller gets an error (HTTP 500) instead of unwinding.
+func priced[T any](price func() (T, error)) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: %v", ErrPricingPanic, p)
 		}
-	}
+	}()
+	return price()
 }
 
 // EstimateCached serves a query only when the attached cache's
@@ -592,8 +350,9 @@ func (s *Server) observe(est Estimator, env *qcfe.Environment, sql string, ms fl
 	}
 }
 
-// EstimateBatch prices a client-assembled batch directly through the
-// estimator's batched path (no re-coalescing).
+// EstimateBatch prices a client-assembled batch through the estimator's
+// batched path under the caller's ctx. A panic while pricing fails the
+// batch with ErrPricingPanic, as it fails a single request in Estimate.
 func (s *Server) EstimateBatch(ctx context.Context, envID int, sqls []string) ([]float64, error) {
 	env, err := s.EnvByID(envID)
 	if err != nil {
@@ -602,7 +361,7 @@ func (s *Server) EstimateBatch(ctx context.Context, envID int, sqls []string) ([
 	}
 	s.batchRequests.Add(int64(len(sqls)))
 	est := s.Estimator()
-	ms, err := est.EstimateSQLBatchCtx(ctx, env, sqls)
+	ms, err := priced(func() ([]float64, error) { return est.EstimateSQLBatchCtx(ctx, env, sqls) })
 	if err != nil {
 		s.errors.Add(1)
 		return nil, err
@@ -617,15 +376,13 @@ func (s *Server) EstimateBatch(ctx context.Context, envID int, sqls []string) ([
 // atomics, so a concurrent snapshot cannot be a single consistent cut —
 // but it CAN preserve the invariants readers rely on. Every increment
 // path bumps requests before cacheHits, so loading cacheHits (and
-// flushes/coalesced, which trail requests the same way) BEFORE requests
-// guarantees Requests ≥ CacheHits and a non-negative MeanBatch even
-// under full load. /stats, /metrics, and the tenant registry all read
+// misses, which trail requests the same way) BEFORE requests
+// guarantees Requests ≥ CacheHits even under full load. /stats, /metrics, and the tenant registry all read
 // through this one method, so every surface reports the same shape.
 func (s *Server) Stats() Stats {
 	st := Stats{
 		CacheHits:     s.cacheHits.Load(),
-		Flushes:       s.flushes.Load(),
-		Coalesced:     s.coalesced.Load(),
+		Flushes:       s.misses.Load(),
 		BatchRequests: s.batchRequests.Load(),
 		Swaps:         s.swaps.Load(),
 		Errors:        s.errors.Load(),
@@ -635,8 +392,8 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Add folds o's counters into st and recomputes MeanBatch from the
-// sums — the router's fleet block is its replicas' counters added up.
+// Add folds o's counters into st and recomputes MeanBatch — the
+// router's fleet block is its replicas' counters added up.
 func (st *Stats) Add(o Stats) {
 	st.Requests += o.Requests
 	st.BatchRequests += o.BatchRequests
@@ -648,12 +405,11 @@ func (st *Stats) Add(o Stats) {
 	st.setMeanBatch()
 }
 
-// setMeanBatch derives MeanBatch from the counters; zero before the
-// first flush.
+// setMeanBatch derives MeanBatch: 1 once a miss is priced, 0 before.
 func (st *Stats) setMeanBatch() {
 	st.MeanBatch = 0
 	if st.Flushes > 0 {
-		st.MeanBatch = float64(st.Requests-st.CacheHits) / float64(st.Flushes)
+		st.MeanBatch = 1
 	}
 }
 

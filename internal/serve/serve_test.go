@@ -81,7 +81,7 @@ func testSQL(i int) string {
 }
 
 // TestHTTPParityUnderConcurrentLoad is the serving contract: concurrent
-// /estimate requests — coalesced into micro-batches server-side — return
+// /estimate requests — each priced on its own goroutine — return
 // exactly the library's EstimateSQL predictions.
 func TestHTTPParityUnderConcurrentLoad(t *testing.T) {
 	est := testEstimator(t)
@@ -163,60 +163,12 @@ func TestBatchEndpointParity(t *testing.T) {
 	}
 }
 
-// TestCoalescing proves concurrent singles actually share micro-batches:
-// requests that arrive while a leader is pricing must drain in fewer
-// flushes than requests.
-func TestCoalescing(t *testing.T) {
-	est := testEstimator(t)
-	srv := New(est, Options{})
-	env := est.Environments()[0]
-	holdLeader(srv)
-
-	const n = 24
-	type res struct {
-		ms  float64
-		err error
-	}
-	results := make(chan res, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ms, err := srv.Estimate(context.Background(), env.ID, testSQL(i))
-			results <- res{ms, err}
-		}(i)
-	}
-	// Wait until every request is parked behind a held leader, then end
-	// its turn: the next flush must drain them all in one micro-batch.
-	waitPending(t, srv, n)
-	srv.handOn()
-	wg.Wait()
-	close(results)
-	for r := range results {
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-	}
-	st := srv.Stats()
-	if st.Requests != n {
-		t.Fatalf("requests = %d", st.Requests)
-	}
-	if st.Flushes != 1 {
-		t.Fatalf("flushes = %d, want 1 (all %d requests pending)", st.Flushes, n)
-	}
-	if st.MeanBatch != n {
-		t.Fatalf("mean batch = %v, want %d", st.MeanBatch, n)
-	}
-}
-
-// TestErrorIsolation: one malformed query in a coalesced micro-batch
-// fails only its own request; companions still get exact predictions.
+// TestErrorIsolation: one malformed query among concurrent misses fails
+// only its own request; companions still get exact predictions.
 func TestErrorIsolation(t *testing.T) {
 	est := testEstimator(t)
 	srv := New(est, Options{})
 	env := est.Environments()[0]
-	holdLeader(srv)
 
 	sqls := []string{testSQL(0), "THIS IS NOT SQL", testSQL(2)}
 	type res struct {
@@ -233,8 +185,6 @@ func TestErrorIsolation(t *testing.T) {
 			results[i] = res{ms, err}
 		}(i, sql)
 	}
-	waitPending(t, srv, len(sqls))
-	srv.handOn()
 	wg.Wait()
 
 	if results[1].err == nil {
@@ -298,7 +248,7 @@ func TestHealthzAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.Requests < 1 || stats.Flushes < 1 || stats.MaxBatch == 0 {
+	if stats.Requests < 1 || stats.Flushes < 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 }

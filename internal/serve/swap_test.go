@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	qcfe "repro"
 )
@@ -213,8 +212,7 @@ func TestMonitorPlumbing(t *testing.T) {
 // the query cache warm — the generation rule's positive case.
 func TestSwapKeepsWarmCacheOnIdenticalArtifact(t *testing.T) {
 	est := cachedCopy(t)
-	srv := New(est, Options{})
-	holdLeader(srv) // a leader that never finishes: only warm hits can answer
+	srv := New(warmOnly{est, t}, Options{}) // only warm hits can answer
 	env := est.Environments()[0]
 	sql := testSQL(2)
 	want, err := est.EstimateSQL(env, sql) // warms the prediction tier
@@ -223,10 +221,8 @@ func TestSwapKeepsWarmCacheOnIdenticalArtifact(t *testing.T) {
 	}
 
 	twin := qcfe.SwapEstimator(est, reloaded(t, est))
-	srv.SwapEstimator(twin)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	got, err := srv.Estimate(ctx, env.ID, sql)
+	srv.SwapEstimator(warmOnly{twin, t})
+	got, err := srv.Estimate(context.Background(), env.ID, sql)
 	if err != nil {
 		t.Fatalf("warm hit lost across identical-artifact swap: %v", err)
 	}

@@ -8,7 +8,7 @@ import (
 
 // Admission control: weighted fair-share token buckets over the NN
 // serving capacity, with a bounded per-tenant wait queue in front of
-// each tenant's coalescing server.
+// each tenant's server.
 //
 // Capacity here is concurrency, not a request rate — the NN path is
 // CPU-bound, so the meaningful budget is "how many estimates may be in

@@ -6,9 +6,9 @@
 //
 // The rungs, in order of what a request gets under increasing load:
 //
-//  1. Full NN path — admitted to the tenant's server, coalesced into a
-//     micro-batch and priced by the serving model. Answers are bitwise identical to
-//     single-tenant serving of the same artifact.
+//  1. Full NN path — admitted to the tenant's server and priced by the
+//     serving model on the request's own goroutine. Answers are bitwise
+//     identical to single-tenant serving of the same artifact.
 //  2. Warm-cache-only — prediction-tier hits are served at every load
 //     level (they bypass admission entirely; a memoized float64 needs
 //     no capacity), still full-fidelity. Misses degrade.
@@ -26,7 +26,7 @@
 // (its own generation), its own qcache.QueryCache instance whose keys
 // are stamped with the tenant's name (internal/qcache Options.Tenant —
 // entries can never be read or evicted across tenants), its own
-// serve.Server (batch combiner, counters), its own admission floor,
+// serve.Server (counters, histograms, traces), its own admission floor,
 // and its own drift monitor. The only shared resources are the slot
 // budgets, and those are what admission meters.
 package tenant

@@ -225,13 +225,6 @@ func TestUndegradedBitwiseParity(t *testing.T) {
 
 	ctx := context.Background()
 	for _, name := range []string{"alpha", "beta"} {
-		tn, err := r.Tenant(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tn.Server().StatsSnapshot().MaxBatch; got != serve.MaxBatch {
-			t.Fatalf("tenant %s max batch = %d, want %d", name, got, serve.MaxBatch)
-		}
 		got, degraded, err := r.EstimateBatch(ctx, name, env.ID, sqls)
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +237,7 @@ func TestUndegradedBitwiseParity(t *testing.T) {
 				t.Fatalf("tenant %s query %d: %v != library %v", name, i, got[i], want[i])
 			}
 		}
-		// Single queries walk the coalescing path; still bitwise.
+		// Single queries walk the miss path; still bitwise.
 		for i := 0; i < 6; i++ {
 			ms, degraded, err := r.Estimate(ctx, name, env.ID, sqls[i])
 			if err != nil {

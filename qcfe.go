@@ -370,8 +370,8 @@ func (e *CostEstimator) Generation() uint64 { return e.cacheGeneration() }
 // CachedEstimate consults only the prediction tier: a warm hit returns
 // the memoized prediction for the exact (environment, SQL text) pair
 // without planning, featurizing, or inference; a miss returns ok=false
-// without doing any work. The serving layer probes this before a miss
-// joins a coalesced micro-batch.
+// without doing any work. The serving layer probes this before it
+// prices a miss.
 func (e *CostEstimator) CachedEstimate(env *Environment, sql string) (float64, bool) {
 	c := e.cache.Load()
 	if c == nil {
@@ -493,8 +493,8 @@ func (e *CostEstimator) EstimateSQLBatch(env *Environment, sqls []string) ([]flo
 
 // EstimateSQLBatchCtx is EstimateSQLBatch with cooperative cancellation:
 // the planning fan-out stops claiming queries once ctx is cancelled and
-// the call returns ctx's error. It is the serving path — qcfe-serve
-// routes coalesced request batches through it with the request context.
+// the call returns ctx's error. It is the serving path for batches —
+// qcfe-serve routes /estimate_batch through it with the request context.
 //
 // With a cache attached, each query is first checked against the
 // prediction tier; only the misses run the (cache-aware) front half and
