@@ -70,9 +70,6 @@ func StrVal(s string) Value { return Value{S: s, IsStr: true} }
 // NullVal builds a NULL Value.
 func NullVal() Value { return Value{Null: true} }
 
-// Float interprets a numeric Value scaled back to float64.
-func (v Value) Float() float64 { return float64(v.I) / 100 }
-
 // Compare orders two values: -1, 0, +1. NULLs sort first; strings compare
 // lexicographically; numerics compare on I.
 func (v Value) Compare(o Value) int {

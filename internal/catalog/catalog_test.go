@@ -29,8 +29,8 @@ func TestValueCompare(t *testing.T) {
 
 func TestFloatValRoundTrip(t *testing.T) {
 	v := FloatVal(12.34)
-	if got := v.Float(); got != 12.34 {
-		t.Fatalf("Float() = %v, want 12.34", got)
+	if !v.IsFloat || v.I != 1234 {
+		t.Fatalf("FloatVal(12.34) = %+v, want IsFloat with I = 1234 (hundredths)", v)
 	}
 }
 

@@ -30,11 +30,8 @@ func NewAnalytic(stats *catalog.Stats) *Analytic {
 // Name implements Estimator.
 func (a *Analytic) Name() string { return "analytic" }
 
-// Train implements Estimator as a no-op: the analytic model has no
+// TrainCtx implements Estimator as a no-op: the analytic model has no
 // trainable parameters.
-func (a *Analytic) Train(_ []*planner.Node, _ []float64, _ int) time.Duration { return 0 }
-
-// TrainCtx implements Estimator as a no-op.
 func (a *Analytic) TrainCtx(ctx context.Context, _ []*planner.Node, _ []float64, _ int) (time.Duration, error) {
 	return 0, ctx.Err()
 }

@@ -11,7 +11,7 @@
 //     evaluate it. A Features is never modified after fitting, so any
 //     number of models train on one.
 //
-// Run composes the two. The pipeline is model-agnostic through the
+// RunCtx composes the two. The pipeline is model-agnostic through the
 // Estimator interface, which is how the paper plugs one QCFE feature set
 // into both QPPNet ("QCFE(qpp)") and MSCN ("QCFE(mscn)").
 package core
@@ -40,12 +40,12 @@ import (
 // the analytic baseline satisfy it.
 type Estimator interface {
 	Name() string
-	Train(plans []*planner.Node, ms []float64, iters int) time.Duration
-	// TrainCtx is Train with cooperative cancellation: the loop checks ctx
-	// between minibatch steps (never mid-step), so cancellation stops
-	// training promptly and always leaves the weights in the consistent
-	// state of the last completed optimizer step. It returns the elapsed
-	// training time together with ctx's error when cancelled.
+	// TrainCtx fits the model for iters minibatch steps on (plan,
+	// milliseconds) pairs and returns the wall-clock training time. The
+	// loop checks ctx between minibatch steps (never mid-step), so
+	// cancellation stops training promptly and always leaves the weights in
+	// the consistent state of the last completed optimizer step. It returns
+	// the elapsed training time together with ctx's error when cancelled.
 	TrainCtx(ctx context.Context, plans []*planner.Node, ms []float64, iters int) (time.Duration, error)
 	// PredictBatch prices many plans in one vectorized pass; element i
 	// does not depend on the rest of the batch, so a single plan is priced
@@ -109,11 +109,13 @@ func DefaultConfig(model string) Config {
 		FSOPerEnv:     44,
 		Reduction:     ReduceFR,
 		NumReferences: 250,
-		Threshold:     0.02,
-		TrainIters:    400,
-		ProbeEpochs:   30,
-		ProbeSamples:  2000,
-		Seed:          1,
+		// Keeps score > 0.02·max: stricter than Algorithm 3's score > 0
+		// (see featred.MaskFromScores); ROADMAP item 16 decides the value.
+		Threshold:    0.02,
+		TrainIters:   400,
+		ProbeEpochs:  30,
+		ProbeSamples: 2000,
+		Seed:         1,
 	}
 }
 
@@ -340,13 +342,9 @@ func TrainCtx(ctx context.Context, ds *datagen.Dataset, ft Features, train []wor
 	return &Result{Model: model, Features: ft, TrainTime: trainTime}, nil
 }
 
-// Run executes the full QCFE pipeline: FitFeaturesCtx, then TrainCtx.
-func Run(ds *datagen.Dataset, envs []*dbenv.Environment, train []workload.Sample, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), ds, envs, train, cfg)
-}
-
-// RunCtx is Run with cooperative cancellation, checked inside the
-// snapshot-labeling pool and between training minibatches.
+// RunCtx executes the full QCFE pipeline: FitFeaturesCtx, then TrainCtx.
+// ctx is checked inside the snapshot-labeling pool and between training
+// minibatches.
 func RunCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, train []workload.Sample, cfg Config) (*Result, error) {
 	ft, err := FitFeaturesCtx(ctx, ds, envs, train, cfg)
 	if err != nil {

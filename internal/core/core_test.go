@@ -21,7 +21,7 @@ var (
 
 // labeledPool is collected once; tests slice it.
 var pool = func() *workload.Labeled {
-	lab, err := workload.Collect(sysb, envs, 120, 5)
+	lab, err := workload.Collect(context.Background(), sysb, envs, 120, 5)
 	if err != nil {
 		panic(err)
 	}
@@ -42,7 +42,7 @@ func TestPipelinePlainMSCN(t *testing.T) {
 	cfg.UseSnapshot = false
 	cfg.Reduction = ReduceNone
 	train, test := workload.Split(pool.Scale(400), 0.8)
-	res, err := Run(sysb, envs, train, cfg)
+	res, err := RunCtx(context.Background(), sysb, envs, train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +62,14 @@ func TestPipelineQCFEBeatsPlain(t *testing.T) {
 	plain := smallConfig("mscn")
 	plain.UseSnapshot = false
 	plain.Reduction = ReduceNone
-	pres, err := Run(sysb, envs, train, plain)
+	pres, err := RunCtx(context.Background(), sysb, envs, train, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := Evaluate(pres.Model, test)
 
 	qcfe := smallConfig("mscn")
-	qres, err := Run(sysb, envs, train, qcfe)
+	qres, err := RunCtx(context.Background(), sysb, envs, train, qcfe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPipelineQPPNet(t *testing.T) {
 	cfg := smallConfig("qppnet")
 	cfg.TrainIters = 120
 	train, test := workload.Split(pool.Scale(400), 0.8)
-	res, err := Run(sysb, envs, train, cfg)
+	res, err := RunCtx(context.Background(), sysb, envs, train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestNewEstimatorUnknown(t *testing.T) {
 func TestTransferWorkflow(t *testing.T) {
 	cfg := smallConfig("mscn")
 	train, _ := workload.Split(pool.Scale(400), 0.8)
-	basis, err := Run(sysb, envs, train, cfg)
+	basis, err := RunCtx(context.Background(), sysb, envs, train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTransferWorkflow(t *testing.T) {
 	h2 := dbenv.Default()
 	h2.ID = 99
 	h2.HW, _ = dbenv.ProfileByName("i7-12700h-nvme")
-	lab2, err := workload.Collect(sysb, []*dbenv.Environment{h2}, 150, 77)
+	lab2, err := workload.Collect(context.Background(), sysb, []*dbenv.Environment{h2}, 150, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestTransferWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans, err := Transfer(basis, ft, tr2, 40)
+	trans, err := Transfer(context.Background(), basis, ft, tr2, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestFeaturesTrainTwoModels(t *testing.T) {
 	}
 	// The two models train at once, so -race also sees a write to ft.
 	models := []string{"mscn", "qppnet"}
-	shared, err := parallel.Map(len(models), len(models), func(i int) (*Result, error) {
+	shared, err := parallel.MapCtx(context.Background(), len(models), len(models), func(i int) (*Result, error) {
 		return TrainCtx(ctx, sysb, ft, train, cfg(models[i]))
 	})
 	if err != nil {
@@ -294,7 +294,10 @@ func TestTrainCurveDecreases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve := TrainCurve(m, train, test, 120, 30)
+	curve, err := TrainCurve(context.Background(), m, train, test, 120, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(curve) != 4 {
 		t.Fatalf("curve points = %d", len(curve))
 	}

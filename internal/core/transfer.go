@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/mscn"
@@ -27,11 +28,11 @@ func cloneEstimator(e Estimator) (Estimator, error) {
 // the new environment by ForEnvCtx, which keeps the encoder and mask and
 // swaps only the snapshot — and retrain briefly on a small labeled set
 // collected there. The result's TrainTime is the retraining time. The
-// basis keeps its weights, but the clone draws its sampler seed from the
-// basis, so each Transfer changes the minibatch order of the next. The
-// paper's finding is that this reaches the accuracy of full retraining at
-// ~25% of the training time.
-func Transfer(basis *Result, ft Features, train []workload.Sample, retrainIters int) (*Result, error) {
+// basis is only read. ctx is checked between retraining minibatches; a
+// cancelled transfer returns ctx's error and no Result. The paper's
+// finding is that this reaches the accuracy of full retraining at ~25% of
+// the training time.
+func Transfer(ctx context.Context, basis *Result, ft Features, train []workload.Sample, retrainIters int) (*Result, error) {
 	if basis.F == nil || ft.F == nil || ft.F.Dim() != basis.F.Dim() {
 		return nil, fmt.Errorf("core: transfer needs features as wide as the basis model's")
 	}
@@ -41,13 +42,19 @@ func Transfer(basis *Result, ft Features, train []workload.Sample, retrainIters 
 	}
 	model.SetFeaturizer(ft.F)
 	plans, ms := workload.PlansAndLabels(train)
-	return &Result{Model: model, Features: ft, TrainTime: model.Train(plans, ms, retrainIters)}, nil
+	trainTime, err := model.TrainCtx(ctx, plans, ms, retrainIters)
+	if err != nil {
+		return nil, fmt.Errorf("core: retraining cancelled after %v: %w", trainTime, err)
+	}
+	return &Result{Model: model, Features: ft, TrainTime: trainTime}, nil
 }
 
 // TrainCurve trains a fresh (or transferred) model in chunks and records
 // the test mean q-error after every chunk — the convergence series of
-// Figure 8.
-func TrainCurve(m Estimator, train, test []workload.Sample, totalIters, chunk int) []float64 {
+// Figure 8. Each chunk is one TrainCtx call, so a curve of one chunk ends
+// at the model TrainCtx gives for the whole budget. ctx is checked between
+// minibatches; a cancelled curve returns ctx's error and no curve.
+func TrainCurve(ctx context.Context, m Estimator, train, test []workload.Sample, totalIters, chunk int) ([]float64, error) {
 	plans, ms := workload.PlansAndLabels(train)
 	var curve []float64
 	for done := 0; done < totalIters; done += chunk {
@@ -55,8 +62,10 @@ func TrainCurve(m Estimator, train, test []workload.Sample, totalIters, chunk in
 		if done+step > totalIters {
 			step = totalIters - done
 		}
-		m.Train(plans, ms, step)
+		if _, err := m.TrainCtx(ctx, plans, ms, step); err != nil {
+			return nil, fmt.Errorf("core: training curve cancelled after %d iterations: %w", done, err)
+		}
 		curve = append(curve, Evaluate(m, test).Mean)
 	}
-	return curve
+	return curve, nil
 }

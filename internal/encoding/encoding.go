@@ -56,7 +56,7 @@ func (e *Encoder) Dim() int {
 }
 
 // FeatureNames returns one descriptive name per dimension, aligned with
-// EncodeNode's output.
+// EncodeNodeInto's output.
 func (e *Encoder) FeatureNames() []string {
 	names := make([]string, 0, e.Dim())
 	for _, op := range planner.AllOpTypes() {
@@ -77,16 +77,9 @@ func (e *Encoder) FeatureNames() []string {
 	return names
 }
 
-// EncodeNode produces the feature vector for one plan node.
-func (e *Encoder) EncodeNode(n *planner.Node) []float64 {
-	v := make([]float64, e.Dim())
-	e.EncodeNodeInto(n, v)
-	return v
-}
-
-// EncodeNodeInto writes the node's feature vector into dst (length Dim),
-// overwriting every element — EncodeNode without the allocation, for
-// featurizing into caller-owned storage.
+// EncodeNodeInto writes one plan node's feature vector into dst (length
+// Dim), overwriting every element, so callers featurize into storage they
+// own.
 func (e *Encoder) EncodeNodeInto(n *planner.Node, dst []float64) {
 	dst = dst[:e.Dim()]
 	off := len(dst) - numericFeatures
@@ -128,14 +121,6 @@ func (e *Encoder) EncodeNodeInto(n *planner.Node, dst []float64) {
 	num[9] = float64(len(n.Aggs))
 	num[10] = limit
 	num[11] = log1p(n.EstRows * float64(n.EstWidth) / 8192)
-}
-
-// EncodePlan returns the per-node vectors of the whole plan in pre-order —
-// the flattened representation MSCN-style set models pool over.
-func (e *Encoder) EncodePlan(root *planner.Node) [][]float64 {
-	var out [][]float64
-	root.Walk(func(n *planner.Node) { out = append(out, e.EncodeNode(n)) })
-	return out
 }
 
 func log1p(x float64) float64 {

@@ -37,7 +37,8 @@ func TestEncoderDimAndNames(t *testing.T) {
 func TestEncodeNodeOneHots(t *testing.T) {
 	e := New(tpch.Schema)
 	n := planOf(t, "SELECT * FROM orders WHERE o_orderkey = 7")
-	v := e.EncodeNode(n)
+	v := make([]float64, e.Dim())
+	e.EncodeNodeInto(n, v)
 	names := e.FeatureNames()
 	hot := map[string]bool{}
 	for i, x := range v {
@@ -50,10 +51,15 @@ func TestEncodeNodeOneHots(t *testing.T) {
 	}
 }
 
-func TestEncodePlanWalksAllNodes(t *testing.T) {
+func TestEncodeEveryPlanNode(t *testing.T) {
 	e := New(tpch.Schema)
 	n := planOf(t, "SELECT COUNT(*) FROM orders JOIN lineitem ON orders.o_orderkey = lineitem.l_orderkey GROUP BY o_orderpriority")
-	vecs := e.EncodePlan(n)
+	var vecs [][]float64
+	n.Walk(func(n *planner.Node) {
+		v := make([]float64, e.Dim())
+		e.EncodeNodeInto(n, v)
+		vecs = append(vecs, v)
+	})
 	if len(vecs) != n.CountNodes() {
 		t.Fatalf("vecs = %d, nodes = %d", len(vecs), n.CountNodes())
 	}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// refEncodeNode is EncodeNode as it stood before the into-path: the
+// refEncodeNode is the node encoding as it stood before the into-path: the
 // allocating composition the flat featurization must match bit for bit.
 func refEncodeNode(e *Encoder, n *planner.Node) []float64 {
 	v := make([]float64, e.Dim())
@@ -74,7 +74,7 @@ func refNode(f *Featurizer, n *planner.Node) []float64 {
 		}
 	}
 	if f.Mask != nil {
-		return featred.Apply(f.Mask, v)
+		return featred.ApplyInto(f.Mask, v, make([]float64, 0, len(v)))
 	}
 	return v
 }

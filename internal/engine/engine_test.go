@@ -97,7 +97,7 @@ func TestIndexScanWithResidualFilter(t *testing.T) {
 	oi := tpch.Schema.Table("orders").ColIndex("o_orderkey")
 	pi := tpch.Schema.Table("orders").ColIndex("o_totalprice")
 	want := bruteCount(tpch, "orders", func(r catalog.Row) bool {
-		return r[oi].I < 100 && r[pi].Float() > 200000
+		return r[oi].I < 100 && r[pi].I > 200000*100
 	})
 	if res.Len() != want {
 		t.Fatalf("rows = %d, want %d", res.Len(), want)

@@ -29,7 +29,7 @@ type PoolResult struct {
 	OK   bool
 }
 
-// ExecutePool runs labeling tasks across a bounded worker pool and
+// ExecutePoolCtx runs labeling tasks across a bounded worker pool and
 // returns one result per task, index-aligned. It is the shared fan-out of
 // the labeling pipeline — workload collection, snapshot labeling, and the
 // Figure 1 probe all funnel through it.
@@ -39,15 +39,10 @@ type PoolResult struct {
 // and environments are read-only under execution). Because every task
 // carries its own noise sequence and results land in index-addressed
 // slots, the output is bit-identical at any worker count.
-func ExecutePool(schema *catalog.Schema, stats *catalog.Stats, db *storage.Database, tasks []PoolTask, workers int) []PoolResult {
-	res, _ := ExecutePoolCtx(context.Background(), schema, stats, db, tasks, workers)
-	return res
-}
-
-// ExecutePoolCtx is ExecutePool with cooperative cancellation: workers
-// stop claiming tasks once ctx is cancelled and ExecutePoolCtx returns
-// ctx's error together with the partial (index-aligned) results — tasks
-// that never ran read as not-OK.
+//
+// Workers stop claiming tasks once ctx is cancelled, and ExecutePoolCtx
+// then returns ctx's error together with the partial (index-aligned)
+// results — tasks that never ran read as not-OK.
 func ExecutePoolCtx(ctx context.Context, schema *catalog.Schema, stats *catalog.Stats, db *storage.Database, tasks []PoolTask, workers int) ([]PoolResult, error) {
 	type envState struct {
 		pl *planner.Planner

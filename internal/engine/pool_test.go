@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -16,7 +17,7 @@ import (
 
 // TestPoolMatchesExecuteSeq labels every template of every benchmark,
 // with two literal draws each (one under -short), under three sampled
-// environments, through ExecutePool, which never asks for result rows, and
+// environments, through ExecutePoolCtx, which never asks for result rows, and
 // through ExecuteSeq one query at a time. Every query must succeed or fail
 // alike, with the same total and, on every plan node, the same actual
 // rows, input cardinalities and time, bit for bit.
@@ -45,7 +46,10 @@ func TestPoolMatchesExecuteSeq(t *testing.T) {
 					tasks = append(tasks, engine.PoolTask{Env: env, Seq: int64(qi + 1), SQL: sql})
 				}
 			}
-			pooled := engine.ExecutePool(ds.Schema, ds.Stats, ds.DB, tasks, 2)
+			pooled, err := engine.ExecutePoolCtx(context.Background(), ds.Schema, ds.Stats, ds.DB, tasks, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
 			labelled := 0
 			for ei, env := range envs {
 				pl := planner.New(ds.Schema, ds.Stats, env.Knobs)
@@ -78,7 +82,7 @@ func TestPoolMatchesExecuteSeq(t *testing.T) {
 }
 
 // TestLabelAllocations holds labelling to the late-materialised executor's
-// memory, through ExecutePool, which never asks for result rows, under each
+// memory, through ExecutePoolCtx, which never asks for result rows, under each
 // of the fit workload's three environments. Each ceiling is the heaviest
 // environment's reading plus 15%.
 //   - TPC-H Q21, supplier ⋈ lineitem ⋈ orders grouped by s_name, the
@@ -104,7 +108,10 @@ func TestLabelAllocations(t *testing.T) {
 			tasks := []engine.PoolTask{{Env: env, Seq: 1, SQL: tc.sql}}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			res := engine.ExecutePool(ds.Schema, ds.Stats, ds.DB, tasks, 1)
+			res, err := engine.ExecutePoolCtx(context.Background(), ds.Schema, ds.Stats, ds.DB, tasks, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			runtime.ReadMemStats(&after)
 			if !res[0].OK {
 				t.Fatalf("%s, env %d: labelling failed", tc.name, env.ID)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -239,5 +240,30 @@ func TestFigure8Convergence(t *testing.T) {
 		if len(s.Curve) < 4 {
 			t.Fatalf("%s curve too short: %v", s.Model, s.Curve)
 		}
+	}
+}
+
+// TestFigure8DirectIsTable7Basis: Figure 8's "direct" curve and Table
+// VII's "basis" row are one model, trained from scratch on h2. Trained to
+// the full budget in one chunk, the curve's only point is the row's test
+// mean q-error, bit for bit.
+func TestFigure8DirectIsTable7Basis(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy experiment grid; skipped in -short (CI) mode")
+	}
+	rows, err := testSuite.Table7("sysbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := testSuite.figure8Impl("sysbench", testSuite.trainIters("sysbench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0].Model != "basis" || series[0].Model != "direct" {
+		t.Fatalf("row %q, series %q: want basis and direct first", rows[0].Model, series[0].Model)
+	}
+	direct := series[0].Curve
+	if len(direct) != 1 || math.Float64bits(direct[0]) != math.Float64bits(rows[0].MeanQ) {
+		t.Fatalf("direct curve %v, want [%v] (Table VII basis MeanQ)", direct, rows[0].MeanQ)
 	}
 }

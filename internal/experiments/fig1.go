@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/dbenv"
 	"repro/internal/engine"
 	"repro/internal/metrics"
@@ -49,7 +51,10 @@ func (s *Suite) figure1Impl() ([]Fig1Cell, error) {
 				tasks = append(tasks, engine.PoolTask{Env: env, Seq: int64(qi + 1), SQL: sql})
 			}
 		}
-		results := engine.ExecutePool(ds.Schema, ds.Stats, ds.DB, tasks, 0)
+		results, err := engine.ExecutePoolCtx(context.TODO(), ds.Schema, ds.Stats, ds.DB, tasks, 0)
+		if err != nil {
+			return nil, err
+		}
 		for ei, env := range envs {
 			var times []float64
 			for ti := ei * queries; ti < (ei+1)*queries; ti++ {

@@ -61,7 +61,7 @@ func (s *Suite) figure6Impl(benchmark string) ([]Fig6Row, error) {
 	// The five ablation arms are independent fits over the shared read-only
 	// pool; they run concurrently and report in paper order. The four FSO
 	// arms reduce from one snapshot-only Features.
-	out, err := parallel.Map(len(variants), 0, func(vi int) (Fig6Row, error) {
+	out, err := parallel.MapCtx(context.TODO(), len(variants), 0, func(vi int) (Fig6Row, error) {
 		v := variants[vi]
 		cfg := s.config("qppnet", benchmark)
 		cfg.Reduction = v.reduction

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/featred"
 	"repro/internal/parallel"
@@ -54,7 +56,7 @@ func (s *Suite) figure7Impl() ([]Fig7Row, error) {
 	// One probe model per operator type; the probes are independent and run
 	// concurrently. Operators too rare to probe return a nil row.
 	ops := planner.AllOpTypes()
-	probed, err := parallel.Map(len(ops), 0, func(oi int) (*Fig7Row, error) {
+	probed, err := parallel.MapCtx(context.TODO(), len(ops), 0, func(oi int) (*Fig7Row, error) {
 		op := ops[oi]
 		sub := filterByOp(full, op)
 		if len(sub.X) < 30 {

@@ -186,7 +186,7 @@ func (s *Suite) Pool(name string) (*workload.Labeled, error) {
 		if perEnv == 0 {
 			perEnv = 100
 		}
-		return workload.Collect(s.Dataset(name), s.Envs(), perEnv, s.P.Seed)
+		return workload.Collect(context.TODO(), s.Dataset(name), s.Envs(), perEnv, s.P.Seed)
 	})
 	if err != nil {
 		return nil, err

@@ -66,7 +66,7 @@ func (s *Suite) table4Impl(benchmark string) ([]Table4Row, error) {
 			grid = append(grid, cell{scale: scale, method: method})
 		}
 	}
-	rows, err := parallel.Map(len(grid), 0, func(gi int) (Table4Row, error) {
+	rows, err := parallel.MapCtx(context.TODO(), len(grid), 0, func(gi int) (Table4Row, error) {
 		scale, method := grid[gi].scale, grid[gi].method
 		train, test := workload.Split(pool.Scale(scale), 0.8)
 		row := Table4Row{Benchmark: benchmark, Model: method, Scale: scale}
@@ -97,7 +97,7 @@ func (s *Suite) table4Impl(benchmark string) ([]Table4Row, error) {
 				}
 			} else {
 				cfg.UseSnapshot, cfg.Reduction = false, core.ReduceNone
-				res, err = core.Run(ds, s.Envs(), train, cfg)
+				res, err = core.RunCtx(context.TODO(), ds, s.Envs(), train, cfg)
 			}
 			if err != nil {
 				return Table4Row{}, err

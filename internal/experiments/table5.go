@@ -61,7 +61,7 @@ func (s *Suite) table5Impl(benchmark string, scales []int) ([]Table5Row, error) 
 	}
 
 	// FSO plus one arm per FST scale: independent fits, run concurrently.
-	out, err := parallel.Map(1+len(scales), 0, func(i int) (Table5Row, error) {
+	out, err := parallel.MapCtx(context.TODO(), 1+len(scales), 0, func(i int) (Table5Row, error) {
 		if i == 0 {
 			return runWith("FSO", core.FSO, 0)
 		}

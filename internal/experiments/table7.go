@@ -30,14 +30,17 @@ type Fig8Series struct {
 // benchmark, built once: the new hardware h2 with its labeled split (2000
 // training and 500 test queries, per the paper's §V-E), the basis
 // Features (QCFE's default at the largest scale, shared with Table IV),
-// that Features refitted on h2 per snapshot mode, and the transfer basis
-// model, QCFE(qpp) trained on the basis Features. Both runners transfer
-// from the one basis model: Transfer clones it and only reads it.
+// that Features refitted on h2 per snapshot mode, the transfer basis
+// model, QCFE(qpp) trained on the basis Features, and direct, the h2 FST
+// Features with its own mask fitted over h2's training split. Both
+// runners transfer from the one basis model (Transfer clones it and only
+// reads it), and both train their from-scratch model on direct: Table
+// VII's "basis" row and Figure 8's "direct" curve are one model.
 type transferSetup struct {
-	h2              *dbenv.Environment
-	train, test     []workload.Sample
-	basis, fso, fst core.Features
-	basisModel      *core.Result
+	h2                      *dbenv.Environment
+	train, test             []workload.Sample
+	basis, fso, fst, direct core.Features
+	basisModel              *core.Result
 }
 
 func (s *Suite) transfer(benchmark string) (*transferSetup, error) {
@@ -54,7 +57,7 @@ func (s *Suite) transfer(benchmark string) (*transferSetup, error) {
 		if s.P.PerEnv[benchmark] < 200 {
 			total = 250 // quick mode
 		}
-		lab, err := workload.Collect(ds, []*dbenv.Environment{h2}, total, s.P.Seed+555)
+		lab, err := workload.Collect(context.TODO(), ds, []*dbenv.Environment{h2}, total, s.P.Seed+555)
 		if err != nil {
 			return nil, err
 		}
@@ -83,6 +86,9 @@ func (s *Suite) transfer(benchmark string) (*transferSetup, error) {
 		if t.fst, err = refit(core.FST); err != nil {
 			return nil, err
 		}
+		if t.direct, err = t.fst.Reduced(t.train, s.config("qppnet", benchmark)); err != nil {
+			return nil, err
+		}
 		return t, nil
 	})
 	if err != nil {
@@ -109,6 +115,7 @@ func (s *Suite) table7Impl(benchmark string) ([]Table7Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx := context.TODO()
 	ds := s.Dataset(benchmark)
 	cfg := s.config("qppnet", benchmark)
 
@@ -122,11 +129,7 @@ func (s *Suite) table7Impl(benchmark string) ([]Table7Row, error) {
 
 	// "basis": a model trained directly on h2's labeled data from scratch,
 	// with its own reduction over the h2 FST snapshot.
-	directFt, err := t.fst.Reduced(t.train, cfg)
-	if err != nil {
-		return nil, err
-	}
-	direct, err := core.TrainCtx(context.TODO(), ds, directFt, t.train, cfg)
+	direct, err := core.TrainCtx(ctx, ds, t.direct, t.train, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +144,7 @@ func (s *Suite) table7Impl(benchmark string) ([]Table7Row, error) {
 		name string
 		ft   core.Features
 	}{{"trans-FSO", t.fso}, {"trans-FST", t.fst}} {
-		trans, err := core.Transfer(t.basisModel, arm.ft, t.train, retrain)
+		trans, err := core.Transfer(ctx, t.basisModel, arm.ft, t.train, retrain)
 		if err != nil {
 			return nil, err
 		}
@@ -160,34 +163,45 @@ func (s *Suite) table7Impl(benchmark string) ([]Table7Row, error) {
 // transferred basis model, which should reach comparable accuracy in ~25%
 // of the iterations.
 func (s *Suite) Figure8(benchmark string) ([]Fig8Series, error) {
-	v, err := s.memo("fig8:"+benchmark, func() (any, error) { return s.figure8Impl(benchmark) })
+	v, err := s.memo("fig8:"+benchmark, func() (any, error) {
+		return s.figure8Impl(benchmark, max(s.trainIters(benchmark)/8, 1))
+	})
 	if err != nil {
 		return nil, err
 	}
 	return v.([]Fig8Series), nil
 }
 
-func (s *Suite) figure8Impl(benchmark string) ([]Fig8Series, error) {
+// figure8Impl trains both curves to the benchmark's iteration budget,
+// recording the test mean q-error every chunk iterations.
+func (s *Suite) figure8Impl(benchmark string, chunk int) ([]Fig8Series, error) {
 	t, err := s.transfer(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	iters := s.trainIters(benchmark)
-	chunk := max(iters/8, 1)
+	ctx := context.TODO()
+	cfg := s.config("qppnet", benchmark)
 
-	// Direct: a fresh model on h2 data, in the transfer model's feature space.
-	fresh, err := core.NewEstimator("qppnet", t.fst.F, s.Dataset(benchmark).Stats, s.P.Seed+9)
+	// Direct: Table VII's "basis" model, fresh on h2 data — the same
+	// Features, model and seed core.TrainCtx uses there.
+	fresh, err := core.NewEstimator(cfg.Model, t.direct.F, s.Dataset(benchmark).Stats, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	directCurve := core.TrainCurve(fresh, t.train, t.test, iters, chunk)
+	directCurve, err := core.TrainCurve(ctx, fresh, t.train, t.test, cfg.TrainIters, chunk)
+	if err != nil {
+		return nil, err
+	}
 
 	// Transfer: clone basis, swap snapshot, continue training.
-	trans, err := core.Transfer(t.basisModel, t.fst, t.train, 0)
+	trans, err := core.Transfer(ctx, t.basisModel, t.fst, t.train, 0)
 	if err != nil {
 		return nil, err
 	}
-	transferCurve := core.TrainCurve(trans.Model, t.train, t.test, iters, chunk)
+	transferCurve, err := core.TrainCurve(ctx, trans.Model, t.train, t.test, cfg.TrainIters, chunk)
+	if err != nil {
+		return nil, err
+	}
 
 	out := []Fig8Series{
 		{Benchmark: benchmark, Model: "direct", Curve: directCurve},

@@ -152,16 +152,12 @@ func TestMaskFromScores(t *testing.T) {
 
 func TestApplyAndRatio(t *testing.T) {
 	mask := []bool{true, false, true}
-	got := Apply(mask, []float64{1, 2, 3})
+	got := ApplyInto(mask, []float64{1, 2, 3}, make([]float64, 0, CountKept(mask)))
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Apply = %v", got)
+		t.Fatalf("ApplyInto = %v", got)
 	}
 	if r := ReductionRatio(mask); math.Abs(r-1.0/3) > 1e-12 {
 		t.Fatalf("ratio = %v", r)
-	}
-	all := ApplyAll(mask, [][]float64{{1, 2, 3}, {4, 5, 6}})
-	if len(all) != 2 || all[1][1] != 6 {
-		t.Fatalf("ApplyAll = %v", all)
 	}
 	dropped := DroppedNames(mask, []string{"a", "b", "c"})
 	if len(dropped) != 1 || dropped[0] != "b" {
@@ -209,7 +205,10 @@ func TestReducedModelStillAccurate(t *testing.T) {
 	if CountKept(mask) >= 12 || CountKept(mask) < 3 {
 		t.Fatalf("reduction kept %d of 12", CountKept(mask))
 	}
-	red := &Dataset{X: ApplyAll(mask, d.X), Y: d.Y}
+	red := &Dataset{Y: d.Y}
+	for _, x := range d.X {
+		red.X = append(red.X, ApplyInto(mask, x, make([]float64, 0, CountKept(mask))))
+	}
 	for i := 0; i < CountKept(mask); i++ {
 		red.Names = append(red.Names, "f")
 	}

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMatrixBasics(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	if m.Rows != 2 || m.Cols != 3 {
 		t.Fatalf("dims = %dx%d, want 2x3", m.Rows, m.Cols)
 	}
@@ -29,7 +30,7 @@ func TestMatrixBasics(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	tr := m.T()
 	if tr.Rows != 2 || tr.Cols != 3 {
 		t.Fatalf("transpose dims wrong: %dx%d", tr.Rows, tr.Cols)
@@ -44,8 +45,8 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	c := a.Mul(b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
@@ -58,7 +59,7 @@ func TestMul(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	got := a.MulVec([]float64{1, 1, 1})
 	if got[0] != 6 || got[1] != 15 {
 		t.Fatalf("MulVec = %v", got)
@@ -77,7 +78,7 @@ func TestMulDimensionPanics(t *testing.T) {
 }
 
 func TestSolveKnownSystem(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
+	a := fromRows([][]float64{{2, 1}, {1, 3}})
 	x, err := Solve(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestSolveKnownSystem(t *testing.T) {
 
 func TestSolveNeedsPivoting(t *testing.T) {
 	// Leading zero forces a row swap.
-	a := FromRows([][]float64{{0, 1}, {1, 0}})
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
 	x, err := Solve(a, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestSolveNeedsPivoting(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, []float64{1, 2}); err == nil {
 		t.Fatalf("expected singular-matrix error")
 	}
@@ -109,7 +110,7 @@ func TestSolveSingular(t *testing.T) {
 
 func TestLeastSquaresExact(t *testing.T) {
 	// y = 3x + 2 exactly.
-	a := FromRows([][]float64{{1, 1}, {2, 1}, {3, 1}, {4, 1}})
+	a := fromRows([][]float64{{1, 1}, {2, 1}, {3, 1}, {4, 1}})
 	y := []float64{5, 8, 11, 14}
 	x, err := LeastSquares(a, y)
 	if err != nil {
@@ -130,7 +131,7 @@ func TestLeastSquaresOverdeterminedNoisy(t *testing.T) {
 		rows[i] = []float64{x, 1}
 		y[i] = 0.5*x + 10 + rng.NormFloat64()*0.01
 	}
-	coef, err := LeastSquares(FromRows(rows), y)
+	coef, err := LeastSquares(fromRows(rows), y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestLeastSquaresOverdeterminedNoisy(t *testing.T) {
 func TestLeastSquaresCollinear(t *testing.T) {
 	// Constant column duplicated: classic collinearity that must not blow up
 	// thanks to ridge regularization.
-	a := FromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
+	a := fromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
 	x, err := LeastSquares(a, []float64{4, 4, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +174,7 @@ func TestNNLSClampsNegative(t *testing.T) {
 		rows[i] = []float64{x0, -x0 + rng.NormFloat64()*0.001}
 		y[i] = 2 * x0
 	}
-	coef, err := LeastSquaresNonNegative(FromRows(rows), y)
+	coef, err := LeastSquaresNonNegative(fromRows(rows), y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestNNLSClampsNegative(t *testing.T) {
 func TestNNLSExactNonNegative(t *testing.T) {
 	// When the unconstrained solution is already non-negative, NNLS must
 	// match plain least squares.
-	a := FromRows([][]float64{{1, 1}, {2, 1}, {3, 1}, {5, 1}})
+	a := fromRows([][]float64{{1, 1}, {2, 1}, {3, 1}, {5, 1}})
 	y := []float64{3, 5, 7, 11} // y = 2x + 1
 	coef, err := LeastSquaresNonNegative(a, y)
 	if err != nil {
@@ -255,4 +256,19 @@ func TestTransposeInvolution(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fromRows builds a matrix from a slice of equally sized rows.
+func fromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0)
+	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic(fmt.Sprintf("linalg: ragged row %d: got %d cols, want %d", i, len(r), m.Cols))
+		}
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
 }

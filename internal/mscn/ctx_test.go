@@ -37,7 +37,7 @@ func TestTrainCtxCancelMidRun(t *testing.T) {
 	}
 
 	ref := New(testFeaturizer(), 5)
-	ref.Train(plans, ms, ranIters)
+	ref.TrainCtx(context.Background(), plans, ms, ranIters)
 	weightsEqual(t, cancelled, ref, "cancelled-at-7-vs-trained-7")
 
 	// An already-cancelled context stops before the first iteration.

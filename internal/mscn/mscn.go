@@ -11,10 +11,10 @@
 // Training and inference run vector-at-a-time — a single plan is priced
 // as a batch of one: every minibatch or inference chunk gathers its
 // plans' node features into one matrix and drives the batched nn kernels,
-// which preserve the scalar path's accumulation order. Train is therefore
-// bit-identical to the per-sample reference trainer at any batch size,
-// and PredictBatch to the per-plan scalar forward; both oracles live in
-// reference_test.go.
+// which preserve the scalar path's accumulation order. TrainCtx is
+// therefore bit-identical to the per-sample reference trainer at any batch
+// size, and PredictBatch to the per-plan scalar forward; both oracles live
+// in reference_test.go.
 package mscn
 
 import (
@@ -202,24 +202,18 @@ func poolByPlan(ar *linalg.Arena, emb *linalg.Matrix, counts []int) *linalg.Matr
 	return pooled
 }
 
-// Train fits the model for the given number of mini-batch iterations and
-// returns wall-clock training time. Each iteration draws a minibatch,
+// TrainCtx fits the model for the given number of mini-batch iterations
+// and returns wall-clock training time. Each iteration draws a minibatch,
 // gathers its node features (featurized lazily, once per plan, and cached
 // for the duration of the call), and runs one batched forward/backward
 // through both networks. The weight trajectory is bit-identical to the
 // per-sample reference (reference_test.go) with the same model state and
 // iteration count.
-func (m *Model) Train(plans []*planner.Node, ms []float64, iters int) time.Duration {
-	d, _ := m.TrainCtx(context.Background(), plans, ms, iters)
-	return d
-}
-
-// TrainCtx is Train with cooperative cancellation: ctx is checked at the
-// top of every minibatch iteration — never inside one — so cancellation
-// stops training promptly (within one minibatch) and the weights are
-// always left in the consistent state of the last completed optimizer
-// step. Iterations that do run consume rng and update weights exactly
-// like Train, so an uncancelled TrainCtx is bit-identical to Train.
+//
+// ctx is checked at the top of every minibatch iteration — never inside
+// one — so cancellation stops training promptly (within one minibatch) and
+// the weights are always left in the consistent state of the last
+// completed optimizer step.
 func (m *Model) TrainCtx(ctx context.Context, plans []*planner.Node, ms []float64, iters int) (time.Duration, error) {
 	start := time.Now()
 	if len(plans) == 0 {

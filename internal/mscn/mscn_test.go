@@ -1,6 +1,7 @@
 package mscn
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,7 @@ func testFeaturizer() *encoding.Featurizer {
 func TestMSCNLearns(t *testing.T) {
 	m := New(testFeaturizer(), 1)
 	plans, ms := synthPlans(300, 2)
-	m.Train(plans, ms, 400)
+	m.TrainCtx(context.Background(), plans, ms, 400)
 	testPlans, testMs := synthPlans(60, 3)
 	s := metrics.Summarize(testMs, m.PredictBatch(testPlans))
 	if s.Pearson < 0.9 {
@@ -69,10 +70,10 @@ func TestMSCNPooling(t *testing.T) {
 func TestMSCNCloneIndependent(t *testing.T) {
 	m := New(testFeaturizer(), 1)
 	plans, ms := synthPlans(50, 4)
-	m.Train(plans, ms, 50)
+	m.TrainCtx(context.Background(), plans, ms, 50)
 	c := m.Clone()
 	before := c.PredictBatch(plans[:1])[0]
-	m.Train(plans, ms, 100)
+	m.TrainCtx(context.Background(), plans, ms, 100)
 	if c.PredictBatch(plans[:1])[0] != before {
 		t.Fatalf("clone shares state")
 	}
@@ -85,14 +86,14 @@ func TestMSCNCloneIndependent(t *testing.T) {
 func TestMSCNCloneLeavesSourceUntouched(t *testing.T) {
 	plans, ms := synthPlans(50, 4)
 	cloned, plain := New(testFeaturizer(), 1), New(testFeaturizer(), 1)
-	cloned.Train(plans, ms, 30)
-	plain.Train(plans, ms, 30)
+	cloned.TrainCtx(context.Background(), plans, ms, 30)
+	plain.TrainCtx(context.Background(), plans, ms, 30)
 	a, b := cloned.Clone(), cloned.Clone()
-	cloned.Train(plans, ms, 30)
-	plain.Train(plans, ms, 30)
+	cloned.TrainCtx(context.Background(), plans, ms, 30)
+	plain.TrainCtx(context.Background(), plans, ms, 30)
 	weightsEqual(t, cloned, plain, "source trained after a Clone")
-	a.Train(plans, ms, 30)
-	b.Train(plans, ms, 30)
+	a.TrainCtx(context.Background(), plans, ms, 30)
+	b.TrainCtx(context.Background(), plans, ms, 30)
 	weightsEqual(t, a, b, "two clones trained alike")
 }
 

@@ -130,17 +130,6 @@ type HistSnapshot struct {
 	SumNs  int64
 }
 
-// Merge adds another snapshot into this one (bucket layouts are
-// identical by construction, so a merge is elementwise addition).
-// Merging per-shard or per-replica snapshots yields exactly the
-// histogram a single shared instance would have recorded.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.SumNs += o.SumNs
-}
-
 // Count is the total number of recorded observations.
 func (s *HistSnapshot) Count() int64 {
 	var n int64

@@ -29,7 +29,6 @@ package online
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -181,11 +180,6 @@ type Adapter struct {
 	observed atomic.Int64
 	sampled  atomic.Int64
 	dropped  atomic.Int64
-
-	// adaptMu serializes retrains: the Run loop and the AdaptNow escape
-	// hatch must never retrain concurrently, or the later a.cur writer
-	// could disagree with the last-installed serving estimator.
-	adaptMu sync.Mutex
 
 	mu          sync.Mutex
 	cur         *qcfe.CostEstimator
@@ -340,10 +334,8 @@ func (a *Adapter) process(ctx context.Context, o observation) {
 	// producer is no longer the current model scored a swapped-out
 	// estimator: letting it into the ring would let a drifted
 	// predecessor's errors re-trigger a retrain before the new model
-	// produced a single scored estimate. a.cur is the authority (read
-	// under a.mu — an AdaptNow on another goroutine may have swapped
-	// since this observation was labeled); the comparison is exact
-	// pointer identity.
+	// produced a single scored estimate. a.cur is the authority; the
+	// comparison is exact pointer identity.
 	if o.producer == any(a.cur) {
 		if len(a.qerrs) < cap(a.qerrs) {
 			a.qerrs = append(a.qerrs, metrics.QError(actual, o.predicted))
@@ -372,11 +364,6 @@ func (a *Adapter) process(ctx context.Context, o observation) {
 // or cancelled retrain, the current estimator keeps serving and the
 // window keeps accumulating.
 func (a *Adapter) adapt(ctx context.Context) error {
-	// One retrain at a time: Run's drift trigger and AdaptNow may race,
-	// and the later a.cur writer must be the last-installed estimator.
-	a.adaptMu.Lock()
-	defer a.adaptMu.Unlock()
-
 	a.mu.Lock()
 	est := a.cur
 	window := append([]workload.Sample(nil), a.window...)
@@ -405,19 +392,6 @@ func (a *Adapter) adapt(ctx context.Context) error {
 	a.qerrNext = 0
 	a.mu.Unlock()
 	return nil
-}
-
-// AdaptNow forces one retrain-and-swap on the current window regardless
-// of the drift signal — the operational escape hatch (and the
-// deterministic entry point the tests drive).
-func (a *Adapter) AdaptNow(ctx context.Context) error {
-	a.mu.Lock()
-	if len(a.window) == 0 {
-		a.mu.Unlock()
-		return fmt.Errorf("online: no labeled samples in the window yet")
-	}
-	a.mu.Unlock()
-	return a.adapt(ctx)
 }
 
 // medianLocked computes the rolling median q-error; callers hold a.mu.

@@ -323,9 +323,4 @@ func TestObserveSamplingAndOverflow(t *testing.T) {
 	if st := ad2.Stats(); st.Labeled != 0 {
 		t.Fatalf("unreplayable query entered the window: %+v", st)
 	}
-
-	// AdaptNow with an empty window is a clean error.
-	if err := New(est, Options{}, nil).AdaptNow(context.Background()); err == nil {
-		t.Fatal("AdaptNow on empty window must error")
-	}
 }

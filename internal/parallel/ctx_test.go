@@ -23,7 +23,7 @@ func TestMapCtxPreCancelled(t *testing.T) {
 		t.Fatalf("%d tasks ran under a pre-cancelled context", ran.Load())
 	}
 	// Serial path (workers=1) honors cancellation too.
-	if err := ForEachCtx(ctx, 10, 1, func(int) {}); !errors.Is(err, context.Canceled) {
+	if err := ForEachWorkerCtx(ctx, 10, 1, func(_, _ int) {}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("serial err = %v, want context.Canceled", err)
 	}
 }

@@ -52,27 +52,20 @@ func Workers(n int) int {
 	return DefaultWorkers()
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most `workers` goroutines
-// (<= 0 selects the process default). It returns when every call has
-// finished. fn must write its result into caller-owned, index-i state —
-// that is what keeps the fan-in deterministic.
-func ForEach(n, workers int, fn func(i int)) {
-	ForEachWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach with a worker identity: fn(w, i) runs task i on
-// worker w, where w is in [0, Workers(workers)). Callers use w to maintain
-// per-goroutine state (e.g. one engine.Executor per worker) without locks.
-func ForEachWorker(n, workers int, fn func(worker, i int)) {
-	ForEachWorkerCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachWorkerCtx is ForEachWorker with cooperative cancellation: every
-// worker checks ctx before claiming each task and stops claiming once ctx
-// is cancelled. Tasks already running are allowed to finish — fn is never
-// interrupted mid-call — so when ForEachWorkerCtx returns, no fn is still
-// executing. It returns ctx's error when cancellation kept at least the
-// task claim loop from completing, nil when every task ran.
+// ForEachWorkerCtx runs fn(w, i) for every i in [0, n) on at most
+// `workers` goroutines (<= 0 selects the process default) and returns
+// when every call has finished. fn must write its result into
+// caller-owned, index-i state — that is what keeps the fan-in
+// deterministic. w is the worker identity, in [0, Workers(workers)):
+// callers use it to keep per-goroutine state (e.g. one engine.Executor
+// per worker) without locks.
+//
+// Cancellation is cooperative: every worker checks ctx before claiming
+// each task and stops claiming once ctx is cancelled. Tasks already
+// running are allowed to finish — fn is never interrupted mid-call — so
+// when ForEachWorkerCtx returns, no fn is still executing. It returns
+// ctx's error when cancellation kept at least the task claim loop from
+// completing, nil when every task ran.
 func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -112,24 +105,12 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 	return nil
 }
 
-// ForEachCtx is ForEach with cooperative cancellation (see
-// ForEachWorkerCtx for the exact semantics).
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	return ForEachWorkerCtx(ctx, n, workers, func(_, i int) { fn(i) })
-}
-
-// Map runs fn for every index and returns the results in index order. If
-// any call fails, Map returns the error of the lowest failing index (after
-// every call has finished), so the reported failure does not depend on
-// scheduling.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, workers, fn)
-}
-
-// MapCtx is Map with cooperative cancellation: workers stop claiming
-// tasks once ctx is cancelled and MapCtx returns an error. A task error
-// (lowest failing index) takes precedence over the cancellation error,
-// so error reporting stays deterministic.
+// MapCtx runs fn for every index and returns the results in index order.
+// If any call fails, MapCtx returns the error of the lowest failing index
+// (after every call has finished), so the reported failure does not
+// depend on scheduling. Workers stop claiming tasks once ctx is cancelled
+// and MapCtx then returns ctx's error; a task error takes precedence over
+// it, so error reporting stays deterministic.
 func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -147,17 +128,12 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 	return out, nil
 }
 
-// Do runs every task function concurrently on the pool and returns the
-// error of the lowest failing index. It is Map for heterogeneous jobs —
-// the experiments suite uses it to run independent figure/table runners
-// side by side.
-func Do(workers int, tasks ...func() error) error {
-	return DoCtx(context.Background(), workers, tasks...)
-}
-
-// DoCtx is Do with cooperative cancellation: tasks not yet started when
-// ctx is cancelled never start, and DoCtx then returns ctx's error
-// (unless an earlier-indexed task failed first).
+// DoCtx runs every task function concurrently on the pool and returns
+// the error of the lowest failing index. It is MapCtx for heterogeneous
+// jobs — the experiments suite uses it to run independent figure/table
+// runners side by side. Tasks not yet started when ctx is cancelled never
+// start, and DoCtx then returns ctx's error (unless an earlier-indexed
+// task failed first).
 func DoCtx(ctx context.Context, workers int, tasks ...func() error) error {
 	_, err := MapCtx(ctx, len(tasks), workers, func(i int) (struct{}, error) {
 		return struct{}{}, tasks[i]()

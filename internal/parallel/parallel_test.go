@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -11,7 +12,7 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		n := 100
 		hits := make([]int32, n)
-		ForEach(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		ForEachWorkerCtx(context.Background(), n, workers, func(_, i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
@@ -22,8 +23,8 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 
 func TestForEachZeroAndNegative(t *testing.T) {
 	ran := false
-	ForEach(0, 4, func(int) { ran = true })
-	ForEach(-3, 4, func(int) { ran = true })
+	ForEachWorkerCtx(context.Background(), 0, 4, func(_, _ int) { ran = true })
+	ForEachWorkerCtx(context.Background(), -3, 4, func(_, _ int) { ran = true })
 	if ran {
 		t.Fatal("fn ran for empty range")
 	}
@@ -32,7 +33,7 @@ func TestForEachZeroAndNegative(t *testing.T) {
 func TestForEachWorkerIdentity(t *testing.T) {
 	const n, workers = 200, 4
 	owner := make([]int32, n)
-	ForEachWorker(n, workers, func(w, i int) {
+	ForEachWorkerCtx(context.Background(), n, workers, func(w, i int) {
 		if w < 0 || w >= workers {
 			t.Errorf("worker id %d out of range", w)
 		}
@@ -46,7 +47,7 @@ func TestForEachWorkerIdentity(t *testing.T) {
 }
 
 func TestMapOrdersResults(t *testing.T) {
-	out, err := Map(50, 8, func(i int) (int, error) { return i * i, nil })
+	out, err := MapCtx(context.Background(), 50, 8, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestMapOrdersResults(t *testing.T) {
 
 func TestMapReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		_, err := Map(20, workers, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), 20, workers, func(i int) (int, error) {
 			if i == 7 || i == 13 {
 				return 0, fmt.Errorf("fail-%d", i)
 			}
@@ -74,7 +75,7 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 func TestDoRunsAllTasks(t *testing.T) {
 	var a, b atomic.Bool
 	sentinel := errors.New("boom")
-	err := Do(4,
+	err := DoCtx(context.Background(), 4,
 		func() error { a.Store(true); return nil },
 		func() error { return sentinel },
 		func() error { b.Store(true); return nil },

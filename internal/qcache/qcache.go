@@ -137,16 +137,6 @@ type Stats struct {
 	Prediction TierStats `json:"prediction"`
 }
 
-// HitRate is hits/(hits+misses) over all tiers' lookups, 0 when idle.
-func (s Stats) HitRate() float64 {
-	h := s.Template.Hits + s.Feature.Hits + s.Prediction.Hits
-	m := s.Template.Misses + s.Feature.Misses + s.Prediction.Misses
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
 // Key identifies one cache entry: the environment ID plus the tier's
 // string component(s), plus the owning cache's tenant namespace. It is
 // a comparable struct rather than a concatenated string so hot-path

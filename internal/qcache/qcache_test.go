@@ -149,18 +149,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestHitRate(t *testing.T) {
-	c := New(Options{Shards: 2, Capacity: 8})
-	g := c.Generation()
-	k := PredictionKey(0, "q")
-	c.GetPrediction(k, g) // miss
-	c.PutPrediction(k, g, 1)
-	c.GetPrediction(k, g) // hit
-	if hr := c.Stats().HitRate(); hr != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", hr)
-	}
-}
-
 // TestCapacityReportsAllocated: Stats.Capacity is what the tiers hold —
 // shards × per-shard entries, at least one per shard — not the budget
 // asked for. Filling a tier far past it shows the figure is exact.

@@ -2,7 +2,6 @@ package qcache
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -202,9 +201,6 @@ func TestRCUHammer(t *testing.T) {
 	}
 	if st.Hits+st.Misses == 0 || st.Stores == 0 {
 		t.Fatalf("hammer did no work: %+v", st)
-	}
-	if math.IsNaN(c.Stats().HitRate()) {
-		t.Fatal("hit rate NaN")
 	}
 }
 

@@ -1,6 +1,7 @@
 package qppnet
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestPredictFeaturizedBatchBitIdentical(t *testing.T) {
 	f := testFeaturizer()
 	m := New(f, 1)
 	plans, ms := synthPlans(700, 2) // several inference chunks
-	m.Train(plans[:80], ms[:80], 40)
+	m.TrainCtx(context.Background(), plans[:80], ms[:80], 40)
 	fps := make([]*encoding.FeaturizedPlan, len(plans))
 	for i, p := range plans {
 		fps[i] = f.Featurize(p)
@@ -50,7 +51,7 @@ func TestPredictFeaturizedBatchBitIdentical(t *testing.T) {
 func TestPredictBatchBitIdentical(t *testing.T) {
 	m := New(testFeaturizer(), 1)
 	plans, ms := synthPlans(80, 2)
-	m.Train(plans, ms, 60)
+	m.TrainCtx(context.Background(), plans, ms, 60)
 	batch := m.PredictBatch(plans)
 	if len(batch) != len(plans) {
 		t.Fatalf("batch size = %d, want %d", len(batch), len(plans))
@@ -127,10 +128,10 @@ func TestTrainMatchesReference(t *testing.T) {
 		reference := New(testFeaturizer(), 5)
 		batched.BatchSize = bs
 		reference.BatchSize = bs
-		batched.Train(plans, ms, 40)
+		batched.TrainCtx(context.Background(), plans, ms, 40)
 		reference.TrainReference(plans, ms, 40)
 		weightsEqual(t, batched, reference, "after training")
-		batched.Train(plans, ms, 5)
+		batched.TrainCtx(context.Background(), plans, ms, 5)
 		reference.TrainReference(plans, ms, 5)
 		weightsEqual(t, batched, reference, "after resumed training")
 	}
@@ -145,7 +146,7 @@ func TestPredictConcurrentBitIdentical(t *testing.T) {
 	f := testFeaturizer()
 	m := New(f, 3)
 	plans, ms := synthPlans(700, 5) // ~1400 nodes: more than one chunk
-	m.Train(plans[:80], ms[:80], 30)
+	m.TrainCtx(context.Background(), plans[:80], ms[:80], 30)
 	want := make([]float64, len(plans))
 	fps := make([]*encoding.FeaturizedPlan, len(plans))
 	for i, p := range plans {

@@ -36,6 +36,6 @@ func TestTrainCtxCancelMidRun(t *testing.T) {
 	}
 
 	ref := New(testFeaturizer(), 5)
-	ref.Train(plans, ms, ranIters)
+	ref.TrainCtx(context.Background(), plans, ms, ranIters)
 	weightsEqual(t, cancelled, ref, "cancelled-at-5-vs-trained-5")
 }

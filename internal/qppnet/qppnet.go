@@ -14,9 +14,10 @@
 // through their shared subnetwork as a single matrix. The backward pass
 // stays per-sample tree recursion over row views of the batched caches —
 // that is what keeps gradient accumulation in the scalar path's order, so
-// Train is bit-identical to the per-sample reference trainer at any batch
-// size, and PredictBatch — which prices a single plan as a batch of one —
-// to the per-plan scalar forward; both oracles live in reference_test.go.
+// TrainCtx is bit-identical to the per-sample reference trainer at any
+// batch size, and PredictBatch — which prices a single plan as a batch of
+// one — to the per-plan scalar forward; both oracles live in
+// reference_test.go.
 package qppnet
 
 import (
@@ -329,26 +330,20 @@ func (m *Model) layers() []*nn.Linear {
 	return out
 }
 
-// Train fits the model on (plan, milliseconds) pairs for the given number
-// of iterations (mini-batch steps) and returns the wall-clock training
-// time — the quantity the paper's Table IV reports.
+// TrainCtx fits the model on (plan, milliseconds) pairs for the given
+// number of iterations (mini-batch steps) and returns the wall-clock
+// training time — the quantity the paper's Table IV reports.
 //
 // Each minibatch runs the level-batched forward (features cached per plan
 // across iterations) and then backpropagates sample by sample over row
-// views of the batched caches, keeping gradient accumulation in the
-// scalar order; the trajectory is bit-identical to the per-sample
-// reference (reference_test.go).
-func (m *Model) Train(plans []*planner.Node, ms []float64, iters int) time.Duration {
-	d, _ := m.TrainCtx(context.Background(), plans, ms, iters)
-	return d
-}
-
-// TrainCtx is Train with cooperative cancellation: ctx is checked at the
-// top of every minibatch iteration — never inside one — so cancellation
-// stops training promptly (within one minibatch) and the weights are
-// always left in the consistent state of the last completed optimizer
-// step. Iterations that do run consume rng and update weights exactly
-// like Train, so an uncancelled TrainCtx is bit-identical to Train.
+// views of the batched caches, keeping gradient accumulation in the scalar
+// order; the trajectory is bit-identical to the per-sample reference
+// (reference_test.go).
+//
+// ctx is checked at the top of every minibatch iteration — never inside
+// one — so cancellation stops training promptly (within one minibatch) and
+// the weights are always left in the consistent state of the last
+// completed optimizer step.
 func (m *Model) TrainCtx(ctx context.Context, plans []*planner.Node, ms []float64, iters int) (time.Duration, error) {
 	start := time.Now()
 	if len(plans) == 0 {

@@ -1,6 +1,7 @@
 package qppnet
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestQPPNetLearnsTreeCosts(t *testing.T) {
 	f := testFeaturizer()
 	m := New(f, 1)
 	plans, ms := synthPlans(300, 2)
-	m.Train(plans, ms, 500)
+	m.TrainCtx(context.Background(), plans, ms, 500)
 
 	testPlans, testMs := synthPlans(60, 3)
 	s := metrics.Summarize(testMs, m.PredictBatch(testPlans))
@@ -75,10 +76,10 @@ func TestQPPNetCloneIndependent(t *testing.T) {
 	f := testFeaturizer()
 	m := New(f, 1)
 	plans, ms := synthPlans(50, 4)
-	m.Train(plans, ms, 50)
+	m.TrainCtx(context.Background(), plans, ms, 50)
 	c := m.Clone()
 	before := c.PredictBatch(plans[:1])[0]
-	m.Train(plans, ms, 100)
+	m.TrainCtx(context.Background(), plans, ms, 100)
 	if c.PredictBatch(plans[:1])[0] != before {
 		t.Fatalf("clone affected by original's training")
 	}
@@ -91,14 +92,14 @@ func TestQPPNetCloneIndependent(t *testing.T) {
 func TestQPPNetCloneLeavesSourceUntouched(t *testing.T) {
 	plans, ms := synthPlans(50, 4)
 	cloned, plain := New(testFeaturizer(), 1), New(testFeaturizer(), 1)
-	cloned.Train(plans, ms, 30)
-	plain.Train(plans, ms, 30)
+	cloned.TrainCtx(context.Background(), plans, ms, 30)
+	plain.TrainCtx(context.Background(), plans, ms, 30)
 	a, b := cloned.Clone(), cloned.Clone()
-	cloned.Train(plans, ms, 30)
-	plain.Train(plans, ms, 30)
+	cloned.TrainCtx(context.Background(), plans, ms, 30)
+	plain.TrainCtx(context.Background(), plans, ms, 30)
 	weightsEqual(t, cloned, plain, "source trained after a Clone")
-	a.Train(plans, ms, 30)
-	b.Train(plans, ms, 30)
+	a.TrainCtx(context.Background(), plans, ms, 30)
+	b.TrainCtx(context.Background(), plans, ms, 30)
 	weightsEqual(t, a, b, "two clones trained alike")
 }
 
@@ -118,8 +119,8 @@ func TestQPPNetSetFeaturizerDimCheck(t *testing.T) {
 
 func TestQPPNetEmptyTraining(t *testing.T) {
 	m := New(testFeaturizer(), 1)
-	if d := m.Train(nil, nil, 10); d < 0 {
-		t.Fatalf("duration negative")
+	if d, err := m.TrainCtx(context.Background(), nil, nil, 10); err != nil || d < 0 {
+		t.Fatalf("empty training: d = %v, err = %v", d, err)
 	}
 }
 

@@ -159,9 +159,10 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		// Score against the live model directly: shadow traffic is
-		// observability, not latency-sensitive serving.
+		// observability, not latency-sensitive serving. A panic while
+		// pricing fails only this request, as on /estimate.
 		est := s.Estimator()
-		ms, err := est.EstimateSQL(env, req.SQL)
+		ms, err := priced(func() (float64, error) { return est.EstimateSQL(env, req.SQL) })
 		if err != nil {
 			s.errors.Add(1)
 			httpx.WriteError(w, httpx.StatusFor(err), err)

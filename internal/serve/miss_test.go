@@ -264,7 +264,8 @@ func TestCancelledMissIsNotPriced(t *testing.T) {
 // TestPanicCostsOnlyItsRequest: a panic while pricing a miss fails that
 // request with ErrPricingPanic (HTTP 500), and only that request: a miss
 // being priced at the same moment gets its answer, the server serves the
-// next misses, and no goroutine is left behind.
+// next misses, and no goroutine is left behind. /shadow prices the same
+// way: its panic answers 500 and counts as an error.
 func TestPanicCostsOnlyItsRequest(t *testing.T) {
 	base := runtime.NumGoroutine()
 	fake := newGateEstimator()
@@ -285,6 +286,15 @@ func TestPanicCostsOnlyItsRequest(t *testing.T) {
 	checkExact(t, fake, await(t, held, "the miss priced beside the panic"))
 	if st := srv.Stats(); st.Errors != 1 {
 		t.Fatalf("errors = %d, want 1", st.Errors)
+	}
+	rec := httptest.NewRecorder()
+	body := fmt.Sprintf(`{"env":0,"sql":%q,"actual_ms":1}`, panicSQL)
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shadow", strings.NewReader(body)))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("/shadow status %d (%s), want 500", rec.Code, rec.Body)
+	}
+	if st := srv.Stats(); st.Errors != 2 {
+		t.Fatalf("errors after /shadow = %d, want 2", st.Errors)
 	}
 	for i := 0; i < 3; i++ {
 		sql := fmt.Sprintf("SELECT after %d", i)

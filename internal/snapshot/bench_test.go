@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,7 @@ func BenchmarkTemplateGeneration(b *testing.B) {
 
 func BenchmarkSnapshotFeatures(b *testing.B) {
 	builder := NewBuilder(tpch, quietEnv())
-	res, err := builder.FromQueries([]string{"SELECT * FROM lineitem WHERE l_quantity < 30"})
+	res, err := builder.FromQueriesCtx(context.Background(), []string{"SELECT * FROM lineitem WHERE l_quantity < 30"})
 	if err != nil {
 		b.Fatal(err)
 	}

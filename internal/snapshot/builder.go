@@ -35,20 +35,14 @@ type BuildResult struct {
 	QueriesRun int
 }
 
-// FromQueries executes the given labeling queries across the worker pool
-// and fits the snapshot. Queries that fail to plan (e.g. templates
+// FromQueriesCtx executes the given labeling queries across the worker
+// pool and fits the snapshot. Queries that fail to plan (e.g. templates
 // referencing another schema) are skipped; at least one successful query
 // is required. Each query's noise sequence is its index in sqls and the
 // fan-in runs in index order, so the fitted snapshot and its collection
-// cost are identical at any worker count.
-func (b *Builder) FromQueries(sqls []string) (*BuildResult, error) {
-	return b.FromQueriesCtx(context.Background(), sqls)
-}
-
-// FromQueriesCtx is FromQueries with cooperative cancellation: the
-// labeling fan-out stops claiming queries once ctx is cancelled and the
-// build returns ctx's error instead of a snapshot fitted on a partial
-// sample.
+// cost are identical at any worker count. The labeling fan-out stops
+// claiming queries once ctx is cancelled, and the build then returns
+// ctx's error instead of a snapshot fitted on a partial sample.
 func (b *Builder) FromQueriesCtx(ctx context.Context, sqls []string) (*BuildResult, error) {
 	tasks := make([]engine.PoolTask, len(sqls))
 	for i, sql := range sqls {
@@ -79,15 +73,10 @@ func (b *Builder) FromQueriesCtx(ctx context.Context, sqls []string) (*BuildResu
 	return &BuildResult{Snapshot: snap, CollectionMs: totalMs, QueriesRun: ran}, nil
 }
 
-// FromTemplates runs the full FST pipeline (§III-B): generate simplified
-// templates from the original workload templates via Algorithm 1, execute
-// them, and fit.
-func (b *Builder) FromTemplates(originals []*sqlparse.Query, scale int, seed int64) (*BuildResult, error) {
-	return b.FromTemplatesCtx(context.Background(), originals, scale, seed)
-}
-
-// FromTemplatesCtx is FromTemplates with cooperative cancellation (see
-// FromQueriesCtx).
+// FromTemplatesCtx runs the full FST pipeline (§III-B): generate
+// simplified templates from the original workload templates via
+// Algorithm 1, execute them, and fit (see FromQueriesCtx, which also
+// covers cancellation).
 func (b *Builder) FromTemplatesCtx(ctx context.Context, originals []*sqlparse.Query, scale int, seed int64) (*BuildResult, error) {
 	gen := NewTemplateGen(b.DS.Schema, b.DS.Stats)
 	sqls := gen.Generate(originals, scale, seed)

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -82,7 +83,7 @@ func TestFitEmptyOperatorGetsZeros(t *testing.T) {
 func TestFitNonNegative(t *testing.T) {
 	// Real engine samples must produce non-negative coefficients.
 	b := NewBuilder(tpch, quietEnv())
-	res, err := b.FromQueries([]string{
+	res, err := b.FromQueriesCtx(context.Background(), []string{
 		"SELECT * FROM lineitem WHERE l_quantity < 30",
 		"SELECT * FROM lineitem WHERE l_quantity < 10 ORDER BY l_extendedprice",
 		"SELECT COUNT(*) FROM orders WHERE o_totalprice > 1000 GROUP BY o_orderpriority",
@@ -114,7 +115,7 @@ func TestSnapshotPredictsNodeTime(t *testing.T) {
 		sqls = append(sqls, "SELECT * FROM lineitem WHERE l_quantity < "+q)
 		sqls = append(sqls, "SELECT * FROM orders WHERE o_totalprice > "+q+"000")
 	}
-	res, err := b.FromQueries(sqls)
+	res, err := b.FromQueriesCtx(context.Background(), sqls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestSnapshotTracksEnvironment(t *testing.T) {
 	slow := quietEnv()
 	slow.HW, _ = dbenv.ProfileByName("vm-hdd")
 	slow.Knobs.SharedBuffersMB = 32
-	fres, err := NewBuilder(tpch, fast).FromQueries(sqls)
+	fres, err := NewBuilder(tpch, fast).FromQueriesCtx(context.Background(), sqls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := NewBuilder(tpch, slow).FromQueries(sqls)
+	sres, err := NewBuilder(tpch, slow).FromQueriesCtx(context.Background(), sqls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestSnapshotTracksEnvironment(t *testing.T) {
 func TestFeaturesShape(t *testing.T) {
 	env := quietEnv()
 	b := NewBuilder(tpch, env)
-	res, err := b.FromQueries([]string{"SELECT * FROM lineitem WHERE l_quantity < 30"})
+	res, err := b.FromQueriesCtx(context.Background(), []string{"SELECT * FROM lineitem WHERE l_quantity < 30"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestTemplatesCheaperThanOriginals(t *testing.T) {
 		"SELECT COUNT(*) FROM customer, orders, lineitem WHERE customer.c_custkey = orders.o_custkey AND orders.o_orderkey = lineitem.l_orderkey GROUP BY o_orderpriority ORDER BY o_orderpriority",
 		"SELECT * FROM orders JOIN lineitem ON orders.o_orderkey = lineitem.l_orderkey WHERE o_totalprice > 1000 ORDER BY o_totalprice",
 	}
-	fso, err := b.FromQueries(originals)
+	fso, err := b.FromQueriesCtx(context.Background(), originals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestTemplatesCheaperThanOriginals(t *testing.T) {
 	for _, s := range originals {
 		parsed = append(parsed, sqlparse.MustParse(s))
 	}
-	fst, err := b.FromTemplates(parsed, 1, 7)
+	fst, err := b.FromTemplatesCtx(context.Background(), parsed, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +278,10 @@ func TestTemplatesCheaperThanOriginals(t *testing.T) {
 
 func TestBuilderErrors(t *testing.T) {
 	b := NewBuilder(tpch, quietEnv())
-	if _, err := b.FromQueries([]string{"not sql", "SELECT * FROM ghost"}); err == nil {
+	if _, err := b.FromQueriesCtx(context.Background(), []string{"not sql", "SELECT * FROM ghost"}); err == nil {
 		t.Fatalf("expected error when nothing executes")
 	}
-	if _, err := b.FromTemplates(nil, 2, 1); err == nil {
+	if _, err := b.FromTemplatesCtx(context.Background(), nil, 2, 1); err == nil {
 		t.Fatalf("expected error on empty originals")
 	}
 }

@@ -25,7 +25,7 @@ func BenchmarkBTreeInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkBTreeSearchEq(b *testing.B) {
+func BenchmarkBTreePointRange(b *testing.B) {
 	bt := NewBTree()
 	for i := 0; i < 100_000; i++ {
 		bt.Insert(catalog.IntVal(int64(i%10_000)), i)
@@ -33,7 +33,8 @@ func BenchmarkBTreeSearchEq(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var n int
-		bt.SearchEq(catalog.IntVal(int64(i%10_000)), func(int) bool { n++; return true })
+		k := catalog.IntVal(int64(i % 10_000))
+		bt.Range(&k, &k, true, true, func(int) bool { n++; return true })
 	}
 }
 

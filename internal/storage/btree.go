@@ -6,7 +6,7 @@ import (
 
 // btreeOrder is the maximum number of keys per node. It is sized so that a
 // leaf of (Value, RowID) entries roughly fills one 8KB page, making Height
-// and LeafPages meaningful inputs to the I/O cost accounting.
+// a meaningful input to the I/O cost accounting.
 const btreeOrder = 256
 
 // BTree is a single-column B+tree secondary index mapping column values to
@@ -42,18 +42,6 @@ func (t *BTree) Height() int {
 		n = n.children[0]
 	}
 	return h
-}
-
-// LeafPages approximates the number of leaf pages in the index.
-func (t *BTree) LeafPages() int64 {
-	if t.size == 0 {
-		return 0
-	}
-	p := int64(t.size) / (btreeOrder / 2)
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // Insert adds (key, rowID) to the index.
@@ -156,12 +144,6 @@ func (n *btreeNode) splitInterior() (*btreeNode, catalog.Value) {
 	return right, sep
 }
 
-// SearchEq visits every rowID whose key equals key, in insertion order.
-// The visitor returns false to stop early.
-func (t *BTree) SearchEq(key catalog.Value, visit func(rowID int) bool) {
-	t.Range(&key, &key, true, true, visit)
-}
-
 // Range visits rowIDs with keys in the interval defined by lo/hi (either
 // may be nil for an open end) with inclusive flags. Visiting order is key
 // order. The visitor returns false to stop.
@@ -200,12 +182,4 @@ func (t *BTree) Range(lo, hi *catalog.Value, loInc, hiInc bool, visit func(rowID
 		n = n.next
 		pos = 0
 	}
-}
-
-// CountRange returns the number of entries within the interval; used by
-// tests and by the planner's index-selectivity sanity checks.
-func (t *BTree) CountRange(lo, hi *catalog.Value, loInc, hiInc bool) int {
-	var c int
-	t.Range(lo, hi, loInc, hiInc, func(int) bool { c++; return true })
-	return c
 }

@@ -19,8 +19,9 @@ const PageSize = 8192
 const pageHeader = 192
 
 // Heap is an append-only row store organized into fixed-size logical pages.
-// RowIDs are dense offsets, so PageOf is pure arithmetic; that keeps the
-// executor's page accounting exact without materializing page structures.
+// RowIDs are dense offsets, so page accounting is pure arithmetic; that
+// keeps the executor's page counts exact without materializing page
+// structures.
 type Heap struct {
 	Table *catalog.Table
 
@@ -63,9 +64,6 @@ func (h *Heap) Rows() []catalog.Row { return h.rows }
 // NumRows returns the stored row count.
 func (h *Heap) NumRows() int { return len(h.rows) }
 
-// RowsPerPage reports how many tuples fit one logical page.
-func (h *Heap) RowsPerPage() int { return h.rowsPerPage }
-
 // NumPages returns the heap size in pages (≥1 for a non-empty heap).
 func (h *Heap) NumPages() int64 {
 	if len(h.rows) == 0 {
@@ -73,9 +71,6 @@ func (h *Heap) NumPages() int64 {
 	}
 	return int64((len(h.rows) + h.rowsPerPage - 1) / h.rowsPerPage)
 }
-
-// PageOf maps a RowID to its page number.
-func (h *Heap) PageOf(id int) int64 { return int64(id / h.rowsPerPage) }
 
 // Database binds heaps and indexes for one schema instance.
 type Database struct {

@@ -42,20 +42,16 @@ func TestHeapArityPanics(t *testing.T) {
 
 func TestHeapPaging(t *testing.T) {
 	h := NewHeap(testTable()) // width 16 → (8192-192)/16 = 500 rows/page
-	if h.RowsPerPage() != 500 {
-		t.Fatalf("RowsPerPage = %d, want 500", h.RowsPerPage())
-	}
 	if h.NumPages() != 0 {
 		t.Fatalf("empty heap pages = %d", h.NumPages())
 	}
-	for i := 0; i < 1001; i++ {
-		h.Append(catalog.Row{catalog.IntVal(int64(i)), catalog.IntVal(0)})
-	}
-	if h.NumPages() != 3 {
-		t.Fatalf("NumPages = %d, want 3", h.NumPages())
-	}
-	if h.PageOf(499) != 0 || h.PageOf(500) != 1 || h.PageOf(1000) != 2 {
-		t.Fatalf("PageOf wrong: %d %d %d", h.PageOf(499), h.PageOf(500), h.PageOf(1000))
+	// A page holds exactly 500 rows: the count steps just past each boundary.
+	want := map[int]int64{500: 1, 501: 2, 1000: 2, 1001: 3}
+	for n := 1; n <= 1001; n++ {
+		h.Append(catalog.Row{catalog.IntVal(int64(n)), catalog.IntVal(0)})
+		if w, ok := want[n]; ok && h.NumPages() != w {
+			t.Fatalf("%d rows: NumPages = %d, want %d", n, h.NumPages(), w)
+		}
 	}
 }
 
@@ -68,9 +64,10 @@ func TestBTreeInsertSearch(t *testing.T) {
 		t.Fatalf("Len = %d", bt.Len())
 	}
 	var got []int
-	bt.SearchEq(catalog.IntVal(7), func(id int) bool { got = append(got, id); return true })
+	k := catalog.IntVal(7)
+	bt.Range(&k, &k, true, true, func(id int) bool { got = append(got, id); return true })
 	if len(got) != 10 {
-		t.Fatalf("SearchEq(7) found %d, want 10", len(got))
+		t.Fatalf("Range [7, 7] found %d, want 10", len(got))
 	}
 	for _, id := range got {
 		if id%100 != 7 {
@@ -79,25 +76,32 @@ func TestBTreeInsertSearch(t *testing.T) {
 	}
 }
 
+// countRange counts the entries Range visits.
+func countRange(bt *BTree, lo, hi *catalog.Value, loInc, hiInc bool) int {
+	var c int
+	bt.Range(lo, hi, loInc, hiInc, func(int) bool { c++; return true })
+	return c
+}
+
 func TestBTreeRange(t *testing.T) {
 	bt := NewBTree()
 	for i := 0; i < 500; i++ {
 		bt.Insert(catalog.IntVal(int64(i)), i)
 	}
 	lo, hi := catalog.IntVal(100), catalog.IntVal(199)
-	if c := bt.CountRange(&lo, &hi, true, true); c != 100 {
-		t.Fatalf("CountRange incl = %d, want 100", c)
+	if c := countRange(bt, &lo, &hi, true, true); c != 100 {
+		t.Fatalf("count incl = %d, want 100", c)
 	}
-	if c := bt.CountRange(&lo, &hi, false, false); c != 98 {
-		t.Fatalf("CountRange excl = %d, want 98", c)
+	if c := countRange(bt, &lo, &hi, false, false); c != 98 {
+		t.Fatalf("count excl = %d, want 98", c)
 	}
-	if c := bt.CountRange(nil, &hi, true, true); c != 200 {
+	if c := countRange(bt, nil, &hi, true, true); c != 200 {
 		t.Fatalf("open-low = %d, want 200", c)
 	}
-	if c := bt.CountRange(&lo, nil, true, true); c != 400 {
+	if c := countRange(bt, &lo, nil, true, true); c != 400 {
 		t.Fatalf("open-high = %d, want 400", c)
 	}
-	if c := bt.CountRange(nil, nil, true, true); c != 500 {
+	if c := countRange(bt, nil, nil, true, true); c != 500 {
 		t.Fatalf("full = %d, want 500", c)
 	}
 }
@@ -146,9 +150,6 @@ func TestBTreeHeightGrows(t *testing.T) {
 	if h := bt.Height(); h < 2 || h > 4 {
 		t.Fatalf("height = %d, want 2..4 for 100k keys order %d", h, btreeOrder)
 	}
-	if bt.LeafPages() < 100 {
-		t.Fatalf("LeafPages = %d, want ≥100", bt.LeafPages())
-	}
 }
 
 func TestBTreeStringKeys(t *testing.T) {
@@ -184,7 +185,8 @@ func TestBTreeProperty(t *testing.T) {
 		// Spot-check membership.
 		probe := rng.Intn(n)
 		found := false
-		bt.SearchEq(catalog.IntVal(keys[probe]), func(id int) bool {
+		k := catalog.IntVal(keys[probe])
+		bt.Range(&k, &k, true, true, func(id int) bool {
 			if id == probe {
 				found = true
 				return false
@@ -230,7 +232,8 @@ func TestDatabaseBuildIndexes(t *testing.T) {
 		t.Fatalf("index missing")
 	}
 	var n int
-	ix.SearchEq(catalog.IntVal(3), func(id int) bool {
+	k := catalog.IntVal(3)
+	ix.Range(&k, &k, true, true, func(id int) bool {
 		if h.Get(id)[1].I != 3 {
 			t.Fatalf("index row mismatch")
 		}

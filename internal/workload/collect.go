@@ -33,31 +33,16 @@ type Labeled struct {
 // templates and executes them across the default worker pool, producing
 // the labeled pool. Queries that fail to plan are skipped (and counted); a
 // failure rate above 10% is reported as an error since it would bias the
-// workload.
-func Collect(ds *datagen.Dataset, envs []*dbenv.Environment, perEnv int, seed int64) (*Labeled, error) {
-	return CollectWorkersCtx(context.Background(), ds, envs, perEnv, seed, 0)
-}
-
-// CollectCtx is Collect with cooperative cancellation: the labeling
-// fan-out stops claiming (environment, query) tasks once ctx is
-// cancelled and CollectCtx returns ctx's error instead of a partial
-// pool.
-func CollectCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, perEnv int, seed int64) (*Labeled, error) {
-	return CollectWorkersCtx(ctx, ds, envs, perEnv, seed, 0)
-}
-
-// CollectWorkers is Collect with an explicit worker count (<= 0 selects
-// the process default). The pool it returns is bit-identical for every
-// worker count: queries are generated serially per environment, each
-// (env, query-index) pair carries its own noise sequence, and samples are
-// assembled in generation order before the seed-keyed shuffle.
-func CollectWorkers(ds *datagen.Dataset, envs []*dbenv.Environment, perEnv int, seed int64, workers int) (*Labeled, error) {
-	return CollectWorkersCtx(context.Background(), ds, envs, perEnv, seed, workers)
-}
-
-// CollectWorkersCtx is CollectWorkers with cooperative cancellation. Two
-// environments with one ID are rejected with a *dbenv.DuplicateIDError.
-func CollectWorkersCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, perEnv int, seed int64, workers int) (*Labeled, error) {
+// workload. Two environments with one ID are rejected with a
+// *dbenv.DuplicateIDError.
+//
+// The pool is bit-identical at every worker count: queries are generated
+// serially per environment, each (env, query-index) pair carries its own
+// noise sequence, and samples are assembled in generation order before
+// the seed-keyed shuffle. The labeling fan-out stops claiming
+// (environment, query) tasks once ctx is cancelled, and Collect then
+// returns ctx's error instead of a partial pool.
+func Collect(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment, perEnv int, seed int64) (*Labeled, error) {
 	if err := dbenv.CheckDistinctIDs(envs); err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
@@ -77,7 +62,7 @@ func CollectWorkersCtx(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.E
 			tasks = append(tasks, engine.PoolTask{Env: env, Seq: int64(qi + 1), SQL: sql})
 		}
 	}
-	results, err := engine.ExecutePoolCtx(ctx, ds.Schema, ds.Stats, ds.DB, tasks, workers)
+	results, err := engine.ExecutePoolCtx(ctx, ds.Schema, ds.Stats, ds.DB, tasks, 0)
 	if err != nil {
 		return nil, fmt.Errorf("workload: collection cancelled: %w", err)
 	}

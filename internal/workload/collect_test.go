@@ -1,11 +1,13 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/dbenv"
+	"repro/internal/parallel"
 	"repro/internal/planner"
 )
 
@@ -27,18 +29,23 @@ func int64FromFloat(f float64) uint64 {
 // TestCollectWorkerCountInvariant is the determinism regression test for
 // the parallel labeling pipeline: the pool collected with 1 worker must be
 // bit-identical — same SQL, same labels, same per-node actuals, same order
-// — to the pool collected with many workers from the same seed.
+// — to the pool collected with many workers from the same seed. The count
+// is set through the process default, which is what Collect's fan-out
+// reads.
 func TestCollectWorkerCountInvariant(t *testing.T) {
-	envs := dbenv.SampleSet(3, 5)
-	serial, err := CollectWorkers(sysb, envs, 20, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := CollectWorkers(sysb, envs, 20, 42, workers)
+	defer parallel.SetDefaultWorkers(0)
+	collect := func(workers int) *Labeled {
+		t.Helper()
+		parallel.SetDefaultWorkers(workers)
+		lab, err := Collect(context.Background(), sysb, dbenv.SampleSet(3, 5), 20, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return lab
+	}
+	serial := collect(1)
+	for _, workers := range []int{2, 8} {
+		par := collect(workers)
 		if len(par.Samples) != len(serial.Samples) {
 			t.Fatalf("workers=%d: %d samples, want %d", workers, len(par.Samples), len(serial.Samples))
 		}
@@ -64,7 +71,7 @@ func TestCollectWorkerCountInvariant(t *testing.T) {
 // collection must fail with a typed error instead.
 func TestCollectRejectsDuplicateIDs(t *testing.T) {
 	other := dbenv.SampleSet(1, 7)[0]
-	_, err := CollectWorkers(tpch, []*dbenv.Environment{dbenv.Default(), other}, 40, 1, 1)
+	_, err := Collect(context.Background(), tpch, []*dbenv.Environment{dbenv.Default(), other}, 40, 1)
 	var dup *dbenv.DuplicateIDError
 	if !errors.As(err, &dup) || dup.ID != 0 || dup.First != 0 || dup.Second != 1 {
 		t.Fatalf("err = %v, want a DuplicateIDError for ID 0 at positions 0 and 1", err)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -103,7 +104,7 @@ func TestGenerateCyclesTemplates(t *testing.T) {
 
 func TestCollectSysbench(t *testing.T) {
 	envs := dbenv.SampleSet(3, 5)
-	lab, err := Collect(sysb, envs, 30, 11)
+	lab, err := Collect(context.Background(), sysb, envs, 30, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestCollectSysbench(t *testing.T) {
 
 func TestScaleAndSplit(t *testing.T) {
 	envs := dbenv.SampleSet(2, 6)
-	lab, err := Collect(sysb, envs, 20, 12)
+	lab, err := Collect(context.Background(), sysb, envs, 20, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +159,11 @@ func TestScaleAndSplit(t *testing.T) {
 
 func TestCollectDeterministic(t *testing.T) {
 	envs := dbenv.SampleSet(2, 6)
-	a, err := Collect(sysb, envs, 10, 99)
+	a, err := Collect(context.Background(), sysb, envs, 10, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Collect(sysb, envs, 10, 99)
+	b, err := Collect(context.Background(), sysb, envs, 10, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestLabelsVaryAcrossEnvironments(t *testing.T) {
 	// Figure 1's premise at the workload level: the same statement mix has
 	// very different average cost across environments.
 	envs := dbenv.SampleSet(5, 21)
-	lab, err := Collect(sysb, envs, 50, 13)
+	lab, err := Collect(context.Background(), sysb, envs, 50, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

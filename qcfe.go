@@ -174,7 +174,7 @@ func (b *Benchmark) CollectWorkload(envs []*Environment, perEnv int, seed int64)
 // is cancelled and the call returns ctx's error instead of a partial
 // pool.
 func (b *Benchmark) CollectWorkloadCtx(ctx context.Context, envs []*Environment, perEnv int, seed int64) (*Workload, error) {
-	lab, err := workload.CollectCtx(ctx, b.ds, envs, perEnv, seed)
+	lab, err := workload.Collect(ctx, b.ds, envs, perEnv, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -797,11 +797,12 @@ func (e *CostEstimator) SnapshotCollectionMs() float64 { return e.res.SnapshotMs
 // The result prices and saves under the new snapshot and the receiver's
 // mask.
 func (e *CostEstimator) Transfer(newEnv *Environment, train []workload.Sample, retrainIters int) (*CostEstimator, error) {
-	ft, err := e.res.ForEnvCtx(context.TODO(), e.bench.ds, newEnv, e.cfg)
+	ctx := context.TODO()
+	ft, err := e.res.ForEnvCtx(ctx, e.bench.ds, newEnv, e.cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Transfer(e.res, ft, train, retrainIters)
+	res, err := core.Transfer(ctx, e.res, ft, train, retrainIters)
 	if err != nil {
 		return nil, err
 	}
