@@ -3,6 +3,7 @@ package qcfe
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -140,10 +141,14 @@ func TestLoadRejectsDamage(t *testing.T) {
 		}
 	})
 	t.Run("wrong version", func(t *testing.T) {
-		bad := append([]byte(nil), raw...)
-		bad[8] = 0x7f // version field follows the 8-byte magic
-		if _, err := LoadEstimator(bytes.NewReader(bad)); !errors.Is(err, artifact.ErrVersion) {
-			t.Fatalf("err = %v, want ErrVersion", err)
+		// Version 1 stored FR's relative threshold in the configuration;
+		// it is rejected, not read with a second decoder.
+		for _, v := range []uint32{1, 0x7f} {
+			bad := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint32(bad[8:12], v) // version field follows the 8-byte magic
+			if _, err := LoadEstimator(bytes.NewReader(bad)); !errors.Is(err, artifact.ErrVersion) {
+				t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
+			}
 		}
 	})
 	t.Run("not an artifact", func(t *testing.T) {

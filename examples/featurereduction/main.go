@@ -40,8 +40,8 @@ func main() {
 	probe := featred.TrainProbe(data, 32, 25, 1)
 	fmt.Printf("probe model q-error on its own data: %.3f\n\n", featred.QErrorOf(probe, data, nil))
 
-	frMask := featred.MaskFromScores(featred.DiffPropScores(probe, data.X, 100, 1), 0.02)
-	gdMask := featred.MaskFromScores(featred.GradientScores(probe, data.X), 0.02)
+	frMask := featred.MaskFromScores(featred.DiffPropScores(probe, data.X, 100, 1))
+	gdMask := featred.MaskFromScores(featred.GradientScores(probe, data.X))
 	greedyMask := featred.GreedyReduce(probe, data.Subsample(300, 1))
 
 	report := func(name string, mask []bool) {

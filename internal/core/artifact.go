@@ -20,7 +20,7 @@ import (
 // ArtifactVersion is the persistent artifact format version. Bump it on
 // any layout change; loaders reject other versions loudly rather than
 // misreading bytes.
-const ArtifactVersion = 1
+const ArtifactVersion = 2
 
 // Artifact is one loaded model artifact: the rebuilt dataset, the
 // environment set the model was trained across, the pipeline
@@ -80,7 +80,6 @@ func SaveArtifact(w io.Writer, benchName string, benchSeed int64, envs []*dbenv.
 	e.Int(cfg.FSOPerEnv)
 	e.Str(string(cfg.Reduction))
 	e.Int(cfg.NumReferences)
-	e.F64(cfg.Threshold)
 	e.Int(cfg.TrainIters)
 	e.Int(cfg.ProbeEpochs)
 	e.Int(cfg.ProbeSamples)
@@ -162,7 +161,6 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 	a.Cfg.FSOPerEnv = d.Int()
 	a.Cfg.Reduction = ReductionMethod(d.Str())
 	a.Cfg.NumReferences = d.Int()
-	a.Cfg.Threshold = d.F64()
 	a.Cfg.TrainIters = d.Int()
 	a.Cfg.ProbeEpochs = d.Int()
 	a.Cfg.ProbeSamples = d.Int()

@@ -36,7 +36,6 @@ func hostileHeader(e *artifact.Encoder, bench string, seed int64) {
 	e.Int(cfg.FSOPerEnv)
 	e.Str(string(cfg.Reduction))
 	e.Int(cfg.NumReferences)
-	e.F64(cfg.Threshold)
 	e.Int(cfg.TrainIters)
 	e.Int(cfg.ProbeEpochs)
 	e.Int(cfg.ProbeSamples)

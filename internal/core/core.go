@@ -91,7 +91,6 @@ type Config struct {
 	FSOPerEnv     int             // labeling queries per env (FSO)
 	Reduction     ReductionMethod // feature reduction method
 	NumReferences int             // |R| for difference propagation
-	Threshold     float64         // relative keep threshold on scores
 	TrainIters    int             // model training iterations
 	ProbeEpochs   int             // probe-model epochs for reduction
 	ProbeSamples  int             // operator-sample cap for reduction
@@ -109,13 +108,10 @@ func DefaultConfig(model string) Config {
 		FSOPerEnv:     44,
 		Reduction:     ReduceFR,
 		NumReferences: 250,
-		// Keeps score > 0.02·max: stricter than Algorithm 3's score > 0
-		// (see featred.MaskFromScores); ROADMAP item 16 decides the value.
-		Threshold:    0.02,
-		TrainIters:   400,
-		ProbeEpochs:  30,
-		ProbeSamples: 2000,
-		Seed:         1,
+		TrainIters:    400,
+		ProbeEpochs:   30,
+		ProbeSamples:  2000,
+		Seed:          1,
 	}
 }
 
@@ -231,11 +227,9 @@ func Reduce(f *encoding.Featurizer, train []workload.Sample, cfg Config) ([]bool
 	var mask []bool
 	switch cfg.Reduction {
 	case ReduceFR:
-		scores := featred.DiffPropScores(probe, d.X, cfg.NumReferences, cfg.Seed)
-		mask = featred.MaskFromScores(scores, cfg.Threshold)
+		mask = featred.MaskFromScores(featred.DiffPropScores(probe, d.X, cfg.NumReferences, cfg.Seed))
 	case ReduceGD:
-		scores := featred.GradientScores(probe, d.X)
-		mask = featred.MaskFromScores(scores, cfg.Threshold)
+		mask = featred.MaskFromScores(featred.GradientScores(probe, d.X))
 	case ReduceGreedy:
 		mask = featred.GreedyReduce(probe, d.Subsample(400, cfg.Seed))
 	default:

@@ -34,6 +34,7 @@ type PoolResult struct {
 // the labeling pipeline — workload collection, snapshot labeling, and the
 // Figure 1 probe all funnel through it.
 //
+// It runs on the process-default worker count (parallel.DefaultWorkers).
 // Each worker lazily builds one planner and one executor per environment
 // (executors are not shareable across goroutines; the database, stats,
 // and environments are read-only under execution). Because every task
@@ -43,12 +44,12 @@ type PoolResult struct {
 // Workers stop claiming tasks once ctx is cancelled, and ExecutePoolCtx
 // then returns ctx's error together with the partial (index-aligned)
 // results — tasks that never ran read as not-OK.
-func ExecutePoolCtx(ctx context.Context, schema *catalog.Schema, stats *catalog.Stats, db *storage.Database, tasks []PoolTask, workers int) ([]PoolResult, error) {
+func ExecutePoolCtx(ctx context.Context, schema *catalog.Schema, stats *catalog.Stats, db *storage.Database, tasks []PoolTask) ([]PoolResult, error) {
 	type envState struct {
 		pl *planner.Planner
 		ex *Executor
 	}
-	w := parallel.Workers(workers)
+	w := parallel.DefaultWorkers()
 	states := make([]map[int]*envState, w)
 	results := make([]PoolResult, len(tasks))
 	err := parallel.ForEachWorkerCtx(ctx, len(tasks), w, func(worker, ti int) {

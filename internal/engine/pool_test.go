@@ -10,10 +10,19 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dbenv"
 	"repro/internal/engine"
+	"repro/internal/parallel"
 	"repro/internal/planner"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
+
+// withDefaultWorkers runs the rest of t, its parallel subtests included, on
+// n pool workers, and puts the process default (0, GOMAXPROCS) back when t
+// ends. No other engine test sets the count.
+func withDefaultWorkers(t *testing.T, n int) {
+	parallel.SetDefaultWorkers(n)
+	t.Cleanup(func() { parallel.SetDefaultWorkers(0) })
+}
 
 // TestPoolMatchesExecuteSeq labels every template of every benchmark,
 // with two literal draws each (one under -short), under three sampled
@@ -22,6 +31,7 @@ import (
 // alike, with the same total and, on every plan node, the same actual
 // rows, input cardinalities and time, bit for bit.
 func TestPoolMatchesExecuteSeq(t *testing.T) {
+	withDefaultWorkers(t, 2)
 	draws := 2
 	if testing.Short() {
 		draws = 1
@@ -46,7 +56,7 @@ func TestPoolMatchesExecuteSeq(t *testing.T) {
 					tasks = append(tasks, engine.PoolTask{Env: env, Seq: int64(qi + 1), SQL: sql})
 				}
 			}
-			pooled, err := engine.ExecutePoolCtx(context.Background(), ds.Schema, ds.Stats, ds.DB, tasks, 2)
+			pooled, err := engine.ExecutePoolCtx(context.Background(), ds.Schema, ds.Stats, ds.DB, tasks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,6 +109,7 @@ func TestLabelAllocations(t *testing.T) {
 		{"Q21", "SELECT COUNT(*) FROM supplier, lineitem, orders WHERE supplier.s_suppkey = lineitem.l_suppkey AND lineitem.l_orderkey = orders.o_orderkey AND o_orderstatus = 'F' GROUP BY s_name", 4_060_000},
 		{"root ORDER BY", "SELECT * FROM lineitem WHERE lineitem.l_returnflag <> 'N' ORDER BY lineitem.l_returnflag", 207_000},
 	}
+	withDefaultWorkers(t, 1)
 	ds, err := datagen.Build("tpch", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +119,7 @@ func TestLabelAllocations(t *testing.T) {
 			tasks := []engine.PoolTask{{Env: env, Seq: 1, SQL: tc.sql}}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			res, err := engine.ExecutePoolCtx(context.Background(), ds.Schema, ds.Stats, ds.DB, tasks, 1)
+			res, err := engine.ExecutePoolCtx(context.Background(), ds.Schema, ds.Stats, ds.DB, tasks)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,7 +51,7 @@ func (s *Suite) figure1Impl() ([]Fig1Cell, error) {
 				tasks = append(tasks, engine.PoolTask{Env: env, Seq: int64(qi + 1), SQL: sql})
 			}
 		}
-		results, err := engine.ExecutePoolCtx(context.TODO(), ds.Schema, ds.Stats, ds.DB, tasks, 0)
+		results, err := engine.ExecutePoolCtx(context.TODO(), ds.Schema, ds.Stats, ds.DB, tasks)
 		if err != nil {
 			return nil, err
 		}

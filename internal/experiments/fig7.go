@@ -65,10 +65,8 @@ func (s *Suite) figure7Impl() ([]Fig7Row, error) {
 		sub = sub.Subsample(cfg.ProbeSamples, cfg.Seed)
 		probe := featred.TrainProbe(sub, 32, cfg.ProbeEpochs, cfg.Seed)
 
-		frMask := featred.MaskFromScores(
-			featred.DiffPropScores(probe, sub.X, cfg.NumReferences, cfg.Seed), cfg.Threshold)
-		gdMask := featred.MaskFromScores(
-			featred.GradientScores(probe, sub.X), cfg.Threshold)
+		frMask := featred.MaskFromScores(featred.DiffPropScores(probe, sub.X, cfg.NumReferences, cfg.Seed))
+		gdMask := featred.MaskFromScores(featred.GradientScores(probe, sub.X))
 		greedyMask := featred.GreedyReduce(probe, sub.Subsample(300, cfg.Seed))
 
 		return &Fig7Row{

@@ -571,23 +571,15 @@ func (k *diffKernel) price(m *nn.MLP, xs *nn.BatchCache, s int, refs *nn.BatchCa
 	}
 }
 
-// MaskFromScores turns importance scores into a keep-mask: a feature is
-// kept when its score exceeds threshold·max(score). At threshold 0 this is
-// the paper's Algorithm 3 cut, score > 0. A positive threshold is a
-// stricter cut relative to the strongest feature, not a float-noise
-// allowance: on the benchmark's fit recipe (TPC-H, MSCN) the default 0.02
-// drops 26 of 46 dimensions where score > 0 drops 12. ROADMAP item 16
-// decides the default's value.
-func MaskFromScores(scores []float64, threshold float64) []bool {
-	var max float64
-	for _, s := range scores {
-		if s > max {
-			max = s
-		}
-	}
+// MaskFromScores turns importance scores into a keep-mask with Algorithm
+// 3's cut: a feature is kept when its score is above 0. Every pair term
+// of a difference-propagation score carries the factor x − ref, so a
+// dimension that holds one value across the samples scores 0 and is
+// dropped.
+func MaskFromScores(scores []float64) []bool {
 	mask := make([]bool, len(scores))
 	for i, s := range scores {
-		mask[i] = s > threshold*max
+		mask[i] = s > 0
 	}
 	return mask
 }

@@ -139,15 +139,26 @@ func TestGreedyReduceDropsNoise(t *testing.T) {
 	}
 }
 
+// TestMaskFromScores: the cut is Algorithm 3's score > 0. A score of 0 is
+// dropped, the smallest positive float is kept, and no score's keep
+// depends on the largest one.
 func TestMaskFromScores(t *testing.T) {
-	scores := []float64{10, 0.001, 5, 0}
-	mask := MaskFromScores(scores, 0.01)
-	want := []bool{true, false, true, false}
-	for i := range want {
-		if mask[i] != want[i] {
-			t.Fatalf("mask = %v, want %v", mask, want)
+	scores := []float64{10, 0.001, 5, 0, math.SmallestNonzeroFloat64}
+	want := []bool{true, true, true, false, true}
+	check := func(scores []float64) {
+		t.Helper()
+		mask := MaskFromScores(scores)
+		for i := range want {
+			if mask[i] != want[i] {
+				t.Fatalf("MaskFromScores(%v) = %v, want %v", scores, mask, want)
+			}
 		}
 	}
+	check(scores)
+	scores[0] = math.MaxFloat64
+	check(scores)
+	scores[0] = math.SmallestNonzeroFloat64
+	check(scores)
 }
 
 func TestApplyAndRatio(t *testing.T) {
@@ -197,13 +208,25 @@ func TestSubsampleDeterministic(t *testing.T) {
 	}
 }
 
+// TestReducedModelStillAccurate: end to end, FR drops exactly the columns
+// that hold one value across the data, and a probe retrained on the kept
+// columns stays accurate.
 func TestReducedModelStillAccurate(t *testing.T) {
-	// End-to-end: reduce, retrain on reduced dims, verify accuracy holds.
-	d := syntheticData(600, 12, 3, 8)
+	const varying = 12
+	consts := []float64{0, 1, 0.5, 7}
+	d := syntheticData(600, varying, 3, 8)
+	for i := range d.X {
+		d.X[i] = append(d.X[i], consts...)
+	}
+	for range consts {
+		d.Names = append(d.Names, "const")
+	}
 	probe := TrainProbe(d, 16, 60, 8)
-	mask := MaskFromScores(DiffPropScores(probe, d.X, 20, 8), 0.05)
-	if CountKept(mask) >= 12 || CountKept(mask) < 3 {
-		t.Fatalf("reduction kept %d of 12", CountKept(mask))
+	mask := MaskFromScores(DiffPropScores(probe, d.X, 20, 8))
+	for k, keep := range mask {
+		if keep != (k < varying) {
+			t.Fatalf("mask = %v, want the first %d of %d columns kept", mask, varying, d.Dim())
+		}
 	}
 	red := &Dataset{Y: d.Y}
 	for _, x := range d.X {

@@ -48,7 +48,7 @@ func (b *Builder) FromQueriesCtx(ctx context.Context, sqls []string) (*BuildResu
 	for i, sql := range sqls {
 		tasks[i] = engine.PoolTask{Env: b.Env, Seq: int64(i + 1), SQL: sql}
 	}
-	results, err := engine.ExecutePoolCtx(ctx, b.DS.Schema, b.DS.Stats, b.DS.DB, tasks, 0)
+	results, err := engine.ExecutePoolCtx(ctx, b.DS.Schema, b.DS.Stats, b.DS.DB, tasks)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: labeling cancelled: %w", err)
 	}

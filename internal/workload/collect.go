@@ -62,7 +62,7 @@ func Collect(ctx context.Context, ds *datagen.Dataset, envs []*dbenv.Environment
 			tasks = append(tasks, engine.PoolTask{Env: env, Seq: int64(qi + 1), SQL: sql})
 		}
 	}
-	results, err := engine.ExecutePoolCtx(ctx, ds.Schema, ds.Stats, ds.DB, tasks, 0)
+	results, err := engine.ExecutePoolCtx(ctx, ds.Schema, ds.Stats, ds.DB, tasks)
 	if err != nil {
 		return nil, fmt.Errorf("workload: collection cancelled: %w", err)
 	}

@@ -706,7 +706,7 @@ func LoadEstimator(r io.Reader) (*CostEstimator, error) {
 // AnalyticEstimator builds the training-free PGSQL-baseline estimator
 // over a benchmark's statistics, priced under envs — without running
 // the training pipeline. Because the analytic model has no trainable
-// state (core.Analytic's Train is a no-op) and reads only the dataset
+// state (core.Analytic's TrainCtx is a no-op) and reads only the dataset
 // statistics, the returned estimator's predictions are bit-identical
 // to a NewPipeline("analytic").Fit(...) estimator over the same
 // benchmark: both plan through the shared planAnnotated front half and
