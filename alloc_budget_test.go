@@ -39,23 +39,10 @@ func missVariants(from, n int) []string {
 	return out
 }
 
-// TestMissAllocationBudget is the regression guard on what one priced
-// miss costs the allocator. A template-tier hit with fresh literals runs
-// the whole miss path — fingerprint, bind, plan, featurize, batched
-// inference, three cache stores — and should allocate only what outlives
-// it (the plan tree, the cached feature rows, the cache keys and the
-// result slice). The ceilings leave headroom for toolchain differences;
-// the figures this repo measures are recorded in CHANGES.md.
-func TestMissAllocationBudget(t *testing.T) {
-	if raceEnabled() {
-		t.Skip("the race detector changes allocation counts")
-	}
-	const (
-		maxBytesPerMiss   = 9600 // measured 8.3 KB batched, 7.1 KB single, plus ~15%
-		maxObjectsPerMiss = 51   // measured 42.3 batched, 44.0 single, plus ~15%
-		batch             = 64
-		batches           = 32 // 2048 misses batched, 2048 more singly
-	)
+// missEstimator fits the small TPC-H mscn estimator the miss budgets
+// price with.
+func missEstimator(t *testing.T) *CostEstimator {
+	t.Helper()
 	b, err := OpenBenchmark("tpch", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +57,29 @@ func TestMissAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return est
+}
+
+// TestMissAllocationBudget is the regression guard on what one priced
+// miss costs the allocator. A template-tier hit with fresh literals runs
+// the whole miss path — fingerprint, bind, plan, batched inference that
+// featurizes into the model's pooled scratch, three cache stores — and
+// should allocate only the bound skeleton clone and the plan tree, which
+// die with the call, and what outlives it (the cache keys, the two
+// cached answers and the result slice). The ceilings leave headroom for
+// toolchain differences; the figures this repo measures are recorded in
+// CHANGES.md.
+func TestMissAllocationBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const (
+		maxBytesPerMiss   = 7750 // measured 6.7 KB batched, 5.6 KB single, plus ~15%
+		maxObjectsPerMiss = 48   // measured 40.4 batched, 42.0 single, plus ~15%
+		batch             = 64
+		batches           = 32 // 2048 misses batched, 2048 more singly
+	)
+	est := missEstimator(t)
 	// Room for every entry the test stores: eviction is not on the budget.
 	est.AttachCache(NewQueryCache(CacheOptions{Capacity: 8192}))
 	env := est.Environments()[0]
@@ -125,6 +135,52 @@ func TestMissAllocationBudget(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMissRetentionBudget bounds what a priced miss leaves live once it
+// returns. The caches keep one answer per query in two tiers, with their
+// keys; the plan tree and its feature rows must die with the call. The
+// live heap after a collection grows by what 4 000 stored misses pin,
+// and that growth per query is held under a ceiling well above the
+// cached keys and answers and well below one plan's featurization.
+func TestMissRetentionBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector changes heap figures")
+	}
+	const (
+		queries          = 4000
+		maxBytesPerQuery = 1024 // measured ≈ 490 B; keeping each plan and its feature rows ≈ 6.7 KB
+	)
+	est := missEstimator(t)
+	est.AttachCache(NewQueryCache(CacheOptions{Capacity: 4096}))
+	env := est.Environments()[0]
+	// Prime the template tier and the pools; the texts are the caller's,
+	// built before the baseline.
+	if _, err := est.EstimateSQL(env, missVariants(0, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	sqls := missVariants(1, queries)
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := liveHeap()
+	for _, sql := range sqls {
+		if _, err := est.EstimateSQL(env, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(sqls)
+	st, _ := est.CacheStats()
+	perQuery := (float64(after) - float64(before)) / queries
+	t.Logf("live heap +%.0f B per stored miss over %d queries (feature tier %d resident, prediction tier %d)",
+		perQuery, queries, st.Feature.Size, st.Prediction.Size)
+	if perQuery > maxBytesPerQuery {
+		t.Errorf("a stored miss pins %.0f B of live heap, ceiling %d B", perQuery, maxBytesPerQuery)
+	}
 }
 
 // TestEstimateMsAllocs pins what pricing one plan with EstimateMs costs

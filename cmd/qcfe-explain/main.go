@@ -22,7 +22,6 @@ import (
 
 	qcfe "repro"
 	"repro/internal/dbenv"
-	"repro/internal/encoding"
 	"repro/internal/planner"
 	"repro/internal/qcache"
 	"repro/internal/sqlparse"
@@ -68,8 +67,8 @@ func main() {
 }
 
 // printCacheStats traces the query through the cache's split front-half
-// steps — Fingerprint, skeleton Clone/BindLiterals + PlanResolved,
-// Featurize — without duplicating any plan walking of its own.
+// steps — Fingerprint, skeleton Clone/BindLiterals + PlanResolved —
+// without duplicating any plan walking of its own.
 func printCacheStats(bench *qcfe.Benchmark, env *qcfe.Environment, sql string) error {
 	fp, lits, err := sqlparse.Fingerprint(sql)
 	if err != nil {
@@ -89,7 +88,7 @@ func printCacheStats(bench *qcfe.Benchmark, env *qcfe.Environment, sql string) e
 	fmt.Println()
 	fmt.Printf("  tier keys:\n")
 	fmt.Printf("    prediction:       %q\n", qcache.PredictionKey(env.ID, sql))
-	fmt.Printf("    feature:          %q\n", qcache.FeatureKey(env.ID, fp, sig))
+	fmt.Printf("    feature (answer): %q\n", qcache.FeatureKey(env.ID, fp, sig))
 	fmt.Printf("    template:         %q\n", qcache.TemplateKey(env.ID, fp))
 
 	// The split steps, exactly as a template-tier hit runs them: parse
@@ -116,15 +115,9 @@ func printCacheStats(bench *qcfe.Benchmark, env *qcfe.Environment, sql string) e
 	if warm.Explain() != cold.Explain() {
 		match = "MISMATCH (cache would fall back to full planning)"
 	}
-	// Dimensions from the general encoding only — qcfe-explain has no
-	// trained artifact; an attached estimator's featurizer adds the
-	// snapshot block and applies its reduction mask on top.
-	f := &encoding.Featurizer{Enc: encoding.New(ds.Schema)}
-	fplan := f.Featurize(cold)
 	fmt.Printf("  hit path:\n")
 	fmt.Printf("    exact repeat:     prediction tier (skips parse+plan+featurize+inference)\n")
-	fmt.Printf("    same semantics:   feature tier (cached %d nodes x %d general-encoding features; trained estimators add the snapshot block minus the reduction mask)\n",
-		fplan.NumNodes(), f.Dim())
+	fmt.Printf("    same semantics:   feature tier (cached answer; skips all but fingerprinting)\n")
 	fmt.Printf("    literal variant:  template tier (skeleton %d nodes; rebind %d literals, replan: %s)\n",
 		cold.CountNodes(), len(lits), match)
 	return nil

@@ -50,7 +50,7 @@ func (a *Analytic) PredictBatch(roots []*planner.Node) []float64 {
 }
 
 // PredictFeaturizedBatch implements Estimator; the analytic model reads
-// the plan, not the cached feature rows, so it prices the roots directly.
+// the plan, not the feature rows, so it prices the roots directly.
 func (a *Analytic) PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64 {
 	if len(fps) == 0 {
 		return nil

@@ -53,8 +53,9 @@ type Estimator interface {
 	// hand over the whole slice and never chunk.
 	PredictBatch(roots []*planner.Node) []float64
 	// PredictFeaturizedBatch is PredictBatch over plans whose per-node
-	// feature vectors were computed earlier (the query cache's feature
-	// tier); element i is bit-identical to PredictBatch of fps[i].Root.
+	// feature vectors were computed earlier; element i is bit-identical to
+	// PredictBatch of fps[i].Root. It remains for benchmark/'s leaf
+	// replay, which caches featurized plans, until ROADMAP 1(e).
 	PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64
 	SetFeaturizer(f *encoding.Featurizer)
 }

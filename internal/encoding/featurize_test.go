@@ -172,7 +172,7 @@ func featurizerVariants(t *testing.T) map[string]*Featurizer {
 // TestFeaturizeMatchesReference pins the flat featurization bit for bit:
 // on every TPC-H template, masked and unmasked, with and without
 // snapshots (a node without one gets the zero block), every row of
-// Featurize, Node, NodeInto, PlanInto and PlanMatrix equals the old
+// Featurize, Node, PlanInto and PlanMatrix equals the old
 // four-allocation composition; Pre is pre-order, Post is post-order, and
 // each Post entry is the very slice its Pre twin is.
 func TestFeaturizeMatchesReference(t *testing.T) {
@@ -205,10 +205,8 @@ func TestFeaturizeMatchesReference(t *testing.T) {
 			for i, n := range pre {
 				at[n] = i
 				want := refNode(f, n)
-				into := make([]float64, dim)
-				f.NodeInto(n, into)
 				for label, got := range map[string][]float64{
-					"Featurize.Pre": fp.Pre[i], "Node": f.Node(n), "NodeInto": into,
+					"Featurize.Pre": fp.Pre[i], "Node": f.Node(n),
 					"PlanInto": flat[i*dim : (i+1)*dim], "PlanMatrix": m.RowView(i),
 				} {
 					if !sameBits(got, want) {
@@ -226,8 +224,8 @@ func TestFeaturizeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFeaturizeRowsAreOwned: a FeaturizedPlan's rows live in the feature
-// tier and are read by concurrent requests, so they may alias neither the
+// TestFeaturizeRowsAreOwned: a FeaturizedPlan's rows may be cached and
+// read by concurrent requests, so they may alias neither the
 // featurizer's scratch nor each other's spare capacity. Featurizing other
 // plans (and running every other into-path entry point) must leave an
 // earlier plan's rows untouched, and appending to a row must not run into
@@ -243,11 +241,10 @@ func TestFeaturizeRowsAreOwned(t *testing.T) {
 	for i, row := range a.Pre {
 		saved[i] = append([]float64(nil), row...)
 	}
-	scratch := make([]float64, f.Dim())
 	for _, root := range plans {
 		f.Featurize(root)
 		f.PlanMatrix(root)
-		f.NodeInto(root, scratch)
+		f.Node(root)
 	}
 	for i, row := range a.Pre {
 		if !sameBits(row, saved[i]) {

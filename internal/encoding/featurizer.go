@@ -93,15 +93,9 @@ func (f *Featurizer) nodeInto(n *planner.Node, dst, raw []float64) {
 // Node returns the final (masked) feature vector for one node.
 func (f *Featurizer) Node(n *planner.Node) []float64 {
 	v := make([]float64, f.Dim())
-	f.NodeInto(n, v)
-	return v
-}
-
-// NodeInto featurizes one node directly into dst (length Dim) — the
-// allocation-free form of Node for matrix gathers.
-func (f *Featurizer) NodeInto(n *planner.Node, dst []float64) {
 	var buf [rawStack]float64
-	f.nodeInto(n, dst, f.rawScratch(&buf))
+	f.nodeInto(n, v, f.rawScratch(&buf))
+	return v
 }
 
 // PlanMatrix featurizes every node of a plan in pre-order (Walk order)
@@ -125,11 +119,10 @@ func (f *Featurizer) PlanInto(root *planner.Node, dst []float64) {
 }
 
 // FeaturizedPlan is one plan with its per-node feature vectors computed
-// once and kept — the value the query cache's feature tier stores. The
-// two orders index the same underlying vectors: Pre is Walk (pre-order),
+// once. The two orders index the same vectors: Pre is Walk (pre-order),
 // the gather order of MSCN's set pooling; Post is children-first
-// post-order, the order QPPNet's skeleton builder consumes. Entries are
-// shared across concurrent readers and must be treated as immutable.
+// post-order, the order QPPNet's skeleton builder consumes. benchmark/'s
+// leaf replay caches them until ROADMAP 1(e); a cached one is immutable.
 type FeaturizedPlan struct {
 	Root *planner.Node
 	Pre  [][]float64
@@ -142,9 +135,9 @@ func (fp *FeaturizedPlan) NumNodes() int { return len(fp.Pre) }
 
 // Featurize computes a plan's full featurization (masked, snapshot block
 // included) once, in both traversal orders. Every vector is a row of one
-// n×Dim array the plan owns — never scratch, the feature tier keeps it —
-// and the same slice in Pre and Post; one slice-header array backs both
-// orders. Row i is bit-identical to Node() on the i-th pre-order node.
+// n×Dim array the plan owns and the same slice in Pre and Post; one
+// slice-header array backs both orders. Row i is bit-identical to Node()
+// on the i-th pre-order node. benchmark/ caches it until ROADMAP 1(e).
 func (f *Featurizer) Featurize(root *planner.Node) *FeaturizedPlan {
 	n := root.CountNodes()
 	dim := f.Dim()

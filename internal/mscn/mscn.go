@@ -116,9 +116,9 @@ func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 		func(i int, dst []float64) { m.F.PlanInto(roots[i], dst) })
 }
 
-// PredictFeaturizedBatch is PredictBatch over pre-featurized plans (the
-// query cache's feature tier): node features come from the cached
-// pre-order rows instead of the featurizer, and everything downstream —
+// PredictFeaturizedBatch is PredictBatch over pre-featurized plans
+// (core.Estimator): node features come from the given pre-order rows
+// instead of the featurizer, and everything downstream —
 // chunk boundaries, set-network batching, pooling order — is identical,
 // so output i is bit-identical to PredictBatch of fps[i].Root.
 func (m *Model) PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64 {

@@ -3,18 +3,20 @@
 // off the normalized SQL fingerprint (internal/sqlparse.Fingerprint):
 //
 //	template    (env, fingerprint)            → resolved plan skeleton
-//	feature     (env, fingerprint, literals)  → featurized plan
+//	feature     (env, fingerprint, literals)  → predicted milliseconds
 //	prediction  (env, exact SQL)              → predicted milliseconds
 //
 // A cold query pays the full front half (parse → resolve → plan →
 // featurize → infer) and populates all three tiers on the way out. A
 // repeat of the exact text hits the prediction tier and skips everything.
 // A reformatted spelling of the same semantics hits the feature tier and
-// pays only model inference. A new literal vector over a known template
-// hits the template tier and skips lexing, parsing, and name resolution,
-// re-planning from the cached skeleton so every literal-dependent
-// decision (selectivities, operator choices) is recomputed — the property
-// that keeps cached results bit-identical to uncached ones.
+// pays only fingerprinting: a generation (below) covers the model weights,
+// so the tier keeps the one answer, not the plan and features behind it.
+// A new literal vector over a known template hits the template tier and
+// skips lexing, parsing, and name resolution, re-planning from the cached
+// skeleton so every literal-dependent decision (selectivities, operator
+// choices) is recomputed — the property that keeps cached results
+// bit-identical to uncached ones.
 //
 // # Generations
 //
@@ -163,6 +165,7 @@ func TemplateKey(envID int, fingerprint string) Key {
 }
 
 // FeatureKey keys the feature tier: (env, fingerprint, literal signature).
+// Its name stays for benchmark/ until ROADMAP 1(e).
 func FeatureKey(envID int, fingerprint, sig string) Key {
 	return newKey(envID, fingerprint, sig)
 }
@@ -324,6 +327,13 @@ func (t *tier) lookup(key Key, g uint64) (any, bool) {
 	return nil, false
 }
 
+// get is tier.get for one value type; a value of another type is a miss.
+func get[T any](t *tier, key Key, g uint64) (T, bool) {
+	v, _ := t.get(key, g)
+	x, ok := v.(T)
+	return x, ok
+}
+
 // find walks a chain from sl to the first live slot holding key (hash
 // h), comparing hashes before strings. A dead slot is walked past even
 // when it matches: it may have been evicted under the walk, and since a
@@ -441,10 +451,6 @@ type QueryCache struct {
 	template, feature, prediction *tier
 }
 
-// Tenant returns the namespace this cache stamps into every key (""
-// for a single-tenant cache).
-func (c *QueryCache) Tenant() string { return c.opts.Tenant }
-
 // stamp folds the cache's tenant namespace into a caller-built key; the
 // tier's hash then walks only the tenant bytes on top of the state the
 // constructor computed. Key is a value type, so this cannot race.
@@ -479,11 +485,7 @@ func (c *QueryCache) SetGeneration(g uint64) { c.gen.Store(g) }
 // The skeleton is shared and immutable: callers must Clone before
 // binding literals.
 func (c *QueryCache) GetTemplate(key Key, g uint64) (*sqlparse.Query, bool) {
-	v, ok := c.template.get(c.stamp(key), g)
-	if !ok {
-		return nil, false
-	}
-	return v.(*sqlparse.Query), true
+	return get[*sqlparse.Query](c.template, c.stamp(key), g)
 }
 
 // PutTemplate stores a resolved skeleton. The caller hands over
@@ -492,14 +494,22 @@ func (c *QueryCache) PutTemplate(key Key, g uint64, q *sqlparse.Query) {
 	c.template.put(c.stamp(key), g, q)
 }
 
-// GetFeatures returns the featurized plan cached for a feature key.
-// Shared and immutable.
+// GetAnswer returns the prediction the feature tier holds for a feature
+// key: the answer for every spelling with that fingerprint and literals.
+func (c *QueryCache) GetAnswer(key Key, g uint64) (float64, bool) {
+	return get[float64](c.feature, c.stamp(key), g)
+}
+
+// PutAnswer stores the prediction for a feature key.
+func (c *QueryCache) PutAnswer(key Key, g uint64, ms float64) {
+	c.feature.put(c.stamp(key), g, ms)
+}
+
+// GetFeatures returns a featurized plan stored by PutFeatures; an answer
+// reads as a miss. Shared and immutable. The pair remains for
+// benchmark/'s leaf replay until ROADMAP 1(e).
 func (c *QueryCache) GetFeatures(key Key, g uint64) (*encoding.FeaturizedPlan, bool) {
-	v, ok := c.feature.get(c.stamp(key), g)
-	if !ok {
-		return nil, false
-	}
-	return v.(*encoding.FeaturizedPlan), true
+	return get[*encoding.FeaturizedPlan](c.feature, c.stamp(key), g)
 }
 
 // PutFeatures stores a featurized plan; ownership transfers.
@@ -510,11 +520,7 @@ func (c *QueryCache) PutFeatures(key Key, g uint64, fp *encoding.FeaturizedPlan)
 // GetPrediction returns the memoized prediction for an exact (env, SQL)
 // pair. This is the serving warm path: lock-free and zero-alloc.
 func (c *QueryCache) GetPrediction(key Key, g uint64) (float64, bool) {
-	v, ok := c.prediction.get(c.stamp(key), g)
-	if !ok {
-		return 0, false
-	}
-	return v.(float64), true
+	return get[float64](c.prediction, c.stamp(key), g)
 }
 
 // PutPrediction memoizes one prediction.

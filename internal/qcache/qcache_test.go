@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/sqlparse"
 )
 
@@ -34,6 +35,35 @@ func TestBasicPutGet(t *testing.T) {
 	}
 	if st.Template.Size != 1 {
 		t.Fatalf("template size = %d", st.Template.Size)
+	}
+}
+
+// TestFeatureTierAnswers: the feature tier holds the product's answers,
+// and the featurized plans benchmark/'s leaf replay stores through
+// PutFeatures until ROADMAP 1(e). Each getter reads the other kind as a
+// miss rather than panicking.
+func TestFeatureTierAnswers(t *testing.T) {
+	c := New(Options{Shards: 4, Capacity: 64})
+	g := c.Generation()
+	ak := FeatureKey(0, "select * from t where a = ?", "n1:1")
+	c.PutAnswer(ak, g, 2.5)
+	if v, ok := c.GetAnswer(ak, g); !ok || v != 2.5 {
+		t.Fatalf("GetAnswer = (%v, %v), want (2.5, true)", v, ok)
+	}
+	if fp, ok := c.GetFeatures(ak, g); ok || fp != nil {
+		t.Fatalf("GetFeatures on an answer = (%v, %v), want a miss", fp, ok)
+	}
+	if _, ok := c.GetAnswer(ak, g+1); ok {
+		t.Fatal("an answer from another generation must miss")
+	}
+	fk := FeatureKey(0, "select * from t where a = ?", "n1:2")
+	fp := &encoding.FeaturizedPlan{}
+	c.PutFeatures(fk, g, fp)
+	if got, ok := c.GetFeatures(fk, g); !ok || got != fp {
+		t.Fatal("featurized plan round-trip failed")
+	}
+	if v, ok := c.GetAnswer(fk, g); ok {
+		t.Fatalf("GetAnswer on a featurized plan = %v, want a miss", v)
 	}
 }
 

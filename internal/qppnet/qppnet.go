@@ -252,9 +252,9 @@ func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 		func(i int) *planSkeleton { return newSkeleton(roots[i], m.F.Featurize(roots[i]).Post) })
 }
 
-// PredictFeaturizedBatch is PredictBatch over pre-featurized plans (the
-// query cache's feature tier): skeletons are built from the cached
-// post-order rows instead of re-featurizing — exactly the feature reuse
+// PredictFeaturizedBatch is PredictBatch over pre-featurized plans
+// (core.Estimator): skeletons are built from the given post-order rows
+// instead of re-featurizing — exactly the feature reuse
 // the training loop already does across iterations — so output i is
 // bit-identical to PredictBatch of fps[i].Root.
 func (m *Model) PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64 {

@@ -140,6 +140,38 @@ func TestMetamorphicStagedSplit(t *testing.T) {
 	check("cached-warm")
 }
 
+// TestBatchPricesRepeatsOnce: inside one batch, misses that share a
+// feature key — an exact duplicate, or another spelling of the same
+// query — are priced once, and the repeats read that answer back from
+// the feature tier after the write-back, bitwise what pricing them gives.
+func TestBatchPricesRepeatsOnce(t *testing.T) {
+	est, _ := trainedFixture(t, "mscn")
+	env := est.Environments()[0]
+	q := "SELECT * FROM sbtest1 WHERE id = 42"
+	batch := []string{q, "select  *  from sbtest1 where id=42", q, "SELECT * FROM sbtest1 WHERE id = 43"}
+	want, err := est.EstimateSQLBatch(env, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est.AttachCache(NewQueryCache(CacheOptions{}))
+	fb, err := est.FeaturizeSQLBatchCtx(context.Background(), env, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fb.Misses() != 2 || fb.Warm() != 2 {
+		t.Fatalf("%d misses to price and %d repeats, want 2 and 2", fb.Misses(), fb.Warm())
+	}
+	got := est.PredictFeaturized(fb)
+	for i := range batch {
+		if got[i] != want[i] {
+			t.Fatalf("batch[%d] (%q) = %v, uncached %v", i, batch[i], got[i], want[i])
+		}
+	}
+	if st, _ := est.CacheStats(); st.Feature.Hits != 2 || st.Feature.Stores != 2 || st.Prediction.Stores != 4 {
+		t.Fatalf("feature tier %+v, prediction tier %+v: want 2 read-backs, 2 answers and 4 predictions stored", st.Feature, st.Prediction)
+	}
+}
+
 // TestMetamorphicCacheSwapMidBatch: cache-on equals cache-off even
 // while the cache's generation is swapped back and forth mid-batch by
 // a competing estimator. Each estimator stamps lookups and stores with

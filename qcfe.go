@@ -32,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dbenv"
-	"repro/internal/encoding"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -105,19 +104,13 @@ type QueryResult struct {
 }
 
 // planAnnotated parses and plans one SQL query against a dataset under an
-// environment, tagging every node with the environment ID — the shared
-// front half of executing a query (Benchmark.Execute) and pricing one
-// without running it (CostEstimator.EstimateSQL).
-func planAnnotated(ds *datagen.Dataset, env *Environment, sql string) (*planner.Node, error) {
-	node, _, err := planParsed(ds, env, sql)
-	return node, err
-}
-
-// planParsed is planAnnotated exposing the parsed (and, after planning,
-// resolved) query alongside the plan — the query-cache cold path stores
-// it as the template skeleton. Both paths share this one function so the
-// cache-on == cache-off bitwise contract cannot drift.
-func planParsed(ds *datagen.Dataset, env *Environment, sql string) (*planner.Node, *sqlparse.Query, error) {
+// environment, tagging every node with the environment ID, and returns
+// the parsed (and, after planning, resolved) query too, which the
+// query-cache cold path stores as the template skeleton. Executing a
+// query (Benchmark.Execute) and pricing one with or without a cache
+// share this one front half, so the cache-on == cache-off bitwise
+// contract cannot drift.
+func planAnnotated(ds *datagen.Dataset, env *Environment, sql string) (*planner.Node, *sqlparse.Query, error) {
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, nil, err
@@ -136,12 +129,13 @@ func planParsed(ds *datagen.Dataset, env *Environment, sql string) (*planner.Nod
 // observed elsewhere) into a training sample without paying an engine
 // execution.
 func (b *Benchmark) Plan(env *Environment, sql string) (*planner.Node, error) {
-	return planAnnotated(b.ds, env, sql)
+	node, _, err := planAnnotated(b.ds, env, sql)
+	return node, err
 }
 
 // Execute plans and runs one SQL query under an environment.
 func (b *Benchmark) Execute(env *Environment, sql string) (*QueryResult, error) {
-	node, err := planAnnotated(b.ds, env, sql)
+	node, _, err := planAnnotated(b.ds, env, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -382,89 +376,85 @@ func (e *CostEstimator) CachedEstimate(env *Environment, sql string) (float64, b
 
 // EstimateSQL plans a query under env and predicts its cost without
 // executing it. With a cache attached, repeats are served from the
-// prediction tier and template/literal variants skip the front-half
-// stages their tiers cover; results are bit-identical either way.
+// prediction tier, other spellings of the same query from the feature
+// tier, and literal variants skip the parsing the template tier covers;
+// results are bit-identical either way.
 func (e *CostEstimator) EstimateSQL(env *Environment, sql string) (float64, error) {
 	c := e.cache.Load()
 	if c == nil {
-		node, err := planAnnotated(e.bench.ds, env, sql)
+		node, _, err := planAnnotated(e.bench.ds, env, sql)
 		if err != nil {
 			return 0, err
 		}
 		return e.EstimateMs(node), nil
 	}
 	g := e.cacheGeneration()
-	pkey := qcache.PredictionKey(env.ID, sql)
-	if ms, ok := c.GetPrediction(pkey, g); ok {
+	p := pending{pkey: qcache.PredictionKey(env.ID, sql)}
+	if ms, ok := c.GetPrediction(p.pkey, g); ok {
 		return ms, nil
 	}
-	fp, err := e.featurizedPlan(c, g, env, sql)
-	if err != nil {
+	if err := e.front(c, g, env, sql, &p); err != nil {
 		return 0, err
 	}
-	ms := e.res.Model.PredictFeaturizedBatch([]*encoding.FeaturizedPlan{fp})[0]
-	c.PutPrediction(pkey, g, ms)
-	return ms, nil
+	if p.node != nil {
+		p.ms = e.EstimateMs(p.node)
+		c.PutAnswer(p.fkey, g, p.ms)
+	}
+	c.PutPrediction(p.pkey, g, p.ms)
+	return p.ms, nil
 }
 
-// featurizedPlan runs the cache-aware front half for one query: probe
-// the feature tier (fingerprint + literal signature), then the template
-// tier (fingerprint; bind fresh literals into a clone of the cached
-// resolved skeleton and re-plan, recomputing every literal-dependent
-// selectivity and operator choice), then fall back to the full
-// parse→resolve→plan→featurize pipeline, populating the tiers on the
-// way out. Any hiccup on a cached path (literal mismatch, plan error)
-// falls back to the full pipeline so errors and results are exactly the
-// uncached ones. The caller passes its own (cache, generation)
-// snapshot so one request stays internally consistent across a
-// concurrent swap.
-func (e *CostEstimator) featurizedPlan(c *qcache.QueryCache, g uint64, env *Environment, sql string) (*encoding.FeaturizedPlan, error) {
-	fpr, lits, ferr := sqlparse.Fingerprint(sql)
-	if ferr != nil {
+// pending is one prediction-tier miss. After front, ms is its answer
+// when node is nil; otherwise node is the plan still to price.
+type pending struct {
+	i    int        // index into the batch
+	pkey qcache.Key // prediction-tier key, reused by the write-back
+	fkey qcache.Key // feature-tier key
+	node *planner.Node
+	ms   float64
+	twin *pending // an earlier miss of the batch with the same fkey, priced in this one's stead
+}
+
+// front runs the cache-aware front half for one miss: probe the feature
+// tier (fingerprint + literal signature) for the answer, then the
+// template tier (bind fresh literals into a clone of the cached resolved
+// skeleton and re-plan, recomputing every literal-dependent selectivity
+// and operator choice), then fall back to the full parse→resolve→plan
+// pipeline, storing the skeleton on the way out. Any hiccup on a cached
+// path (literal mismatch, plan error) falls back to the full pipeline so
+// errors and results are exactly the uncached ones. The caller passes
+// its own (cache, generation) snapshot so one request stays internally
+// consistent across a concurrent swap.
+func (e *CostEstimator) front(c *qcache.QueryCache, g uint64, env *Environment, sql string, p *pending) error {
+	fpr, lits, err := sqlparse.Fingerprint(sql)
+	if err != nil {
 		// Unlexable text: let the ordinary path produce the
-		// authoritative error (or, conceivably, a result).
-		node, err := planAnnotated(e.bench.ds, env, sql)
-		if err != nil {
-			return nil, err
-		}
-		return e.featurize(node), nil
+		// authoritative error (or, conceivably, a plan), keyed by its
+		// raw text: only an empty query has an empty fingerprint.
+		p.fkey = qcache.FeatureKey(env.ID, "", sql)
+		p.node, _, err = planAnnotated(e.bench.ds, env, sql)
+		return err
 	}
-	fkey := qcache.FeatureKey(env.ID, fpr, sqlparse.Signature(lits))
-	if fp, ok := c.GetFeatures(fkey, g); ok {
-		return fp, nil
+	p.fkey = qcache.FeatureKey(env.ID, fpr, sqlparse.Signature(lits))
+	var ok bool
+	if p.ms, ok = c.GetAnswer(p.fkey, g); ok {
+		return nil
 	}
 	tkey := qcache.TemplateKey(env.ID, fpr)
-	var node *planner.Node
 	if skel, ok := c.GetTemplate(tkey, g); ok {
-		node = e.planFromSkeleton(skel, lits, env)
+		p.node = e.planFromSkeleton(skel, lits, env)
 	}
-	if node == nil {
+	if p.node == nil {
 		var q *sqlparse.Query
-		var err error
-		node, q, err = planParsed(e.bench.ds, env, sql)
-		if err != nil {
-			return nil, err
+		if p.node, q, err = planAnnotated(e.bench.ds, env, sql); err != nil {
+			return err
 		}
 		// Freeze the now-resolved skeleton for future literal variants.
 		// (Its literal values are the ones just planned; every hit
 		// overwrites them via BindLiterals before planning.)
 		c.PutTemplate(tkey, g, q.Clone())
 	}
-	fp := e.featurize(node)
-	c.PutFeatures(fkey, g, fp)
-	return fp, nil
-}
-
-// featurize builds the feature-tier value for one planned query. The
-// analytic baseline prices the plan directly and never reads feature
-// rows, so its entries carry only the plan (still worth caching: a
-// feature-tier hit skips parse+resolve+plan); the learned models get
-// the full per-node featurization.
-func (e *CostEstimator) featurize(node *planner.Node) *encoding.FeaturizedPlan {
-	if _, analytic := e.res.Model.(*core.Analytic); analytic {
-		return &encoding.FeaturizedPlan{Root: node}
-	}
-	return e.res.F.Featurize(node)
+	return nil
 }
 
 // planFromSkeleton re-plans a cached resolved skeleton under a fresh
@@ -515,43 +505,35 @@ func (e *CostEstimator) EstimateSQLBatchCtx(ctx context.Context, env *Environmen
 }
 
 // FeaturizedBatch is the output of FeaturizeSQLBatchCtx: a batch of
-// queries carried through the front half (probe + parse/plan/featurize)
-// and ready for batched inference. It pins the cache and generation
-// observed at featurize time, so a hot swap landing between the two
-// halves cannot mix artifacts within one batch: PredictFeaturized writes
-// back under the pinned generation and the swapped-in cache's bumped
-// generation makes those writes invisible, exactly as with the fused
+// queries carried through the front half (probe + parse/plan) and ready
+// for batched inference. It pins the cache and generation observed at
+// featurize time, so a hot swap landing between the two halves cannot
+// mix artifacts within one batch: PredictFeaturized writes back under
+// the pinned generation and the swapped-in cache's bumped generation
+// makes those writes invisible, exactly as with the fused
 // EstimateSQLBatchCtx.
 type FeaturizedBatch struct {
-	env   *Environment
 	sqls  []string
 	cache *qcache.QueryCache // nil on the uncached path
 	gen   uint64
-	res   []float64                  // warm values at their original indexes (cached path)
-	miss  []int                      // indexes into sqls that missed the prediction tier
-	keys  []qcache.Key               // prediction-tier probe key per miss, reused by the write-back
-	nodes []*planner.Node            // uncached path: annotated plans, one per query
-	fps   []*encoding.FeaturizedPlan // cached path: featurized plans, one per miss
+	res   []float64       // answers at their original indexes (cached path)
+	pend  []pending       // the prediction-tier misses
+	nodes []*planner.Node // plans to price: one per query uncached, one per unanswered miss cached
 	tr    *obs.Trace
 }
 
-// Warm reports how many of the batch's queries were answered from the
-// prediction tier during the front half (always 0 without a cache).
+// Warm reports how many of the batch's queries need no inference: cache
+// hits and repeats of an earlier miss (always 0 without a cache).
 func (fb *FeaturizedBatch) Warm() int { return len(fb.sqls) - fb.Misses() }
 
 // Misses reports how many queries still need inference.
-func (fb *FeaturizedBatch) Misses() int {
-	if fb.cache == nil {
-		return len(fb.nodes)
-	}
-	return len(fb.miss)
-}
+func (fb *FeaturizedBatch) Misses() int { return len(fb.nodes) }
 
 // FeaturizeSQLBatchCtx runs the front half of EstimateSQLBatchCtx —
-// prediction-tier probe, then the cache-aware parse/plan/featurize
-// fan-out for the misses — and returns the batch ready for
-// PredictFeaturized. The benchmark's depth-4 probe calls the halves
-// separately to attribute miss time to planning versus inference.
+// prediction-tier probe, then the cache-aware parse/plan fan-out for the
+// misses — and returns the batch ready for PredictFeaturized. The halves
+// stay exported until ROADMAP 1(e) for the benchmark's depth-4 probe,
+// which attributes miss time to planning versus inference.
 //
 // A traced request (internal/obs) gets per-stage spans, featurize and
 // predict. Untraced calls pay one context lookup and nothing else; span
@@ -564,13 +546,14 @@ func (e *CostEstimator) FeaturizeSQLBatchCtx(ctx context.Context, env *Environme
 	if c == nil {
 		fstart := time.Now()
 		nodes, err := parallel.MapCtx(ctx, len(sqls), 0, func(i int) (*planner.Node, error) {
-			return planAnnotated(e.bench.ds, env, sqls[i])
+			node, _, err := planAnnotated(e.bench.ds, env, sqls[i])
+			return node, err
 		})
 		if err != nil {
 			return nil, err
 		}
 		tr.AddSpan("featurize", "uncached", fstart)
-		return &FeaturizedBatch{env: env, sqls: sqls, nodes: nodes, tr: tr}, nil
+		return &FeaturizedBatch{sqls: sqls, nodes: nodes, tr: tr}, nil
 	}
 	// Parity with the uncached fan-out, which surfaces cancellation even
 	// when there is nothing to plan: an expired context errors here too,
@@ -579,7 +562,7 @@ func (e *CostEstimator) FeaturizeSQLBatchCtx(ctx context.Context, env *Environme
 		return nil, err
 	}
 	g := e.cacheGeneration()
-	fb := &FeaturizedBatch{env: env, sqls: sqls, cache: c, gen: g, tr: tr}
+	fb := &FeaturizedBatch{sqls: sqls, cache: c, gen: g, tr: tr}
 	fb.res = make([]float64, len(sqls))
 	probeStart := time.Now()
 	for i, sql := range sqls {
@@ -588,55 +571,73 @@ func (e *CostEstimator) FeaturizeSQLBatchCtx(ctx context.Context, env *Environme
 			fb.res[i] = ms
 			continue
 		}
-		if fb.miss == nil { // at the first miss: an all-warm batch allocates neither
-			fb.miss = make([]int, 0, len(sqls)-i)
-			fb.keys = make([]qcache.Key, 0, len(sqls)-i)
+		if fb.pend == nil { // at the first miss: an all-warm batch allocates nothing more
+			fb.pend = make([]pending, 0, len(sqls)-i)
 		}
-		fb.miss = append(fb.miss, i)
-		fb.keys = append(fb.keys, k)
+		fb.pend = append(fb.pend, pending{i: i, pkey: k})
 	}
 	if tr != nil {
-		tr.AddSpan("probe", fmt.Sprintf("%d/%d warm", len(sqls)-len(fb.miss), len(sqls)), probeStart)
+		tr.AddSpan("probe", fmt.Sprintf("%d/%d warm", len(sqls)-len(fb.pend), len(sqls)), probeStart)
 	}
-	if len(fb.miss) == 0 {
+	if len(fb.pend) == 0 {
 		return fb, nil
 	}
 	fstart := time.Now()
-	fps, err := parallel.MapCtx(ctx, len(fb.miss), 0, func(k int) (*encoding.FeaturizedPlan, error) {
-		return e.featurizedPlan(c, g, env, sqls[fb.miss[k]])
-	})
-	if err != nil {
+	if _, err := parallel.MapCtx(ctx, len(fb.pend), 0, func(k int) (struct{}, error) {
+		return struct{}{}, e.front(c, g, env, sqls[fb.pend[k].i], &fb.pend[k])
+	}); err != nil {
 		return nil, err
 	}
+	// A miss that repeats an earlier one's feature key is priced once and
+	// reads the answer back from the feature tier, as a later request would.
+	first := make(map[qcache.Key]*pending, len(fb.pend))
+	fb.nodes = make([]*planner.Node, 0, len(fb.pend))
+	for k := range fb.pend {
+		switch p := &fb.pend[k]; {
+		case p.node == nil:
+		case first[p.fkey] != nil:
+			p.node, p.twin = nil, first[p.fkey]
+		default:
+			first[p.fkey] = p
+			fb.nodes = append(fb.nodes, p.node)
+		}
+	}
 	tr.AddSpan("featurize", "", fstart)
-	fb.fps = fps
 	return fb, nil
 }
 
 // PredictFeaturized runs the back half: batched inference over the
-// featurized misses, merged with the warm probe results, and the
-// write-back into the prediction tier under the batch's pinned
-// generation. It is pure compute: no context, cannot fail.
+// planned misses, merged with the answers the front half found, and the
+// write-back into the feature and prediction tiers under the batch's
+// pinned generation. It is pure compute: no context, cannot fail.
 //
 // The batch must come from this estimator's FeaturizeSQLBatchCtx;
 // results are then bit-identical to the fused EstimateSQLBatchCtx.
 func (e *CostEstimator) PredictFeaturized(fb *FeaturizedBatch) []float64 {
-	if fb.cache == nil {
-		pstart := time.Now()
-		ms := e.res.Model.PredictBatch(fb.nodes)
-		fb.tr.AddSpan("predict", "", pstart)
-		return ms
-	}
-	if len(fb.miss) == 0 {
+	if fb.cache != nil && len(fb.pend) == 0 {
 		return fb.res
 	}
 	pstart := time.Now()
-	ms := e.res.Model.PredictFeaturizedBatch(fb.fps)
+	ms := e.res.Model.PredictBatch(fb.nodes)
 	fb.tr.AddSpan("predict", "", pstart)
+	if fb.cache == nil {
+		return ms
+	}
 	mstart := time.Now()
-	for k, i := range fb.miss {
-		fb.res[i] = ms[k]
-		fb.cache.PutPrediction(fb.keys[k], fb.gen, ms[k])
+	for k := range fb.pend {
+		p := &fb.pend[k]
+		switch {
+		case p.node != nil:
+			p.ms, ms = ms[0], ms[1:]
+			fb.cache.PutAnswer(p.fkey, fb.gen, p.ms)
+		case p.twin != nil:
+			var ok bool
+			if p.ms, ok = fb.cache.GetAnswer(p.fkey, fb.gen); !ok { // evicted since
+				p.ms = p.twin.ms
+			}
+		}
+		fb.res[p.i] = p.ms
+		fb.cache.PutPrediction(p.pkey, fb.gen, p.ms)
 	}
 	fb.tr.AddSpan("merge", "", mstart)
 	return fb.res
