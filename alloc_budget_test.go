@@ -185,10 +185,11 @@ func TestMissRetentionBudget(t *testing.T) {
 
 // TestEstimateMsAllocs pins what pricing one plan with EstimateMs costs
 // the allocator on both learned models. A single plan is priced as a
-// batch of one on the pooled inference scratch, so what is left is the
-// one-element plan slice, the result slice and, for qppnet, the plan's
-// featurization and execution skeleton. The ceilings are the counts
-// measured on this two-node plan.
+// batch of one on the pooled inference scratch, which both models also
+// featurize into, so what is left is the one-element plan slice, the
+// result slice and, for qppnet, the plan's execution skeleton. mscn's
+// ceiling is the count measured on this two-node plan; qppnet's is its
+// measured 13 plus about 15%.
 func TestEstimateMsAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector changes allocation counts")
@@ -216,7 +217,7 @@ func TestEstimateMsAllocs(t *testing.T) {
 		maxAllocs float64
 	}{
 		{"mscn", 2},    // the plan slice and the result slice
-		{"qppnet", 16}, // plus the plan's featurization and skeleton
+		{"qppnet", 15}, // plus the plan's skeleton
 	} {
 		est, err := NewPipeline(tc.model, WithTrainIters(20), WithReferences(20), WithSeed(3)).Fit(b, envs, train)
 		if err != nil {

@@ -85,8 +85,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				}
 			}
 
-			// The SQL path re-plans inside the loaded estimator's rebuilt
-			// dataset; predictions must still agree bit for bit.
+			// The SQL path re-plans from the schema and the statistics the
+			// artifact carries; predictions must still agree bit for bit.
 			env := est.Environments()[0]
 			lenv := loaded.Environments()[0]
 			sqls := []string{

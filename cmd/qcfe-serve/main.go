@@ -43,6 +43,17 @@
 // requests see the new one, and the new artifact generation invalidates
 // the query cache without a lock. /stats gains a "drift" block.
 //
+// A served artifact is self-contained: the daemon prices from the
+// model, the benchmark's schema and the statistics the artifact carries,
+// and generates none of the benchmark's rows. With -adapt the labeller
+// executes queries, so the daemon generates the rows on its first label.
+//
+// With the rows gone the daemon's live heap is a few MiB, and at the
+// runtime's default GOGC=100 the collector would run every few MiB of
+// serving garbage. The daemon therefore sets its collector's target to
+// 400% (debug.SetGCPercent) unless GOGC is set in its environment,
+// which still overrides it.
+//
 // Predictions are bit-identical to the library's EstimateSQL on the same
 // artifact, cached or not. SIGINT/SIGTERM trigger a graceful shutdown:
 // the HTTP server stops accepting and drains its in-flight requests.
@@ -72,6 +83,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"syscall"
@@ -83,7 +95,14 @@ import (
 	"repro/internal/tenant"
 )
 
+// gcPercent is the daemon's collector target when GOGC is unset; see the
+// package doc.
+const gcPercent = 400
+
 func main() {
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 	artifactPath := flag.String("artifact", "", "path to a model artifact written by CostEstimator.Save / qcfe-bench -save (required unless -tenants)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	cache := flag.Bool("cache", true, "enable the sharded query-fingerprint cache (template/feature/prediction tiers); hits are bit-identical to cold estimates")

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/dbenv"
 	"repro/internal/encoding"
@@ -20,28 +23,35 @@ import (
 // ArtifactVersion is the persistent artifact format version. Bump it on
 // any layout change; loaders reject other versions loudly rather than
 // misreading bytes.
-const ArtifactVersion = 2
+const ArtifactVersion = 3
 
-// Artifact is one loaded model artifact: the rebuilt dataset, the
-// environment set the model was trained across, the pipeline
-// configuration, and the trained Result (model weights, featurizer with
-// snapshots and mask, bookkeeping). It is everything needed to serve the
-// model — or to keep training it.
+// ErrStaleArtifact reports an artifact this build cannot use as written:
+// its feature layout differs from this build's encoding, or the rows this
+// build generates for its benchmark have other statistics than it records.
+var ErrStaleArtifact = errors.New("core: stale artifact")
+
+// Artifact is one loaded model artifact: the benchmark's schema and the
+// statistics the model was trained over, the environment set it was
+// trained across, the pipeline configuration, and the trained Result
+// (model weights, featurizer with snapshots and mask, bookkeeping). It is
+// everything needed to serve the model — or to keep training it, once the
+// benchmark's rows are generated.
 type Artifact struct {
-	BenchName string
 	BenchSeed int64
-	DS        *datagen.Dataset
-	Envs      []*dbenv.Environment
-	Cfg       Config
-	Res       *Result
+	// DS holds the benchmark's name, its schema and the artifact's
+	// statistics; its DB is nil.
+	DS   *datagen.Dataset
+	Envs []*dbenv.Environment
+	Cfg  Config
+	Res  *Result
 }
 
 // fingerprint hashes everything the artifact's feature layout depends on:
 // the benchmark identity (name + generation seed) and the featurizer's
 // raw feature names (which encode the schema vocabularies, the numeric
 // block, and snapshot-block presence). A loader recomputes it against the
-// code it is running and the dataset it rebuilt; a mismatch means the
-// artifact's feature vectors would not line up with this build's
+// code it is running and the schema that code declares; a mismatch means
+// the artifact's feature vectors would not line up with this build's
 // encoding, so loading fails loudly instead of predicting garbage.
 func fingerprint(benchName string, benchSeed int64, featureNames []string) int64 {
 	h := fnv.New64a()
@@ -54,12 +64,14 @@ func fingerprint(benchName string, benchSeed int64, featureNames []string) int64
 }
 
 // SaveArtifact writes one versioned binary artifact: magic header, format
-// version, benchmark/seed fingerprint, pipeline config, environment set,
-// featurizer state (per-environment snapshots + reduction mask), model
-// weights, and a CRC-32 trailer. The written bytes are deterministic for
-// a given trained pipeline, and a LoadArtifact of them reproduces the
-// model's predictions bit for bit.
-func SaveArtifact(w io.Writer, benchName string, benchSeed int64, envs []*dbenv.Environment, cfg Config, res *Result) error {
+// version, benchmark/seed fingerprint, pipeline config, the dataset's
+// statistics, environment set, featurizer state (per-environment
+// snapshots + reduction mask), model weights, and a CRC-32 trailer. ds
+// names the benchmark and supplies the statistics; its rows are not
+// read. The written bytes are deterministic for a given trained pipeline,
+// and a LoadArtifact of them reproduces the model's predictions bit for
+// bit without generating a row.
+func SaveArtifact(w io.Writer, ds *datagen.Dataset, benchSeed int64, envs []*dbenv.Environment, cfg Config, res *Result) error {
 	if res == nil || res.Model == nil || res.F == nil {
 		return fmt.Errorf("core: cannot save an empty result")
 	}
@@ -68,9 +80,9 @@ func SaveArtifact(w io.Writer, benchName string, benchSeed int64, envs []*dbenv.
 
 	// Header: model identity + benchmark fingerprint.
 	e.Str(modelName)
-	e.Str(benchName)
+	e.Str(ds.Name)
 	e.I64(benchSeed)
-	e.I64(fingerprint(benchName, benchSeed, res.F.Names()))
+	e.I64(fingerprint(ds.Name, benchSeed, res.F.Names()))
 
 	// Pipeline configuration.
 	e.Str(cfg.Model)
@@ -84,6 +96,9 @@ func SaveArtifact(w io.Writer, benchName string, benchSeed int64, envs []*dbenv.
 	e.Int(cfg.ProbeEpochs)
 	e.Int(cfg.ProbeSamples)
 	e.I64(cfg.Seed)
+
+	// The statistics the planner, featurizer and analytic model read.
+	ds.Stats.Encode(e)
 
 	// Environment set.
 	e.U32(uint32(len(envs)))
@@ -125,7 +140,7 @@ func SaveArtifact(w io.Writer, benchName string, benchSeed int64, envs []*dbenv.
 	case *qppnet.Model:
 		m.Encode(e)
 	case *Analytic:
-		// Stateless: fully reconstructed from the dataset statistics.
+		// Stateless: fully reconstructed from the statistics section.
 	default:
 		return fmt.Errorf("core: cannot save estimator %T", res.Model)
 	}
@@ -134,11 +149,12 @@ func SaveArtifact(w io.Writer, benchName string, benchSeed int64, envs []*dbenv.
 }
 
 // LoadArtifact reads an artifact written by SaveArtifact: it validates
-// the magic, version, and checksum, rebuilds the benchmark dataset from
-// its recorded (name, seed) — dataset generation is deterministic — and
-// verifies the fingerprint against this build's feature layout before
-// reconstructing the featurizer and model. The loaded model's
-// EstimateBatch output is bit-identical to the saved model's.
+// the magic, version, and checksum, takes the benchmark's schema from
+// this build by its recorded name and its statistics from the artifact,
+// and verifies the fingerprint against this build's feature layout before
+// reconstructing the featurizer and model. It generates no rows: the
+// returned DS has a nil DB. The loaded model's EstimateBatch output is
+// bit-identical to the saved model's.
 func LoadArtifact(r io.Reader) (*Artifact, error) {
 	d, err := artifact.NewDecoder(r, ArtifactVersion)
 	if err != nil {
@@ -147,7 +163,7 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 
 	a := &Artifact{}
 	modelName := d.Str()
-	a.BenchName = d.Str()
+	benchName := d.Str()
 	a.BenchSeed = d.I64()
 	wantFP := d.I64()
 	if err := d.Err(); err != nil {
@@ -166,6 +182,11 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 	a.Cfg.ProbeSamples = d.Int()
 	a.Cfg.Seed = d.I64()
 
+	stats, err := catalog.DecodeStats(d)
+	if err != nil {
+		return nil, err
+	}
+
 	// Counts are checked against the payload left before they size
 	// anything: an environment starts with its 8-byte ID, a snapshot
 	// entry with its 8-byte environment ID and two 4-byte dimensions.
@@ -182,10 +203,11 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 		a.Envs = append(a.Envs, env)
 	}
 
-	ds, err := datagen.Build(a.BenchName, a.BenchSeed)
+	schema, err := datagen.Schema(benchName)
 	if err != nil {
-		return nil, fmt.Errorf("core: artifact references benchmark %q: %w", a.BenchName, err)
+		return nil, fmt.Errorf("core: artifact references benchmark %q: %w", benchName, err)
 	}
+	ds := &datagen.Dataset{Name: benchName, Schema: schema, Stats: stats}
 	a.DS = ds
 
 	f := &encoding.Featurizer{Enc: encoding.New(ds.Schema)}
@@ -215,12 +237,13 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 		f.Mask = mask
 	}
 
-	// The fingerprint is recomputed from the rebuilt dataset and this
-	// build's encoding — not from the artifact's bytes — so it catches
-	// both a changed dataset generator and a changed feature layout.
-	if gotFP := fingerprint(a.BenchName, a.BenchSeed, f.Names()); gotFP != wantFP {
-		return nil, fmt.Errorf("core: stale artifact: fingerprint mismatch for %s/seed=%d (artifact %x, this build %x) — the dataset generator or feature encoding changed since the artifact was written; retrain and re-save",
-			a.BenchName, a.BenchSeed, uint64(wantFP), uint64(gotFP))
+	// The fingerprint is recomputed from this build's schema and encoding
+	// — not from the artifact's bytes — so it catches a changed schema or
+	// feature layout. A changed row generator shows in the statistics
+	// instead, once rows are generated (CheckStats).
+	if gotFP := fingerprint(benchName, a.BenchSeed, f.Names()); gotFP != wantFP {
+		return nil, fmt.Errorf("%w: fingerprint mismatch for %s/seed=%d (artifact %x, this build %x) — the schema or feature encoding changed since the artifact was written; retrain and re-save",
+			ErrStaleArtifact, benchName, a.BenchSeed, uint64(wantFP), uint64(gotFP))
 	}
 
 	res := &Result{Features: Features{F: f}}
@@ -257,6 +280,30 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 	if err := d.Close(); err != nil {
 		return nil, err
 	}
+	if err := stats.Validate(schema); err != nil {
+		return nil, fmt.Errorf("%w: %v", artifact.ErrMalformed, err)
+	}
 	a.Res = res
 	return a, nil
+}
+
+// CheckStats reports, as ErrStaleArtifact, generated rows whose
+// statistics are not the ones an artifact recorded for them: the dataset
+// generator changed since the artifact was written, and the rows are not
+// the data its model was trained over.
+func CheckStats(ds *datagen.Dataset, recorded *catalog.Stats) error {
+	if !bytes.Equal(statsBytes(ds.Stats), statsBytes(recorded)) {
+		return fmt.Errorf("%w: the %s rows this build generates have other statistics than the artifact records — the dataset generator changed since it was written; retrain and re-save",
+			ErrStaleArtifact, ds.Name)
+	}
+	return nil
+}
+
+// statsBytes is the statistics section SaveArtifact would write for s.
+func statsBytes(s *catalog.Stats) []byte {
+	e := &artifact.Encoder{}
+	s.Encode(e)
+	var buf bytes.Buffer
+	e.WriteTo(&buf, ArtifactVersion) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
 }

@@ -8,9 +8,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/dbenv"
 	"repro/internal/encoding"
@@ -20,10 +22,11 @@ import (
 	"repro/internal/snapshot"
 )
 
-// hostileHeader encodes an artifact's leading sections as SaveArtifact
+// hostileConfig encodes an artifact's leading sections as SaveArtifact
 // lays them out — model and benchmark identity, fingerprint, pipeline
-// configuration — so a test can follow them with a forged count.
-func hostileHeader(e *artifact.Encoder, bench string, seed int64) {
+// configuration — so a test can follow them with a forged statistics
+// count.
+func hostileConfig(e *artifact.Encoder, bench string, seed int64) {
 	e.Str("mscn")
 	e.Str(bench)
 	e.I64(seed)
@@ -42,24 +45,69 @@ func hostileHeader(e *artifact.Encoder, bench string, seed int64) {
 	e.I64(cfg.Seed)
 }
 
-// TestLoadArtifactHostileCounts: an artifact with a valid checksum whose
-// environment or snapshot count is 2^31−1 fails with ErrMalformed, and
-// rejecting it allocates no more than the bytes it holds would justify.
-// Pre-sizing a slice or map from such a count ends the process with an
-// unrecoverable out-of-memory error.
-func TestLoadArtifactHostileCounts(t *testing.T) {
-	if _, err := datagen.Build("sysbench", 1); err != nil { // off the measured path
-		t.Fatal(err)
+// hostileHeader is hostileConfig followed by a valid, empty statistics
+// section, so a forged count after it reaches the environment section.
+func hostileHeader(e *artifact.Encoder, bench string, seed int64) {
+	hostileConfig(e, bench, seed)
+	e.U32(0)
+}
+
+// hostileTable encodes the statistics section up to its one table's
+// column count: the table count, then sbtest1's name, rows and pages.
+func hostileTable(e *artifact.Encoder) {
+	hostileConfig(e, "sysbench", 1)
+	e.U32(1)
+	e.Str("sbtest1")
+	e.I64(10) // rows
+	e.I64(1)  // pages
+}
+
+// hostileColumn follows hostileTable with one column, sbtest1.id, up to
+// its histogram count: its name and its five fixed fields.
+func hostileColumn(e *artifact.Encoder) {
+	hostileTable(e)
+	e.U32(1)
+	e.Str("id")
+	for i := 0; i < 5; i++ { // row count, distinct count, null fraction, min, max
+		e.I64(0)
 	}
+}
+
+// TestLoadArtifactHostileCounts: an artifact with a valid checksum whose
+// statistics table, column, histogram or sample count, environment count
+// or snapshot count is 2^31−1 fails with ErrMalformed, and rejecting it
+// allocates no more than the bytes it holds would justify. Pre-sizing a
+// slice or map from such a count ends the process with an unrecoverable
+// out-of-memory error. Each case encodes every section before the one it
+// names validly, so the forged count is the one the decoder reads there.
+func TestLoadArtifactHostileCounts(t *testing.T) {
 	cases := []struct {
-		name   string
-		encode func(e *artifact.Encoder)
+		name, count string // the case and the count the decoder must reject
+		encode      func(e *artifact.Encoder)
 	}{
-		{"environments", func(e *artifact.Encoder) {
+		{"statistics tables", "statistics table count", func(e *artifact.Encoder) {
+			hostileConfig(e, "sysbench", 1)
+			e.U32(1<<31 - 1)
+		}},
+		{"statistics columns", "column statistics count", func(e *artifact.Encoder) {
+			hostileTable(e)
+			e.U32(1<<31 - 1)
+		}},
+		{"histogram bounds", "histogram bound count", func(e *artifact.Encoder) {
+			hostileColumn(e)
+			e.U32(1<<31 - 1)
+			e.U32(0) // samples
+		}},
+		{"sample values", "sample count", func(e *artifact.Encoder) {
+			hostileColumn(e)
+			e.U32(0)
+			e.U32(1<<31 - 1)
+		}},
+		{"environments", "environment count", func(e *artifact.Encoder) {
 			hostileHeader(e, "sysbench", 1)
 			e.U32(1<<31 - 1)
 		}},
-		{"snapshots", func(e *artifact.Encoder) {
+		{"snapshots", "snapshot count", func(e *artifact.Encoder) {
 			hostileHeader(e, "sysbench", 1)
 			e.U32(0)
 			e.Bool(true)
@@ -79,8 +127,8 @@ func TestLoadArtifactHostileCounts(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			_, err := LoadArtifact(bytes.NewReader(raw))
 			runtime.ReadMemStats(&after)
-			if !errors.Is(err, artifact.ErrMalformed) {
-				t.Fatalf("%d-byte artifact: err = %v, want ErrMalformed", len(raw), err)
+			if !errors.Is(err, artifact.ErrMalformed) || !strings.Contains(err.Error(), tc.count) {
+				t.Fatalf("%d-byte artifact: err = %v, want ErrMalformed at the %s", len(raw), err, tc.count)
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 				t.Fatalf("rejecting a %d-byte artifact allocated %d bytes", len(raw), alloc)
@@ -129,10 +177,7 @@ func TestLoadArtifactChecksDerivedBookkeeping(t *testing.T) {
 	}
 }
 
-// The fuzz target loads every input against one dataset: LoadArtifact
-// builds (and datagen memoizes for the life of the process) whatever
-// benchmark and seed an artifact names, so inputs naming another one are
-// passed over.
+// The fuzz target's seed artifacts are models over this dataset.
 const (
 	fuzzBench = "sysbench"
 	fuzzSeed  = 1
@@ -140,14 +185,27 @@ const (
 
 // fuzzSeedArtifact saves a model of the named kind over fuzzBench with two
 // environments, a snapshot block and a reduction mask, so every section
-// decoder has bytes to read. Its networks are two units wide: the
-// fuzzer's mutation and minimization costs grow with the input, and the
-// decoders read a two-unit layer exactly as a wide one.
+// decoder has bytes to read. Its networks are two units wide and its
+// statistics keep two histogram bounds and two sample values per column:
+// the fuzzer's mutation and minimization costs grow with the input (with
+// the full 64-value samples it spent its whole run minimizing one seed),
+// and the decoders read a short list exactly as a long one.
 func fuzzSeedArtifact(f testing.TB, model string) []byte {
 	f.Helper()
-	ds, err := datagen.Build(fuzzBench, fuzzSeed)
+	full, err := datagen.Build(fuzzBench, fuzzSeed)
 	if err != nil {
 		f.Fatal(err)
+	}
+	ds := &datagen.Dataset{Name: full.Name, Schema: full.Schema, Stats: catalog.NewStats()}
+	for name, ts := range full.Stats.Tables {
+		small := &catalog.TableStats{RowCount: ts.RowCount, Pages: ts.Pages, Columns: map[string]*catalog.ColumnStats{}}
+		for col, cs := range ts.Columns {
+			c := *cs
+			c.HistBounds = c.HistBounds[:min(2, len(c.HistBounds))]
+			c.Sample = c.Sample[:min(2, len(c.Sample))]
+			small.Columns[col] = &c
+		}
+		ds.Stats.Tables[name] = small
 	}
 	envs := dbenv.SampleSet(2, 3)
 	feat := &encoding.Featurizer{Enc: encoding.New(ds.Schema), Snaps: map[int]*snapshot.Snapshot{}}
@@ -176,7 +234,7 @@ func fuzzSeedArtifact(f testing.TB, model string) []byte {
 	}
 	var buf bytes.Buffer
 	res := &Result{Model: est, Features: Features{F: feat}}
-	if err := SaveArtifact(&buf, fuzzBench, fuzzSeed, envs, DefaultConfig(model), res); err != nil {
+	if err := SaveArtifact(&buf, ds, fuzzSeed, envs, DefaultConfig(model), res); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
@@ -196,37 +254,6 @@ func reseal(raw []byte) []byte {
 	out := append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint32(out[20+n:], crc32.ChecksumIEEE(out[:20+n]))
 	return out
-}
-
-// namesOtherDataset reports whether the payload names a buildable
-// benchmark other than (fuzzBench, fuzzSeed).
-func namesOtherDataset(raw []byte) bool {
-	p := raw[min(len(raw), 20):]
-	str := func() (string, bool) {
-		if len(p) < 4 {
-			return "", false
-		}
-		n := uint64(binary.LittleEndian.Uint32(p))
-		if uint64(len(p)-4) < n {
-			return "", false
-		}
-		s := string(p[4 : 4+n])
-		p = p[4+n:]
-		return s, true
-	}
-	if _, ok := str(); !ok {
-		return false
-	}
-	bench, ok := str()
-	if !ok || len(p) < 8 {
-		return false
-	}
-	seed := int64(binary.LittleEndian.Uint64(p))
-	switch bench {
-	case "tpch", "imdb", "sysbench":
-		return bench != fuzzBench || seed != fuzzSeed
-	}
-	return false
 }
 
 // FuzzLoadArtifact: whatever the bytes, LoadArtifact returns without
@@ -260,9 +287,6 @@ func FuzzLoadArtifact(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		raw = reseal(raw)
-		if namesOtherDataset(raw) {
-			return
-		}
 		a, err := LoadArtifact(bytes.NewReader(raw))
 		if (a == nil) == (err == nil) {
 			t.Fatalf("LoadArtifact returned artifact %v and error %v", a != nil, err)

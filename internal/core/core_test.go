@@ -257,7 +257,7 @@ func TestFeaturesTrainTwoModels(t *testing.T) {
 		r := *res
 		r.TrainTime, r.ReductionTime = 0, 0
 		var buf bytes.Buffer
-		if err := SaveArtifact(&buf, "sysbench", 1, envs, c, &r); err != nil {
+		if err := SaveArtifact(&buf, sysb, 1, envs, c, &r); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

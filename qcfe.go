@@ -65,11 +65,25 @@ func RandomEnvironments(n int, seed int64) []*Environment {
 	return dbenv.SampleSet(n, seed)
 }
 
-// Benchmark is one loaded benchmark dataset (schema, data, statistics)
-// plus its workload templates.
+// ErrStaleArtifact reports an artifact this build cannot use as written:
+// its feature layout is not this build's, or — found when a loaded
+// estimator's benchmark first generates its rows — those rows have other
+// statistics than the artifact records.
+var ErrStaleArtifact = core.ErrStaleArtifact
+
+// Benchmark is one benchmark dataset (schema, statistics, and the rows
+// they summarize) plus its workload templates.
 type Benchmark struct {
-	ds   *datagen.Dataset
+	// meta is what plans are priced from: the schema and the statistics.
+	// An opened benchmark's meta is its generated dataset; a loaded
+	// estimator's carries the artifact's statistics and no rows.
+	meta *datagen.Dataset
 	seed int64
+
+	rowsOnce  sync.Once
+	rows      *datagen.Dataset
+	rowsErr   error
+	rowBuilds atomic.Int32 // row generations started; rowsOnce keeps it at most 1
 }
 
 // OpenBenchmark builds a benchmark dataset by name: "tpch", "imdb"
@@ -79,18 +93,52 @@ func OpenBenchmark(name string, seed int64) (*Benchmark, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Benchmark{ds: ds, seed: seed}, nil
+	return &Benchmark{meta: ds, seed: seed}, nil
 }
 
 // Name returns the benchmark name.
-func (b *Benchmark) Name() string { return b.ds.Name }
+func (b *Benchmark) Name() string { return b.meta.Name }
 
 // Seed returns the deterministic generation seed the benchmark was opened
-// with; artifacts record it so a loader can rebuild the identical dataset.
+// with; artifacts record it so a loaded estimator can generate the
+// identical rows when it first needs them.
 func (b *Benchmark) Seed() int64 { return b.seed }
 
-// Dataset exposes the underlying dataset for advanced use.
-func (b *Benchmark) Dataset() *datagen.Dataset { return b.ds }
+// data returns the benchmark's dataset with its rows. A benchmark loaded
+// from an artifact generates them here, once, through datagen's
+// process-wide memo, and checks their statistics against the artifact's:
+// rows that disagree fail every later call with ErrStaleArtifact.
+func (b *Benchmark) data() (*datagen.Dataset, error) {
+	b.rowsOnce.Do(func() {
+		if b.meta.DB != nil {
+			b.rows = b.meta
+			return
+		}
+		b.rowBuilds.Add(1)
+		ds, err := datagen.Build(b.meta.Name, b.seed)
+		if err == nil {
+			err = core.CheckStats(ds, b.meta.Stats)
+		}
+		if err != nil {
+			b.rowsErr = fmt.Errorf("qcfe: %s rows: %w", b.meta.Name, err)
+			return
+		}
+		b.rows = ds
+	})
+	return b.rows, b.rowsErr
+}
+
+// Dataset exposes the underlying dataset, rows included, for advanced
+// use. A loaded estimator's benchmark generates its rows on the first
+// call; it panics with ErrStaleArtifact if they do not match the
+// artifact's statistics.
+func (b *Benchmark) Dataset() *datagen.Dataset {
+	ds, err := b.data()
+	if err != nil {
+		panic(err)
+	}
+	return ds
+}
 
 // QueryResult is one executed query.
 type QueryResult struct {
@@ -129,17 +177,21 @@ func planAnnotated(ds *datagen.Dataset, env *Environment, sql string) (*planner.
 // observed elsewhere) into a training sample without paying an engine
 // execution.
 func (b *Benchmark) Plan(env *Environment, sql string) (*planner.Node, error) {
-	node, _, err := planAnnotated(b.ds, env, sql)
+	node, _, err := planAnnotated(b.meta, env, sql)
 	return node, err
 }
 
 // Execute plans and runs one SQL query under an environment.
 func (b *Benchmark) Execute(env *Environment, sql string) (*QueryResult, error) {
-	node, _, err := planAnnotated(b.ds, env, sql)
+	ds, err := b.data()
 	if err != nil {
 		return nil, err
 	}
-	res, err := engine.New(b.ds.DB, env).Execute(node)
+	node, _, err := planAnnotated(ds, env, sql)
+	if err != nil {
+		return nil, err
+	}
+	res, err := engine.New(ds.DB, env).Execute(node)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +201,7 @@ func (b *Benchmark) Execute(env *Environment, sql string) (*QueryResult, error) 
 // AnalyticEstimateMs prices a plan with the PostgreSQL-style cost model
 // (the paper's PGSQL baseline).
 func (b *Benchmark) AnalyticEstimateMs(plan *planner.Node) float64 {
-	return pgcost.New(b.ds.Stats).EstimateMs(plan)
+	return pgcost.New(b.meta.Stats).EstimateMs(plan)
 }
 
 // Workload is a labeled query pool collected across environments.
@@ -168,7 +220,11 @@ func (b *Benchmark) CollectWorkload(envs []*Environment, perEnv int, seed int64)
 // is cancelled and the call returns ctx's error instead of a partial
 // pool.
 func (b *Benchmark) CollectWorkloadCtx(ctx context.Context, envs []*Environment, perEnv int, seed int64) (*Workload, error) {
-	lab, err := workload.Collect(ctx, b.ds, envs, perEnv, seed)
+	ds, err := b.data()
+	if err != nil {
+		return nil, err
+	}
+	lab, err := workload.Collect(ctx, ds, envs, perEnv, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +337,11 @@ func (p *Pipeline) Fit(b *Benchmark, envs []*Environment, train []workload.Sampl
 // cancelling stops the run promptly. A cancelled fit returns ctx's error
 // and no estimator — partially trained state never escapes.
 func (p *Pipeline) FitCtx(ctx context.Context, b *Benchmark, envs []*Environment, train []workload.Sample) (*CostEstimator, error) {
-	res, err := core.RunCtx(ctx, b.ds, envs, train, p.cfg)
+	ds, err := b.data()
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.RunCtx(ctx, ds, envs, train, p.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +442,7 @@ func (e *CostEstimator) CachedEstimate(env *Environment, sql string) (float64, b
 func (e *CostEstimator) EstimateSQL(env *Environment, sql string) (float64, error) {
 	c := e.cache.Load()
 	if c == nil {
-		node, _, err := planAnnotated(e.bench.ds, env, sql)
+		node, _, err := planAnnotated(e.bench.meta, env, sql)
 		if err != nil {
 			return 0, err
 		}
@@ -432,7 +492,7 @@ func (e *CostEstimator) front(c *qcache.QueryCache, g uint64, env *Environment, 
 		// authoritative error (or, conceivably, a plan), keyed by its
 		// raw text: only an empty query has an empty fingerprint.
 		p.fkey = qcache.FeatureKey(env.ID, "", sql)
-		p.node, _, err = planAnnotated(e.bench.ds, env, sql)
+		p.node, _, err = planAnnotated(e.bench.meta, env, sql)
 		return err
 	}
 	p.fkey = qcache.FeatureKey(env.ID, fpr, sqlparse.Signature(lits))
@@ -446,7 +506,7 @@ func (e *CostEstimator) front(c *qcache.QueryCache, g uint64, env *Environment, 
 	}
 	if p.node == nil {
 		var q *sqlparse.Query
-		if p.node, q, err = planAnnotated(e.bench.ds, env, sql); err != nil {
+		if p.node, q, err = planAnnotated(e.bench.meta, env, sql); err != nil {
 			return err
 		}
 		// Freeze the now-resolved skeleton for future literal variants.
@@ -465,7 +525,7 @@ func (e *CostEstimator) planFromSkeleton(skel *sqlparse.Query, lits []sqlparse.L
 	if err := q.BindLiterals(lits); err != nil {
 		return nil
 	}
-	node, err := planner.New(e.bench.ds.Schema, e.bench.ds.Stats, env.Knobs).PlanResolved(q)
+	node, err := planner.New(e.bench.meta.Schema, e.bench.meta.Stats, env.Knobs).PlanResolved(q)
 	if err != nil {
 		return nil
 	}
@@ -546,7 +606,7 @@ func (e *CostEstimator) FeaturizeSQLBatchCtx(ctx context.Context, env *Environme
 	if c == nil {
 		fstart := time.Now()
 		nodes, err := parallel.MapCtx(ctx, len(sqls), 0, func(i int) (*planner.Node, error) {
-			node, _, err := planAnnotated(e.bench.ds, env, sqls[i])
+			node, _, err := planAnnotated(e.bench.meta, env, sqls[i])
 			return node, err
 		})
 		if err != nil {
@@ -660,8 +720,9 @@ func (e *CostEstimator) ModelName() string { return e.res.Model.Name() }
 func (e *CostEstimator) BenchmarkName() string { return e.bench.Name() }
 
 // Benchmark returns the benchmark the estimator prices queries against
-// (for a loaded estimator, rebuilt deterministically from the artifact's
-// recorded name and seed).
+// (for a loaded estimator, the artifact's schema and statistics; its rows
+// are generated from the recorded name and seed only when something
+// executes).
 func (e *CostEstimator) Benchmark() *Benchmark { return e.bench }
 
 // Environments returns the environment set the estimator was trained
@@ -682,15 +743,19 @@ func (e *CostEstimator) Environments() []*Environment { return e.envs }
 // optimizer (like a newly constructed model), not a byte-level
 // continuation of the original run.
 func (e *CostEstimator) Save(w io.Writer) error {
-	return core.SaveArtifact(w, e.bench.Name(), e.bench.Seed(), e.envs, e.cfg, e.res)
+	return core.SaveArtifact(w, e.bench.meta, e.bench.seed, e.envs, e.cfg, e.res)
 }
 
 // LoadEstimator reads an artifact written by Save. It validates the
-// magic, version, and checksum, rebuilds the benchmark dataset from the
-// recorded (name, seed) — generation is deterministic — and verifies the
-// recorded fingerprint against this build's feature layout, so stale
-// artifacts (written against a different dataset generator or feature
-// encoding) fail loudly instead of predicting garbage.
+// magic, version, and checksum, takes the benchmark's schema from this
+// build and its statistics from the artifact, and verifies the recorded
+// fingerprint against this build's feature layout, so an artifact written
+// against a different feature encoding fails loudly instead of predicting
+// garbage. It generates no rows: pricing reads only the schema and the
+// statistics. The first Execute, CollectWorkload, Fit or Transfer on the
+// estimator or its Benchmark generates them from the recorded (name,
+// seed) and fails with ErrStaleArtifact if their statistics are not the
+// artifact's.
 func LoadEstimator(r io.Reader) (*CostEstimator, error) {
 	a, err := core.LoadArtifact(r)
 	if err != nil {
@@ -698,7 +763,7 @@ func LoadEstimator(r io.Reader) (*CostEstimator, error) {
 	}
 	return &CostEstimator{
 		res:   a.Res,
-		bench: &Benchmark{ds: a.DS, seed: a.BenchSeed},
+		bench: &Benchmark{meta: a.DS, seed: a.BenchSeed},
 		envs:  a.Envs,
 		cfg:   a.Cfg,
 	}, nil
@@ -721,7 +786,7 @@ func LoadEstimator(r io.Reader) (*CostEstimator, error) {
 // reports an error rather than writing a partial artifact.
 func AnalyticEstimator(b *Benchmark, envs []*Environment) *CostEstimator {
 	return &CostEstimator{
-		res:   &core.Result{Model: core.NewAnalytic(b.ds.Stats)},
+		res:   &core.Result{Model: core.NewAnalytic(b.meta.Stats)},
 		bench: b,
 		envs:  envs,
 		cfg:   core.DefaultConfig("analytic"),
@@ -798,8 +863,12 @@ func (e *CostEstimator) SnapshotCollectionMs() float64 { return e.res.SnapshotMs
 // The result prices and saves under the new snapshot and the receiver's
 // mask.
 func (e *CostEstimator) Transfer(newEnv *Environment, train []workload.Sample, retrainIters int) (*CostEstimator, error) {
+	ds, err := e.bench.data()
+	if err != nil {
+		return nil, err
+	}
 	ctx := context.TODO()
-	ft, err := e.res.ForEnvCtx(ctx, e.bench.ds, newEnv, e.cfg)
+	ft, err := e.res.ForEnvCtx(ctx, ds, newEnv, e.cfg)
 	if err != nil {
 		return nil, err
 	}
