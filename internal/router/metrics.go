@@ -5,8 +5,8 @@ import (
 )
 
 // WriteMetrics renders the router's own metric surface: routing
-// counters, the routing-key memo, per-replica dispatch state labeled
-// replica="<url>", and the request/sub-batch latency histograms. It
+// counters, per-replica dispatch state labeled replica="<url>", and
+// the request/sub-batch latency histograms. It
 // deliberately does NOT fetch replica /stats the way the JSON /stats
 // endpoint does — a scrape must stay local and cheap; each replica
 // exposes its own /metrics for the fleet view, and the replica label
@@ -20,11 +20,6 @@ func (rt *Router) WriteMetrics(g *obs.Gatherer) {
 	g.Counter("qcfe_router_rollouts_total", "Successful fleet rollouts.", rt.rollouts.Load())
 	g.Counter("qcfe_router_rollbacks_total", "Rollouts aborted and rolled back.", rt.rollbacks.Load())
 	g.Gauge("qcfe_router_uptime_seconds", "Seconds since this router object was constructed.", rt.Uptime().Seconds())
-
-	rh := rt.hashes.stats()
-	g.Counter("qcfe_routehash_hits_total", "Routing keys answered from the memo snapshot.", rh.Hits)
-	g.Counter("qcfe_routehash_misses_total", "Routing keys that needed a fresh normalize-and-hash.", rh.Misses)
-	g.Counter("qcfe_routehash_resets_total", "Routing-key memo shards discarded.", rh.Resets)
 
 	healthy := 0
 	for _, rep := range rt.replicas {

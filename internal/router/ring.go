@@ -8,8 +8,9 @@ import (
 
 // ring is the consistent-hash layout of the replica fleet: every replica
 // owns Vnodes points on a 64-bit circle (FNV-1a of "id#vnode"), and a
-// query's routing hash (sqlparse.RoutingHash — the hash of its
-// normalized fingerprint) lands on the first point clockwise from it.
+// query's routing hash (sqlparse.RoutingHash — the FNV-1a of its
+// normalized fingerprint, computed afresh for every routed query) lands
+// on the first point clockwise from it.
 //
 // Two properties carry the serving contract:
 //

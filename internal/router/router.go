@@ -10,9 +10,9 @@
 // mid-rollout (where each answer is wholly one generation's — never a
 // blend). Three design rules make that hold:
 //
-//   - Routing is a pure function of the query text: the ring hashes
-//     sqlparse.RoutingKey (the normalized fingerprint), so placement
-//     depends on nothing dynamic.
+//   - Routing is a pure function of the query text: the ring places
+//     sqlparse.RoutingHash (the hash of the normalized fingerprint), so
+//     placement depends on nothing dynamic.
 //   - Failover is deterministic: a query that cannot be served by its
 //     primary retries on the key's ring-walk successor, a fixed order —
 //     and since every replica serves the same artifact bytes, the
@@ -120,7 +120,6 @@ type Router struct {
 	opts     Options
 	replicas []*replica
 	ring     *ring
-	hashes   routeHashCache
 	start    time.Time
 
 	requests     atomic.Int64 // single-query requests routed

@@ -341,48 +341,15 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 // TestRoutingKeyGroupsTemplates: literal variants of one template share
-// a routing key (and so a replica), distinct templates may differ.
+// a routing hash (and so a replica), distinct templates may differ.
 func TestRoutingKeyGroupsTemplates(t *testing.T) {
-	a := sqlparse.RoutingKey("SELECT * FROM sbtest1 WHERE id = 7")
-	b := sqlparse.RoutingKey("SELECT * FROM sbtest1 WHERE id = 900001")
+	a := sqlparse.RoutingHash("SELECT * FROM sbtest1 WHERE id = 7")
+	b := sqlparse.RoutingHash("SELECT * FROM sbtest1 WHERE id = 900001")
 	if a != b {
-		t.Fatalf("literal variants map to different routing keys:\n  %q\n  %q", a, b)
+		t.Fatalf("literal variants map to different routing hashes: %#x, %#x", a, b)
 	}
-	c := sqlparse.RoutingKey("SELECT COUNT(*) FROM sbtest1 WHERE k < 10")
+	c := sqlparse.RoutingHash("SELECT COUNT(*) FROM sbtest1 WHERE k < 10")
 	if a == c {
-		t.Fatal("distinct templates share a routing key")
-	}
-	if sqlparse.RoutingHash("SELECT * FROM sbtest1 WHERE id = 7") != sqlparse.RoutingHash("SELECT * FROM sbtest1 WHERE id = 8") {
-		t.Fatal("routing hash differs across literal variants")
-	}
-}
-
-// TestRouteHashCacheMemoizes: the router-side exact-text memo of
-// RoutingHash always agrees with the pure function (routing must stay a
-// pure function of the text) and survives its wholesale shard resets.
-func TestRouteHashCacheMemoizes(t *testing.T) {
-	var c routeHashCache
-	sqls := make([]string, 64)
-	for i := range sqls {
-		sqls[i] = fmt.Sprintf("SELECT col FROM t WHERE x < %d", i)
-	}
-	for round := 0; round < 2; round++ { // second round hits the memo
-		for _, sql := range sqls {
-			if got, want := c.hash(sql), sqlparse.RoutingHash(sql); got != want {
-				t.Fatalf("round %d: cached hash %x != RoutingHash %x for %q", round, got, want, sql)
-			}
-		}
-	}
-	// Overflow a shard far past its capacity: entries reset, answers don't.
-	for i := 0; i < routeHashShards*routeHashShardCap+512; i++ {
-		sql := fmt.Sprintf("SELECT a FROM flood WHERE id = %d", i)
-		if got, want := c.hash(sql), sqlparse.RoutingHash(sql); got != want {
-			t.Fatalf("post-reset hash mismatch for %q", sql)
-		}
-	}
-	for i := range c.shards {
-		if n := len(c.shards[i].m); n > routeHashShardCap {
-			t.Fatalf("shard %d grew to %d entries, cap %d", i, n, routeHashShardCap)
-		}
+		t.Fatal("distinct templates share a routing hash")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/sqlparse"
 )
 
 // Scatter/gather: a batch request is split into per-replica sub-batches
@@ -121,7 +122,7 @@ func (rt *Router) scatter(ctx context.Context, tenant string, env int, sqls []st
 	seqByHash := make(map[uint64][]int)
 	routes := make([]route, len(sqls))
 	for i, sql := range sqls {
-		h := tenantKey(rt.hashes.hash(sql), tenant)
+		h := tenantKey(sqlparse.RoutingHash(sql), tenant)
 		seq, ok := seqByHash[h]
 		if !ok {
 			seq = rt.ring.sequence(h)

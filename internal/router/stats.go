@@ -41,9 +41,6 @@ type StatsResponse struct {
 	Errors       int64  `json:"errors"`
 	Rollouts     int64  `json:"rollouts"`
 	Rollbacks    int64  `json:"rollbacks"`
-	// RouteHash is the routing-key memo's hit/miss/reset counters
-	// (internal/router routeHashCache).
-	RouteHash RouteHashStats `json:"routehash"`
 	// Fleet sums the serve counters of every replica that answered;
 	// its mean_batch is 1 once any replica has priced a miss.
 	Fleet serve.Stats `json:"fleet"`
@@ -91,7 +88,6 @@ func (rt *Router) Stats(ctx context.Context) StatsResponse {
 		Errors:       rt.errors.Load(),
 		Rollouts:     rt.rollouts.Load(),
 		Rollbacks:    rt.rollbacks.Load(),
-		RouteHash:    rt.hashes.stats(),
 	}
 	for _, rep := range rt.replicas {
 		state, trips := rep.breaker.snapshot()

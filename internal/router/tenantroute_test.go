@@ -2,75 +2,10 @@ package router
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sync"
 	"testing"
 )
-
-// TestRouteHashStats: the memo's hit/miss/reset counters line up with
-// what the cache actually did, and Router.Stats surfaces them.
-func TestRouteHashStats(t *testing.T) {
-	var c routeHashCache
-	const distinct = 64
-	sqls := make([]string, distinct)
-	for i := range sqls {
-		sqls[i] = fmt.Sprintf("SELECT col FROM t WHERE x < %d", i)
-	}
-	for _, sql := range sqls {
-		c.hash(sql)
-	}
-	s := c.stats()
-	if s.Misses != distinct || s.Hits != 0 {
-		t.Fatalf("cold pass: stats %+v, want %d misses, 0 hits", s, distinct)
-	}
-	// Recompute-until-published, then the warm path: total probes minus
-	// recorded misses must all be snapshot hits.
-	const rounds = 200
-	for r := 0; r < rounds; r++ {
-		for _, sql := range sqls {
-			c.hash(sql)
-		}
-	}
-	s = c.stats()
-	if s.Hits == 0 {
-		t.Fatal("no snapshot hits after warm rounds")
-	}
-	if s.Hits+s.Misses != distinct*(rounds+1) {
-		t.Fatalf("hits %d + misses %d != probes %d", s.Hits, s.Misses, distinct*(rounds+1))
-	}
-	if s.Resets != 0 {
-		t.Fatalf("resets = %d before any shard filled", s.Resets)
-	}
-	// Overflow the shards: wholesale resets must be counted.
-	for i := 0; i < routeHashShards*routeHashShardCap+512; i++ {
-		c.hash(fmt.Sprintf("SELECT a FROM flood WHERE id = %d", i))
-	}
-	if s = c.stats(); s.Resets == 0 {
-		t.Fatal("no resets counted after overflowing every shard")
-	}
-}
-
-// TestRouterStatsExposesRouteHash: the /stats surface carries the memo
-// counters.
-func TestRouterStatsExposesRouteHash(t *testing.T) {
-	f := startFleet(t, 2, nil)
-	rt := newTestRouter(t, f, Options{})
-	ctx := context.Background()
-	sql := testSQL(0)
-	for i := 0; i < 3; i++ {
-		if _, err := rt.Estimate(ctx, 0, sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := rt.Stats(ctx)
-	if st.RouteHash.Misses == 0 {
-		t.Fatalf("router stats routehash block empty: %+v", st.RouteHash)
-	}
-	if got := rt.hashes.stats(); got != st.RouteHash {
-		t.Fatalf("stats block %+v != cache counters %+v", st.RouteHash, got)
-	}
-}
 
 // TestTenantKey: the tenant fold keeps the empty tenant's placements
 // and separates named tenants deterministically.

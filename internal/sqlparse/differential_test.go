@@ -19,6 +19,27 @@ var placeholderRe = regexp.MustCompile(`\{[^}]*\}`)
 // number out of int64's range (a lexable token Fingerprint must reject).
 var slotLiterals = []string{"42", "'BUILDING'", "-7", "3.25", "'it''s'", "0", "'%x%'", "99999999999999999999"}
 
+// filledTemplates returns every tpch, imdb and sysbench template of
+// internal/workload with its slots filled from lits in rotation.
+func filledTemplates(t testing.TB, lits []string) []string {
+	t.Helper()
+	var out []string
+	slot := 0
+	for _, name := range []string{"tpch", "imdb", "sysbench"} {
+		templates := workload.TemplatesFor(name)
+		if len(templates) == 0 {
+			t.Fatalf("no templates for %s", name)
+		}
+		for _, tpl := range templates {
+			out = append(out, placeholderRe.ReplaceAllStringFunc(tpl, func(string) string {
+				slot++
+				return lits[slot%len(lits)]
+			}))
+		}
+	}
+	return out
+}
+
 // respell returns odd spellings of one statement: case swapped and
 // folded, whitespace stretched into tabs and newlines, and spacing around
 // punctuation and operators removed or added.
@@ -54,19 +75,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		corpus = append(corpus, p[0], p[1])
 	}
 	corpus = append(corpus, sqlparse.FuzzSeeds...)
-	slot := 0
-	for _, name := range []string{"tpch", "imdb", "sysbench"} {
-		templates := workload.TemplatesFor(name)
-		if len(templates) == 0 {
-			t.Fatalf("no templates for %s", name)
-		}
-		for _, tpl := range templates {
-			corpus = append(corpus, placeholderRe.ReplaceAllStringFunc(tpl, func(string) string {
-				slot++
-				return slotLiterals[slot%len(slotLiterals)]
-			}))
-		}
-	}
+	corpus = append(corpus, filledTemplates(t, slotLiterals)...)
 	// Shapes the lexer rejects or nearly rejects.
 	corpus = append(corpus,
 		"", " ", ";", "SELECT 'unterminated", "SELECT 1.2.3", "SELECT a ! b", "SELECT a - b", "SELECT #",

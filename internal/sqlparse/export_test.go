@@ -5,6 +5,7 @@ package sqlparse
 // in-package test cannot).
 var (
 	CheckAgainstReference = checkAgainstReference
+	RefRoutingHash        = refRoutingHash
 	FuzzSeeds             = fuzzSeeds
 	CollisionCorpus       = append(append([][2]string{}, collisionSame...), collisionDiff...)
 )

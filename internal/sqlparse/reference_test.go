@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,7 +14,8 @@ import (
 // under them exactly as they stood before the single-pass rewrite (only
 // the names carry a ref prefix). The differential tests and
 // FuzzFingerprint hold the product code to these byte for byte —
-// fingerprints and signatures are cache keys and router placement.
+// fingerprints and signatures are cache keys, and the fingerprint's
+// FNV-1a-64 (refRoutingHash) is router placement.
 
 // refLexer is the slice-building lexer as it stood before the pull-style
 // rewrite.
@@ -239,12 +241,25 @@ func refSpaceBetween(prev, cur token) bool {
 	return true
 }
 
-// checkAgainstReference holds the product lexer, Fingerprint and
-// Signature to the reference on one input: identical token stream (and
-// lexer error text — Parse hands it to users), identical fingerprint,
-// literal vector and signature, and the same error-ness (Fingerprint's
-// error text never reaches users; the single pass may meet an
-// out-of-range number before a later unlexable byte).
+// refRoutingHash is RoutingHash as it stood before it hashed in place:
+// hash/fnv's FNV-1a-64 of the reference fingerprint, or of the raw text
+// when the reference rejects it.
+func refRoutingHash(sql string) uint64 {
+	key, _, err := refFingerprint(sql)
+	if err != nil {
+		key = sql
+	}
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return h.Sum64()
+}
+
+// checkAgainstReference holds the product lexer, Fingerprint, Signature
+// and RoutingHash to the reference on one input: identical token stream
+// (and lexer error text — Parse hands it to users), identical
+// fingerprint, literal vector, signature and routing hash, and the same
+// error-ness (Fingerprint's error text never reaches users; the single
+// pass may meet an out-of-range number before a later unlexable byte).
 func checkAgainstReference(t testing.TB, sql string) {
 	t.Helper()
 	toks, lerr := lex(sql)
@@ -269,5 +284,8 @@ func checkAgainstReference(t testing.TB, sql string) {
 	}
 	if sig, refSig := Signature(lits), refSignature(refLits); sig != refSig {
 		t.Fatalf("Signature of %q = %q, reference %q", sql, sig, refSig)
+	}
+	if h, refH := RoutingHash(sql), refRoutingHash(sql); h != refH {
+		t.Fatalf("RoutingHash(%q) = %#x, reference %#x", sql, h, refH)
 	}
 }
