@@ -116,6 +116,59 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAdaptMatchesLoadedRetrain pins what Adapt trains: for each
+// trainable model, Adapt's predictions equal, bit for bit, those of a
+// LoadEstimator copy of the receiver trained on the same window through
+// its model's TrainCtx (a loaded model starts a fresh optimizer and seeds
+// its sampler from the config's seed, as a clone does). Its train time
+// adds to the receiver's, and the receiver is only read.
+func TestAdaptMatchesLoadedRetrain(t *testing.T) {
+	for _, model := range []string{"mscn", "qppnet"} {
+		t.Run(model, func(t *testing.T) {
+			est, window := trainedFixture(t, model)
+			raw := saveToBytes(t, est)
+			const iters = 20
+			next, err := est.Adapt(window, iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := LoadEstimator(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans, ms := workload.PlansAndLabels(window)
+			if _, err := ref.res.Model.TrainCtx(context.Background(), plans, ms, iters); err != nil {
+				t.Fatal(err)
+			}
+			want, got := ref.EstimateBatch(plans), next.EstimateBatch(plans)
+			moved := false
+			for i := range plans {
+				if got[i] != want[i] {
+					t.Fatalf("plan %d: adapted %v != loaded-and-trained %v", i, got[i], want[i])
+				}
+				moved = moved || got[i] != est.EstimateMs(plans[i])
+			}
+			if !moved {
+				t.Fatal("adapting changed no prediction")
+			}
+			if next.res.TrainTime <= est.res.TrainTime {
+				t.Fatalf("train time %v is not the receiver's %v plus the retrain", next.res.TrainTime, est.res.TrainTime)
+			}
+			// With the train time matched, the two artifacts are the same bytes.
+			ref.res.TrainTime = next.res.TrainTime
+			if !bytes.Equal(saveToBytes(t, next), saveToBytes(t, ref)) {
+				t.Fatal("adapted artifact differs from the loaded-and-trained one")
+			}
+			if !bytes.Equal(raw, saveToBytes(t, est)) {
+				t.Fatal("Adapt changed the receiver")
+			}
+			if _, err := est.Adapt(window, 0); err == nil {
+				t.Fatal("Adapt with 0 iterations must error")
+			}
+		})
+	}
+}
+
 // TestLoadRejectsDamage locks in the loud-failure contract for every way
 // an artifact can be wrong: truncation, bit corruption, a foreign file,
 // and a format-version mismatch each produce a distinct error.

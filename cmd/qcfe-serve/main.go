@@ -26,11 +26,10 @@
 // rollouts and are enabled by -admin-token (disabled with 403 when the
 // flag is empty); -advertise names this replica in /healthz.
 //
-// A sharded query-fingerprint cache (on by default; -cache=false
-// disables, -cache-capacity sizes it) answers warm
-// repeats before they are priced and reuses plan skeletons and
-// featurizations across literal variants; /stats reports per-tier
-// hit/miss/size counters.
+// A sharded query-fingerprint cache (-cache-capacity sizes it) answers
+// warm repeats before they are priced, answers other spellings of a
+// priced query, and reuses plan skeletons across literal variants;
+// /stats reports per-tier hit/miss/size counters.
 //
 // With -adapt the daemon also runs the online-adaptation loop
 // (internal/online): served estimates are opportunistically replayed
@@ -65,8 +64,8 @@
 //
 //	qcfe-serve -tenants alpha=a.qcfe,beta=b.qcfe -tenant-weights alpha=3,beta=1 -max-inflight 32
 //
-// Each tenant gets its own serving front end, its own tenant-namespaced
-// query cache, and (with -adapt) its own drift monitor; requests name
+// Each tenant gets its own serving front end, its own query cache
+// instance, and (with -adapt) its own drift monitor; requests name
 // their tenant via the X-QCFE-Tenant header or the body's "tenant"
 // field. Admission divides -max-inflight NN slots into weighted
 // fair-share floors (-tenant-weights; default 1 each), and under
@@ -105,8 +104,7 @@ func main() {
 	}
 	artifactPath := flag.String("artifact", "", "path to a model artifact written by CostEstimator.Save / qcfe-bench -save (required unless -tenants)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	cache := flag.Bool("cache", true, "enable the sharded query-fingerprint cache (template/feature/prediction tiers); hits are bit-identical to cold estimates")
-	cacheCapacity := flag.Int("cache-capacity", 0, "cache entry budget per tier (0 = 4096)")
+	cacheCapacity := flag.Int("cache-capacity", 0, "entry budget per tier of the sharded query-fingerprint cache (0 = 4096); hits are bit-identical to cold estimates")
 	adapt := flag.Bool("adapt", false, "enable drift-monitored online adaptation: label served traffic, retrain incrementally on drift, hot-swap atomically")
 	driftThreshold := flag.Float64("drift-threshold", 2.0, "with -adapt: rolling median q-error above which the model is retrained")
 	retrainWindow := flag.Int("retrain-window", 256, "with -adapt: sliding window of recent labeled queries retraining uses")
@@ -131,10 +129,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var copts *qcfe.CacheOptions
-	if *cache {
-		copts = &qcfe.CacheOptions{Capacity: *cacheCapacity}
-	}
+	copts := qcfe.CacheOptions{Capacity: *cacheCapacity}
 	var aopts *online.Options
 	if *adapt {
 		aopts = &online.Options{
@@ -164,7 +159,7 @@ func main() {
 // runMulti is the -tenants boot path: load every named artifact, build
 // the fair-share registry, wire an independent drift monitor per tenant
 // when -adapt is on, and serve the registry's handler.
-func runMulti(specs, weightsSpec string, maxInflight int, addr string, opts serve.Options, copts *qcfe.CacheOptions, aopts *online.Options) error {
+func runMulti(specs, weightsSpec string, maxInflight int, addr string, opts serve.Options, copts qcfe.CacheOptions, aopts *online.Options) error {
 	weights, err := parseWeights(weightsSpec)
 	if err != nil {
 		return err
@@ -196,7 +191,7 @@ func runMulti(specs, weightsSpec string, maxInflight int, addr string, opts serv
 	reg, err := tenant.New(tenant.Options{
 		Serve:       opts,
 		MaxInflight: maxInflight,
-		Cache:       copts,
+		Cache:       &copts,
 	}, cfgs)
 	if err != nil {
 		return err
@@ -245,7 +240,7 @@ func parseWeights(spec string) (map[string]int, error) {
 	return weights, nil
 }
 
-func run(artifactPath, addr string, opts serve.Options, copts *qcfe.CacheOptions, aopts *online.Options) error {
+func run(artifactPath, addr string, opts serve.Options, copts qcfe.CacheOptions, aopts *online.Options) error {
 	f, err := os.Open(artifactPath)
 	if err != nil {
 		return err
@@ -257,13 +252,11 @@ func run(artifactPath, addr string, opts serve.Options, copts *qcfe.CacheOptions
 	}
 	fmt.Printf("qcfe-serve: loaded %s estimator for %s (%d environments, trained %.1fs)\n",
 		est.ModelName(), est.BenchmarkName(), len(est.Environments()), est.TrainSeconds())
-	if copts != nil {
-		c := qcfe.NewQueryCache(*copts)
-		est.AttachCache(c)
-		st := c.Stats()
-		fmt.Printf("qcfe-serve: query cache on (%d shards, %d entries/tier, generation %x); /stats reports per-tier hits\n",
-			st.Shards, st.Capacity, st.Generation)
-	}
+	c := qcfe.NewQueryCache(copts)
+	est.AttachCache(c)
+	st := c.Stats()
+	fmt.Printf("qcfe-serve: query cache on (%d shards, %d entries/tier, generation %x); /stats reports per-tier hits\n",
+		st.Shards, st.Capacity, st.Generation)
 
 	if opts.AdminToken != "" {
 		fmt.Println("qcfe-serve: admin endpoints on (/swap, /generation; authenticate with X-QCFE-Admin-Token)")

@@ -152,14 +152,11 @@ type Tracer struct {
 	slowMu        sync.Mutex
 }
 
-// NewTracer builds a tracer with a ring of ringSize finished requests
-// (default 256 when ≤0). Requests slower than slowThreshold (>0) are
-// logged as one JSON line to slowW.
-func NewTracer(ringSize int, slowThreshold time.Duration, slowW io.Writer) *Tracer {
-	if ringSize <= 0 {
-		ringSize = 256
-	}
-	return &Tracer{ring: make([]TraceRecord, ringSize), slowThreshold: slowThreshold, slowW: slowW}
+// NewTracer builds a tracer whose ring keeps the last 256 finished
+// requests. Requests slower than slowThreshold (>0) are logged as one
+// JSON line to slowW.
+func NewTracer(slowThreshold time.Duration, slowW io.Writer) *Tracer {
+	return &Tracer{ring: make([]TraceRecord, 256), slowThreshold: slowThreshold, slowW: slowW}
 }
 
 // Finish closes a trace into a record, stores it in the ring, and

@@ -80,7 +80,7 @@ func TestTraceContextAndSpans(t *testing.T) {
 // order, and only requests over the threshold hit the slow-query log.
 func TestTracerRingAndSlowLog(t *testing.T) {
 	var slow bytes.Buffer
-	tc := NewTracer(4, 10*time.Millisecond, &slow)
+	tc := &Tracer{ring: make([]TraceRecord, 4), slowThreshold: 10 * time.Millisecond, slowW: &slow}
 	for i := 0; i < 6; i++ {
 		tr := NewTrace(fmt.Sprintf("id-%d", i))
 		tr.Start = time.Now().Add(-time.Duration(i) * 5 * time.Millisecond)
@@ -132,7 +132,7 @@ func TestTracerRingAndSlowLog(t *testing.T) {
 
 // TestTracerError: a failed request's error string rides the record.
 func TestTracerError(t *testing.T) {
-	tc := NewTracer(2, 0, nil)
+	tc := NewTracer(0, nil)
 	tc.Finish(NewTrace("e1"), "estimate_batch", "", fmt.Errorf("boom"))
 	recent := tc.Recent(1)
 	if len(recent) != 1 || recent[0].Err != "boom" {

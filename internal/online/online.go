@@ -5,9 +5,9 @@
 //   - the labeling path (engine/workload): any served query can be
 //     replayed through the execution engine to obtain an opportunistic
 //     ground-truth latency label, deterministically;
-//   - windowed retraining (core.RetrainCtx via qcfe.AdaptCtx): a copy of
-//     the serving model continues training on a sliding window of recent
-//     labeled queries, off the request path;
+//   - windowed retraining (qcfe.AdaptCtx, through core.Transfer): a copy
+//     of the serving model continues training on a sliding window of
+//     recent labeled queries, off the request path;
 //   - the atomic hot swap (serve.Server.SwapEstimator + the query
 //     cache's generation stamping): the adapted model is installed with
 //     one pointer store; in-flight requests finish on the old model, new
@@ -43,12 +43,12 @@ import (
 type Options struct {
 	// Window is the sliding-window capacity: how many recent labeled
 	// samples are retained for retraining and drift scoring (default
-	// 256).
+	// 256). Drift can trigger a retrain only once min(32, Window) of
+	// them are scored — a median of three samples would thrash — and,
+	// after a swap, only once as many more have been scored against the
+	// new model, so one drifted window cannot cause back-to-back
+	// retrains.
 	Window int
-	// MinLabeled is how many labeled samples the window must hold
-	// before drift can trigger a retrain — scoring a median on three
-	// samples would thrash (default 32).
-	MinLabeled int
 	// DriftThreshold is the rolling median q-error above which the
 	// model counts as drifted (default 2.0; q-error 1.0 is a perfect
 	// prediction).
@@ -61,26 +61,15 @@ type Options struct {
 	// labels everything). Client-labeled observations (ObserveLabeled)
 	// are never sampled away.
 	LabelEvery int
-	// QueueDepth bounds the pending-observation buffer between the
-	// request path and the labeling goroutine; overflow is dropped and
-	// counted (default 256).
-	QueueDepth int
-	// Cooldown is how many freshly labeled samples must accumulate
-	// after a swap before the next retrain may trigger, so one drifted
-	// window cannot cause back-to-back retrains before the new model
-	// has been scored at all (default MinLabeled).
-	Cooldown int
 }
+
+// queueDepth bounds the pending-observation buffer between the request
+// path and the labeling goroutine; overflow is dropped and counted.
+const queueDepth = 256
 
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 256
-	}
-	if o.MinLabeled <= 0 {
-		o.MinLabeled = 32
-	}
-	if o.MinLabeled > o.Window {
-		o.MinLabeled = o.Window
 	}
 	if o.DriftThreshold <= 0 {
 		o.DriftThreshold = 2.0
@@ -90,12 +79,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LabelEvery <= 0 {
 		o.LabelEvery = 8
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 256
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = o.MinLabeled
 	}
 	return o
 }
@@ -204,7 +187,7 @@ func New(est *qcfe.CostEstimator, opts Options, swap Swapper) *Adapter {
 	return &Adapter{
 		opts:   o,
 		swap:   swap,
-		obs:    make(chan observation, o.QueueDepth),
+		obs:    make(chan observation, queueDepth),
 		cur:    est,
 		window: make([]workload.Sample, 0, o.Window),
 		qerrs:  make([]float64, 0, o.Window),
@@ -346,8 +329,9 @@ func (a *Adapter) process(ctx context.Context, o observation) {
 		a.sinceSwap++
 	}
 	a.labeled++
-	drifted := len(a.qerrs) >= a.opts.MinLabeled &&
-		a.sinceSwap >= a.opts.Cooldown &&
+	minLabeled := min(32, a.opts.Window)
+	drifted := len(a.qerrs) >= minLabeled &&
+		a.sinceSwap >= minLabeled &&
 		a.medianLocked() > a.opts.DriftThreshold
 	a.mu.Unlock()
 

@@ -140,8 +140,9 @@ func TestAdaptIsolatedAndArtifactExact(t *testing.T) {
 
 // TestDriftTriggersRetrainAndSwap drives the full loop: labeled
 // observations with terrible q-error push the rolling median past the
-// threshold, the adapter retrains on its window, hands the query cache
-// to the adapted estimator, and installs it through the swap callback.
+// threshold, the adapter retrains on its window once 32 are scored (not
+// before), hands the query cache to the adapted estimator, and installs
+// it through the swap callback.
 func TestDriftTriggersRetrainAndSwap(t *testing.T) {
 	est, _ := testEstimator(t)
 	// A private copy so the shared fixture never gains a cache.
@@ -160,8 +161,7 @@ func TestDriftTriggersRetrainAndSwap(t *testing.T) {
 	var mu sync.Mutex
 	var installed []*qcfe.CostEstimator
 	ad := New(cur, Options{
-		Window: 64, MinLabeled: 8, Cooldown: 8,
-		DriftThreshold: 1.5, RetrainIters: 15, LabelEvery: 1, QueueDepth: 64,
+		Window: 64, DriftThreshold: 1.5, RetrainIters: 15, LabelEvery: 1,
 	}, func(next *qcfe.CostEstimator) {
 		mu.Lock()
 		installed = append(installed, next)
@@ -175,15 +175,31 @@ func TestDriftTriggersRetrainAndSwap(t *testing.T) {
 
 	// Feed ground-truth labels 50x the prediction: q-error ~50 on every
 	// observation, far past the 1.5 threshold.
-	for i := 0; i < 16; i++ {
+	observe := func(i int) {
 		sql := testSQL(i)
 		pred, err := cur.EstimateSQL(env, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ad.ObserveLabeled(env, sql, pred, pred*50, cur)
+		if !ad.ObserveLabeled(env, sql, pred, pred*50, cur) {
+			t.Fatalf("label %d dropped", i)
+		}
+	}
+	// 31 scored labels are one short of the minimum: no retrain yet.
+	for i := 0; i < 31; i++ {
+		observe(i)
 	}
 	deadline := time.Now().Add(60 * time.Second)
+	for ad.Stats().Labeled < 31 {
+		if time.Now().After(deadline) {
+			t.Fatalf("labeling stalled: %+v", ad.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := ad.Stats(); st.Retrains != 0 || st.Swaps != 0 {
+		t.Fatalf("retrained before 32 labels: %+v", st)
+	}
+	observe(31)
 	for {
 		if st := ad.Stats(); st.Swaps >= 1 {
 			break
@@ -197,7 +213,7 @@ func TestDriftTriggersRetrainAndSwap(t *testing.T) {
 	<-done
 
 	st := ad.Stats()
-	if st.Retrains < 1 || st.Swaps < 1 || st.Labeled < 8 {
+	if st.Retrains < 1 || st.Swaps < 1 || st.Labeled < 32 {
 		t.Fatalf("stats = %+v", st)
 	}
 	mu.Lock()
@@ -247,11 +263,12 @@ func TestDriftTriggersRetrainAndSwap(t *testing.T) {
 }
 
 // TestHealthyTrafficNeverRetrains: labels that agree with predictions
-// keep the median q-error at 1.0 and the adapter must stay quiet.
+// keep the median q-error at 1.0 and the adapter must stay quiet. A
+// window of 4 lets drift trigger after 4 scored labels.
 func TestHealthyTrafficNeverRetrains(t *testing.T) {
 	est, _ := testEstimator(t)
 	ad := New(est, Options{
-		Window: 32, MinLabeled: 4, DriftThreshold: 1.5, LabelEvery: 1, QueueDepth: 64,
+		Window: 4, DriftThreshold: 1.5, LabelEvery: 1,
 	}, func(*qcfe.CostEstimator) { t.Error("swap on healthy traffic") })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -290,7 +307,8 @@ func TestHealthyTrafficNeverRetrains(t *testing.T) {
 func TestObserveSamplingAndOverflow(t *testing.T) {
 	est, _ := testEstimator(t)
 	env := est.Environments()[0]
-	ad := New(est, Options{Window: 16, LabelEvery: 4, QueueDepth: 2}, nil)
+	ad := New(est, Options{Window: 16, LabelEvery: 4}, nil)
+	ad.obs = make(chan observation, 2) // a queue of 2 instead of 256
 	// No Run goroutine: everything sampled lands in the queue or drops.
 	for i := 0; i < 16; i++ {
 		ad.Observe(env, testSQL(i), 1.0, est)
@@ -305,7 +323,7 @@ func TestObserveSamplingAndOverflow(t *testing.T) {
 	}
 
 	// A query that cannot replay is a counted label error, not a crash.
-	ad2 := New(est, Options{Window: 16, LabelEvery: 1, QueueDepth: 8}, nil)
+	ad2 := New(est, Options{Window: 16, LabelEvery: 1}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})

@@ -33,13 +33,13 @@
 //
 // Each tier is split over a power-of-two number of shards, selected by
 // the low bits of the key's FNV-64a hash. The hash is computed once, when
-// the key is constructed (TemplateKey, FeatureKey, PredictionKey); the
-// cache only folds in its tenant namespace. Within a shard a
+// the key is constructed (TemplateKey, FeatureKey, PredictionKey), and
+// the cache never rehashes it. Within a shard a
 // fixed-capacity CLOCK ring (second-chance LRU approximation) and a fixed
 // power-of-two array of bucket chains index the resident entries; one
 // mutex that only WRITERS take guards both. A reader picks its bucket
 // from the hash's high 32 bits and walks the chain lock-free, comparing
-// each slot's stored hash before its key: a warm hit is that walk plus
+// each slot key's hash before its strings: a warm hit is that walk plus
 // three atomic operations (value load, CLOCK reference bit, hit counter)
 // and performs zero heap allocations. Keys are comparable structs (not
 // concatenated strings), so building a lookup key allocates nothing
@@ -88,15 +88,6 @@ type Options struct {
 	// (minimum one entry per shard) and rounded to what that split holds:
 	// shards × per-shard entries. 0 means 4096.
 	Capacity int
-	// Tenant namespaces every key this cache stores or looks up: the
-	// tenant ID becomes part of the key identity (and its shard hash), so
-	// entries written under one tenant can never satisfy — or collide
-	// with — lookups under another, even if two caches' contents were
-	// ever merged or a cache object were shared by mistake. The
-	// multi-tenant registry (internal/tenant) gives every tenant its own
-	// cache instance stamped with its name; single-tenant callers leave
-	// it empty and keys are exactly the pre-tenant ones.
-	Tenant string
 }
 
 func (o Options) withDefaults() Options {
@@ -131,7 +122,6 @@ type TierStats struct {
 // Stats snapshots the whole cache.
 type Stats struct {
 	Generation uint64    `json:"generation"`
-	Tenant     string    `json:"tenant,omitempty"`
 	Shards     int       `json:"shards"`
 	Capacity   int       `json:"capacity_per_tier"`
 	Template   TierStats `json:"template"`
@@ -140,20 +130,18 @@ type Stats struct {
 }
 
 // Key identifies one cache entry: the environment ID plus the tier's
-// string component(s), plus the owning cache's tenant namespace. It is
-// a comparable struct rather than a concatenated string so hot-path
-// lookups build it on the stack — a warm probe allocates nothing.
-// Construct with PredictionKey, TemplateKey, or FeatureKey; the tenant
-// component is stamped by the cache itself (from Options.Tenant) on
-// every get/put, so callers cannot forge or forget it. Constructing a key
-// hashes it, so a caller that probes and later stores under one key
-// keeps the Key value rather than building it twice.
+// string component(s). It is a comparable struct rather than a
+// concatenated string so hot-path lookups build it on the stack — a warm
+// probe allocates nothing. Construct with PredictionKey, TemplateKey, or
+// FeatureKey. Constructing a key hashes it, so a caller that probes and
+// later stores under one key keeps the Key value rather than building it
+// twice. A key carries no owner: tenants are kept apart by holding
+// separate QueryCache instances (internal/tenant enforces it).
 type Key struct {
 	env int
 	txt string // exact SQL (prediction) or fingerprint (template/feature)
 	sig string // literal signature (feature tier only)
-	tnt string // tenant namespace (Options.Tenant; "" single-tenant)
-	h   uint64 // FNV-64a state up to the tenant separator; hash folds in tnt
+	h   uint64 // FNV-64a over the components; low bits shard, high 32 bucket
 }
 
 // TemplateKey keys the template tier: (env, fingerprint). Tier keys
@@ -181,8 +169,8 @@ const (
 )
 
 // newKey builds a key and runs FNV-64a over its components: the env ID's
-// eight bytes, txt, a separator, sig, and the separator before the
-// tenant namespace — so ("ab","c") and ("a","bc") diverge.
+// eight bytes, then txt and sig each followed by a separator — so
+// ("ab","c") and ("a","bc") diverge.
 func newKey(env int, txt, sig string) Key {
 	h := uint64(fnvOffset)
 	e := uint64(env)
@@ -210,16 +198,12 @@ func (k Key) String() string {
 	if k.sig != "" {
 		s += "\x00" + k.sig
 	}
-	if k.tnt != "" {
-		s = k.tnt + "\x00" + s
-	}
 	return s
 }
 
-// hash is the key's full FNV-64a: the constructor's state with the
-// tenant namespace folded in. Its low bits pick the shard, its high 32
-// the bucket.
-func (k Key) hash() uint64 { return fnvString(k.h, k.tnt) }
+// hash is the key's FNV-64a, computed by its constructor. Its low bits
+// pick the shard, its high 32 the bucket.
+func (k Key) hash() uint64 { return k.h }
 
 // box is one immutable (generation, value) pair. Stores swap a whole
 // box atomically so a reader can never observe a value from one
@@ -235,7 +219,6 @@ type box struct {
 // an unlink never clears. Slots are never reused — a re-inserted key gets
 // a fresh one.
 type slot struct {
-	hash uint64 // key.hash(), compared before the key's strings
 	next atomic.Pointer[slot]
 	key  Key
 	box  atomic.Pointer[box]
@@ -341,7 +324,7 @@ func get[T any](t *tier, key Key, g uint64) (T, bool) {
 // before its newer one was inserted, what lies past it is never fresher.
 func find(sl *slot, h uint64, key Key) (*slot, *box) {
 	for ; sl != nil; sl = sl.next.Load() {
-		if sl.hash == h && sl.key == key {
+		if sl.key.h == h && sl.key == key {
 			if b := sl.box.Load(); b != nil {
 				return sl, b
 			}
@@ -403,7 +386,7 @@ func (t *tier) put(key Key, g uint64, val any) {
 	// instead of stripping re-referenced residents of their second
 	// chance (scan resistance). The slot is complete before the head
 	// store makes it reachable.
-	sl := &slot{hash: h, key: key}
+	sl := &slot{key: key}
 	sl.box.Store(b)
 	sl.next.Store(head.Load())
 	head.Store(sl)
@@ -418,7 +401,7 @@ func (t *tier) put(key Key, g uint64, val any) {
 // it walks on to the live tail; the collector frees it once no reader
 // holds it. Caller holds the shard mutex.
 func (t *tier) unlink(victim *slot) {
-	_, p := t.locate(victim.hash)
+	_, p := t.locate(victim.key.h)
 	for cur := p.Load(); cur != victim; cur = cur.next.Load() {
 		p = &cur.next
 	}
@@ -442,21 +425,12 @@ func (t *tier) stats() TierStats {
 
 // QueryCache is the three-tier cache. One instance serves one estimator
 // at a time; attaching a different estimator just moves the generation.
-// When Options.Tenant is set, every key is stamped with the tenant
-// namespace on the way in — the cache's contents are disjoint, by key
-// identity, from every other tenant's.
+// Keys name no owner, so two tenants stay apart only by holding two
+// instances.
 type QueryCache struct {
 	opts                          Options
 	gen                           atomic.Uint64
 	template, feature, prediction *tier
-}
-
-// stamp folds the cache's tenant namespace into a caller-built key; the
-// tier's hash then walks only the tenant bytes on top of the state the
-// constructor computed. Key is a value type, so this cannot race.
-func (c *QueryCache) stamp(key Key) Key {
-	key.tnt = c.opts.Tenant
-	return key
 }
 
 // New builds an empty cache.
@@ -485,47 +459,47 @@ func (c *QueryCache) SetGeneration(g uint64) { c.gen.Store(g) }
 // The skeleton is shared and immutable: callers must Clone before
 // binding literals.
 func (c *QueryCache) GetTemplate(key Key, g uint64) (*sqlparse.Query, bool) {
-	return get[*sqlparse.Query](c.template, c.stamp(key), g)
+	return get[*sqlparse.Query](c.template, key, g)
 }
 
 // PutTemplate stores a resolved skeleton. The caller hands over
 // ownership: the query must not be mutated afterwards.
 func (c *QueryCache) PutTemplate(key Key, g uint64, q *sqlparse.Query) {
-	c.template.put(c.stamp(key), g, q)
+	c.template.put(key, g, q)
 }
 
 // GetAnswer returns the prediction the feature tier holds for a feature
 // key: the answer for every spelling with that fingerprint and literals.
 func (c *QueryCache) GetAnswer(key Key, g uint64) (float64, bool) {
-	return get[float64](c.feature, c.stamp(key), g)
+	return get[float64](c.feature, key, g)
 }
 
 // PutAnswer stores the prediction for a feature key.
 func (c *QueryCache) PutAnswer(key Key, g uint64, ms float64) {
-	c.feature.put(c.stamp(key), g, ms)
+	c.feature.put(key, g, ms)
 }
 
 // GetFeatures returns a featurized plan stored by PutFeatures; an answer
 // reads as a miss. Shared and immutable. The pair remains for
 // benchmark/'s leaf replay until ROADMAP 1(e).
 func (c *QueryCache) GetFeatures(key Key, g uint64) (*encoding.FeaturizedPlan, bool) {
-	return get[*encoding.FeaturizedPlan](c.feature, c.stamp(key), g)
+	return get[*encoding.FeaturizedPlan](c.feature, key, g)
 }
 
 // PutFeatures stores a featurized plan; ownership transfers.
 func (c *QueryCache) PutFeatures(key Key, g uint64, fp *encoding.FeaturizedPlan) {
-	c.feature.put(c.stamp(key), g, fp)
+	c.feature.put(key, g, fp)
 }
 
 // GetPrediction returns the memoized prediction for an exact (env, SQL)
 // pair. This is the serving warm path: lock-free and zero-alloc.
 func (c *QueryCache) GetPrediction(key Key, g uint64) (float64, bool) {
-	return get[float64](c.prediction, c.stamp(key), g)
+	return get[float64](c.prediction, key, g)
 }
 
 // PutPrediction memoizes one prediction.
 func (c *QueryCache) PutPrediction(key Key, g uint64, ms float64) {
-	c.prediction.put(c.stamp(key), g, ms)
+	c.prediction.put(key, g, ms)
 }
 
 // SetLookupHistograms attaches per-tier lookup-latency histograms
@@ -543,7 +517,6 @@ func (c *QueryCache) SetLookupHistograms(template, feature, prediction *obs.Hist
 func (c *QueryCache) Stats() Stats {
 	return Stats{
 		Generation: c.gen.Load(),
-		Tenant:     c.opts.Tenant,
 		Shards:     c.opts.Shards,
 		Capacity:   c.opts.Capacity,
 		Template:   c.template.stats(),

@@ -34,11 +34,7 @@ func refHash(k Key) uint64 {
 		h ^= uint64(k.sig[i])
 		h *= prime
 	}
-	h *= prime // separator before the tenant namespace
-	for i := 0; i < len(k.tnt); i++ {
-		h ^= uint64(k.tnt[i])
-		h *= prime
-	}
+	h *= prime // trailing separator
 	return h
 }
 
@@ -274,9 +270,9 @@ func (t *refTier) stats() TierStats {
 
 // TestMatchesReference drives seeded single-goroutine sequences through
 // the bucket-chain tiers and the reference tiers side by side — gets and
-// puts on all three tiers, generation flips, stale-stamped puts, a tenant
-// namespace on some seeds, 1–16 shards and 1–512 entries so the
-// stale-victim and second-chance rules fire — and after every operation
+// puts on all three tiers, generation flips, stale-stamped puts, 1–16
+// shards and 1–512 entries so the stale-victim and second-chance rules
+// fire — and after every operation
 // requires the same (value, ok) and the same per-tier
 // Hits/Misses/Stores/Evictions/Size. On a serial sequence the two indexes
 // differ only in how a reader finds a slot, never in which slot exists.
@@ -289,11 +285,6 @@ func TestMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		shards := 1 << rng.Intn(5)
 		capacity := 1 + rng.Intn(512)
-		tenant := ""
-		if seed%4 == 0 {
-			tenant = "acme"
-		}
-		stamp := New(Options{Shards: 8, Capacity: 8, Tenant: tenant}).stamp
 		var got [3]*tier
 		var want [3]*refTier
 		for i := range got {
@@ -306,11 +297,11 @@ func TestMatchesReference(t *testing.T) {
 			fp := fmt.Sprintf("select * from t%d where a = ?", n%17)
 			switch tierIdx {
 			case 0:
-				return stamp(TemplateKey(n%3, fmt.Sprintf("%s /*%d*/", fp, n)))
+				return TemplateKey(n%3, fmt.Sprintf("%s /*%d*/", fp, n))
 			case 1:
-				return stamp(FeatureKey(n%3, fp, fmt.Sprintf("n%d", n)))
+				return FeatureKey(n%3, fp, fmt.Sprintf("n%d", n))
 			default:
-				return stamp(PredictionKey(n%3, fmt.Sprintf("SELECT %d", n)))
+				return PredictionKey(n%3, fmt.Sprintf("SELECT %d", n))
 			}
 		}
 		gen := uint64(1)

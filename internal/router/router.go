@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"sync/atomic"
 	"time"
@@ -67,10 +66,6 @@ type Options struct {
 	// live traffic bake on the new generation while most of the fleet
 	// still serves the old one (default 0: proceed immediately).
 	RolloutBakeTime time.Duration
-	// Client, when non-nil, overrides the HTTP client used for replica
-	// round trips (tests inject httptest clients); Timeout still
-	// applies per request via context.
-	Client *http.Client
 	// SlowQueryThreshold, when positive, logs every routed request
 	// slower than this as one structured JSON line on stderr (trace ID,
 	// per-replica sub-batch spans, total duration). Zero disables it.
@@ -149,12 +144,12 @@ func New(replicaURLs []string, opts Options) (*Router, error) {
 		ring:        rg,
 		start:       time.Now(),
 		histRequest: obs.NewHistogram(),
-		tracer:      obs.NewTracer(0, o.SlowQueryThreshold, os.Stderr),
+		tracer:      obs.NewTracer(o.SlowQueryThreshold, os.Stderr),
 	}
 	for _, u := range replicaURLs {
 		rep := &replica{
 			id:      u,
-			client:  &serve.Client{BaseURL: u, HTTP: o.Client, AdminToken: o.AdminToken},
+			client:  &serve.Client{BaseURL: u, AdminToken: o.AdminToken},
 			breaker: newBreaker(o.BreakerThreshold, o.BreakerCooldown),
 			histSub: obs.NewHistogram(),
 		}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/httpx"
 	"repro/internal/obs"
@@ -17,14 +16,12 @@ import (
 
 // Client is a typed HTTP client for one qcfe-serve replica — the
 // counterpart of Handler. The router (internal/router) holds one per
-// replica; tests and tools use it directly. A zero HTTP field uses
-// http.DefaultClient; callers that need timeouts (the router always
-// does) supply their own.
+// replica; tests and tools use it directly. Every call goes through
+// http.DefaultClient and runs under its context: a caller that needs a
+// bound gives the context a deadline (the router does on every call).
 type Client struct {
 	// BaseURL is the replica's root URL, e.g. "http://10.0.0.5:8080".
 	BaseURL string
-	// HTTP is the underlying client; nil means http.DefaultClient.
-	HTTP *http.Client
 	// AdminToken is sent as X-QCFE-Admin-Token on admin calls (Swap*,
 	// Generation). Leave empty for data-plane-only use.
 	AdminToken string
@@ -39,13 +36,6 @@ type Client struct {
 	// from the inbound trace; retries reuse the same ID by construction
 	// (the chaos tests pin that).
 	TraceID string
-	// Timeout bounds each call that arrives with a context carrying no
-	// deadline: the call runs under a derived context with this
-	// deadline. A context that already has a deadline is used as-is —
-	// caller deadlines always win — so admin calls (Swap*, Healthz)
-	// honor context deadlines instead of relying on the bare HTTP
-	// client timeout. Zero applies no per-call deadline.
-	Timeout time.Duration
 }
 
 // ReplicaError is a non-2xx reply from a replica, carrying the HTTP
@@ -70,16 +60,10 @@ func (e *ReplicaError) QueryFault() bool {
 	return e.Status >= 400 && e.Status < 500
 }
 
-// do posts (or gets) one JSON round trip. The request always runs
-// under ctx — a caller deadline cancels the round trip mid-body, not
-// just mid-dial — with c.Timeout as the fallback deadline when the
-// caller supplied none.
+// do posts (or gets) one JSON round trip. The request runs under ctx,
+// so a caller deadline cancels the round trip mid-body, not just
+// mid-dial.
 func (c *Client) do(ctx context.Context, method, path string, in, out any, admin bool) error {
-	if _, ok := ctx.Deadline(); !ok && c.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-		defer cancel()
-	}
 	var body io.Reader
 	if in != nil {
 		raw, err := json.Marshal(in)
@@ -104,11 +88,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, admin
 	if c.TraceID != "" {
 		req.Header.Set(obs.TraceHeader, c.TraceID)
 	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

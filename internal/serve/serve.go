@@ -185,7 +185,7 @@ func New(est Estimator, opts Options) *Server {
 		histCacheTpl:  obs.NewHistogram(),
 		histCacheFeat: obs.NewHistogram(),
 		histCachePred: obs.NewHistogram(),
-		tracer:        obs.NewTracer(0, opts.SlowQueryThreshold, os.Stderr),
+		tracer:        obs.NewTracer(opts.SlowQueryThreshold, os.Stderr),
 	}
 	s.cur.Store(&estBox{est: est})
 	s.attachCacheHists(est)

@@ -36,7 +36,7 @@ import (
 // order within a tenant).
 //
 // When no slot is available the request waits in its tenant's FIFO
-// queue, bounded by QueueDepth: each released slot is granted first to
+// queue, bounded by queueDepth: each released slot is granted first to
 // a below-floor tenant's waiter (round-robin across tenants, so two
 // starved tenants recover in turn), then to any waiter the borrow rule
 // admits. A tenant whose queue is full gets no slot and no wait — the

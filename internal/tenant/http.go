@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strconv"
 
 	"repro/internal/httpx"
 	"repro/internal/serve"
@@ -144,7 +143,7 @@ func tenantFromBody(req *http.Request) string {
 // Retry-After; the rest follow httpx.StatusFor.
 func (r *Registry) writeEstimateError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrShed) {
-		w.Header().Set("Retry-After", strconv.Itoa(r.opts.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		httpx.WriteError(w, http.StatusTooManyRequests, err)
 		return
 	}
@@ -189,8 +188,8 @@ func (r *Registry) Stats() StatsResponse {
 	resp := StatsResponse{
 		UptimeS:          r.Uptime().Seconds(),
 		MaxInflight:      r.opts.MaxInflight,
-		AnalyticInflight: r.opts.AnalyticInflight,
-		QueueDepthCap:    r.opts.QueueDepth,
+		AnalyticInflight: r.adm.anMax,
+		QueueDepthCap:    queueDepth,
 		Tenants:          make(map[string]TenantStats, len(r.tenants)),
 	}
 	for name, t := range r.tenants {

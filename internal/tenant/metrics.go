@@ -13,7 +13,7 @@ import (
 // expose standalone, plus the fair-share layer that only exists here.
 func (r *Registry) WriteMetrics(g *obs.Gatherer) {
 	g.Gauge("qcfe_tenant_max_inflight", "Shared NN-path slot budget.", float64(r.opts.MaxInflight))
-	g.Gauge("qcfe_tenant_analytic_inflight", "Shared analytic-path slot budget.", float64(r.opts.AnalyticInflight))
+	g.Gauge("qcfe_tenant_analytic_inflight", "Shared analytic-path slot budget.", float64(r.adm.anMax))
 
 	for _, name := range r.names {
 		t := r.tenants[name]

@@ -35,9 +35,12 @@ func TestTenantSoakHostile(t *testing.T) {
 	opts := Options{
 		Cache:       &qcfe.CacheOptions{Shards: 4, Capacity: 256},
 		MaxInflight: 4, // shares: 2 good + 2 evil
-		QueueDepth:  8,
 	}
 	r := newRegistry(t, opts, "good", "evil")
+	// A queue of 8 instead of 64: the flood reaches rung 3 sooner.
+	for _, b := range r.adm.buckets {
+		b.queueCap = 8
+	}
 	good, _ := r.Tenant("good")
 
 	ref := loadEst(t)

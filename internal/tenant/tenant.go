@@ -1,7 +1,7 @@
 // Package tenant is the multi-tenant serving layer: one process hosts
 // many named CostEstimator artifacts, each with its own serve.Server,
-// its own tenant-namespaced query cache, and (optionally) its
-// own online-adaptation drift monitor, behind a weighted fair-share
+// its own query cache instance, and (optionally) its own
+// online-adaptation drift monitor, behind a weighted fair-share
 // admission controller with a three-rung degradation ladder.
 //
 // The rungs, in order of what a request gets under increasing load:
@@ -22,10 +22,10 @@
 // un-flagged answer is the serving model's, bit for bit; a flagged one
 // is the analytic baseline's, bit for bit. Nothing in between exists.
 //
-// Isolation is layered: each tenant has its own estimator artifact
-// (its own generation), its own qcache.QueryCache instance whose keys
-// are stamped with the tenant's name (internal/qcache Options.Tenant —
-// entries can never be read or evicted across tenants), its own
+// Isolation is layered: each tenant has its own estimator (its own
+// generation), its own qcache.QueryCache instance — so entries can never
+// be read or evicted across tenants; New rejects two tenants that name
+// one estimator, the only way two could come to share a cache — its own
 // serve.Server (counters, histograms, traces), its own admission floor,
 // and its own drift monitor. The only shared resources are the slot
 // budgets, and those are what admission meters.
@@ -54,40 +54,22 @@ type Options struct {
 	// MaxInflight is the NN-path slot budget shared by all tenants
 	// (divided into weighted floors). 0 means 4×GOMAXPROCS; values
 	// below the tenant count are raised to it so every floor is ≥ 1.
+	// The rung-3 analytic budget is 8×MaxInflight: that path is orders
+	// of magnitude cheaper than the NN path, so its pool is much deeper.
 	MaxInflight int
-	// AnalyticInflight is the rung-3 slot budget. 0 means 8×MaxInflight
-	// — the analytic path is orders of magnitude cheaper than the NN
-	// path, so its pool is deliberately much deeper.
-	AnalyticInflight int
-	// QueueDepth bounds each tenant's admission wait queue (requests
-	// parked for an NN slot; beyond it the ladder degrades). 0 means 64.
-	QueueDepth int
-	// Cache sizes each tenant's query cache (the Tenant field is
-	// overwritten with the tenant's name). Nil disables caching —
-	// rung 2 then never hits and overload goes straight to rung 3.
+	// Cache sizes each tenant's query cache; every tenant gets its own
+	// instance. Nil disables caching — rung 2 then never hits and
+	// overload goes straight to rung 3.
 	Cache *qcfe.CacheOptions
-	// RetryAfter is the Retry-After value (in seconds, minimum 1)
-	// attached to shed responses.
-	RetryAfter int
 }
 
-func (o Options) withDefaults(tenants int) Options {
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 4 * runtime.GOMAXPROCS(0)
-	}
-	o.MaxInflight = max(o.MaxInflight, tenants)
-	if o.AnalyticInflight <= 0 {
-		o.AnalyticInflight = 8 * o.MaxInflight
-	}
-	o.AnalyticInflight = max(o.AnalyticInflight, tenants)
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
-	}
-	if o.RetryAfter < 1 {
-		o.RetryAfter = 1
-	}
-	return o
-}
+const (
+	// queueDepth bounds each tenant's admission wait queue (requests
+	// parked for an NN slot; beyond it the ladder degrades).
+	queueDepth = 64
+	// retryAfter is the Retry-After value, in seconds, of a shed reply.
+	retryAfter = "1"
+)
 
 // Config declares one tenant: a name, a loaded artifact, and a
 // fair-share weight (≤0 means 1).
@@ -138,21 +120,27 @@ type Registry struct {
 }
 
 // New builds a registry over the given tenants. Each tenant gets its
-// own query cache (when opts.Cache is set) stamped with its name, its
-// own serve.Server, and an analytic fallback estimator over the same
-// benchmark and environment set as its artifact.
+// own query cache (when opts.Cache is set), its own serve.Server, and an
+// analytic fallback estimator over the same benchmark and environment
+// set as its artifact. Two tenants may not share one estimator: the
+// second's cache would replace the first's, and both would serve from it.
 func New(opts Options, tenants []Config) (*Registry, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("tenant: registry needs at least one tenant")
 	}
-	o := opts.withDefaults(len(tenants))
+	o := opts
+	if o.MaxInflight <= 0 {
+		o.MaxInflight = 4 * runtime.GOMAXPROCS(0)
+	}
+	o.MaxInflight = max(o.MaxInflight, len(tenants))
 	r := &Registry{
 		opts:    o,
 		tenants: make(map[string]*Tenant, len(tenants)),
 		start:   time.Now(),
-		tracer:  obs.NewTracer(0, o.Serve.SlowQueryThreshold, os.Stderr),
+		tracer:  obs.NewTracer(o.Serve.SlowQueryThreshold, os.Stderr),
 	}
 	weights := make([]int, len(tenants))
+	owner := make(map[*qcfe.CostEstimator]string, len(tenants))
 	for i, tc := range tenants {
 		if tc.Name == "" {
 			return nil, fmt.Errorf("tenant: tenant %d has no name", i)
@@ -163,11 +151,13 @@ func New(opts Options, tenants []Config) (*Registry, error) {
 		if _, dup := r.tenants[tc.Name]; dup {
 			return nil, fmt.Errorf("tenant %q: declared twice", tc.Name)
 		}
+		if other, shared := owner[tc.Est]; shared {
+			return nil, fmt.Errorf("tenant %q: shares its estimator with tenant %q (load one per tenant)", tc.Name, other)
+		}
+		owner[tc.Est] = tc.Name
 		weights[i] = max(tc.Weight, 1)
 		if o.Cache != nil {
-			copts := *o.Cache
-			copts.Tenant = tc.Name
-			tc.Est.AttachCache(qcfe.NewQueryCache(copts))
+			tc.Est.AttachCache(qcfe.NewQueryCache(*o.Cache))
 		}
 		t := &Tenant{
 			name:         tc.Name,
@@ -182,7 +172,7 @@ func New(opts Options, tenants []Config) (*Registry, error) {
 		r.tenants[tc.Name] = t
 		r.names = append(r.names, tc.Name)
 	}
-	r.adm = newAdmission(o.MaxInflight, o.AnalyticInflight, o.QueueDepth, weights)
+	r.adm = newAdmission(o.MaxInflight, 8*o.MaxInflight, queueDepth, weights)
 	for i, tc := range tenants {
 		r.tenants[tc.Name].bkt = r.adm.buckets[i]
 	}

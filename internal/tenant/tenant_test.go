@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -187,6 +188,13 @@ func TestRegistryValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("duplicate tenant names must be rejected")
 	}
+	// One estimator for two tenants: the second AttachCache would replace
+	// the first tenant's cache and both would serve from one.
+	shared := loadEst(t)
+	_, err := New(testOptions(), []Config{{Name: "alpha", Est: shared}, {Name: "beta", Est: shared}})
+	if err == nil || !strings.Contains(err.Error(), `"alpha"`) || !strings.Contains(err.Error(), `"beta"`) {
+		t.Fatalf("shared estimator: err = %v, want a rejection naming alpha and beta", err)
+	}
 
 	r := newRegistry(t, testOptions(), "beta", "alpha")
 	if got := r.Names(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
@@ -251,7 +259,7 @@ func TestUndegradedBitwiseParity(t *testing.T) {
 }
 
 // TestCacheIsolation: serving tenant alpha's traffic must not touch
-// tenant beta's cache — separate instances, separately namespaced keys.
+// tenant beta's cache — the two hold separate instances.
 func TestCacheIsolation(t *testing.T) {
 	r := newRegistry(t, testOptions(), "alpha", "beta")
 	alpha, _ := r.Tenant("alpha")
@@ -265,13 +273,12 @@ func TestCacheIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	as, ok := alpha.srv.Estimator().CacheStats()
-	if !ok {
-		t.Fatal("alpha has no cache")
+	ac := alpha.srv.Estimator().(*qcfe.CostEstimator).Cache()
+	bc := beta.srv.Estimator().(*qcfe.CostEstimator).Cache()
+	if ac == nil || bc == nil || ac == bc {
+		t.Fatalf("alpha and beta must hold distinct cache instances: %p, %p", ac, bc)
 	}
-	if as.Tenant != "alpha" {
-		t.Fatalf("alpha cache tenant = %q", as.Tenant)
-	}
+	as, _ := alpha.srv.Estimator().CacheStats()
 	if as.Prediction.Hits == 0 {
 		t.Fatal("alpha's repeats never hit its prediction tier")
 	}
@@ -288,7 +295,7 @@ func TestCacheIsolation(t *testing.T) {
 }
 
 // TestWarmEstimateZeroAlloc: rung 2 through a two-tenant registry — name
-// lookup, the probe of that tenant's stamped cache namespace, the ladder
+// lookup, the probe of that tenant's own cache, the ladder
 // counter and two histogram samples — answers a resident prediction with
 // zero heap allocations when the context carries no trace, and never
 // reaches admission: warm_served moves, admitted does not.
@@ -403,8 +410,8 @@ func TestLadderOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shed: status %d, want 429: %s", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed reply lacks Retry-After")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("shed reply Retry-After = %q, want 1", got)
 	}
 	releaseAn()
 	release()
@@ -517,8 +524,21 @@ func TestStatsGoldenSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The budgets derived from MaxInflight and the fixed queue bound.
+	var st StatsResponse
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.MaxInflight < 2 || st.AnalyticInflight != 8*st.MaxInflight || st.QueueDepthCap != 64 {
+		t.Fatalf("/stats budgets: max_inflight %d, analytic_inflight %d (want 8×), queue_depth_cap %d (want 64)",
+			st.MaxInflight, st.AnalyticInflight, st.QueueDepthCap)
+	}
 	var doc any
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
 	got, err := json.MarshalIndent(schemaOf(doc), "", "  ")

@@ -20,7 +20,6 @@
 package qcfe
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -804,30 +803,30 @@ func (e *CostEstimator) Adapt(window []workload.Sample, iters int) (*CostEstimat
 }
 
 // AdaptCtx is Adapt with cooperative cancellation (checked between
-// training minibatches). The copy is made through the artifact codec —
-// a Save→Load round trip — so the adapted estimator shares no mutable
-// state with the serving one, training starts from exactly the served
-// weights, and the adapted estimator is itself Save-able: its artifact
-// hash (the cache generation) reflects the new weights, which is what
-// makes the swap invalidate the query cache without any locking. A
-// cancelled adapt returns ctx's error and no estimator; the receiver is
-// untouched either way.
+// training minibatches). It is a core.Transfer onto the estimator's own
+// features: the model's weights are cloned (a fresh optimizer, the
+// sampler seeded as a loaded artifact's is) and trained on the window,
+// while the featurizer — snapshots and reduction mask — stays as it is:
+// the window is far too small to refit either. The adapted estimator
+// shares only read-only state with the serving one (featurizer,
+// benchmark, environments) and is itself Save-able:
+// its artifact hash (the cache generation) reflects the new weights,
+// which is what makes the swap invalidate the query cache without any
+// locking. TrainSeconds stays cumulative. A cancelled adapt returns
+// ctx's error and no estimator; the receiver is untouched either way.
 func (e *CostEstimator) AdaptCtx(ctx context.Context, window []workload.Sample, iters int) (*CostEstimator, error) {
 	if len(window) == 0 {
 		return nil, fmt.Errorf("qcfe: Adapt requires a non-empty window of labeled samples")
 	}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		return nil, fmt.Errorf("qcfe: adapt: snapshot serving model: %w", err)
+	if iters <= 0 {
+		return nil, fmt.Errorf("qcfe: Adapt iterations must be positive (got %d)", iters)
 	}
-	next, err := LoadEstimator(&buf)
+	res, err := core.Transfer(ctx, e.res, e.res.Features, window, iters)
 	if err != nil {
-		return nil, fmt.Errorf("qcfe: adapt: clone serving model: %w", err)
-	}
-	if err := core.RetrainCtx(ctx, next.res, window, iters); err != nil {
 		return nil, err
 	}
-	return next, nil
+	res.TrainTime += e.res.TrainTime
+	return &CostEstimator{res: res, bench: e.bench, envs: e.envs, cfg: e.cfg}, nil
 }
 
 // SwapEstimator performs the cache half of a hot swap: it hands old's
